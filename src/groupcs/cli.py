@@ -56,6 +56,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(section: dict, allowed: set[str], where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -104,8 +106,6 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
@@ -167,6 +167,8 @@ def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> G
 
 def build_structures(cfg: dict, n: int, rows, cols) -> list[GroupStructure]:
     if "structures" in cfg:
+        if not isinstance(cfg["structures"], list):
+            raise ConfigError("structures must be a JSON list of objects")
         return [build_structure(s, n, rows, cols) for s in cfg["structures"]]
     if "structure" in cfg:
         return [build_structure(cfg["structure"], n, rows, cols)]

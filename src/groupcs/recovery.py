@@ -76,8 +76,9 @@ def spectral_norm_estimate(a: np.ndarray, y: np.ndarray | None = None, iters: in
 
 def _soft_threshold(w: np.ndarray, kappa: float) -> np.ndarray:
     a = np.abs(w)
-    scale = np.maximum(1.0 - kappa / np.where(a == 0.0, 1.0, a), 0.0)
-    return w * scale
+    # divide only where the result survives: kappa / a overflows on denormals
+    shrink = np.divide(kappa, a, out=np.ones_like(a), where=a > kappa)
+    return w * (1.0 - shrink)
 
 
 def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:

@@ -215,6 +215,31 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
     assert "unknown key" in err and "ensemble" in err
 
 
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        ({"structures": [1]}, "structure must be"),
+        ({"structures": {"kind": "singletons"}}, "structures must be"),
+        ({"structure": "singletons"}, "structure must be"),
+        ({"ensemble": [8]}, "ensemble must be"),
+        ({"ensemble": {"n": 8, "measurement": "identity", "sparsity": {"kind": "dft1d"}}},
+         "ensemble.measurement must be"),
+        ({"sweep": 3}, "sweep must be"),
+    ],
+)
+def test_malformed_config_shape_exits_2(tmp_path, capsys, bad, where):
+    cfg = {
+        "ensemble": {"n": 8, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+        "structure": {"kind": "singletons"},
+        "support": {"k": 2},
+    }
+    cfg.update(bad)
+    path = write_config(tmp_path, "shape.json", cfg)
+    code, out, err = run_cli(["sweep", "--config", path], capsys)
+    assert code == 2
+    assert where in err and "Traceback" not in err
+
+
 def test_missing_config_file(capsys):
     code, out, err = run_cli(["gamma", "--config", "/nonexistent.json"], capsys)
     assert code == 2

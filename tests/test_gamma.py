@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupcs import gamma
 from groupcs.gamma import (
     KP_COMPLEX,
     KP_REAL,
     GammaEstimate,
+    kp_constant,
     norm_2to1_exact_real,
     norm_2to1_lower,
     norm_2to1_upper_sdp,
     penalty_gamma,
 )
 from groupcs.grouping import contiguous_1d, random_groups, singletons, strided_1d
-from groupcs.operators import SupportSet, make_basis, make_ensemble, normalize_rows
+from groupcs.operators import SupportSet, make_basis, make_ensemble, normalize_rows, submatrix
 
 from oracles import hadamard_matrix, norm_2to1_sphere_oracle
 
@@ -227,3 +231,155 @@ def test_kp_sandwich_ratio_structural():
         assert est.method == "sandwich"
         assert est.upper / est.lower <= KP_COMPLEX + 1e-9
         assert math.sqrt(8) - 1e-9 <= est.lower <= est.upper <= 8 + 1e-9
+
+
+def _lower_loop(m, restarts, rng):
+    """Reference phase iteration: one start at a time."""
+    g = m.shape[0]
+    starts = [np.ones(g)]
+    for _ in range(restarts):
+        if np.iscomplexobj(m):
+            starts.append(np.exp(2j * np.pi * rng.random(g)))
+        else:
+            starts.append(rng.choice([-1.0, 1.0], size=g))
+    q = m @ m.conj().T
+    best = 0.0
+    for u in starts:
+        u = u.astype(q.dtype)
+        for _ in range(200):
+            u_new = gamma._phase(q @ u)
+            done = np.max(np.abs(u_new - u)) < 1e-10
+            u = u_new
+            if done:
+                break
+        best = max(best, float(np.linalg.norm(m.conj().T @ u)))
+    return best
+
+
+def test_lower_batched_matches_loop():
+    rng = np.random.default_rng(16)
+    for i in range(6):
+        m = normalize_rows(rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
+        if i % 2:
+            m = m.real.copy()  # 2^8 sign vectors exceed 64 restarts: phase iteration
+        batched, u = norm_2to1_lower(m, 64, np.random.default_rng(i), return_info=True)
+        assert batched == pytest.approx(_lower_loop(m, 64, np.random.default_rng(i)), rel=1e-12)
+        assert np.allclose(np.abs(u), 1.0)
+        assert np.linalg.norm(m.conj().T @ u) == pytest.approx(batched, rel=1e-12)
+
+
+def test_lower_sign_cover_returns_maximizing_signs():
+    m = normalize_rows(np.random.default_rng(17).standard_normal((5, 3)))
+    value, s = norm_2to1_lower(m, restarts=16, return_info=True)
+    assert value == pytest.approx(norm_2to1_exact_real(m), rel=1e-12)
+    assert set(np.abs(s)) == {1.0}
+    assert np.linalg.norm(m.T @ s) == pytest.approx(value, rel=1e-12)
+
+
+def test_sdp_info_diag_certifies_the_dual():
+    rng = np.random.default_rng(18)
+    for m in (
+        normalize_rows(rng.standard_normal((7, 4))),
+        normalize_rows(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))),
+        np.eye(3),  # diagonal Gram matrix
+    ):
+        up, info = norm_2to1_upper_sdp(m, return_info=True)
+        assert np.sum(info.diag) == pytest.approx(info.dual, rel=1e-14)
+        assert up == pytest.approx(math.sqrt(info.dual), rel=1e-14)
+        slack = np.diag(info.diag) - m @ m.conj().T
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-12
+
+
+def _penalty_gamma_loop(e, t, gs, lower_restarts=64, sdp_restarts=8, seed=0):
+    """Reference sandwich route: every group evaluated in full."""
+    group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(gs.n_groups)
+    lowers, uppers = [], []
+    for i in range(gs.n_groups):
+        msub = normalize_rows(submatrix(e, gs.group(i), t))
+        kp = kp_constant(not np.iscomplexobj(msub))
+        row_energy = math.sqrt(float(np.sum(np.abs(msub) ** 2)))
+        up, info = norm_2to1_upper_sdp(msub, restarts=sdp_restarts, seed=seed + i, return_info=True)
+        lo = norm_2to1_lower(msub, lower_restarts, np.random.default_rng(group_seeds[i]))
+        lowers.append(min(max(lo, row_energy, math.sqrt(info.primal) / kp), up))
+        uppers.append(up)
+    return max(lowers), max(uppers)
+
+
+def test_penalty_gamma_matches_full_loop(monkeypatch):
+    n = 64
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    unitary = make_ensemble(
+        make_basis("identity", n), make_basis("custom", entries=np.linalg.qr(z)[0])
+    )
+    cases = [
+        (_dft_ensemble(n), SupportSet(np.arange(5, 11)), strided_1d(n, 8)),
+        (_dft_ensemble(n), SupportSet(np.arange(5, 11)), contiguous_1d(n, 8)),
+        (_dft_ensemble(n), SupportSet(np.array([3, 9, 30, 41, 50])), random_groups(n, 8, 2)),
+        (unitary, SupportSet(np.sort(rng.permutation(n)[:6])), contiguous_1d(n, 8)),
+    ]
+    original = gamma.norm_2to1_upper_sdp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # penalty_gamma looks the name up in its module; the reference loop does not
+    monkeypatch.setattr(gamma, "norm_2to1_upper_sdp", counted)
+    for e, t, gs in cases:
+        lower, upper = _penalty_gamma_loop(e, t, gs)
+        calls.clear()
+        est = penalty_gamma(e, t, gs, "sandwich")
+        assert est.lower == pytest.approx(lower, rel=1e-12)
+        assert est.upper == pytest.approx(upper, rel=1e-12)
+        assert 1 <= len(calls) <= gs.n_groups
+        if gs.label == "strided1d":
+            # every strided group has the same Gram matrix: one full evaluation
+            assert len(calls) == 1 and est.argmax_group == 0
+
+
+def test_sandwich_lower_floor_survives_an_inflated_dual(monkeypatch):
+    # A certified dual can exceed the relaxation value; K_p bounds only the
+    # relaxation, so the lower bound's K_p floor must come from the primal.
+    q1 = np.linalg.qr(np.random.default_rng(38).standard_normal((8, 8)))[0]
+    basis = np.eye(12)
+    basis[:8, :8] = q1  # rows 8..11 vanish on the support
+    e = make_ensemble(make_basis("identity", 12), make_basis("custom", entries=basis))
+    t = SupportSet(np.arange(4))
+    gs = contiguous_1d(12, 12)
+    exact = penalty_gamma(e, t, gs, "exact").exact
+    original = gamma._dual_diag_value
+
+    def inflated(q):
+        # just under the trivial certificate, which caps the dual
+        d = original(q)
+        trivial = min(q.shape[0] * np.linalg.eigvalsh(q)[-1], np.sum(np.abs(q)))
+        return d * (0.999 * trivial / np.sum(d))
+
+    monkeypatch.setattr(gamma, "_dual_diag_value", inflated)
+    with pytest.warns(UserWarning, match="certification gap"):
+        est = penalty_gamma(e, t, gs, "sandwich")
+    assert est.degraded
+    assert est.upper > KP_REAL * exact  # the inflated dual is looser than K_p
+    assert est.lower <= exact * (1 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(1, 10),
+    n_groups=st.integers(1, 4),
+    k=st.integers(1, 6),
+)
+def test_sandwich_brackets_exact_on_real_orthogonal(seed, g, n_groups, k):
+    rng = np.random.default_rng(seed)
+    n = g * n_groups
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
+    t = SupportSet(np.sort(rng.permutation(n)[: min(k, n)]))
+    gs = random_groups(n, g, seed % 1000)
+    exact = penalty_gamma(e, t, gs, "exact").exact
+    est = penalty_gamma(e, t, gs, "sandwich")
+    tol = 1e-9 * max(1.0, exact)
+    assert est.lower - tol <= exact <= est.upper + tol

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from groupcs.recovery import (
     RecoveryProblem,
     basis_pursuit,
     cross_gram,
+    _soft_threshold,
     dual_certificate,
     nre,
 )
@@ -204,3 +206,13 @@ def test_cross_gram_shape_and_offsupport_rows():
     off = t.complement(16)
     assert np.max(np.abs(full[off])) <= 1e-12
     assert np.allclose(full[t.indices], np.eye(3), atol=1e-12)
+
+
+def test_soft_threshold_denormals_raise_no_warning():
+    w = np.array([5e-324, -1e-310, 0.0, 0.25, -3.0])
+    expected = np.array([0.0, 0.0, 0.0, 0.0, -2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_soft_threshold(w, 0.5), expected)
+        shrunk = _soft_threshold(np.array([1e-310j, 2.0 + 0j]), 0.5)
+    assert np.array_equal(shrunk, np.array([0.0, 1.5]))
