@@ -52,8 +52,10 @@ from .harness import (
     find_min_m,
     gen_signal,
     image_to_sparse,
+    random_coefficients,
     records_from_csv,
     records_to_csv,
+    run_trials,
     scatter_gamma_vs_m,
     success_rate,
     synthetic_image,
@@ -75,6 +77,7 @@ from .recovery import (
     RecoveryProblem,
     RecoveryResult,
     basis_pursuit,
+    basis_pursuit_trials,
     cross_gram,
     dual_certificate,
     nre,

@@ -15,7 +15,6 @@ import numpy as np
 from .gamma import penalty_gamma
 from .grouping import GroupStructure, draw_bernoulli
 from .operators import MeasurementEnsemble, SupportSet
-from .recovery import cross_gram
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,15 @@ def validate_cross_row_energy(
         raise ValueError(f"m={m} out of range [0, {e.n}]")
     if gamma_value is None:
         gamma_value = penalty_gamma(e, t, gs, "auto").value
+    # only row t0 of the cross-Gram is needed: a[omega, t0]^H a[omega, T]
+    a_t0, a_t = e.a[:, t0].conj(), e.a[:, t.indices]
     # mean of the row over the Bernoulli draw: (m/n) times the full-A row,
     # which is zero for exactly orthogonal columns but kept for honesty
-    mean_row = (m / e.n) * cross_gram(e.a, t)[t0]
+    mean_row = (m / e.n) * (a_t0 @ a_t)
     acc = 0.0
     for _ in range(trials):
         ss = draw_bernoulli(gs, m, rng)
-        row = cross_gram(e.a[ss.omega], t)[t0] - mean_row
+        row = a_t0[ss.omega] @ a_t[ss.omega] - mean_row
         acc += float(np.real(np.vdot(row, row)))
     empirical = acc / trials
     bound = (m / math.sqrt(e.n)) * e.mu**3 * len(t) * gamma_value

@@ -24,7 +24,6 @@ from .gamma import GAMMA_MODES, penalty_gamma
 from .grouping import (
     GroupStructure,
     contiguous_1d,
-    draw_uniform,
     lines_2d,
     max_manhattan_2d,
     random_groups,
@@ -42,13 +41,15 @@ from .harness import (
     draw_support,
     format_float,
     image_to_sparse,
+    random_coefficients,
     records_to_csv,
+    run_trials,
     scatter_gamma_vs_m,
     trial_rng,
 )
 from .operators import SupportSet, make_basis, make_ensemble
 from .pgm import read_pgm
-from .recovery import RecoveryProblem, basis_pursuit, nre
+from .recovery import nre
 
 
 class ConfigError(ValueError):
@@ -180,9 +181,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     _check_keys(section, _SUPPORT_KEYS, "support")
     if "indices" in section:
         t = SupportSet.from_indices(section["indices"])
-        c0 = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
-        rng = trial_rng(master_seed, "support-indices", 0, 0)
-        c0[t.indices] = rng.uniform(-1.0, 1.0, len(t))
+        c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     if "image" in section:
         k = int(_require(section, "k", "support"))
@@ -220,8 +219,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     for d in range(draws):
         rng = trial_rng(master_seed, "support-draw", 0, d)
         t = draw_support(spec, rng)
-        c0 = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
-        c0[t.indices] = rng.uniform(-1.0, 1.0, len(t))
+        c0 = random_coefficients(e, t, rng)
         cases.append(SupportCase(t, c0, f"{model}-k{k}-d{d}"))
     return cases
 
@@ -444,12 +442,17 @@ def cmd_recover(args) -> int:
     solver = build_solver(cfg)
     out_rows = []
     for idx, sup in enumerate(supports):
-        rng = trial_rng(seed, gs.label, m, 0)
-        ss = draw_uniform(gs, m, rng)
-        a_om = e.a[ss.omega]
-        y = a_om @ sup.c0
-        res = basis_pursuit(
-            RecoveryProblem(a_om, y, solver.tol_feas, solver.tol_obj, solver.max_iters)
+        # trial 0 of the sweep's stream at m, measuring the support's own c0
+        _, (res,) = run_trials(
+            e,
+            gs,
+            sup.t,
+            sup.c0,
+            m,
+            range(1),
+            master_seed=seed,
+            fresh_coefficients=False,
+            solver=solver,
         )
         if dump is not None:
             from .pgm import write_pgm
@@ -499,7 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seeds.master")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--threads", type=int, default=1, help="parallel trial workers")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; has no effect (trials are solved in blocks)",
+        )
         if mode:
             p.add_argument("--mode", choices=GAMMA_MODES, default="auto")
 

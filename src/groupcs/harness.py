@@ -3,8 +3,8 @@ penalty-versus-measurements scatter records.
 
 Every run is a pure function of its configuration and master seed: the seed
 for a single trial is derived from (master seed, structure label, m, trial
-index) through a stable hash, so trials can run in any order or in parallel
-without changing results.
+index) through a stable hash, so a trial's result does not depend on which
+other trials are solved with it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .operators import (
     haar2d_analysis,
     make_basis,
 )
-from .recovery import RecoveryProblem, basis_pursuit, nre
+from .recovery import RecoveryResult, basis_pursuit_trials, nre
 
 SUPPORT_MODELS = ("unrestricted", "subband")
 
@@ -79,6 +78,16 @@ def draw_support(spec: SignalSpec, rng: np.random.Generator) -> SupportSet:
     if union.size < k:
         raise ValueError(f"channel union of {union.size} indices cannot host k={k}")
     return SupportSet(np.sort(rng.permutation(union)[:k]))
+
+
+def random_coefficients(
+    e: MeasurementEnsemble, t: SupportSet, rng: np.random.Generator
+) -> np.ndarray:
+    """Coefficients uniform on [-1, 1] over the support, zero elsewhere; complex
+    (with zero imaginary part) for a complex ensemble, real otherwise."""
+    c = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
+    c[t.indices] = rng.uniform(-1.0, 1.0, len(t))
+    return c
 
 
 def gen_signal(
@@ -213,29 +222,66 @@ class SolverOptions:
     max_iters: int = 20000
 
 
-def _run_trial(
+def run_trials(
     e: MeasurementEnsemble,
-    gs: GroupStructure,
+    structure: GroupStructure | None,
     t: SupportSet,
     c0: np.ndarray,
     m: int,
-    trial: int,
-    cfg: SweepConfig,
-    solver: SolverOptions,
-) -> bool:
-    rng = trial_rng(cfg.master_seed, gs.label, m, trial)
-    ss = draw_uniform(gs, m, rng)
-    if cfg.fresh_coefficients:
-        c = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
-        c[t.indices] = rng.uniform(-1.0, 1.0, len(t))
-    else:
-        c = c0
-    a_om = e.a[ss.omega]
-    res = basis_pursuit(
-        RecoveryProblem(a_om, a_om @ c, solver.tol_feas, solver.tol_obj, solver.max_iters)
+    trials: range,
+    *,
+    master_seed: int = 0,
+    fresh_coefficients: bool = True,
+    solver: SolverOptions | None = None,
+) -> tuple[np.ndarray, list[RecoveryResult]]:
+    """Draw the given trials at m and recover them in one block.
+
+    Trial j draws its rows and then, when ``fresh_coefficients`` is set, its
+    coefficients from ``trial_rng(master_seed, label, m, j)``; otherwise it
+    measures ``c0``.  ``structure=None`` samples m rows uniformly at random
+    (label ``direct_index``), else whole groups are drawn.  Returns the true
+    coefficients (one row per trial) and the recovery results.
+    """
+    solver = solver or SolverOptions()
+    label = "direct_index" if structure is None else structure.label
+    omegas, coeffs = [], []
+    for j in trials:
+        rng = trial_rng(master_seed, label, m, j)
+        if structure is None:
+            omegas.append(np.sort(rng.permutation(e.n)[:m]))
+        else:
+            omegas.append(draw_uniform(structure, m, rng).omega)
+        coeffs.append(random_coefficients(e, t, rng) if fresh_coefficients else c0)
+    coeffs = np.array(coeffs)
+    results = basis_pursuit_trials(
+        e,
+        np.array(omegas),
+        coeffs,
+        tol_feas=solver.tol_feas,
+        tol_obj=solver.tol_obj,
+        max_iters=solver.max_iters,
     )
+    return coeffs, results
+
+
+def _count_successes(
+    coeffs: np.ndarray, results: list[RecoveryResult], success_nre: float
+) -> int:
     # by unitarity of the sparsity basis this equals the signal-domain error
-    return nre(c, res.c_hat) <= cfg.success_nre
+    return sum(nre(c, r.c_hat) <= success_nre for c, r in zip(coeffs, results))
+
+
+_FIRST_CHUNK, _MAX_CHUNK = 2, 32
+
+
+def _trial_chunks(trials: int):
+    """Consecutive trial ranges of sizes 2, 4, 8, 16, 32, 32, ... covering
+    range(trials): small first, where the quota is often decided early."""
+    start, size = 0, _FIRST_CHUNK
+    while start < trials:
+        yield range(start, min(start + size, trials))
+        start += size
+        size = min(2 * size, _MAX_CHUNK)
 
 
 def find_min_m(
@@ -250,43 +296,41 @@ def find_min_m(
 ) -> MinMResult:
     """First grid value whose success quota is met; None when all saturate.
 
-    With ``early_stop`` a grid value is abandoned as soon as the quota is
-    arithmetically decided, which never changes the success indicator.
+    Trials at each m are solved in chunks of 2, 4, 8, 16, 32, 32, ... trials.
+    With ``early_stop`` a grid value is abandoned after the first chunk at
+    which the quota is arithmetically decided.  A trial's result does not
+    depend on its chunk, so the success indicator is exactly the one of a
+    trial-by-trial loop; ``executed`` (and ``successes``) also count the
+    trials after the deciding one in the same chunk.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
     if cfg.m_grid[0] < gs.g or cfg.m_grid[-1] > gs.n:
         raise ValueError(f"m grid must stay within [{gs.g}, {gs.n}]")
-    solver = solver or SolverOptions()
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
     allowed_failures = cfg.trials_per_m - needed
     per_m = []
     m_min = None
     for m in cfg.m_grid:
-        successes = failures = executed = 0
-        trials = list(range(cfg.trials_per_m))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for batch_start in range(0, len(trials), threads):
-                    batch = trials[batch_start : batch_start + threads]
-                    outs = list(
-                        pool.map(
-                            lambda j: _run_trial(e, gs, t, c0, m, j, cfg, solver), batch
-                        )
-                    )
-                    executed += len(outs)
-                    successes += sum(outs)
-                    failures += len(outs) - sum(outs)
-                    if cfg.early_stop and (failures > allowed_failures or successes >= needed):
-                        break
-        else:
-            for j in trials:
-                ok = _run_trial(e, gs, t, c0, m, j, cfg, solver)
-                executed += 1
-                successes += ok
-                failures += not ok
-                if cfg.early_stop and (failures > allowed_failures or successes >= needed):
-                    break
+        successes = executed = 0
+        for chunk in _trial_chunks(cfg.trials_per_m):
+            coeffs, results = run_trials(
+                e,
+                gs,
+                t,
+                c0,
+                m,
+                chunk,
+                master_seed=cfg.master_seed,
+                fresh_coefficients=cfg.fresh_coefficients,
+                solver=solver,
+            )
+            executed += len(chunk)
+            successes += _count_successes(coeffs, results, cfg.success_nre)
+            failures = executed - successes
+            if cfg.early_stop and (failures > allowed_failures or successes >= needed):
+                break
         # once failures exceed the allowance, successes can never reach the
         # quota, so the indicator is exactly the full-protocol one
         success = successes >= needed
@@ -327,7 +371,8 @@ def scatter_gamma_vs_m(
     gamma_seed: int = 0,
 ) -> list[SweepRecord]:
     """One record per (structure, support): penalty factor, minimal M, and the
-    size-1-group baseline M0 computed with the identical protocol."""
+    size-1-group baseline M0 computed with the identical protocol.
+    ``threads`` is accepted for compatibility and has no effect."""
     base = singletons(e.n)
     records = []
     m0_cache: dict[str, int | None] = {}
@@ -377,25 +422,20 @@ def success_rate(
     ``structure=None`` samples m rows uniformly at random (no grouping);
     otherwise whole groups are drawn.  Returns (successes, trials).
     """
-    solver = solver or SolverOptions()
-    label = structure.label if structure is not None else "direct_index"
     successes = 0
-    for j in range(trials):
-        rng = trial_rng(master_seed, label, m, j)
-        if structure is None:
-            omega = np.sort(rng.permutation(e.n)[:m])
-        else:
-            omega = draw_uniform(structure, m, rng).omega
-        if fresh_coefficients:
-            c = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
-            c[t.indices] = rng.uniform(-1.0, 1.0, len(t))
-        else:
-            c = c0
-        a_om = e.a[omega]
-        res = basis_pursuit(
-            RecoveryProblem(a_om, a_om @ c, solver.tol_feas, solver.tol_obj, solver.max_iters)
+    for chunk in _trial_chunks(trials):
+        coeffs, results = run_trials(
+            e,
+            structure,
+            t,
+            c0,
+            m,
+            chunk,
+            master_seed=master_seed,
+            fresh_coefficients=fresh_coefficients,
+            solver=solver,
         )
-        successes += nre(c, res.c_hat) <= success_nre
+        successes += _count_successes(coeffs, results, success_nre)
     return successes, trials
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,6 +205,21 @@ class MeasurementEnsemble:
         if not (lo <= self.mu <= 1.0 + 1e-12):
             raise ValueError(f"coherence {self.mu} outside [1/sqrt(N), 1]")
         self.a.setflags(write=False)
+
+    @cached_property
+    def is_dft1d(self) -> bool:
+        """Whether A is the unitary 1-D DFT to within UNITARITY_TOL, so that
+        A v = ``np.fft.fft(v, norm="ortho")``."""
+        if not np.iscomplexobj(self.a):
+            return False
+        for j in range(0, self.n, 64):
+            # columns j.. of the DFT are the DFTs of unit vectors
+            block = np.fft.ifft(self.a[:, j : j + 64], axis=0, norm="ortho")
+            cols = np.arange(block.shape[1])
+            block[j + cols, cols] -= 1.0
+            if np.max(np.abs(block)) > UNITARITY_TOL:
+                return False
+        return True
 
 
 def make_ensemble(v: OrthonormalBasis, u: OrthonormalBasis) -> MeasurementEnsemble:

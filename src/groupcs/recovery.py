@@ -5,10 +5,13 @@ The solver is an alternating-direction splitting of
     min ||c||_1   s.t.   A_omega c = y
 
 into an affine projection step, a complex soft-threshold step, and a dual
-update.  Each iteration costs O(MN); the projection uses the fact that rows
-of A_omega usually come from a unitary matrix (A A^H = I), with a factorized
-fallback for general full-row-rank inputs.  The result is a deterministic
-function of the inputs.
+update.  One loop serves two entry points.  ``basis_pursuit_trials`` solves a
+block of sweep trials at once, each measuring a row subset of a unitary
+ensemble, so the projection needs no Gram solve; the unitary 1-D DFT is
+applied by FFT (O(N log N) per iteration), any other ensemble by its
+gathered rows (O(MN)).  ``basis_pursuit`` solves one user-supplied problem
+and keeps a factorized Gram fallback for rows that are not orthonormal.
+Every result is a deterministic function of its own trial's inputs.
 """
 
 from __future__ import annotations
@@ -74,11 +77,168 @@ def spectral_norm_estimate(a: np.ndarray, y: np.ndarray | None = None, iters: in
     return est
 
 
-def _soft_threshold(w: np.ndarray, kappa: float) -> np.ndarray:
-    a = np.abs(w)
-    # divide only where the result survives: kappa / a overflows on denormals
-    shrink = np.divide(kappa, a, out=np.ones_like(a), where=a > kappa)
-    return w * (1.0 - shrink)
+def _soft_threshold(w: np.ndarray, kappa) -> np.ndarray:
+    """w (1 - kappa / max(|w|, kappa)) for kappa > 0: zero where |w| <= kappa.
+
+    The quotient never exceeds 1, so denormal |w| cannot overflow it.
+    """
+    shrink = np.abs(w)
+    np.maximum(shrink, kappa, out=shrink)
+    np.divide(kappa, shrink, out=shrink)
+    np.subtract(1.0, shrink, out=shrink)
+    return w * shrink
+
+
+class _MaskedDft:
+    """Rows omega_b of the unitary 1-D DFT for a block of trials, as a row mask.
+
+    Measurements are held zero-padded to length N, so A_omega v is the
+    masked ``fft(v, norm="ortho")`` and A_omega^H r is ``ifft(r, norm="ortho")``.
+    The mask is complex 0/1, which multiplies finite values exactly.
+    """
+
+    solve_gram = None
+
+    def __init__(self, mask: np.ndarray, y: np.ndarray):
+        self.mask, self.y = mask, y
+
+    @classmethod
+    def measure(cls, omegas: np.ndarray, coeffs: np.ndarray) -> "_MaskedDft":
+        mask = np.zeros(coeffs.shape, dtype=np.complex128)
+        mask[np.arange(len(omegas))[:, None], omegas] = 1.0
+        y = np.fft.fft(coeffs, axis=1, norm="ortho")
+        y *= mask
+        return cls(mask, y)
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        w = np.fft.fft(v, axis=1, norm="ortho")
+        w -= self.y
+        w *= self.mask
+        return w
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(r, axis=1, norm="ortho")
+
+    def take(self, keep: np.ndarray) -> "_MaskedDft":
+        return _MaskedDft(self.mask[keep], self.y[keep])
+
+
+class _GatheredRows:
+    """Explicit row blocks A_b (B x m x N) with measurements y (B x m).
+
+    ``solve_gram`` applies (A A^H)^{-1} when the rows are not orthonormal;
+    only single-problem blocks carry one.
+    """
+
+    def __init__(self, rows: np.ndarray, y: np.ndarray, solve_gram=None):
+        self.rows, self.y, self.solve_gram = rows, y, solve_gram
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        r = np.matmul(self.rows, v[:, :, None])[:, :, 0]
+        r -= self.y
+        return r
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(self.rows):
+            return np.matmul(r.conj()[:, None, :], self.rows)[:, 0, :].conj()
+        return np.matmul(r[:, None, :], self.rows)[:, 0, :]
+
+    def take(self, keep: np.ndarray) -> "_GatheredRows":
+        return _GatheredRows(self.rows[keep], self.y[keep], self.solve_gram)
+
+
+def _project(op, v: np.ndarray) -> np.ndarray:
+    """Row-wise affine projection v - A^H (A A^H)^{-1} (A v - y)."""
+    r = op.residual(v)
+    if op.solve_gram is not None:
+        r = op.solve_gram(r[0])[None]
+    d = op.adjoint(r)
+    np.subtract(v, d, out=d)
+    return d
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, complex entries as (re, im) pairs."""
+    x = np.ascontiguousarray(x)
+    if np.iscomplexobj(x):
+        x = x.view(x.real.dtype)
+    return np.sqrt(np.add.reduce(np.square(x), axis=-1))
+
+
+def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray):
+    """Iterate every row of the block from z (zeros) until it passes the stop
+    test; a converged row is frozen and removed from the block.
+
+    Returns the final z, the iteration count and the convergence flag per row.
+    Every operation acts row by row, so a row's iterates do not depend on the
+    other rows of the block.
+    """
+    z_out = np.empty_like(z)
+    iterations = np.full(len(z), max_iters)
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    u = np.zeros_like(z)
+    # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
+    terms = np.empty((4,) + z.shape, dtype=z.dtype)
+    for it in range(1, max_iters + 1):
+        c = _project(op, z - u)
+        c_relaxed = _RELAX * c
+        c_relaxed += (1.0 - _RELAX) * z
+        z_new = _soft_threshold(c_relaxed + u, kappa)
+        u += c_relaxed
+        u -= z_new
+        np.subtract(z_new, z, out=terms[0])
+        np.subtract(c, z_new, out=terms[1])
+        terms[2] = z_new
+        terms[3] = c
+        step, split, z_norm, c_norm = _row_norm(terms)
+        z = z_new
+        tol = stop_tol * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
+        done = np.maximum(split, step) <= tol
+        if done.any():
+            z_out[live[done]] = z[done]
+            iterations[live[done]] = it
+            converged[live[done]] = True
+            keep = ~done
+            live, z, u, kappa = live[keep], z[keep], u[keep], kappa[keep]
+            if live.size == 0:
+                break
+            op = op.take(keep)
+            terms = terms[:, keep]
+    z_out[live] = z
+    return z_out, iterations, converged
+
+
+def _solve(
+    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int
+) -> list[RecoveryResult]:
+    """Basis pursuit for every row of a block: y_b = A_b c_b, min ||c_b||_1."""
+    y_norm = _row_norm(op.y)
+    backprojection = op.adjoint(op.y)
+    coeff_scale = np.max(np.abs(backprojection), axis=1)
+    rho = _RHO0 * max(norm_a, 1e-12) ** 2 / np.maximum(coeff_scale, 1e-300)
+    # kappa > 0 keeps the soft-threshold quotient defined
+    kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
+    stop_tol = min(tol_feas, 1e-2 * tol_obj)
+    # a zero measurement vector has the zero solution: no iterations
+    z = np.zeros_like(backprojection)
+    iterations = np.zeros(len(z), dtype=np.int64)
+    converged = np.ones(len(z), dtype=bool)
+    live = y_norm > 0.0
+    if live.any():
+        block = op if live.all() else op.take(live)
+        z[live], iterations[live], converged[live] = _admm(
+            block, kappa[live], stop_tol, max_iters, z[live]
+        )
+    c_hat = _project(op, z)  # feasible iterates
+    feas = np.divide(
+        _row_norm(op.residual(c_hat)), y_norm, out=np.zeros_like(y_norm), where=live
+    )
+    objective = np.sum(np.abs(c_hat), axis=1)
+    return [
+        RecoveryResult(c, float(f), float(o), int(i), bool(ok))
+        for c, f, o, i, ok in zip(c_hat, feas, objective, iterations, converged)
+    ]
 
 
 def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
@@ -88,8 +248,7 @@ def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
     a = a.astype(dtype, copy=False)
     y = y.astype(dtype, copy=False)
 
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
+    if float(np.linalg.norm(y)) == 0.0:
         return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
 
     # affine projection onto {c : a c = y}
@@ -111,39 +270,48 @@ def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
             def solve_gram(r):
                 return pinv @ r
 
-    def project(v):
-        r = a @ v - y
-        if solve_gram is not None:
-            r = solve_gram(r)
-        return v - a.conj().T @ r
+    op = _GatheredRows(a[None], y[None], solve_gram)
+    return _solve(op, spectral_norm_estimate(a, y), p.tol_feas, p.tol_obj, p.max_iters)[0]
 
-    norm_a = spectral_norm_estimate(a, y)
-    coeff_scale = float(np.max(np.abs(a.conj().T @ y)))
-    rho = _RHO0 * max(norm_a, 1e-12) ** 2 / max(coeff_scale, 1e-300)
-    kappa = 1.0 / rho
 
-    stop_tol = min(p.tol_feas, 1e-2 * p.tol_obj)
-    z = np.zeros(n, dtype=dtype)
-    u = np.zeros(n, dtype=dtype)
-    iterations = 0
-    converged = False
-    for iterations in range(1, p.max_iters + 1):
-        c = project(z - u)
-        c_relaxed = _RELAX * c + (1.0 - _RELAX) * z
-        z_new = _soft_threshold(c_relaxed + u, kappa)
-        u = u + c_relaxed - z_new
-        step = float(np.linalg.norm(z_new - z))
-        split = float(np.linalg.norm(c - z_new))
-        z = z_new
-        scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(c)), 1e-300)
-        if split <= stop_tol * scale and step <= stop_tol * scale:
-            converged = True
-            break
+# a block of gathered rows holds at most this many matrix entries, or one trial's rows
+_GATHER_ENTRIES = 1 << 20
 
-    c_hat = project(z)  # feasible iterate
-    feas = float(np.linalg.norm(a @ c_hat - y)) / y_norm
-    objective = float(np.sum(np.abs(c_hat)))
-    return RecoveryResult(c_hat, feas, objective, iterations, converged)
+
+def basis_pursuit_trials(
+    e: MeasurementEnsemble,
+    omegas: np.ndarray,
+    coeffs: np.ndarray,
+    *,
+    tol_feas: float = 1e-8,
+    tol_obj: float = 1e-6,
+    max_iters: int = 20000,
+) -> list[RecoveryResult]:
+    """Recover a block of trials in one ADMM: trial b measures y_b = A[omega_b] c_b
+    and solves min ||c||_1 s.t. A[omega_b] c = y_b.
+
+    ``omegas`` (B x m) holds distinct row indices per trial and ``coeffs``
+    (B x N) the true coefficients.  Rows of the unitary A are orthonormal, so
+    the projection needs no Gram solve and ||A[omega_b]|| = 1; each trial
+    gets the step size, stop test and final projection of ``basis_pursuit``.
+    The unitary 1-D DFT is applied by FFT with a row mask; any other
+    ensemble by its gathered rows, at most 2^20 entries per block.  A trial's
+    result does not depend on the other trials of the block.
+    """
+    omegas = np.asarray(omegas, dtype=np.int64)
+    coeffs = np.asarray(coeffs)
+    opts = (tol_feas, tol_obj, max_iters)
+    if e.is_dft1d:
+        coeffs = coeffs.astype(np.complex128, copy=False)
+        return _solve(_MaskedDft.measure(omegas, coeffs), 1.0, *opts)
+    coeffs = coeffs.astype(np.result_type(e.a, coeffs, np.float64), copy=False)
+    per_block = max(1, _GATHER_ENTRIES // max(1, omegas.shape[1] * e.n))
+    results = []
+    for s in range(0, len(omegas), per_block):
+        rows = e.a[omegas[s : s + per_block]]
+        y = np.matmul(rows, coeffs[s : s + per_block, :, None])[:, :, 0]
+        results += _solve(_GatheredRows(rows, y), 1.0, *opts)
+    return results
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:

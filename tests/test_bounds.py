@@ -11,8 +11,9 @@ from groupcs.bounds import (
     validate_cross_row_energy,
     validate_gram_concentration,
 )
-from groupcs.grouping import strided_1d
+from groupcs.grouping import draw_bernoulli, rect_2d, strided_1d
 from groupcs.operators import SupportSet, make_basis, make_ensemble
+from groupcs.recovery import cross_gram
 
 
 def _dft_ensemble(n):
@@ -159,3 +160,31 @@ def test_cross_row_energy_linear_scaling_in_small_m_regime():
         means.append(emp)
     assert means[1] / means[0] == pytest.approx(2.0, rel=0.2)
     assert means[2] / means[1] == pytest.approx(2.0, rel=0.2)
+
+
+def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):
+    # the previous formula: build the full N x |T| cross-Gram and read row t0
+    mean_row = (m / e.n) * cross_gram(e.a, t)[t0]
+    acc = 0.0
+    for _ in range(trials):
+        row = cross_gram(e.a[draw_bernoulli(gs, m, rng).omega], t)[t0] - mean_row
+        acc += float(np.real(np.vdot(row, row)))
+    return acc / trials
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_cross_row_energy_matches_full_cross_gram(kind):
+    if kind == "dft":
+        e, gs = _dft_ensemble(64), strided_1d(64, 4)
+        t = SupportSet(np.array([2, 3, 17, 40]))
+    else:
+        e = make_ensemble(make_basis("identity", 256), make_basis("haar2d", rows=16, cols=16))
+        gs = rect_2d(16, 16, 4)
+        t = SupportSet(np.array([0, 1, 16, 17, 90]))
+    t0 = int(t.complement(e.n)[5])
+    empirical, _ = validate_cross_row_energy(
+        e, t, gs, 32, t0, 200, np.random.default_rng(8), gamma_value=1.0
+    )
+    ref = _cross_row_energy_full_gram(e, t, gs, 32, t0, 200, np.random.default_rng(8))
+    assert ref > 0
+    assert empirical == pytest.approx(ref, rel=1e-12)

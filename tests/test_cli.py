@@ -1,5 +1,9 @@
+import csv
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,7 @@ def test_recover_command(tmp_path, capsys):
     code, out, err = run_cli(["recover", "--config", cfg], capsys)
     assert code == 0
     header, row = out.strip().splitlines()
+    assert header == "support,structure,n,m,g,nre,feas_residual,objective,iterations,converged"
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["nre"]) <= 1e-6
     assert cells["converged"] == "1"
@@ -342,3 +347,24 @@ def test_pgm_rejects_garbage(tmp_path):
     path.write_bytes(b"P9\n2 2\n255\n")
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_pins_e1_verdicts(tmp_path, capsys, monkeypatch):
+    # the E1 protocol (n=220 DFT, g=11, 100 trials per m, quota 0.99,
+    # max_iters 6000) on the benchmark's frozen sub-band support, seed 7
+    workloads = _bench_workloads(monkeypatch)
+    cfg = workloads.e1_config(7, tmp_path)
+    assert cfg["support"]["indices"] == workloads.E1_SUPPORT
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e1.json", cfg)], capsys)
+    assert code == 0, err
+    m_min = {r["structure"]: r["m_min"] for r in csv.DictReader(io.StringIO(out))}
+    assert m_min == {"strided1d": "132", "contiguous1d": "132", "singletons": "44"}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from groupcs.gamma import GammaEstimate
-from groupcs.grouping import contiguous_1d, singletons, strided_1d
+from groupcs.grouping import contiguous_1d, draw_uniform, rect_2d, singletons, strided_1d
+from groupcs.harness import _trial_chunks
 from groupcs.harness import (
     MinMResult,
     SignalSpec,
@@ -17,6 +18,7 @@ from groupcs.harness import (
     find_min_m,
     gen_signal,
     image_to_sparse,
+    random_coefficients,
     records_from_csv,
     records_to_csv_text,
     scatter_gamma_vs_m,
@@ -25,6 +27,7 @@ from groupcs.harness import (
     trial_rng,
 )
 from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
+from groupcs.recovery import RecoveryProblem, basis_pursuit, nre
 
 
 def _dft_ensemble(n):
@@ -186,7 +189,7 @@ def test_find_min_m_threads_match_sequential():
     cfg = SweepConfig(m_grid=(8, 16, 32), trials_per_m=8, success_quota=0.9, master_seed=4)
     seq = find_min_m(e, gs, t, c0, cfg, threads=1)
     par = find_min_m(e, gs, t, c0, cfg, threads=4)
-    assert seq.m_min == par.m_min
+    assert seq == par  # threads has no effect: same verdicts and counts
 
 
 def test_find_min_m_grid_bounds():
@@ -327,3 +330,67 @@ def test_gen_signal_wavelet_image_kind(tmp_path):
     assert len(tb) == 5
     with pytest.raises(ValueError):
         SignalSpec("wavelet_image", n=64, k=5, rows=4, cols=4)
+
+
+def test_random_coefficients_match_inline_draw():
+    t = SupportSet(np.array([1, 4, 9, 30]))
+    real = make_ensemble(make_basis("identity", 32), make_basis("identity", 32))
+    for e in (_dft_ensemble(32), real):
+        # the inline code this helper replaced
+        rng = np.random.default_rng(12)
+        ref = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
+        ref[t.indices] = rng.uniform(-1.0, 1.0, len(t))
+        tail_ref = rng.integers(0, 1 << 30, 3)
+        rng = np.random.default_rng(12)
+        c = random_coefficients(e, t, rng)
+        assert c.dtype == ref.dtype and np.array_equal(c, ref)
+        assert np.array_equal(rng.integers(0, 1 << 30, 3), tail_ref)  # same stream position
+
+
+def test_trial_chunk_schedule():
+    assert [len(r) for r in _trial_chunks(100)] == [2, 4, 8, 16, 32, 32, 6]
+    assert [len(r) for r in _trial_chunks(3)] == [2, 1]
+    assert [i for r in _trial_chunks(70) for i in r] == list(range(70))
+
+
+def _find_min_m_trial_by_trial(e, gs, t, c0, cfg, solver):
+    # one basis_pursuit solve per trial, stopping at the deciding trial
+    needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
+    allowed = cfg.trials_per_m - needed
+    out = []
+    for m in cfg.m_grid:
+        successes = failures = 0
+        for j in range(cfg.trials_per_m):
+            rng = trial_rng(cfg.master_seed, gs.label, m, j)
+            a = e.a[draw_uniform(gs, m, rng).omega]
+            c = random_coefficients(e, t, rng)
+            res = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=solver.max_iters))
+            ok = nre(c, res.c_hat) <= cfg.success_nre
+            successes += ok
+            failures += not ok
+            if failures > allowed or successes >= needed:
+                break
+        out.append((m, successes >= needed))
+        if successes >= needed:
+            break
+    return out
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_find_min_m_matches_trial_by_trial_loop(kind):
+    if kind == "dft":
+        e, gs = _dft_ensemble(64), strided_1d(64, 4)
+        t = SupportSet(np.array([3, 4, 5, 40, 41]))
+    else:
+        e = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
+        gs = rect_2d(8, 8, 4)
+        t = SupportSet(np.array([0, 1, 2, 8, 9]))
+    cfg = SweepConfig(
+        m_grid=default_m_grid(64, 4, 8), trials_per_m=20, success_quota=0.9, master_seed=13
+    )
+    solver = SolverOptions(max_iters=3000)
+    res = find_min_m(e, gs, t, None, cfg, solver=solver)
+    ref = _find_min_m_trial_by_trial(e, gs, t, None, cfg, solver)
+    assert [(s.m, s.success) for s in res.per_m] == ref
+    assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
+    assert len(ref) > 1  # the sweep crosses at least one failing grid value

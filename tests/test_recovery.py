@@ -8,6 +8,7 @@ from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     RecoveryProblem,
     basis_pursuit,
+    basis_pursuit_trials,
     cross_gram,
     _soft_threshold,
     dual_certificate,
@@ -216,3 +217,89 @@ def test_soft_threshold_denormals_raise_no_warning():
         assert np.array_equal(_soft_threshold(w, 0.5), expected)
         shrunk = _soft_threshold(np.array([1e-310j, 2.0 + 0j]), 0.5)
     assert np.array_equal(shrunk, np.array([0.0, 1.5]))
+
+
+def _soft_threshold_where(w, kappa):
+    # the previous formula, kept as the reference for the quotient form
+    a = np.abs(w)
+    shrink = np.divide(kappa, a, out=np.ones_like(a), where=a > kappa)
+    return w * (1.0 - shrink)
+
+
+def test_soft_threshold_matches_divide_where_formula():
+    rng = np.random.default_rng(31)
+    specials = np.array([0.0, -0.0, 5e-324, -1e-310, 0.5, -0.5, 1e300])
+    for _ in range(200):
+        w = np.concatenate([rng.standard_normal(40) * 10.0 ** rng.integers(-3, 3), specials])
+        kappa = float(rng.uniform(0.01, 2.0))
+        assert np.array_equal(_soft_threshold(w, kappa), _soft_threshold_where(w, kappa))
+        wc = w + 1j * rng.permutation(w)
+        assert np.array_equal(_soft_threshold(wc, kappa), _soft_threshold_where(wc, kappa))
+
+
+def _trial_block(e, m, k, b, seed, real=False):
+    rng = np.random.default_rng(seed)
+    omegas = np.stack([np.sort(rng.permutation(e.n)[:m]) for _ in range(b)])
+    coeffs = np.zeros((b, e.n), dtype=np.float64 if real else np.complex128)
+    for row in coeffs:
+        row[np.sort(rng.permutation(e.n)[:k])] = rng.uniform(-1.0, 1.0, k)
+    return omegas, coeffs
+
+
+def _haar_ensemble(rows, cols):
+    u = make_basis("haar2d", rows=rows, cols=cols)
+    return make_ensemble(make_basis("identity", rows * cols), u)
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, k, real",
+    [
+        (lambda: _dft_ensemble(220), 88, 11, False),  # FFT path
+        (lambda: _haar_ensemble(16, 16), 96, 8, True),  # gathered rows
+    ],
+)
+def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
+    e = ensemble()
+    assert e.is_dft1d == (not real)
+    omegas, coeffs = _trial_block(e, m, k, 32, seed=41, real=real)
+    chunk = basis_pursuit_trials(e, omegas, coeffs, max_iters=3000)
+    for i in (0, 7, 31):
+        alone = basis_pursuit_trials(e, omegas[i : i + 1], coeffs[i : i + 1], max_iters=3000)[0]
+        assert np.array_equal(alone.c_hat, chunk[i].c_hat)
+        assert alone.iterations == chunk[i].iterations
+        assert alone.converged == chunk[i].converged
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, k",
+    [
+        (lambda: _dft_ensemble(64), 32, 4),
+        (lambda: _haar_ensemble(32, 32), 640, 4),  # successes and failures
+        (lambda: make_ensemble(
+            make_basis("identity", 48),
+            make_basis("custom", entries=random_orthogonal(48, np.random.default_rng(3))),
+        ), 24, 3),
+    ],
+)
+def test_trial_engine_matches_basis_pursuit(ensemble, m, k):
+    e = ensemble()
+    real = not np.iscomplexobj(e.a)
+    omegas, coeffs = _trial_block(e, m, k, 6, seed=43, real=real)
+    block = basis_pursuit_trials(e, omegas, coeffs, max_iters=4000)
+    for omega, c, res in zip(omegas, coeffs, block):
+        a = e.a[omega]
+        ref = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=4000))
+        assert (nre(c, res.c_hat) <= 1e-3) == (nre(c, ref.c_hat) <= 1e-3)
+        assert np.max(np.abs(res.c_hat - ref.c_hat)) <= 1e-6
+        assert res.converged == ref.converged
+        assert res.feas_residual <= 1e-8
+
+
+def test_trial_engine_zero_trial_needs_no_iterations():
+    e = _dft_ensemble(32)
+    omegas, coeffs = _trial_block(e, 16, 3, 2, seed=47)
+    coeffs[1] = 0.0
+    res = basis_pursuit_trials(e, omegas, coeffs)
+    assert res[1].iterations == 0 and res[1].converged
+    assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
+    assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
