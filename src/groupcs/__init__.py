@@ -59,6 +59,7 @@ from .harness import (
     scatter_gamma_vs_m,
     success_rate,
     synthetic_image,
+    trial_verdicts,
 )
 from .operators import (
     MeasurementEnsemble,
@@ -81,6 +82,7 @@ from .recovery import (
     cross_gram,
     dual_certificate,
     nre,
+    proved_recovery,
 )
 
 __version__ = "0.1.0"

@@ -425,6 +425,11 @@ def cmd_gen_groups(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    """Solve trial 0 of the sweep's stream at m for each support with ADMM.
+
+    Unlike a sweep trial it is never decided by proof, because its output is
+    the reconstruction itself: error, feasibility, objective and iterations.
+    """
     cfg = load_config(args.config)
     seed = master_seed_of(cfg, args.seed)
     e, rows, cols, u_basis = build_ensemble(cfg)

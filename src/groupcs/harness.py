@@ -26,7 +26,7 @@ from .operators import (
     haar2d_analysis,
     make_basis,
 )
-from .recovery import RecoveryResult, basis_pursuit_trials, nre
+from .recovery import RecoveryResult, basis_pursuit_trials, nre, proved_recovery
 
 SUPPORT_MODELS = ("unrestricted", "subband")
 
@@ -193,10 +193,17 @@ def default_m_grid(n: int, g: int, step: int | None = None) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MStats:
+    """Trials at one grid value: how many ran and succeeded, the quota
+    indicator, and how the verdicts were reached (certified + rank_deficient
+    + solved == executed)."""
+
     m: int
     successes: int
     executed: int
     success: bool
+    certified: int
+    rank_deficient: int
+    solved: int
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,49 @@ class SolverOptions:
     max_iters: int = 20000
 
 
+def _draw_trials(
+    e: MeasurementEnsemble,
+    structure: GroupStructure | None,
+    t: SupportSet,
+    c0: np.ndarray,
+    m: int,
+    trials: range,
+    master_seed: int,
+    fresh_coefficients: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (one row of indices per trial) and true coefficients of the trials.
+
+    Trial j draws its rows and then, when ``fresh_coefficients`` is set, its
+    coefficients from ``trial_rng(master_seed, label, m, j)``; otherwise it
+    measures ``c0``.  ``structure=None`` samples m rows uniformly at random
+    (label ``direct_index``), else whole groups are drawn.
+    """
+    label = "direct_index" if structure is None else structure.label
+    omegas, coeffs = [], []
+    for j in trials:
+        rng = trial_rng(master_seed, label, m, j)
+        if structure is None:
+            omegas.append(np.sort(rng.permutation(e.n)[:m]))
+        else:
+            omegas.append(draw_uniform(structure, m, rng).omega)
+        coeffs.append(random_coefficients(e, t, rng) if fresh_coefficients else c0)
+    return np.array(omegas), np.array(coeffs)
+
+
+def _solve_trials(
+    e: MeasurementEnsemble, omegas: np.ndarray, coeffs: np.ndarray, solver: SolverOptions | None
+) -> list[RecoveryResult]:
+    solver = solver or SolverOptions()
+    return basis_pursuit_trials(
+        e,
+        omegas,
+        coeffs,
+        tol_feas=solver.tol_feas,
+        tol_obj=solver.tol_obj,
+        max_iters=solver.max_iters,
+    )
+
+
 def run_trials(
     e: MeasurementEnsemble,
     structure: GroupStructure | None,
@@ -234,41 +284,55 @@ def run_trials(
     fresh_coefficients: bool = True,
     solver: SolverOptions | None = None,
 ) -> tuple[np.ndarray, list[RecoveryResult]]:
-    """Draw the given trials at m and recover them in one block.
+    """Draw the given trials at m (as ``trial_verdicts`` does) and solve every
+    one of them in one block.
 
-    Trial j draws its rows and then, when ``fresh_coefficients`` is set, its
-    coefficients from ``trial_rng(master_seed, label, m, j)``; otherwise it
-    measures ``c0``.  ``structure=None`` samples m rows uniformly at random
-    (label ``direct_index``), else whole groups are drawn.  Returns the true
-    coefficients (one row per trial) and the recovery results.
+    Returns the true coefficients (one row per trial) and the recovery
+    results.  This is the path of the ``recover`` command, which reports the
+    reconstruction, its iterations and its objective; sweeps take their
+    verdicts from ``trial_verdicts`` instead.
     """
-    solver = solver or SolverOptions()
-    label = "direct_index" if structure is None else structure.label
-    omegas, coeffs = [], []
-    for j in trials:
-        rng = trial_rng(master_seed, label, m, j)
-        if structure is None:
-            omegas.append(np.sort(rng.permutation(e.n)[:m]))
-        else:
-            omegas.append(draw_uniform(structure, m, rng).omega)
-        coeffs.append(random_coefficients(e, t, rng) if fresh_coefficients else c0)
-    coeffs = np.array(coeffs)
-    results = basis_pursuit_trials(
-        e,
-        np.array(omegas),
-        coeffs,
-        tol_feas=solver.tol_feas,
-        tol_obj=solver.tol_obj,
-        max_iters=solver.max_iters,
-    )
-    return coeffs, results
+    omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
+    return coeffs, _solve_trials(e, omegas, coeffs, solver)
 
 
-def _count_successes(
-    coeffs: np.ndarray, results: list[RecoveryResult], success_nre: float
-) -> int:
-    # by unitarity of the sparsity basis this equals the signal-domain error
-    return sum(nre(c, r.c_hat) <= success_nre for c, r in zip(coeffs, results))
+VERDICT_ROUTES = ("certified", "rank_deficient", "solved")
+
+
+def trial_verdicts(
+    e: MeasurementEnsemble,
+    structure: GroupStructure | None,
+    t: SupportSet,
+    c0: np.ndarray,
+    m: int,
+    trials: range,
+    *,
+    master_seed: int = 0,
+    fresh_coefficients: bool = True,
+    success_nre: float = 1e-3,
+    solver: SolverOptions | None = None,
+) -> list[tuple[bool, str]]:
+    """Success of each trial and the route that decided it, one of
+    ``VERDICT_ROUTES``.
+
+    Trials are drawn as in ``run_trials``.  A trial is decided by proof when
+    ``recovery.proved_recovery`` decides it: "rank_deficient" (a failure: the
+    true coefficients are not an l1 minimizer) or "certified" (a
+    success: the dual certificate proves they are, even where the solver
+    would exhaust its iteration budget).  The remaining trials are "solved"
+    together in one ``basis_pursuit_trials`` block and succeed when the
+    normalized error is at most ``success_nre``.
+    """
+    omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
+    proofs = [proved_recovery(e, omega, c) for omega, c in zip(omegas, coeffs)]
+    verdicts = [(bool(p), "certified" if p else "rank_deficient") for p in proofs]
+    open_ = [i for i, p in enumerate(proofs) if p is None]
+    if open_:
+        results = _solve_trials(e, omegas[open_], coeffs[open_], solver)
+        # by unitarity of the sparsity basis this equals the signal-domain error
+        for i, r in zip(open_, results):
+            verdicts[i] = (nre(coeffs[i], r.c_hat) <= success_nre, "solved")
+    return verdicts
 
 
 _FIRST_CHUNK, _MAX_CHUNK = 2, 32
@@ -296,13 +360,14 @@ def find_min_m(
 ) -> MinMResult:
     """First grid value whose success quota is met; None when all saturate.
 
-    Trials at each m are solved in chunks of 2, 4, 8, 16, 32, 32, ... trials.
-    With ``early_stop`` a grid value is abandoned after the first chunk at
-    which the quota is arithmetically decided.  A trial's result does not
-    depend on its chunk, so the success indicator is exactly the one of a
-    trial-by-trial loop; ``executed`` (and ``successes``) also count the
-    trials after the deciding one in the same chunk.  ``threads`` is
-    accepted for compatibility and has no effect.
+    Trials at each m are decided by ``trial_verdicts`` in chunks of 2, 4, 8,
+    16, 32, 32, ... trials.  With ``early_stop`` a grid value is abandoned
+    after the first chunk at which the quota is arithmetically decided.  A
+    trial's verdict does not depend on its chunk, so the success indicator is
+    exactly the one of a trial-by-trial loop; ``executed`` (and ``successes``
+    and the route counts) also count the trials after the deciding one in
+    the same chunk.  ``threads`` is accepted for compatibility and has no
+    effect.
     """
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
@@ -314,8 +379,9 @@ def find_min_m(
     m_min = None
     for m in cfg.m_grid:
         successes = executed = 0
+        routes = dict.fromkeys(VERDICT_ROUTES, 0)
         for chunk in _trial_chunks(cfg.trials_per_m):
-            coeffs, results = run_trials(
+            for ok, route in trial_verdicts(
                 e,
                 gs,
                 t,
@@ -324,17 +390,19 @@ def find_min_m(
                 chunk,
                 master_seed=cfg.master_seed,
                 fresh_coefficients=cfg.fresh_coefficients,
+                success_nre=cfg.success_nre,
                 solver=solver,
-            )
+            ):
+                successes += ok
+                routes[route] += 1
             executed += len(chunk)
-            successes += _count_successes(coeffs, results, cfg.success_nre)
             failures = executed - successes
             if cfg.early_stop and (failures > allowed_failures or successes >= needed):
                 break
         # once failures exceed the allowance, successes can never reach the
         # quota, so the indicator is exactly the full-protocol one
         success = successes >= needed
-        per_m.append(MStats(m, successes, executed, success))
+        per_m.append(MStats(m, successes, executed, success, **routes))
         if success:
             m_min = m
             break
@@ -417,14 +485,15 @@ def success_rate(
     solver: SolverOptions | None = None,
     fresh_coefficients: bool = True,
 ) -> tuple[int, int]:
-    """Successes out of ``trials`` at fixed m.
+    """Successes out of ``trials`` at fixed m, each decided by
+    ``trial_verdicts`` as in ``find_min_m``.
 
     ``structure=None`` samples m rows uniformly at random (no grouping);
     otherwise whole groups are drawn.  Returns (successes, trials).
     """
     successes = 0
     for chunk in _trial_chunks(trials):
-        coeffs, results = run_trials(
+        verdicts = trial_verdicts(
             e,
             structure,
             t,
@@ -433,9 +502,10 @@ def success_rate(
             chunk,
             master_seed=master_seed,
             fresh_coefficients=fresh_coefficients,
+            success_nre=success_nre,
             solver=solver,
         )
-        successes += _count_successes(coeffs, results, success_nre)
+        successes += sum(ok for ok, _ in verdicts)
     return successes, trials
 
 

@@ -12,6 +12,11 @@ applied by FFT (O(N log N) per iteration), any other ensemble by its
 gathered rows (O(MN)).  ``basis_pursuit`` solves one user-supplied problem
 and keeps a factorized Gram fallback for rows that are not orthonormal.
 Every result is a deterministic function of its own trial's inputs.
+
+``proved_recovery`` decides a trial without a solve where a proof does: the
+dual certificate proves that the true coefficients are the unique minimizer;
+a rank-deficient support submatrix, when the sign pattern has a component in
+its null space, proves that they are not a minimizer at all.
 """
 
 from __future__ import annotations
@@ -329,7 +334,7 @@ def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:
 @dataclass
 class CertificateReport:
     invertible: bool
-    min_singular: float
+    min_singular: float  # smallest singular value of A_{omega,T}
     pi: np.ndarray | None
     max_offsupport: float
     holds: bool
@@ -360,9 +365,9 @@ def dual_certificate(
     a_om = e.a[rows]
     at = a_om[:, t.indices]
     gram = at.conj().T @ at
-    eigs = np.linalg.eigvalsh(gram)
-    min_singular = float(eigs[0].real)
-    if min_singular <= 1e-10:
+    # the Gram matrix's smallest eigenvalue is the square of A_{omega,T}'s
+    min_singular = math.sqrt(max(float(np.linalg.eigvalsh(gram)[0]), 0.0))
+    if min_singular <= 1e-5:
         return CertificateReport(False, min_singular, None, math.inf, False)
     coeffs = np.linalg.solve(gram, z.astype(gram.dtype))
     pi = a_om.conj().T @ (at @ coeffs)
@@ -371,3 +376,36 @@ def dual_certificate(
     max_off = float(np.max(np.abs(pi[comp]))) if comp.size else 0.0
     holds = sign_ok and max_off <= 1.0 - 1e-9
     return CertificateReport(True, min_singular, pi, max_off, holds)
+
+
+def proved_recovery(e: MeasurementEnsemble, omega, c: np.ndarray) -> bool | None:
+    """Decide without a solve whether c is the unique l1 minimizer given the
+    rows ``omega``, when a proof does; None when neither proof applies.
+
+    With S = supp(c) and z = sign(c_S), checked in this order:
+
+    - False when A_{omega,S} is numerically rank-deficient (sigma_min <=
+      sigma_max * max(m, |S|) * eps, the default tolerance of ``matrix_rank``)
+      and z has a component in its null space (norm above 1e-8 ||z||).  Then
+      no dual vector matches z on S, so c is not an l1 minimizer: along that
+      component h, c + t h is feasible and ||c + t h||_1 < ||c||_1 for a
+      small t of the right sign.  When z lies in the row space, c may still
+      be one of many minimizers, which the solver can return, so the trial
+      is left undecided.
+    - True when ``dual_certificate(e, omega, S, z)`` holds: c is the unique
+      minimizer.
+    """
+    rows = np.asarray(omega, dtype=np.int64)
+    s = np.flatnonzero(c)
+    if s.size == 0:
+        return None
+    z = c[s] / np.abs(c[s])
+    at = e.a[np.ix_(rows, s)]
+    # projection of z onto the row space of A_{omega,S}, truncated at the
+    # same tolerance as the rank
+    row_part, _, rank, _ = np.linalg.lstsq(at, at @ z, rcond=None)
+    if rank < s.size:
+        if np.linalg.norm(z - row_part) > 1e-8 * np.linalg.norm(z):
+            return False
+        return None
+    return True if dual_certificate(e, rows, SupportSet(s), z).holds else None

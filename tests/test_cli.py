@@ -368,3 +368,31 @@ def test_sweep_pins_e1_verdicts(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     m_min = {r["structure"]: r["m_min"] for r in csv.DictReader(io.StringIO(out))}
     assert m_min == {"strided1d": "132", "contiguous1d": "132", "singletons": "44"}
+
+
+def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
+    # the E2 sweep (32x32 Haar image, k=51, rect2d and cyclic spiral2d with
+    # g=8, grid 64/256/1024, seed 7): every verdict is proved, none solved
+    from groupcs import harness
+
+    workloads = _bench_workloads(monkeypatch)
+    cfg = workloads.e2_sweep_config(7, tmp_path)
+    per_m = []
+    find_min_m = harness.find_min_m
+
+    def recording(*args, **kwargs):
+        res = find_min_m(*args, **kwargs)
+        per_m.extend(res.per_m)
+        return res
+
+    monkeypatch.setattr(harness, "find_min_m", recording)
+    monkeypatch.setattr(harness, "basis_pursuit_trials", lambda *a, **k: pytest.fail("ADMM ran"))
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
+    assert code == 0, err
+    rows = {r["structure"]: (r["m_min"], r["m0"]) for r in csv.DictReader(io.StringIO(out))}
+    assert rows == {"rect2d": ("1024", "1024"), "cyclic_spiral2d": ("1024", "1024")}
+    assert {s.m for s in per_m} == {64, 256, 1024}
+    for s in per_m:
+        assert s.solved == 0
+        # below N the support submatrix is rank-deficient; at N every trial certifies
+        assert (s.rank_deficient if s.m < 1024 else s.certified) == s.executed > 0

@@ -25,6 +25,7 @@ from groupcs.harness import (
     success_rate,
     synthetic_image,
     trial_rng,
+    trial_verdicts,
 )
 from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
 from groupcs.recovery import RecoveryProblem, basis_pursuit, nre
@@ -161,6 +162,7 @@ def test_find_min_m_trial_count_audit():
     res = find_min_m(e, gs, t, c0, cfg)
     for stats in res.per_m:
         assert stats.executed == 12  # indicator computed from exactly this many
+        assert stats.certified + stats.rank_deficient + stats.solved == stats.executed
     assert res.m_min is not None
 
 
@@ -376,8 +378,8 @@ def _find_min_m_trial_by_trial(e, gs, t, c0, cfg, solver):
     return out
 
 
-@pytest.mark.parametrize("kind", ["dft", "haar"])
-def test_find_min_m_matches_trial_by_trial_loop(kind):
+def _sweep_case(kind):
+    """DFT n=64 with strided groups, or Haar 8x8 with 2x2 tiles; g=4, k=5."""
     if kind == "dft":
         e, gs = _dft_ensemble(64), strided_1d(64, 4)
         t = SupportSet(np.array([3, 4, 5, 40, 41]))
@@ -388,9 +390,36 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
     cfg = SweepConfig(
         m_grid=default_m_grid(64, 4, 8), trials_per_m=20, success_quota=0.9, master_seed=13
     )
-    solver = SolverOptions(max_iters=3000)
+    return e, gs, t, cfg, SolverOptions(max_iters=3000)
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_find_min_m_matches_trial_by_trial_loop(kind):
+    e, gs, t, cfg, solver = _sweep_case(kind)
     res = find_min_m(e, gs, t, None, cfg, solver=solver)
     ref = _find_min_m_trial_by_trial(e, gs, t, None, cfg, solver)
     assert [(s.m, s.success) for s in res.per_m] == ref
     assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
     assert len(ref) > 1  # the sweep crosses at least one failing grid value
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_proved_verdicts_agree_with_solver(kind):
+    # every trial of the grid decided by proof, re-solved by basis_pursuit
+    e, gs, t, cfg, solver = _sweep_case(kind)
+    routes = {"certified": 0, "rank_deficient": 0, "solved": 0}
+    for m in cfg.m_grid:
+        trials = range(cfg.trials_per_m)
+        verdicts = trial_verdicts(
+            e, gs, t, None, m, trials, master_seed=cfg.master_seed, solver=solver
+        )
+        for j, (ok, route) in zip(trials, verdicts):
+            routes[route] += 1
+            if route == "solved":
+                continue
+            rng = trial_rng(cfg.master_seed, gs.label, m, j)
+            a = e.a[draw_uniform(gs, m, rng).omega]
+            c = random_coefficients(e, t, rng)
+            res = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=solver.max_iters))
+            assert (nre(c, res.c_hat) <= cfg.success_nre) == ok, (m, j, route)
+    assert routes["certified"] > 0 and routes["certified"] + routes["rank_deficient"] >= 60, routes

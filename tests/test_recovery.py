@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
@@ -13,6 +15,7 @@ from groupcs.recovery import (
     _soft_threshold,
     dual_certificate,
     nre,
+    proved_recovery,
 )
 
 from oracles import l1_min_vertex_oracle, random_orthogonal
@@ -173,6 +176,19 @@ def test_certificate_rank_deficient():
     assert rep.pi is None
 
 
+def test_certificate_reports_smallest_singular_value():
+    # rows 0..5 of the DFT on support {1, 2, 7}: sigma_min is well inside
+    # (0, 1), so it and its square (the Gram eigenvalue) differ
+    e = _dft_ensemble(16)
+    t = SupportSet(np.array([1, 2, 7]))
+    omega = np.arange(6)
+    sigma = np.linalg.svd(e.a[np.ix_(omega, t.indices)], compute_uv=False)[-1]
+    assert abs(sigma - sigma**2) > 0.05
+    rep = dual_certificate(e, omega, t, np.ones(3))
+    assert rep.invertible
+    assert rep.min_singular == pytest.approx(sigma, rel=1e-10)
+
+
 def test_certificate_predicts_recovery():
     e = _dft_ensemble(64)
     held = 0
@@ -303,3 +319,66 @@ def test_trial_engine_zero_trial_needs_no_iterations():
     assert res[1].iterations == 0 and res[1].converged
     assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
     assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
+
+
+def _block_orthogonal(n, split, rng):
+    # diag(Q1, Q2) with random orthogonal blocks; split == n gives one block.
+    # A second block makes A_{omega,S} rank-deficient at m >= |S| as well.
+    q = np.zeros((n, n))
+    q[:split, :split] = random_orthogonal(split, rng)
+    if split < n:
+        q[split:, split:] = random_orthogonal(n - split, rng)
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 10),
+    split_frac=st.floats(0.3, 1.0),
+    k=st.integers(1, 5),
+    m=st.integers(1, 10),
+)
+def test_proved_recovery_is_sound(seed, n, split_frac, k, m):
+    rng = np.random.default_rng(seed)
+    q = _block_orthogonal(n, max(1, round(split_frac * n)), rng)
+    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
+    k, m = min(k, n), min(m, n)
+    s = np.sort(rng.permutation(n)[:k])
+    omega = np.sort(rng.permutation(n)[:m])
+    c = np.zeros(n)
+    c[s] = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    a = e.a[omega]
+    proof = proved_recovery(e, omega, c)
+    if proof is False:
+        # h, the component of sign(c_S) in the null space of A_{omega,S}:
+        # c - t h is feasible, differs from c, and has a smaller l1 norm
+        _, sv, vh = np.linalg.svd(a[:, s])
+        null = vh[int(np.sum(sv > sv[0] * max(m, k) * np.finfo(float).eps)) :]
+        h = np.zeros(n)
+        h[s] = null.T @ (null @ np.sign(c[s]))
+        assert np.linalg.norm(a @ h) <= 1e-9
+        step = 0.5 * np.min(np.abs(c[s])) / np.max(np.abs(h))
+        assert np.sum(np.abs(c - step * h)) < np.sum(np.abs(c))
+    elif proof is True:
+        res = basis_pursuit(RecoveryProblem(a, a @ c))
+        assert nre(c, res.c_hat) <= 1e-3
+
+
+def test_proved_recovery_routes():
+    e = _dft_ensemble(16)
+    c = np.zeros(16, dtype=complex)
+    c[[2, 5]] = [1.0, -0.5]
+    assert proved_recovery(e, np.arange(16), c) is True  # full sampling certifies
+    assert proved_recovery(e, np.array([3]), c) is False  # one row, two unknowns
+    assert proved_recovery(e, np.arange(16), np.zeros(16, dtype=complex)) is None
+    # columns 2 and 10 agree on rows 0 and 8, so h = e_2 - e_10 is a null
+    # vector on S.  With c_S = (1, -1), sign(c_S) has a component along h and
+    # c is not a minimizer; with c_S = (1, 1) it has none, c is one of many
+    # minimizers, and the trial is left to the solver.
+    rows = np.array([0, 8])
+    c = np.zeros(16, dtype=complex)
+    c[[2, 10]] = [1.0, -1.0]
+    assert proved_recovery(e, rows, c) is False
+    c[10] = 1.0
+    assert proved_recovery(e, rows, c) is None
