@@ -78,6 +78,7 @@ from .recovery import (
     RecoveryProblem,
     RecoveryResult,
     basis_pursuit,
+    basis_pursuit_or_descent,
     basis_pursuit_trials,
     cross_gram,
     dual_certificate,

@@ -26,7 +26,13 @@ from .operators import (
     haar2d_analysis,
     make_basis,
 )
-from .recovery import RecoveryResult, basis_pursuit_trials, nre, proved_recovery
+from .recovery import (
+    RecoveryResult,
+    basis_pursuit_or_descent,
+    basis_pursuit_trials,
+    nre,
+    proved_recovery,
+)
 
 SUPPORT_MODELS = ("unrestricted", "subband")
 
@@ -195,7 +201,7 @@ def default_m_grid(n: int, g: int, step: int | None = None) -> tuple[int, ...]:
 class MStats:
     """Trials at one grid value: how many ran and succeeded, the quota
     indicator, and how the verdicts were reached (certified + rank_deficient
-    + solved == executed)."""
+    + descent + solved == executed)."""
 
     m: int
     successes: int
@@ -203,6 +209,7 @@ class MStats:
     success: bool
     certified: int
     rank_deficient: int
+    descent: int
     solved: int
 
 
@@ -258,18 +265,9 @@ def _draw_trials(
     return np.array(omegas), np.array(coeffs)
 
 
-def _solve_trials(
-    e: MeasurementEnsemble, omegas: np.ndarray, coeffs: np.ndarray, solver: SolverOptions | None
-) -> list[RecoveryResult]:
+def _solver_kwargs(solver: SolverOptions | None) -> dict:
     solver = solver or SolverOptions()
-    return basis_pursuit_trials(
-        e,
-        omegas,
-        coeffs,
-        tol_feas=solver.tol_feas,
-        tol_obj=solver.tol_obj,
-        max_iters=solver.max_iters,
-    )
+    return dict(tol_feas=solver.tol_feas, tol_obj=solver.tol_obj, max_iters=solver.max_iters)
 
 
 def run_trials(
@@ -289,14 +287,16 @@ def run_trials(
 
     Returns the true coefficients (one row per trial) and the recovery
     results.  This is the path of the ``recover`` command, which reports the
-    reconstruction, its iterations and its objective; sweeps take their
-    verdicts from ``trial_verdicts`` instead.
+    reconstruction, its iterations and its objective: every trial runs
+    ``basis_pursuit_trials`` to convergence or to ``max_iters`` and never
+    stops on descent.  Sweeps take their verdicts from ``trial_verdicts``
+    instead.
     """
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
-    return coeffs, _solve_trials(e, omegas, coeffs, solver)
+    return coeffs, basis_pursuit_trials(e, omegas, coeffs, **_solver_kwargs(solver))
 
 
-VERDICT_ROUTES = ("certified", "rank_deficient", "solved")
+VERDICT_ROUTES = ("certified", "rank_deficient", "descent", "solved")
 
 
 def trial_verdicts(
@@ -319,19 +319,25 @@ def trial_verdicts(
     ``recovery.proved_recovery`` decides it: "rank_deficient" (a failure: the
     true coefficients are not an l1 minimizer) or "certified" (a
     success: the dual certificate proves they are, even where the solver
-    would exhaust its iteration budget).  The remaining trials are "solved"
-    together in one ``basis_pursuit_trials`` block and succeed when the
-    normalized error is at most ``success_nre``.
+    would exhaust its iteration budget).  The remaining trials are solved
+    together in one ``basis_pursuit_or_descent`` block.  A trial fails by
+    "descent" when an iterate proves a feasible point of smaller l1 norm than
+    the true coefficients, which are then not a minimizer; the solve stops
+    there, where ``run_trials`` would run on.  The others are "solved" and
+    succeed when the normalized error is at most ``success_nre``.
     """
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
     proofs = [proved_recovery(e, omega, c) for omega, c in zip(omegas, coeffs)]
     verdicts = [(bool(p), "certified" if p else "rank_deficient") for p in proofs]
     open_ = [i for i, p in enumerate(proofs) if p is None]
     if open_:
-        results = _solve_trials(e, omegas[open_], coeffs[open_], solver)
+        results, descent = basis_pursuit_or_descent(
+            e, omegas[open_], coeffs[open_], **_solver_kwargs(solver)
+        )
         # by unitarity of the sparsity basis this equals the signal-domain error
-        for i, r in zip(open_, results):
-            verdicts[i] = (nre(coeffs[i], r.c_hat) <= success_nre, "solved")
+        for i, r, fell in zip(open_, results, descent):
+            ok = not fell and nre(coeffs[i], r.c_hat) <= success_nre
+            verdicts[i] = (ok, "descent" if fell else "solved")
     return verdicts
 
 

@@ -5,13 +5,16 @@ The solver is an alternating-direction splitting of
     min ||c||_1   s.t.   A_omega c = y
 
 into an affine projection step, a complex soft-threshold step, and a dual
-update.  One loop serves two entry points.  ``basis_pursuit_trials`` solves a
-block of sweep trials at once, each measuring a row subset of a unitary
+update.  One loop serves three entry points.  ``basis_pursuit_trials`` solves
+a block of sweep trials at once, each measuring a row subset of a unitary
 ensemble, so the projection needs no Gram solve; the unitary 1-D DFT is
 applied by FFT (O(N log N) per iteration), any other ensemble by its
-gathered rows (O(MN)).  ``basis_pursuit`` solves one user-supplied problem
-and keeps a factorized Gram fallback for rows that are not orthonormal.
-Every result is a deterministic function of its own trial's inputs.
+gathered rows (O(MN)).  ``basis_pursuit_or_descent`` does the same for sweep
+verdicts and also stops a trial once a feasible iterate has a smaller l1
+norm than the true coefficients.  ``basis_pursuit`` solves one
+user-supplied problem and keeps a factorized Gram fallback for rows that
+are not orthonormal.  Every result is a deterministic function of its own
+trial's inputs.
 
 ``proved_recovery`` decides a trial without a solve where a proof does: the
 dual certificate proves that the true coefficients are the unique minimizer;
@@ -170,19 +173,28 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(x), axis=-1))
 
 
-def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray):
+def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray, floor=None):
     """Iterate every row of the block from z (zeros) until it passes the stop
-    test; a converged row is frozen and removed from the block.
+    test; a stopped row is frozen and removed from the block.
 
-    Returns the final z, the iteration count and the convergence flag per row.
-    Every operation acts row by row, so a row's iterates do not depend on the
-    other rows of the block.
+    With ``floor`` (one l1 norm per row), a row that has not converged also
+    stops on descent: when its feasible projection x = c of this iteration
+    has ||x||_1 + sqrt(N) ||A x - y||_2 < floor.  Then x - A^H (A x - y),
+    which meets the constraints exactly (the rows of A are orthonormal), has
+    an l1 norm below the floor.  The residual is computed for the rows with
+    ||x||_1 < floor only.  Such a row returns x in place of z.
+
+    Returns the final z, the iteration count, the convergence flag and the
+    descent flag per row.  Every operation acts row by row, so a row's
+    iterates do not depend on the other rows of the block.
     """
     z_out = np.empty_like(z)
     iterations = np.full(len(z), max_iters)
     converged = np.zeros(len(z), dtype=bool)
+    descent = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
     u = np.zeros_like(z)
+    root_n = math.sqrt(z.shape[1])
     # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
     terms = np.empty((4,) + z.shape, dtype=z.dtype)
     for it in range(1, max_iters + 1):
@@ -200,24 +212,40 @@ def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray)
         z = z_new
         tol = stop_tol * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
         done = np.maximum(split, step) <= tol
-        if done.any():
+        fell = np.zeros_like(done)
+        if floor is not None:
+            l1 = np.add.reduce(np.abs(c), axis=1)
+            below = (l1 < floor) & ~done
+            if below.any():
+                r_norm = _row_norm(op.take(below).residual(c[below]))
+                fell[below] = l1[below] + root_n * r_norm < floor[below]
+        stop = done | fell
+        if stop.any():
             z_out[live[done]] = z[done]
-            iterations[live[done]] = it
+            z_out[live[fell]] = c[fell]
+            iterations[live[stop]] = it
             converged[live[done]] = True
-            keep = ~done
+            descent[live[fell]] = True
+            keep = ~stop
             live, z, u, kappa = live[keep], z[keep], u[keep], kappa[keep]
+            if floor is not None:
+                floor = floor[keep]
             if live.size == 0:
                 break
             op = op.take(keep)
             terms = terms[:, keep]
     z_out[live] = z
-    return z_out, iterations, converged
+    return z_out, iterations, converged, descent
 
 
 def _solve(
-    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int
-) -> list[RecoveryResult]:
-    """Basis pursuit for every row of a block: y_b = A_b c_b, min ||c_b||_1."""
+    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int, floor=None
+) -> tuple[list[RecoveryResult], np.ndarray]:
+    """Basis pursuit for every row of a block: y_b = A_b c_b, min ||c_b||_1.
+
+    Returns the results and the descent flag per row (see ``_admm``); a row
+    stopped by descent reports the exactly feasible point x - A^H (A x - y).
+    """
     y_norm = _row_norm(op.y)
     backprojection = op.adjoint(op.y)
     coeff_scale = np.max(np.abs(backprojection), axis=1)
@@ -229,21 +257,24 @@ def _solve(
     z = np.zeros_like(backprojection)
     iterations = np.zeros(len(z), dtype=np.int64)
     converged = np.ones(len(z), dtype=bool)
+    descent = np.zeros(len(z), dtype=bool)
     live = y_norm > 0.0
     if live.any():
         block = op if live.all() else op.take(live)
-        z[live], iterations[live], converged[live] = _admm(
-            block, kappa[live], stop_tol, max_iters, z[live]
+        z[live], iterations[live], converged[live], descent[live] = _admm(
+            block, kappa[live], stop_tol, max_iters, z[live],
+            None if floor is None else floor[live],
         )
     c_hat = _project(op, z)  # feasible iterates
     feas = np.divide(
         _row_norm(op.residual(c_hat)), y_norm, out=np.zeros_like(y_norm), where=live
     )
     objective = np.sum(np.abs(c_hat), axis=1)
-    return [
+    results = [
         RecoveryResult(c, float(f), float(o), int(i), bool(ok))
         for c, f, o, i, ok in zip(c_hat, feas, objective, iterations, converged)
     ]
+    return results, descent
 
 
 def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
@@ -276,7 +307,8 @@ def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
                 return pinv @ r
 
     op = _GatheredRows(a[None], y[None], solve_gram)
-    return _solve(op, spectral_norm_estimate(a, y), p.tol_feas, p.tol_obj, p.max_iters)[0]
+    results, _ = _solve(op, spectral_norm_estimate(a, y), p.tol_feas, p.tol_obj, p.max_iters)
+    return results[0]
 
 
 # a block of gathered rows holds at most this many matrix entries, or one trial's rows
@@ -303,20 +335,54 @@ def basis_pursuit_trials(
     ensemble by its gathered rows, at most 2^20 entries per block.  A trial's
     result does not depend on the other trials of the block.
     """
+    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), descent=False)[0]
+
+
+def basis_pursuit_or_descent(
+    e: MeasurementEnsemble,
+    omegas: np.ndarray,
+    coeffs: np.ndarray,
+    *,
+    tol_feas: float = 1e-8,
+    tol_obj: float = 1e-6,
+    max_iters: int = 20000,
+) -> tuple[list[RecoveryResult], np.ndarray]:
+    """``basis_pursuit_trials`` for sweep verdicts: a trial also stops as soon
+    as an iterate proves that its true coefficients c_b are not an l1
+    minimizer.
+
+    The proof is a point that meets the constraints exactly and has l1 norm
+    below (1 - 1e-9) ||c_b||_1: the feasible projection x of an iterate with
+    ||x||_1 + sqrt(N) ||A[omega_b] x - y_b||_2 below that floor, corrected to
+    x - A[omega_b]^H (A[omega_b] x - y_b).  The residual term bounds the l1
+    norm of the correction, so rounding in x cannot forge the proof.
+
+    Returns the results, in which a trial stopped by descent reports the
+    corrected point and the iteration of the proof, and a boolean array that
+    is True for those trials.  The other trials' results are bit-identical
+    to ``basis_pursuit_trials``.
+    """
+    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), descent=True)
+
+
+def _trials(e, omegas, coeffs, opts, descent: bool):
     omegas = np.asarray(omegas, dtype=np.int64)
     coeffs = np.asarray(coeffs)
-    opts = (tol_feas, tol_obj, max_iters)
+    floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1) if descent else None
     if e.is_dft1d:
         coeffs = coeffs.astype(np.complex128, copy=False)
-        return _solve(_MaskedDft.measure(omegas, coeffs), 1.0, *opts)
+        return _solve(_MaskedDft.measure(omegas, coeffs), 1.0, *opts, floor)
     coeffs = coeffs.astype(np.result_type(e.a, coeffs, np.float64), copy=False)
     per_block = max(1, _GATHER_ENTRIES // max(1, omegas.shape[1] * e.n))
-    results = []
+    results, fell = [], np.zeros(len(omegas), dtype=bool)
     for s in range(0, len(omegas), per_block):
-        rows = e.a[omegas[s : s + per_block]]
-        y = np.matmul(rows, coeffs[s : s + per_block, :, None])[:, :, 0]
-        results += _solve(_GatheredRows(rows, y), 1.0, *opts)
-    return results
+        block = slice(s, s + per_block)
+        rows = e.a[omegas[block]]
+        y = np.matmul(rows, coeffs[block, :, None])[:, :, 0]
+        op = _GatheredRows(rows, y)
+        res, fell[block] = _solve(op, 1.0, *opts, None if floor is None else floor[block])
+        results += res
+    return results, fell
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:

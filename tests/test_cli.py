@@ -358,25 +358,9 @@ def _bench_workloads(monkeypatch):
     return module
 
 
-def test_sweep_pins_e1_verdicts(tmp_path, capsys, monkeypatch):
-    # the E1 protocol (n=220 DFT, g=11, 100 trials per m, quota 0.99,
-    # max_iters 6000) on the benchmark's frozen sub-band support, seed 7
-    workloads = _bench_workloads(monkeypatch)
-    cfg = workloads.e1_config(7, tmp_path)
-    assert cfg["support"]["indices"] == workloads.E1_SUPPORT
-    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e1.json", cfg)], capsys)
-    assert code == 0, err
-    m_min = {r["structure"]: r["m_min"] for r in csv.DictReader(io.StringIO(out))}
-    assert m_min == {"strided1d": "132", "contiguous1d": "132", "singletons": "44"}
-
-
-def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
-    # the E2 sweep (32x32 Haar image, k=51, rect2d and cyclic spiral2d with
-    # g=8, grid 64/256/1024, seed 7): every verdict is proved, none solved
+def _record_per_m(monkeypatch):
     from groupcs import harness
 
-    workloads = _bench_workloads(monkeypatch)
-    cfg = workloads.e2_sweep_config(7, tmp_path)
     per_m = []
     find_min_m = harness.find_min_m
 
@@ -386,13 +370,44 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
         return res
 
     monkeypatch.setattr(harness, "find_min_m", recording)
-    monkeypatch.setattr(harness, "basis_pursuit_trials", lambda *a, **k: pytest.fail("ADMM ran"))
+    return per_m
+
+
+def test_sweep_pins_e1_verdicts(tmp_path, capsys, monkeypatch):
+    # the E1 protocol (n=220 DFT, g=11, 100 trials per m, quota 0.99,
+    # max_iters 6000) on the benchmark's frozen sub-band support, seed 7
+    workloads = _bench_workloads(monkeypatch)
+    cfg = workloads.e1_config(7, tmp_path)
+    assert cfg["support"]["indices"] == workloads.E1_SUPPORT
+    per_m = _record_per_m(monkeypatch)
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e1.json", cfg)], capsys)
+    assert code == 0, err
+    m_min = {r["structure"]: r["m_min"] for r in csv.DictReader(io.StringIO(out))}
+    assert m_min == {"strided1d": "132", "contiguous1d": "132", "singletons": "44"}
+    # some failures are proved by a feasible iterate of smaller l1 norm
+    assert sum(s.descent for s in per_m) > 0
+
+
+def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
+    # the E2 sweep (32x32 Haar image, k=51, rect2d and cyclic spiral2d with
+    # g=8, grid 64/256/1024, seed 7): every verdict is proved, none solved
+    from groupcs import harness
+
+    workloads = _bench_workloads(monkeypatch)
+    cfg = workloads.e2_sweep_config(7, tmp_path)
+    per_m = _record_per_m(monkeypatch)
+
+    def admm_ran(*args, **kwargs):
+        pytest.fail("ADMM ran")
+
+    monkeypatch.setattr(harness, "basis_pursuit_trials", admm_ran)
+    monkeypatch.setattr(harness, "basis_pursuit_or_descent", admm_ran)
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
     assert code == 0, err
     rows = {r["structure"]: (r["m_min"], r["m0"]) for r in csv.DictReader(io.StringIO(out))}
     assert rows == {"rect2d": ("1024", "1024"), "cyclic_spiral2d": ("1024", "1024")}
     assert {s.m for s in per_m} == {64, 256, 1024}
     for s in per_m:
-        assert s.solved == 0
+        assert s.solved == s.descent == 0
         # below N the support submatrix is rank-deficient; at N every trial certifies
         assert (s.rank_deficient if s.m < 1024 else s.certified) == s.executed > 0

@@ -8,6 +8,7 @@ from groupcs.gamma import GammaEstimate
 from groupcs.grouping import contiguous_1d, draw_uniform, rect_2d, singletons, strided_1d
 from groupcs.harness import _trial_chunks
 from groupcs.harness import (
+    VERDICT_ROUTES,
     MinMResult,
     SignalSpec,
     SolverOptions,
@@ -21,6 +22,7 @@ from groupcs.harness import (
     random_coefficients,
     records_from_csv,
     records_to_csv_text,
+    run_trials,
     scatter_gamma_vs_m,
     success_rate,
     synthetic_image,
@@ -28,7 +30,13 @@ from groupcs.harness import (
     trial_verdicts,
 )
 from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
-from groupcs.recovery import RecoveryProblem, basis_pursuit, nre
+from groupcs.recovery import (
+    RecoveryProblem,
+    basis_pursuit,
+    basis_pursuit_or_descent,
+    basis_pursuit_trials,
+    nre,
+)
 
 
 def _dft_ensemble(n):
@@ -162,7 +170,8 @@ def test_find_min_m_trial_count_audit():
     res = find_min_m(e, gs, t, c0, cfg)
     for stats in res.per_m:
         assert stats.executed == 12  # indicator computed from exactly this many
-        assert stats.certified + stats.rank_deficient + stats.solved == stats.executed
+        assert sum(getattr(stats, route) for route in VERDICT_ROUTES) == stats.executed
+    assert sum(s.descent for s in res.per_m) > 0
     assert res.m_min is not None
 
 
@@ -406,8 +415,9 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_proved_verdicts_agree_with_solver(kind):
     # every trial of the grid decided by proof, re-solved by basis_pursuit
+    # with the full iteration budget; a descent trial must fail there too
     e, gs, t, cfg, solver = _sweep_case(kind)
-    routes = {"certified": 0, "rank_deficient": 0, "solved": 0}
+    routes = dict.fromkeys(VERDICT_ROUTES, 0)
     for m in cfg.m_grid:
         trials = range(cfg.trials_per_m)
         verdicts = trial_verdicts(
@@ -423,3 +433,29 @@ def test_proved_verdicts_agree_with_solver(kind):
             res = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=solver.max_iters))
             assert (nre(c, res.c_hat) <= cfg.success_nre) == ok, (m, j, route)
     assert routes["certified"] > 0 and routes["certified"] + routes["rank_deficient"] >= 60, routes
+    assert routes["descent"] > 0, routes
+
+
+def test_recover_path_never_stops_on_descent():
+    # trials at m=8 of the DFT audit grid, where descent decides most verdicts
+    e, gs, t, cfg, solver = _sweep_case("dft")
+    m, trials = 8, range(6)
+    kw = dict(master_seed=cfg.master_seed, solver=solver)
+    verdicts = trial_verdicts(e, gs, t, None, m, trials, **kw)
+    assert any(route == "descent" for _, route in verdicts), verdicts
+    coeffs, results = run_trials(e, gs, t, None, m, trials, **kw)
+    omegas = np.array([draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
+                       for j in trials])
+    full = basis_pursuit_trials(e, omegas, coeffs, max_iters=solver.max_iters)
+    stopped, fell = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=solver.max_iters)
+    assert [route == "descent" for _, route in verdicts] == list(fell)
+    for r, ref, early, f in zip(results, full, stopped, fell):
+        assert np.array_equal(r.c_hat, ref.c_hat)
+        assert (r.iterations, r.converged, r.objective) == (
+            ref.iterations, ref.converged, ref.objective
+        )
+        if f:
+            assert r.iterations > early.iterations
+        else:  # the verdict path solves an undecided trial exactly as recover does
+            assert np.array_equal(early.c_hat, ref.c_hat)
+            assert early.iterations == ref.iterations

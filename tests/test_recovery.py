@@ -10,6 +10,7 @@ from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     RecoveryProblem,
     basis_pursuit,
+    basis_pursuit_or_descent,
     basis_pursuit_trials,
     cross_gram,
     _soft_threshold,
@@ -382,3 +383,54 @@ def test_proved_recovery_routes():
     assert proved_recovery(e, rows, c) is False
     c[10] = 1.0
     assert proved_recovery(e, rows, c) is None
+
+
+def _block_unitary(n, split, rng, complex_):
+    # diag(Q1, Q2) with random unitary (complex_) or orthogonal blocks
+    q = np.zeros((n, n), dtype=complex if complex_ else float)
+    for lo, hi in ((0, split), (split, n)):
+        if hi > lo:
+            g = rng.standard_normal((hi - lo, hi - lo))
+            if complex_:
+                g = g + 1j * rng.standard_normal(g.shape)
+            qb, r = np.linalg.qr(g)
+            d = np.diag(r)
+            q[lo:hi, lo:hi] = qb * (d / np.abs(d))
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 16),
+    split_frac=st.floats(0.3, 1.0),
+    k=st.integers(1, 6),
+    m_frac=st.floats(0.1, 1.0),
+    complex_=st.booleans(),
+)
+def test_descent_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
+    rng = np.random.default_rng(seed)
+    q = _block_unitary(n, max(1, round(split_frac * n)), rng, complex_)
+    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
+    k, m = min(k, n), max(1, round(m_frac * n))
+    omegas = np.array([np.sort(rng.permutation(n)[:m]) for _ in range(4)])
+    coeffs = np.zeros((4, n), dtype=q.dtype)
+    for c in coeffs:
+        s = np.sort(rng.permutation(n)[:k])
+        c[s] = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
+        if complex_:
+            c[s] *= np.exp(2j * np.pi * rng.uniform(size=k))
+    results, fell = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
+    full = basis_pursuit_trials(e, omegas, coeffs, max_iters=500)
+    for omega, c, res, ref, f in zip(omegas, coeffs, results, full, fell):
+        if not f:
+            assert np.array_equal(res.c_hat, ref.c_hat) and res.iterations == ref.iterations
+            continue
+        # the returned point is feasible, and its exact correction onto the
+        # constraints beats the true coefficients in l1 norm
+        a = e.a[omega]
+        y = a @ c
+        r = a @ res.c_hat - y
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(y)
+        assert np.sum(np.abs(res.c_hat - a.conj().T @ r)) < np.sum(np.abs(c))
+        assert not res.converged and res.iterations < ref.iterations
