@@ -70,6 +70,37 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _kind(spec: dict, where: str) -> str:
+    kind = _require(spec, "kind", where)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{where}.kind must be a string, got {kind!r}")
+    return kind
+
+
+def _number(value, name: str, kind=int):
+    """A JSON integer (an integral float passes) or, with kind float, any
+    JSON number; anything else is a ConfigError naming the key."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _optional_int(section: dict, key: str, where: str):
+    value = section.get(key)
+    return None if value is None else _number(value, f"{where}.{key}")
+
+
+def _int_list(values, name: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
 _TOP_KEYS = {
     "ensemble",
     "structure",
@@ -113,14 +144,14 @@ def load_config(path) -> dict:
 
 def _build_basis(spec: dict, n: int | None, rows: int | None, cols: int | None, where: str):
     _check_keys(spec, _BASIS_KEYS, where)
-    kind = _require(spec, "kind", where)
+    kind = _kind(spec, where)
     if kind == "custom":
         path = _require(spec, "path", where)
         return make_basis("custom", entries=np.load(path))
     if kind in ("dft2d", "haar2d"):
         if rows is None or cols is None:
             raise ConfigError(f"{where}: {kind} needs ensemble rows/cols")
-        return make_basis(kind, rows=rows, cols=cols, levels=spec.get("levels"))
+        return make_basis(kind, rows=rows, cols=cols, levels=_optional_int(spec, "levels", where))
     if n is None:
         raise ConfigError(f"{where}: {kind} needs ensemble n")
     return make_basis(kind, n)
@@ -129,8 +160,7 @@ def _build_basis(spec: dict, n: int | None, rows: int | None, cols: int | None, 
 def build_ensemble(cfg: dict):
     section = _require(cfg, "ensemble", "config")
     _check_keys(section, {"n", "rows", "cols", "measurement", "sparsity"}, "ensemble")
-    rows, cols = section.get("rows"), section.get("cols")
-    n = section.get("n")
+    rows, cols, n = (_optional_int(section, key, "ensemble") for key in ("rows", "cols", "n"))
     if n is None and rows is not None and cols is not None:
         n = rows * cols
     v = _build_basis(_require(section, "measurement", "ensemble"), n, rows, cols, "ensemble.measurement")
@@ -140,8 +170,8 @@ def build_ensemble(cfg: dict):
 
 def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> GroupStructure:
     _check_keys(spec, _STRUCT_KEYS, "structure")
-    kind = _require(spec, "kind", "structure")
-    g = int(_require(spec, "g", "structure")) if kind != "singletons" else 1
+    kind = _kind(spec, "structure")
+    g = _number(_require(spec, "g", "structure"), "structure.g") if kind != "singletons" else 1
     need_2d = kind in ("vlines2d", "hlines2d", "rect2d", "spiral2d", "max_manhattan2d")
     if need_2d and (rows is None or cols is None):
         raise ConfigError(f"structure {kind} needs ensemble rows/cols")
@@ -162,7 +192,7 @@ def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> G
     if kind == "max_manhattan2d":
         return max_manhattan_2d(rows, cols, g)
     if kind == "random":
-        return random_groups(n, g, int(spec.get("seed", 0)))
+        return random_groups(n, g, _number(spec.get("seed", 0), "structure.seed"))
     raise ConfigError(f"unknown structure kind {kind!r}")
 
 
@@ -180,15 +210,15 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     section = _require(cfg, "support", "config")
     _check_keys(section, _SUPPORT_KEYS, "support")
     if "indices" in section:
-        t = SupportSet.from_indices(section["indices"])
+        t = SupportSet.from_indices(_int_list(section["indices"], "support.indices"))
         c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     if "image" in section:
-        k = int(_require(section, "k", "support"))
+        k = _number(_require(section, "k", "support"), "support.k")
         img = read_pgm(section["image"])
         tiles = [img]
         names = ["image"]
-        tr, tc = section.get("tile_rows"), section.get("tile_cols")
+        tr, tc = (_optional_int(section, key, "support") for key in ("tile_rows", "tile_cols"))
         if tr and tc:
             tiles, names = [], []
             for i0 in range(0, img.shape[0] - tr + 1, tr):
@@ -205,15 +235,15 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
             cases.append(SupportCase(t, c0, f"{name}-k{k}"))
         return cases
     model = section.get("model", "unrestricted")
-    k = int(_require(section, "k", "support"))
-    draws = int(section.get("draws", 1))
+    k = _number(_require(section, "k", "support"), "support.k")
+    draws = _number(section.get("draws", 1), "support.draws")
     spec = SignalSpec(
         kind="fourier1d",
         n=e.n,
         k=k,
         support_model=model,
-        channel_count=int(section.get("channels", 2)),
-        channel_width_frac=float(section.get("width_frac", 0.05)),
+        channel_count=_number(section.get("channels", 2), "support.channels"),
+        channel_width_frac=_number(section.get("width_frac", 0.05), "support.width_frac", float),
     )
     cases = []
     for d in range(draws):
@@ -227,13 +257,15 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
 def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConfig:
     section = cfg.get("sweep", {})
     _check_keys(section, _SWEEP_KEYS, "sweep")
-    step = section.get("step")
-    grid = section.get("m_grid") or default_m_grid(n, g, step)
+    step = _optional_int(section, "step", "sweep")
+    if step is not None and step < 1:
+        raise ConfigError(f"sweep.step must be positive, got {step}")
+    grid = section.get("m_grid")
     return SweepConfig(
-        m_grid=tuple(int(m) for m in grid),
-        trials_per_m=int(section.get("trials_per_m", 100)),
-        success_nre=float(section.get("success_nre", 1e-3)),
-        success_quota=float(section.get("success_quota", 0.99)),
+        m_grid=tuple(_int_list(grid, "sweep.m_grid") if grid else default_m_grid(n, g, step)),
+        trials_per_m=_number(section.get("trials_per_m", 100), "sweep.trials_per_m"),
+        success_nre=_number(section.get("success_nre", 1e-3), "sweep.success_nre", float),
+        success_quota=_number(section.get("success_quota", 0.99), "sweep.success_quota", float),
         master_seed=master_seed,
         step=step,
         fresh_coefficients=bool(section.get("fresh_coefficients", True)),
@@ -245,9 +277,9 @@ def build_solver(cfg: dict) -> SolverOptions:
     section = cfg.get("solver", {})
     _check_keys(section, _SOLVER_KEYS, "solver")
     return SolverOptions(
-        tol_feas=float(section.get("tol_feas", 1e-8)),
-        tol_obj=float(section.get("tol_obj", 1e-6)),
-        max_iters=int(section.get("max_iters", 20000)),
+        tol_feas=_number(section.get("tol_feas", 1e-8), "solver.tol_feas", float),
+        tol_obj=_number(section.get("tol_obj", 1e-6), "solver.tol_obj", float),
+        max_iters=_number(section.get("max_iters", 20000), "solver.max_iters"),
     )
 
 
@@ -256,7 +288,7 @@ def master_seed_of(cfg: dict, override: int | None) -> int:
         return override
     section = cfg.get("seeds", {})
     _check_keys(section, {"master"}, "seeds")
-    return int(section.get("master", 0))
+    return _number(section.get("master", 0), "seeds.master")
 
 
 def _emit(text: str, out_path: str | None):
@@ -347,12 +379,12 @@ def cmd_bounds(args) -> int:
     section = _require(cfg, "bounds", "config")
     _check_keys(section, _BOUNDS_KEYS, "bounds")
     q = bounds_mod.BoundQuery(
-        n=int(_require(section, "n", "bounds")),
-        t_size=int(_require(section, "t_size", "bounds")),
-        mu=float(_require(section, "mu", "bounds")),
-        gamma=float(_require(section, "gamma", "bounds")),
-        delta=float(_require(section, "delta", "bounds")),
-        const=float(section.get("const", 1.0)),
+        n=_number(_require(section, "n", "bounds"), "bounds.n"),
+        t_size=_number(_require(section, "t_size", "bounds"), "bounds.t_size"),
+        mu=_number(_require(section, "mu", "bounds"), "bounds.mu", float),
+        gamma=_number(_require(section, "gamma", "bounds"), "bounds.gamma", float),
+        delta=_number(_require(section, "delta", "bounds"), "bounds.delta", float),
+        const=_number(section.get("const", 1.0), "bounds.const", float),
     )
     rows = [
         ["unstructured", format_float(bounds_mod.bound_unstructured(q))],
@@ -377,13 +409,13 @@ def cmd_validate(args) -> int:
     t = supports[0].t
     section = _require(cfg, "validate", "config")
     _check_keys(section, _VALIDATE_KEYS, "validate")
-    trials = int(section.get("trials", 500))
+    trials = _number(section.get("trials", 500), "validate.trials")
     rng = trial_rng(seed, f"validate-{args.target}", 0, 0)
     if args.target == "gram":
-        grid = section.get("m_grid") or [int(_require(section, "m", "validate"))]
+        grid = section.get("m_grid") or [_require(section, "m", "validate")]
         out_rows = []
-        for m in grid:
-            stats = bounds_mod.validate_gram_concentration(e, t, gs, int(m), trials, rng)
+        for m in _int_list(grid, "validate.m_grid"):
+            stats = bounds_mod.validate_gram_concentration(e, t, gs, m, trials, rng)
             out_rows.append(
                 [
                     m,
@@ -396,13 +428,11 @@ def cmd_validate(args) -> int:
         _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev"], out_rows), args.out)
         return 0
     if args.target == "crossrow":
-        m = int(_require(section, "m", "validate"))
-        t0 = section.get("t0")
+        m = _number(_require(section, "m", "validate"), "validate.m")
+        t0 = _optional_int(section, "t0", "validate")
         if t0 is None:
             t0 = int(t.complement(e.n)[0])
-        empirical, bound = bounds_mod.validate_cross_row_energy(
-            e, t, gs, m, int(t0), trials, rng
-        )
+        empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
         _emit(
             _csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]),
             args.out,
@@ -440,7 +470,7 @@ def cmd_recover(args) -> int:
     supports = build_supports(cfg, e, rows, cols, seed)
     section = cfg.get("recover", {})
     _check_keys(section, _RECOVER_KEYS, "recover")
-    m = int(_require(section, "m", "recover"))
+    m = _number(_require(section, "m", "recover"), "recover.m")
     dump = section.get("dump_reconstruction")
     if dump is not None and (rows is None or cols is None):
         raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")

@@ -27,11 +27,11 @@ from .operators import (
     make_basis,
 )
 from .recovery import (
+    VERDICT_ROUTES,
     RecoveryResult,
     basis_pursuit_or_descent,
     basis_pursuit_trials,
     nre,
-    proved_recovery,
 )
 
 SUPPORT_MODELS = ("unrestricted", "subband")
@@ -201,7 +201,7 @@ def default_m_grid(n: int, g: int, step: int | None = None) -> tuple[int, ...]:
 class MStats:
     """Trials at one grid value: how many ran and succeeded, the quota
     indicator, and how the verdicts were reached (certified + rank_deficient
-    + descent + solved == executed)."""
+    + dual + descent + solved == executed)."""
 
     m: int
     successes: int
@@ -209,6 +209,7 @@ class MStats:
     success: bool
     certified: int
     rank_deficient: int
+    dual: int
     descent: int
     solved: int
 
@@ -289,14 +290,11 @@ def run_trials(
     results.  This is the path of the ``recover`` command, which reports the
     reconstruction, its iterations and its objective: every trial runs
     ``basis_pursuit_trials`` to convergence or to ``max_iters`` and never
-    stops on descent.  Sweeps take their verdicts from ``trial_verdicts``
+    stops on a proof.  Sweeps take their verdicts from ``trial_verdicts``
     instead.
     """
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
     return coeffs, basis_pursuit_trials(e, omegas, coeffs, **_solver_kwargs(solver))
-
-
-VERDICT_ROUTES = ("certified", "rank_deficient", "descent", "solved")
 
 
 def trial_verdicts(
@@ -315,30 +313,25 @@ def trial_verdicts(
     """Success of each trial and the route that decided it, one of
     ``VERDICT_ROUTES``.
 
-    Trials are drawn as in ``run_trials``.  A trial is decided by proof when
-    ``recovery.proved_recovery`` decides it: "rank_deficient" (a failure: the
-    true coefficients are not an l1 minimizer) or "certified" (a
-    success: the dual certificate proves they are, even where the solver
-    would exhaust its iteration budget).  The remaining trials are solved
-    together in one ``basis_pursuit_or_descent`` block.  A trial fails by
-    "descent" when an iterate proves a feasible point of smaller l1 norm than
-    the true coefficients, which are then not a minimizer; the solve stops
-    there, where ``run_trials`` would run on.  The others are "solved" and
+    Trials are drawn as in ``run_trials`` and decided together by
+    ``recovery.basis_pursuit_or_descent``, which stops each trial at the
+    first proof: "rank_deficient" (a failure: the true coefficients are not
+    an l1 minimizer), "certified" (a success: the least-squares dual
+    certificate proves they are the unique minimizer, with no iteration),
+    "dual" (a success: a certificate built from the ADMM dual iterate proves
+    it), or "descent" (a failure: an iterate proves a feasible point of
+    smaller l1 norm).  A proved verdict holds even where ``run_trials``
+    would exhaust its iteration budget.  The other trials are "solved" and
     succeed when the normalized error is at most ``success_nre``.
     """
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
-    proofs = [proved_recovery(e, omega, c) for omega, c in zip(omegas, coeffs)]
-    verdicts = [(bool(p), "certified" if p else "rank_deficient") for p in proofs]
-    open_ = [i for i, p in enumerate(proofs) if p is None]
-    if open_:
-        results, descent = basis_pursuit_or_descent(
-            e, omegas[open_], coeffs[open_], **_solver_kwargs(solver)
-        )
-        # by unitarity of the sparsity basis this equals the signal-domain error
-        for i, r, fell in zip(open_, results, descent):
-            ok = not fell and nre(coeffs[i], r.c_hat) <= success_nre
-            verdicts[i] = (ok, "descent" if fell else "solved")
-    return verdicts
+    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, **_solver_kwargs(solver))
+    # by unitarity of the sparsity basis this equals the signal-domain error
+    return [
+        (route in ("certified", "dual") or (route == "solved" and nre(c, r.c_hat) <= success_nre),
+         str(route))
+        for c, r, route in zip(coeffs, results, routes)
+    ]
 
 
 _FIRST_CHUNK, _MAX_CHUNK = 2, 32

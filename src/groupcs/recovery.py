@@ -10,8 +10,10 @@ a block of sweep trials at once, each measuring a row subset of a unitary
 ensemble, so the projection needs no Gram solve; the unitary 1-D DFT is
 applied by FFT (O(N log N) per iteration), any other ensemble by its
 gathered rows (O(MN)).  ``basis_pursuit_or_descent`` does the same for sweep
-verdicts and also stops a trial once a feasible iterate has a smaller l1
-norm than the true coefficients.  ``basis_pursuit`` solves one
+verdicts and stops a trial as soon as a proof decides it: the rank rule or
+a dual certificate built from the ADMM dual iterate (a success), or a
+feasible iterate with a smaller l1 norm than the true coefficients (a
+failure).  ``basis_pursuit`` solves one
 user-supplied problem and keeps a factorized Gram fallback for rows that
 are not orthonormal.  Every result is a deterministic function of its own
 trial's inputs.
@@ -34,6 +36,10 @@ from .operators import MeasurementEnsemble, SupportSet
 
 _RELAX = 1.8  # over-relaxation; fixed, keeps iterates deterministic
 _RHO0 = 10.0
+_CHECK_EVERY = 8  # iterations between dual-certificate checks on the verdict path
+
+# how a sweep trial is decided: proofs at iteration 0, in the loop, then the error
+VERDICT_ROUTES = ("certified", "rank_deficient", "dual", "descent", "solved")
 
 
 @dataclass
@@ -127,6 +133,11 @@ class _MaskedDft:
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         return np.fft.ifft(r, axis=1, norm="ortho")
 
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        w = np.fft.fft(v, axis=1, norm="ortho")
+        w *= self.mask
+        return w
+
     def take(self, keep: np.ndarray) -> "_MaskedDft":
         return _MaskedDft(self.mask[keep], self.y[keep])
 
@@ -141,8 +152,15 @@ class _GatheredRows:
     def __init__(self, rows: np.ndarray, y: np.ndarray, solve_gram=None):
         self.rows, self.y, self.solve_gram = rows, y, solve_gram
 
+    @classmethod
+    def measure(cls, rows: np.ndarray, coeffs: np.ndarray) -> "_GatheredRows":
+        return cls(rows, np.matmul(rows, coeffs[:, :, None])[:, :, 0])
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        return np.matmul(self.rows, v[:, :, None])[:, :, 0]
+
     def residual(self, v: np.ndarray) -> np.ndarray:
-        r = np.matmul(self.rows, v[:, :, None])[:, :, 0]
+        r = self.forward(v)
         r -= self.y
         return r
 
@@ -173,7 +191,107 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(x), axis=-1))
 
 
-def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray, floor=None):
+class _SupportProof:
+    """What the verdict proofs need of each trial's support submatrix.
+
+    Per row b, with S = supp(c_b), z = sign(c_b on S) and A_S = A[omega_b, S]:
+    ``idx`` holds S and ``sign`` holds z, padded to the largest |S| of the
+    block by repeating their first entry; ``ginv`` holds
+    G^{-1} = (A_S^H A_S)^{-1}, zero outside the leading |S| x |S| block, so
+    the padding carries no weight; ``valid`` marks the rows with
+    sigma_min(A_S) > 1e-5, the only rows a certificate can hold for.
+    """
+
+    def __init__(self, n, idx, sign, ginv, valid):
+        self.n, self.idx, self.sign, self.ginv, self.valid = n, idx, sign, ginv, valid
+
+    @classmethod
+    def factor(cls, a: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray):
+        """One factorization of A_S per trial, batched over trials of equal
+        |S|: a QR without Q, then the singular values of the small triangular
+        factor R (and its singular vectors only where the rank is short).
+
+        Returns the proof data and the rank rule per trial: True where A_S is
+        numerically rank-deficient (sigma_min <= sigma_max max(m, |S|) eps,
+        the default tolerance of ``matrix_rank``) and z has a component in its
+        null space (norm above 1e-8 ||z||).  Then c_b is not an l1 minimizer.
+        """
+        b, m = omegas.shape
+        nonzero = coeffs != 0
+        sizes = np.count_nonzero(nonzero, axis=1)
+        kmax = int(sizes.max(initial=0))
+        idx = np.zeros((b, kmax), dtype=np.int64)
+        sign = np.zeros((b, kmax), dtype=np.result_type(coeffs, np.float64))
+        ginv = np.zeros((b, kmax, kmax), dtype=np.result_type(a, coeffs, np.float64))
+        valid = np.zeros(b, dtype=bool)
+        refuted = np.zeros(b, dtype=bool)
+        for k in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == k)
+            s = np.nonzero(nonzero[rows])[1].reshape(len(rows), k)
+            z = np.take_along_axis(coeffs[rows], s, axis=1)
+            z = z / np.abs(z)
+            idx[rows] = s[:, :1]
+            sign[rows] = z[:, :1]
+            idx[rows, :k], sign[rows, :k] = s, z
+            # A_S = Q R, so R has the singular values and G = R^H R
+            r = np.linalg.qr(a[omegas[rows][:, :, None], s[:, None, :]], mode="r")
+            sv = np.linalg.svd(r, compute_uv=False)
+            rank = np.sum(sv > sv[:, :1] * max(m, k) * np.finfo(np.float64).eps, axis=1)
+            low = np.flatnonzero(rank < k)
+            if low.size:
+                _, _, vh = np.linalg.svd(r[low], full_matrices=True)  # vh is k x k
+                z_rot = np.matmul(vh, z[low, :, None])[:, :, 0]
+                null_part = _row_norm(np.where(np.arange(k) >= rank[low, None], z_rot, 0))
+                refuted[rows[low]] = null_part > 1e-8 * math.sqrt(k)
+            if m < k:
+                continue
+            good = sv[:, -1] > 1e-5
+            r_inv = np.linalg.inv(r[good])
+            ginv[rows[good], :k, :k] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
+            valid[rows[good]] = True
+        return cls(coeffs.shape[1], idx, sign, ginv, valid), refuted
+
+    def take(self, keep: np.ndarray) -> "_SupportProof":
+        return _SupportProof(
+            self.n, self.idx[keep], self.sign[keep], self.ginv[keep], self.valid[keep]
+        )
+
+    def holds(self, op, pi: np.ndarray | None = None) -> np.ndarray:
+        """Whether the dual candidate pi (None: zero) yields a certificate.
+
+        pi is moved into the row space, pi_1 = A^H A pi, and corrected on S,
+        pi_2 = pi_1 + A^H A_S q = A^H (A pi + A_S q) with
+        q = G^{-1} (z - pi_1 on S), so that pi_2 = z on S.  The certificate
+        holds where |pi_2 - z| <= 1e-8 on S and |pi_2| <= 1 - 1e-9 off S,
+        the tolerances of ``dual_certificate``; then c is the unique l1
+        minimizer.  With pi = 0, pi_2 is the least-squares certificate
+        A^H A_S G^{-1} z.
+        """
+        if not self.valid.any():
+            return self.valid.copy()
+        row = np.arange(len(self.idx))[:, None]
+        step = self.sign
+        if pi is not None:
+            r = op.forward(pi)
+            step = step - op.adjoint(r)[row, self.idx]
+        v = np.zeros((len(self.idx), self.n), dtype=np.result_type(step, self.ginv))
+        np.add.at(v, (row, self.idx), np.matmul(self.ginv, step[:, :, None])[:, :, 0])
+        w = op.forward(v)
+        if pi is not None:
+            w += r
+        p = op.adjoint(w)
+        on = np.max(np.abs(p[row, self.idx] - self.sign), axis=1)
+        p[row, self.idx] = 0.0
+        off = np.max(np.abs(p), axis=1)
+        return self.valid & (on <= 1e-8) & (off <= 1.0 - 1e-9)
+
+
+_DESCENT, _CERTIFIED = 1, 2  # how _admm stopped a row early
+
+
+def _admm(
+    op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray, floor=None, proof=None
+):
     """Iterate every row of the block from z (zeros) until it passes the stop
     test; a stopped row is frozen and removed from the block.
 
@@ -184,14 +302,20 @@ def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray,
     an l1 norm below the floor.  The residual is computed for the rows with
     ||x||_1 < floor only.  Such a row returns x in place of z.
 
+    With ``proof`` (a ``_SupportProof``), every ``_CHECK_EVERY``-th iteration
+    also tests the scaled dual iterate u / kappa, which lies in the unit
+    ball, as a certificate candidate; a row it certifies stops, whatever the
+    other tests say.
+
     Returns the final z, the iteration count, the convergence flag and the
-    descent flag per row.  Every operation acts row by row, so a row's
-    iterates do not depend on the other rows of the block.
+    early stop per row (0, ``_DESCENT`` or ``_CERTIFIED``).  Every operation
+    acts row by row, so a row's iterates do not depend on the other rows of
+    the block.
     """
     z_out = np.empty_like(z)
     iterations = np.full(len(z), max_iters)
     converged = np.zeros(len(z), dtype=bool)
-    descent = np.zeros(len(z), dtype=bool)
+    early = np.zeros(len(z), dtype=np.int8)
     live = np.arange(len(z))
     u = np.zeros_like(z)
     root_n = math.sqrt(z.shape[1])
@@ -219,31 +343,38 @@ def _admm(op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray,
             if below.any():
                 r_norm = _row_norm(op.take(below).residual(c[below]))
                 fell[below] = l1[below] + root_n * r_norm < floor[below]
-        stop = done | fell
+        proved = np.zeros_like(done)
+        if proof is not None and it % _CHECK_EVERY == 0:
+            proved = proof.holds(op, u / kappa)
+            fell &= ~proved
+        stop = done | fell | proved
         if stop.any():
-            z_out[live[done]] = z[done]
+            z_out[live[stop]] = z[stop]
             z_out[live[fell]] = c[fell]
             iterations[live[stop]] = it
             converged[live[done]] = True
-            descent[live[fell]] = True
+            early[live[fell]] = _DESCENT
+            early[live[proved]] = _CERTIFIED
             keep = ~stop
             live, z, u, kappa = live[keep], z[keep], u[keep], kappa[keep]
             if floor is not None:
                 floor = floor[keep]
+            if proof is not None:
+                proof = proof.take(keep)
             if live.size == 0:
                 break
             op = op.take(keep)
             terms = terms[:, keep]
     z_out[live] = z
-    return z_out, iterations, converged, descent
+    return z_out, iterations, converged, early
 
 
 def _solve(
-    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int, floor=None
+    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int, floor=None, proof=None
 ) -> tuple[list[RecoveryResult], np.ndarray]:
     """Basis pursuit for every row of a block: y_b = A_b c_b, min ||c_b||_1.
 
-    Returns the results and the descent flag per row (see ``_admm``); a row
+    Returns the results and the early stop per row (see ``_admm``); a row
     stopped by descent reports the exactly feasible point x - A^H (A x - y).
     """
     y_norm = _row_norm(op.y)
@@ -257,13 +388,14 @@ def _solve(
     z = np.zeros_like(backprojection)
     iterations = np.zeros(len(z), dtype=np.int64)
     converged = np.ones(len(z), dtype=bool)
-    descent = np.zeros(len(z), dtype=bool)
+    early = np.zeros(len(z), dtype=np.int8)
     live = y_norm > 0.0
     if live.any():
         block = op if live.all() else op.take(live)
-        z[live], iterations[live], converged[live], descent[live] = _admm(
+        z[live], iterations[live], converged[live], early[live] = _admm(
             block, kappa[live], stop_tol, max_iters, z[live],
             None if floor is None else floor[live],
+            None if proof is None else proof.take(live),
         )
     c_hat = _project(op, z)  # feasible iterates
     feas = np.divide(
@@ -274,7 +406,7 @@ def _solve(
         RecoveryResult(c, float(f), float(o), int(i), bool(ok))
         for c, f, o, i, ok in zip(c_hat, feas, objective, iterations, converged)
     ]
-    return results, descent
+    return results, early
 
 
 def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
@@ -335,7 +467,7 @@ def basis_pursuit_trials(
     ensemble by its gathered rows, at most 2^20 entries per block.  A trial's
     result does not depend on the other trials of the block.
     """
-    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), descent=False)[0]
+    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=False)[0]
 
 
 def basis_pursuit_or_descent(
@@ -346,43 +478,79 @@ def basis_pursuit_or_descent(
     tol_feas: float = 1e-8,
     tol_obj: float = 1e-6,
     max_iters: int = 20000,
-) -> tuple[list[RecoveryResult], np.ndarray]:
-    """``basis_pursuit_trials`` for sweep verdicts: a trial also stops as soon
-    as an iterate proves that its true coefficients c_b are not an l1
-    minimizer.
+) -> tuple[list[RecoveryResult | None], np.ndarray]:
+    """``basis_pursuit_trials`` for sweep verdicts: a trial stops as soon as a
+    proof decides whether its true coefficients c_b are the unique l1
+    minimizer.  With S = supp(c_b) and z = sign(c_b on S), the route of each
+    trial, one of ``VERDICT_ROUTES``, is checked in this order:
 
-    The proof is a point that meets the constraints exactly and has l1 norm
-    below (1 - 1e-9) ||c_b||_1: the feasible projection x of an iterate with
-    ||x||_1 + sqrt(N) ||A[omega_b] x - y_b||_2 below that floor, corrected to
-    x - A[omega_b]^H (A[omega_b] x - y_b).  The residual term bounds the l1
-    norm of the correction, so rounding in x cannot forge the proof.
+    - "rank_deficient", a failure, before any solve: A[omega_b, S] is
+      numerically rank-deficient (the tolerance of ``matrix_rank``) and z has
+      a component in its null space, so no minimizer equals c_b.
+    - "certified", a success at iteration 0: the least-squares dual
+      certificate holds (the checks and tolerances of ``dual_certificate``).
+    - "dual", a success at a later iteration: every ``_CHECK_EVERY``-th
+      iteration the scaled dual iterate, moved into the row space and
+      corrected on S, is tested as a certificate with the same tolerances.
+    - "descent", a failure: a point that meets the constraints exactly has
+      l1 norm below (1 - 1e-9) ||c_b||_1.  It is the feasible projection x
+      of an iterate with ||x||_1 + sqrt(N) ||A[omega_b] x - y_b||_2 below
+      that floor, corrected to x - A[omega_b]^H (A[omega_b] x - y_b).  The
+      residual term bounds the l1 norm of the correction, so rounding in x
+      cannot forge the proof.
+    - "solved": the solve ran to convergence or ``max_iters``.
 
-    Returns the results, in which a trial stopped by descent reports the
-    corrected point and the iteration of the proof, and a boolean array that
-    is True for those trials.  The other trials' results are bit-identical
-    to ``basis_pursuit_trials``.
+    One factorization of A[omega_b, S] per trial (a QR and the singular
+    values of its R) serves the rank rule and every certificate test, which
+    keeps only (A_S^H A_S)^{-1} per trial.  Returns
+    the results and the route per trial.  A trial decided at iteration 0 has
+    no result (None); a "dual" or "descent" trial reports the iterate and
+    iteration of its proof (the corrected point for descent); a "solved"
+    trial's result is bit-identical to ``basis_pursuit_trials``.
     """
-    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), descent=True)
+    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=True)
 
 
-def _trials(e, omegas, coeffs, opts, descent: bool):
+def _trials(e, omegas, coeffs, opts, verdicts: bool):
     omegas = np.asarray(omegas, dtype=np.int64)
     coeffs = np.asarray(coeffs)
-    floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1) if descent else None
+    dtype = np.complex128 if e.is_dft1d else np.result_type(e.a, coeffs, np.float64)
+    coeffs = coeffs.astype(dtype, copy=False)
+    results = [None] * len(coeffs)
+    route = np.full(len(coeffs), "solved", dtype=object)
+    todo, floor, proof = np.arange(len(coeffs)), None, None
+    if verdicts:
+        floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1)
+        proof, refuted = _SupportProof.factor(e.a, omegas, coeffs)
+        route[refuted] = "rank_deficient"
+        todo = np.flatnonzero(~refuted)
     if e.is_dft1d:
-        coeffs = coeffs.astype(np.complex128, copy=False)
-        return _solve(_MaskedDft.measure(omegas, coeffs), 1.0, *opts, floor)
-    coeffs = coeffs.astype(np.result_type(e.a, coeffs, np.float64), copy=False)
-    per_block = max(1, _GATHER_ENTRIES // max(1, omegas.shape[1] * e.n))
-    results, fell = [], np.zeros(len(omegas), dtype=bool)
-    for s in range(0, len(omegas), per_block):
-        block = slice(s, s + per_block)
-        rows = e.a[omegas[block]]
-        y = np.matmul(rows, coeffs[block, :, None])[:, :, 0]
-        op = _GatheredRows(rows, y)
-        res, fell[block] = _solve(op, 1.0, *opts, None if floor is None else floor[block])
-        results += res
-    return results, fell
+        blocks = [todo]
+    else:
+        per_block = max(1, _GATHER_ENTRIES // max(1, omegas.shape[1] * e.n))
+        blocks = [todo[s : s + per_block] for s in range(0, len(todo), per_block)]
+    for block in blocks:
+        if e.is_dft1d:
+            op = _MaskedDft.measure(omegas[block], coeffs[block])
+        else:
+            op = _GatheredRows.measure(e.a[omegas[block]], coeffs[block])
+        sub = None
+        if proof is not None and block.size:
+            # iteration 0: with u = 0 the check is the least-squares certificate
+            sub = proof.take(block)
+            certified = sub.holds(op)
+            route[block[certified]] = "certified"
+            if certified.any():
+                keep = ~certified
+                block, op, sub = block[keep], op.take(keep), sub.take(keep)
+        if block.size:
+            res, early = _solve(op, 1.0, *opts, None if floor is None else floor[block], sub)
+            route[block[early == _DESCENT]] = "descent"
+            route[block[early == _CERTIFIED]] = "dual"
+            for i, r in zip(block, res):
+                results[i] = r
+        del op  # before the next block gathers its rows: one block in memory at a time
+    return results, route.astype(str)
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:
@@ -446,7 +614,9 @@ def dual_certificate(
 
 def proved_recovery(e: MeasurementEnsemble, omega, c: np.ndarray) -> bool | None:
     """Decide without a solve whether c is the unique l1 minimizer given the
-    rows ``omega``, when a proof does; None when neither proof applies.
+    rows ``omega``, when a proof does; None when neither proof applies.  This
+    is the one-trial reference of the sweep's rank rule and iteration-0
+    certificate in ``basis_pursuit_or_descent``.
 
     With S = supp(c) and z = sign(c_S), checked in this order:
 

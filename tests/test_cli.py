@@ -1,12 +1,17 @@
+import contextlib
+import copy
 import csv
 import importlib.util
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcs.cli import main
 from groupcs.harness import records_from_csv
@@ -251,6 +256,94 @@ def test_missing_config_file(capsys):
     assert "error" in err
 
 
+_SWEEP_BASE = {
+    "ensemble": {"n": 16, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+    "structures": [{"kind": "singletons"}, {"kind": "strided1d", "g": 4}],
+    "support": {"model": "unrestricted", "k": 2, "draws": 1},
+    "sweep": {"trials_per_m": 2, "success_quota": 0.5, "step": 8},
+    "solver": {"max_iters": 200},
+    "seeds": {"master": 3},
+}
+
+
+def _set_path(cfg, path, value):
+    *parents, last = path
+    for key in parents:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (("structures", 1, "g"), None, "structure.g"),
+        (("structures", 1, "g"), [11], "structure.g"),
+        (("sweep", "trials_per_m"), None, "sweep.trials_per_m"),
+        (("sweep", "step"), "11", "sweep.step"),
+        (("sweep", "success_quota"), None, "sweep.success_quota"),
+        (("solver", "max_iters"), None, "solver.max_iters"),
+        (("seeds", "master"), None, "seeds.master"),
+        (("support", "k"), None, "support.k"),
+        (("ensemble", "n"), "44", "ensemble.n"),
+    ],
+)
+def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    _set_path(cfg, path, value)
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    assert code == 2
+    assert f"{name} must be" in err and "Traceback" not in err
+
+
+_FUZZ_PATHS = [
+    ("ensemble", "n"),
+    ("ensemble", "measurement", "kind"),
+    ("ensemble", "sparsity"),
+    ("structures", 1, "g"),
+    ("structures", 1, "kind"),
+    ("structures", 0),
+    ("support", "k"),
+    ("support", "model"),
+    ("support", "draws"),
+    ("support", "channels"),
+    ("support", "width_frac"),
+    ("sweep", "trials_per_m"),
+    ("sweep", "step"),
+    ("sweep", "m_grid"),
+    ("sweep", "success_quota"),
+    ("sweep", "success_nre"),
+    ("sweep", "early_stop"),
+    ("solver", "max_iters"),
+    ("solver", "tol_feas"),
+    ("seeds", "master"),
+]
+# small values only: a valid mutation still runs a sweep
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.sampled_from([0.5, -1.0, 2.5, 1e-3, float("nan"), float("inf")]),
+    st.sampled_from(["", "11", "x", "dft1d", "singletons"]),
+    st.lists(st.integers(-2, 12), max_size=3),
+    st.just({}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES), min_size=1, max_size=3))
+def test_config_fuzz_exits_0_or_2(mutations):
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    for path, value in mutations:
+        _set_path(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2), err.getvalue()
+
+
 def test_support_indices_mode(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -384,14 +477,17 @@ def test_sweep_pins_e1_verdicts(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     m_min = {r["structure"]: r["m_min"] for r in csv.DictReader(io.StringIO(out))}
     assert m_min == {"strided1d": "132", "contiguous1d": "132", "singletons": "44"}
-    # some failures are proved by a feasible iterate of smaller l1 norm
+    # some failures are proved by a feasible iterate of smaller l1 norm, and
+    # some successes by a certificate built from the ADMM dual iterate
     assert sum(s.descent for s in per_m) > 0
+    assert sum(s.dual for s in per_m) > 0
 
 
 def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
     # the E2 sweep (32x32 Haar image, k=51, rect2d and cyclic spiral2d with
-    # g=8, grid 64/256/1024, seed 7): every verdict is proved, none solved
-    from groupcs import harness
+    # g=8, grid 64/256/1024, seed 7): every verdict is proved at iteration 0,
+    # and no ADMM iteration runs
+    from groupcs import harness, recovery
 
     workloads = _bench_workloads(monkeypatch)
     cfg = workloads.e2_sweep_config(7, tmp_path)
@@ -401,13 +497,13 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
         pytest.fail("ADMM ran")
 
     monkeypatch.setattr(harness, "basis_pursuit_trials", admm_ran)
-    monkeypatch.setattr(harness, "basis_pursuit_or_descent", admm_ran)
+    monkeypatch.setattr(recovery, "_admm", admm_ran)
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
     assert code == 0, err
     rows = {r["structure"]: (r["m_min"], r["m0"]) for r in csv.DictReader(io.StringIO(out))}
     assert rows == {"rect2d": ("1024", "1024"), "cyclic_spiral2d": ("1024", "1024")}
     assert {s.m for s in per_m} == {64, 256, 1024}
     for s in per_m:
-        assert s.solved == s.descent == 0
+        assert s.solved == s.descent == s.dual == 0
         # below N the support submatrix is rank-deficient; at N every trial certifies
         assert (s.rank_deficient if s.m < 1024 else s.certified) == s.executed > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcs.grouping import (
     contiguous_1d,
@@ -42,6 +44,48 @@ ALL_GENERATORS = [
 @pytest.mark.parametrize("gs", ALL_GENERATORS, ids=lambda g: f"{g.label}-n{g.n}")
 def test_partition_invariant(gs):
     assert_partition(gs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["singletons", "strided", "contiguous", "vlines", "hlines", "rect", "spiral",
+         "cyclic_spiral", "max_manhattan", "random"]
+    ),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    data=st.data(),
+)
+def test_partition_invariant_on_random_shapes(kind, rows, cols, data):
+    # every generator over a random valid shape: n/g groups of g, an exact
+    # partition of 0..n-1, and the same groups when called again
+    def pick_g(n):
+        return data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+    if kind == "rect":
+        cols = 2 * max(1, cols // 2)
+    n = rows * cols
+    if kind == "singletons":
+        make, args = singletons, (n,)
+    elif kind in ("strided", "contiguous"):
+        make, args = {"strided": strided_1d, "contiguous": contiguous_1d}[kind], (n, pick_g(n))
+    elif kind == "random":
+        make, args = random_groups, (n, pick_g(n), data.draw(st.integers(0, 2**32 - 1)))
+    elif kind == "vlines":
+        make, args = lines_2d, (rows, cols, pick_g(rows), "vertical")
+    elif kind == "hlines":
+        make, args = lines_2d, (rows, cols, pick_g(cols), "horizontal")
+    elif kind == "rect":
+        make, args = rect_2d, (rows, cols, 2 * pick_g(rows))
+    elif kind == "max_manhattan":
+        make, args = max_manhattan_2d, (rows, cols, pick_g(n))
+    else:
+        make, args = spiral_2d, (rows, cols, pick_g(n), kind == "cyclic_spiral")
+    gs = make(*args)
+    assert gs.n == n
+    assert_partition(gs)
+    again = make(*args)
+    assert again.label == gs.label and np.array_equal(again.groups, gs.groups)
 
 
 def test_strided():

@@ -364,8 +364,10 @@ def test_trial_chunk_schedule():
     assert [i for r in _trial_chunks(70) for i in r] == list(range(70))
 
 
-def _find_min_m_trial_by_trial(e, gs, t, c0, cfg, solver):
-    # one basis_pursuit solve per trial, stopping at the deciding trial
+def _find_min_m_trial_by_trial(e, gs, t, c0, cfg):
+    # one basis_pursuit solve per trial, run to convergence (a proved sweep
+    # verdict does not depend on the sweep's iteration budget), stopping at
+    # the deciding trial
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
     allowed = cfg.trials_per_m - needed
     out = []
@@ -375,7 +377,8 @@ def _find_min_m_trial_by_trial(e, gs, t, c0, cfg, solver):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
             a = e.a[draw_uniform(gs, m, rng).omega]
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=solver.max_iters))
+            res = basis_pursuit(RecoveryProblem(a, a @ c))
+            assert res.converged
             ok = nre(c, res.c_hat) <= cfg.success_nre
             successes += ok
             failures += not ok
@@ -406,7 +409,7 @@ def _sweep_case(kind):
 def test_find_min_m_matches_trial_by_trial_loop(kind):
     e, gs, t, cfg, solver = _sweep_case(kind)
     res = find_min_m(e, gs, t, None, cfg, solver=solver)
-    ref = _find_min_m_trial_by_trial(e, gs, t, None, cfg, solver)
+    ref = _find_min_m_trial_by_trial(e, gs, t, None, cfg)
     assert [(s.m, s.success) for s in res.per_m] == ref
     assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
     assert len(ref) > 1  # the sweep crosses at least one failing grid value
@@ -415,7 +418,8 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_proved_verdicts_agree_with_solver(kind):
     # every trial of the grid decided by proof, re-solved by basis_pursuit
-    # with the full iteration budget; a descent trial must fail there too
+    # to convergence; a descent trial must fail there too, and a dual trial
+    # succeed
     e, gs, t, cfg, solver = _sweep_case(kind)
     routes = dict.fromkeys(VERDICT_ROUTES, 0)
     for m in cfg.m_grid:
@@ -430,31 +434,37 @@ def test_proved_verdicts_agree_with_solver(kind):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
             a = e.a[draw_uniform(gs, m, rng).omega]
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=solver.max_iters))
+            res = basis_pursuit(RecoveryProblem(a, a @ c))
+            assert res.converged
             assert (nre(c, res.c_hat) <= cfg.success_nre) == ok, (m, j, route)
     assert routes["certified"] > 0 and routes["certified"] + routes["rank_deficient"] >= 60, routes
     assert routes["descent"] > 0, routes
+    if kind == "dft":
+        assert routes["dual"] > 0, routes
 
 
 def test_recover_path_never_stops_on_descent():
-    # trials at m=8 of the DFT audit grid, where descent decides most verdicts
+    # trials at m=16 of the DFT audit grid, where every route but the rank
+    # rule decides some verdict
     e, gs, t, cfg, solver = _sweep_case("dft")
-    m, trials = 8, range(6)
+    m, trials = 16, range(20)
     kw = dict(master_seed=cfg.master_seed, solver=solver)
     verdicts = trial_verdicts(e, gs, t, None, m, trials, **kw)
-    assert any(route == "descent" for _, route in verdicts), verdicts
+    assert {"certified", "dual", "descent", "solved"} <= {route for _, route in verdicts}
     coeffs, results = run_trials(e, gs, t, None, m, trials, **kw)
     omegas = np.array([draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
                        for j in trials])
     full = basis_pursuit_trials(e, omegas, coeffs, max_iters=solver.max_iters)
-    stopped, fell = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=solver.max_iters)
-    assert [route == "descent" for _, route in verdicts] == list(fell)
-    for r, ref, early, f in zip(results, full, stopped, fell):
+    stopped, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=solver.max_iters)
+    assert [route for _, route in verdicts] == list(routes)
+    for r, ref, early, route in zip(results, full, stopped, routes):
         assert np.array_equal(r.c_hat, ref.c_hat)
         assert (r.iterations, r.converged, r.objective) == (
             ref.iterations, ref.converged, ref.objective
         )
-        if f:
+        if route in ("certified", "rank_deficient"):  # decided before any iteration
+            assert early is None and r.iterations > 0
+        elif route in ("dual", "descent"):
             assert r.iterations > early.iterations
         else:  # the verdict path solves an undecided trial exactly as recover does
             assert np.array_equal(early.c_hat, ref.c_hat)

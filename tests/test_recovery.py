@@ -420,11 +420,12 @@ def test_descent_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         c[s] = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
         if complex_:
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=k))
-    results, fell = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
+    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
     full = basis_pursuit_trials(e, omegas, coeffs, max_iters=500)
-    for omega, c, res, ref, f in zip(omegas, coeffs, results, full, fell):
-        if not f:
+    for omega, c, res, ref, route in zip(omegas, coeffs, results, full, routes):
+        if route == "solved":
             assert np.array_equal(res.c_hat, ref.c_hat) and res.iterations == ref.iterations
+        if route != "descent":  # test_dual_stop_is_sound covers the other routes
             continue
         # the returned point is feasible, and its exact correction onto the
         # constraints beats the true coefficients in l1 norm
@@ -434,3 +435,80 @@ def test_descent_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(y)
         assert np.sum(np.abs(res.c_hat - a.conj().T @ r)) < np.sum(np.abs(c))
         assert not res.converged and res.iterations < ref.iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 16),
+    split_frac=st.floats(0.3, 1.0),
+    k=st.integers(1, 6),
+    m_frac=st.floats(0.1, 1.0),
+    complex_=st.booleans(),
+)
+def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
+    # a block of trials whose supports differ in size
+    rng = np.random.default_rng(seed)
+    q = _block_unitary(n, max(1, round(split_frac * n)), rng, complex_)
+    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
+    m = max(1, round(m_frac * n))
+    omegas = np.array([np.sort(rng.permutation(n)[:m]) for _ in range(6)])
+    coeffs = np.zeros((6, n), dtype=q.dtype)
+    for c in coeffs:
+        size = rng.integers(1, min(k, n) + 1)
+        s = np.sort(rng.permutation(n)[:size])
+        c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        if complex_:
+            c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
+    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
+    for omega, c, res, route in zip(omegas, coeffs, results, routes):
+        s = np.flatnonzero(c)
+        cert = dual_certificate(e, omega, SupportSet(s), c[s] / np.abs(c[s]))
+        # iteration 0 is the least-squares certificate; the rank rule is proved_recovery's
+        assert (route == "certified") == cert.holds
+        assert (route == "rank_deficient") == (proved_recovery(e, omega, c) is False)
+        assert (res is None) == (route in ("certified", "rank_deficient"))
+        if route == "dual":
+            assert res.iterations >= 1
+            a = e.a[omega]
+            full = basis_pursuit(RecoveryProblem(a, a @ c))
+            assert nre(c, full.c_hat) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "ensemble, seen",
+    [
+        ("dft", {"certified", "dual", "descent", "solved"}),
+        ("haar", {"rank_deficient", "solved"}),
+        ("orthogonal", {"certified", "dual", "descent"}),
+    ],
+)
+def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
+    # each trial's route and result are those it gets alone, with |supp(c)|
+    # from 1 to 8 in one block; FFT rows (dft) and gathered rows (the others)
+    if ensemble == "dft":
+        e = _dft_ensemble(64)
+    elif ensemble == "haar":
+        e = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
+    else:
+        q = random_orthogonal(64, np.random.default_rng(7))
+        e = make_ensemble(make_basis("identity", 64), make_basis("custom", entries=q))
+    rng = np.random.default_rng(53)
+    omegas = np.array([np.sort(rng.permutation(64)[:12]) for _ in range(16)])
+    coeffs = np.zeros((16, 64), dtype=e.a.dtype)
+    for b, c in enumerate(coeffs):
+        size = 1 + b % 8
+        s = np.sort(rng.permutation(64)[:size])
+        c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=2000)
+    assert set(routes) == seen, routes
+    for b in range(16):
+        (alone,), (route,) = basis_pursuit_or_descent(
+            e, omegas[b : b + 1], coeffs[b : b + 1], max_iters=2000
+        )
+        assert route == routes[b]
+        if alone is None:
+            assert results[b] is None
+        else:
+            assert np.array_equal(alone.c_hat, results[b].c_hat)
+            assert alone.iterations == results[b].iterations
