@@ -218,10 +218,24 @@ def draw_uniform(gs: GroupStructure, m: int, rng: np.random.Generator) -> Sample
     return SampleSet(omega=omega, selected_groups=sel, m=m)
 
 
-def draw_bernoulli(gs: GroupStructure, m: int, rng: np.random.Generator) -> SampleSet:
-    """Include each group independently with probability m/n (E|omega| = m)."""
+def bernoulli_selections(
+    gs: GroupStructure, m: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Bernoulli group selections of ``trials`` draws, as a trials x n_groups
+    bool array: each group is included independently with probability m/n.
+
+    The generator fills the uniforms in row order, so the rows, and the
+    generator's final state, equal those of ``trials`` successive
+    ``draw_bernoulli`` calls; drawing the rows over several calls gives the
+    same rows as one call.
+    """
     if not 0 <= m <= gs.n:
         raise ValueError(f"m={m} out of range [0, {gs.n}]")
-    sel = np.flatnonzero(rng.random(gs.n_groups) < m / gs.n)
+    return rng.random((trials, gs.n_groups)) < m / gs.n
+
+
+def draw_bernoulli(gs: GroupStructure, m: int, rng: np.random.Generator) -> SampleSet:
+    """Include each group independently with probability m/n (E|omega| = m)."""
+    sel = np.flatnonzero(bernoulli_selections(gs, m, 1, rng)[0])
     omega = np.sort(gs.groups[sel].ravel())
     return SampleSet(omega=omega, selected_groups=sel, m=int(omega.size))

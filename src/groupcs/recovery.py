@@ -108,21 +108,20 @@ class _MaskedDft:
 
     Measurements are held zero-padded to length N, so A_omega v is the
     masked ``fft(v, norm="ortho")`` and A_omega^H r is ``ifft(r, norm="ortho")``.
-    The mask is complex 0/1, which multiplies finite values exactly.
+    The mask is complex 0/1, which multiplies finite values exactly.  The
+    measurements y may be set after construction (None until then).
     """
 
     solve_gram = None
 
-    def __init__(self, mask: np.ndarray, y: np.ndarray):
+    def __init__(self, mask: np.ndarray, y: np.ndarray | None = None):
         self.mask, self.y = mask, y
 
     @classmethod
-    def measure(cls, omegas: np.ndarray, coeffs: np.ndarray) -> "_MaskedDft":
-        mask = np.zeros(coeffs.shape, dtype=np.complex128)
+    def of_rows(cls, omegas: np.ndarray, n: int) -> "_MaskedDft":
+        mask = np.zeros((len(omegas), n), dtype=np.complex128)
         mask[np.arange(len(omegas))[:, None], omegas] = 1.0
-        y = np.fft.fft(coeffs, axis=1, norm="ortho")
-        y *= mask
-        return cls(mask, y)
+        return cls(mask)
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         w = np.fft.fft(v, axis=1, norm="ortho")
@@ -139,22 +138,19 @@ class _MaskedDft:
         return w
 
     def take(self, keep: np.ndarray) -> "_MaskedDft":
-        return _MaskedDft(self.mask[keep], self.y[keep])
+        return _MaskedDft(self.mask[keep], None if self.y is None else self.y[keep])
 
 
 class _GatheredRows:
-    """Explicit row blocks A_b (B x m x N) with measurements y (B x m).
+    """Explicit row blocks A_b (B x m x N) with measurements y (B x m), which
+    may be set after construction (None until then).
 
     ``solve_gram`` applies (A A^H)^{-1} when the rows are not orthonormal;
     only single-problem blocks carry one.
     """
 
-    def __init__(self, rows: np.ndarray, y: np.ndarray, solve_gram=None):
+    def __init__(self, rows: np.ndarray, y: np.ndarray | None = None, solve_gram=None):
         self.rows, self.y, self.solve_gram = rows, y, solve_gram
-
-    @classmethod
-    def measure(cls, rows: np.ndarray, coeffs: np.ndarray) -> "_GatheredRows":
-        return cls(rows, np.matmul(rows, coeffs[:, :, None])[:, :, 0])
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         return np.matmul(self.rows, v[:, :, None])[:, :, 0]
@@ -170,7 +166,8 @@ class _GatheredRows:
         return np.matmul(r[:, None, :], self.rows)[:, 0, :]
 
     def take(self, keep: np.ndarray) -> "_GatheredRows":
-        return _GatheredRows(self.rows[keep], self.y[keep], self.solve_gram)
+        y = None if self.y is None else self.y[keep]
+        return _GatheredRows(self.rows[keep], y, self.solve_gram)
 
 
 def _project(op, v: np.ndarray) -> np.ndarray:
@@ -531,9 +528,9 @@ def _trials(e, omegas, coeffs, opts, verdicts: bool):
         blocks = [todo[s : s + per_block] for s in range(0, len(todo), per_block)]
     for block in blocks:
         if e.is_dft1d:
-            op = _MaskedDft.measure(omegas[block], coeffs[block])
+            op = _MaskedDft.of_rows(omegas[block], e.n)
         else:
-            op = _GatheredRows.measure(e.a[omegas[block]], coeffs[block])
+            op = _GatheredRows(e.a[omegas[block]])
         sub = None
         if proof is not None and block.size:
             # iteration 0: with u = 0 the check is the least-squares certificate
@@ -544,6 +541,8 @@ def _trials(e, omegas, coeffs, opts, verdicts: bool):
                 keep = ~certified
                 block, op, sub = block[keep], op.take(keep), sub.take(keep)
         if block.size:
+            # measured only now: a trial certified at iteration 0 needs no y
+            op.y = op.forward(coeffs[block])
             res, early = _solve(op, 1.0, *opts, None if floor is None else floor[block], sub)
             route[block[early == _DESCENT]] = "descent"
             route[block[early == _CERTIFIED]] = "dual"

@@ -2,13 +2,16 @@
 
 These deliberately avoid the code paths they verify: the sphere oracle never
 enumerates sign patterns, the LP oracle solves the split linear program by
-basic-solution enumeration, and the spiral reference walks ring by ring.
+basic-solution enumeration, the spiral reference walks ring by ring, and the
+Monte-Carlo validator loops draw and reduce one trial at a time.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from groupcs.grouping import draw_bernoulli
 
 
 def norm_2to1_sphere_oracle(m, rng, samples=200000, polish_iters=200, starts=50):
@@ -75,6 +78,31 @@ def spiral_order_reference(rows, cols):
             for row in reversed(grid):
                 out.append(row.pop(0))
     return np.asarray(out, dtype=np.int64)
+
+
+def gram_deviations_loop(e, t, gs, m, trials, rng):
+    """Spectral deviation of (N/m) A_{omega,T}^H A_{omega,T} from I, one
+    ``draw_bernoulli`` trial at a time."""
+    eye = np.eye(len(t))
+    deviations = np.empty(trials)
+    for i in range(trials):
+        at = e.a[np.ix_(draw_bernoulli(gs, m, rng).omega, t.indices)]
+        y = (e.n / m) * (at.conj().T @ at) - eye
+        deviations[i] = float(np.max(np.abs(np.linalg.eigvalsh(y))))
+    return deviations
+
+
+def cross_row_energy_loop(e, t, gs, m, t0, trials, rng):
+    """Mean squared norm of the centred row t0 of A_omega^H A_{omega,T}, one
+    ``draw_bernoulli`` trial at a time."""
+    a_t0, a_t = e.a[:, t0].conj(), e.a[:, t.indices]
+    mean_row = (m / e.n) * (a_t0 @ a_t)
+    acc = 0.0
+    for _ in range(trials):
+        omega = draw_bernoulli(gs, m, rng).omega
+        row = a_t0[omega] @ a_t[omega] - mean_row
+        acc += float(np.real(np.vdot(row, row)))
+    return acc / trials
 
 
 def hadamard_matrix(n):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from groupcs import bounds
 from groupcs.bounds import (
     BoundQuery,
     bound_gram,
@@ -14,6 +16,8 @@ from groupcs.bounds import (
 from groupcs.grouping import draw_bernoulli, rect_2d, strided_1d
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import cross_gram
+
+from oracles import cross_row_energy_loop, gram_deviations_loop
 
 
 def _dft_ensemble(n):
@@ -162,6 +166,44 @@ def test_cross_row_energy_linear_scaling_in_small_m_regime():
     assert means[2] / means[1] == pytest.approx(2.0, rel=0.2)
 
 
+def _validator_case(kind):
+    if kind == "dft":
+        e, gs = _dft_ensemble(64), strided_1d(64, 4)
+        t = SupportSet(np.array([2, 3, 17, 40]))
+    else:
+        e = make_ensemble(make_basis("identity", 256), make_basis("haar2d", rows=16, cols=16))
+        gs = rect_2d(16, 16, 4)
+        t = SupportSet(np.array([0, 1, 16, 17, 90]))
+    return e, gs, t
+
+
+# _CHUNK_ENTRIES: the default takes these cases in one chunk of trials and
+# one span of groups; 160 splits both the trials and the groups; 1 takes one
+# trial and one group at a time
+_CHUNKS = [bounds._CHUNK_ENTRIES, 160, 1]
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_gram_concentration_matches_trial_loop(kind, monkeypatch):
+    e, gs, t = _validator_case(kind)
+    trials = 37
+    # m=4 leaves about a third of the draws empty; m=N selects every group
+    for chunk, m in itertools.product(_CHUNKS, (4, 32, e.n)):
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", chunk)
+        rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        stats = validate_gram_concentration(e, t, gs, m, trials, rng)
+        ref = gram_deviations_loop(e, t, gs, m, trials, rng_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # relative to the larger of the deviation and |I| = 1: at m=N the
+        # deviation is rounding noise of an exact zero
+        assert np.all(np.abs(stats.deviations - ref) <= 1e-12 * np.maximum(ref, 1.0))
+        assert stats.fail_rate == np.mean(ref >= 0.5)
+        rng_sizes = np.random.default_rng(9)
+        empty = np.array([draw_bernoulli(gs, m, rng_sizes).m == 0 for _ in range(trials)])
+        assert empty.any() == (m == 4)
+        assert np.all(stats.deviations[empty] == 1.0)
+
+
 def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):
     # the previous formula: build the full N x |T| cross-Gram and read row t0
     mean_row = (m / e.n) * cross_gram(e.a, t)[t0]
@@ -173,18 +215,21 @@ def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):
 
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])
-def test_cross_row_energy_matches_full_cross_gram(kind):
-    if kind == "dft":
-        e, gs = _dft_ensemble(64), strided_1d(64, 4)
-        t = SupportSet(np.array([2, 3, 17, 40]))
-    else:
-        e = make_ensemble(make_basis("identity", 256), make_basis("haar2d", rows=16, cols=16))
-        gs = rect_2d(16, 16, 4)
-        t = SupportSet(np.array([0, 1, 16, 17, 90]))
+def test_cross_row_energy_matches_full_cross_gram(kind, monkeypatch):
+    e, gs, t = _validator_case(kind)
     t0 = int(t.complement(e.n)[5])
-    empirical, _ = validate_cross_row_energy(
-        e, t, gs, 32, t0, 200, np.random.default_rng(8), gamma_value=1.0
-    )
-    ref = _cross_row_energy_full_gram(e, t, gs, 32, t0, 200, np.random.default_rng(8))
-    assert ref > 0
-    assert empirical == pytest.approx(ref, rel=1e-12)
+    # m=4 leaves about a third of the draws empty
+    for chunk, (m, trials) in itertools.product(_CHUNKS, ((32, 200), (4, 37))):
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(8)
+        empirical, _ = validate_cross_row_energy(
+            e, t, gs, m, t0, trials, rng, gamma_value=1.0
+        )
+        rng_ref = np.random.default_rng(8)
+        ref = _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng_ref)
+        loop = cross_row_energy_loop(e, t, gs, m, t0, trials, np.random.default_rng(8))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert ref > 0
+        assert empirical == pytest.approx(ref, rel=1e-12)
+        assert empirical == pytest.approx(loop, rel=1e-12)
+

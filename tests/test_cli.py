@@ -329,10 +329,8 @@ _FUZZ_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES), min_size=1, max_size=3))
-def test_config_fuzz_exits_0_or_2(mutations):
-    cfg = copy.deepcopy(_SWEEP_BASE)
+def _fuzz_exit_code(command, base, mutations):
+    cfg = copy.deepcopy(base)
     for path, value in mutations:
         _set_path(cfg, path, value)
     with tempfile.TemporaryDirectory() as tmp:
@@ -340,8 +338,60 @@ def test_config_fuzz_exits_0_or_2(mutations):
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
-    assert code in (0, 2), err.getvalue()
+            code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES), min_size=1, max_size=3))
+def test_config_fuzz_exits_0_or_2(mutations):
+    code, err = _fuzz_exit_code(["sweep"], _SWEEP_BASE, mutations)
+    assert code in (0, 2), err
+
+
+_VALIDATE_BASE = {
+    "ensemble": {"n": 16, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+    "structure": {"kind": "strided1d", "g": 4},
+    "support": {"model": "unrestricted", "k": 2},
+    "validate": {"m": 8, "m_grid": [4, 8], "trials": 5, "t0": None},
+    "seeds": {"master": 3},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["gram", "crossrow"]),
+    st.lists(
+        st.tuples(st.sampled_from([("validate", k) for k in ("m", "m_grid", "trials", "t0")]),
+                  _FUZZ_VALUES),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_validate_config_fuzz_exits_0_or_2(target, mutations):
+    code, err = _fuzz_exit_code(["validate", target], _VALIDATE_BASE, mutations)
+    assert code in (0, 2) and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "target, key, value, message",
+    [
+        ("gram", "trials", 0, "trials=0"),
+        ("gram", "trials", -3, "trials=-3"),
+        ("crossrow", "trials", 0, "trials=0"),
+        ("crossrow", "trials", -3, "trials=-3"),
+        ("crossrow", "t0", -1, "t0=-1"),
+        ("crossrow", "t0", 16, "t0=16"),
+    ],
+)
+def test_validate_rejects_trials_and_t0(tmp_path, capsys, target, key, value, message):
+    cfg = copy.deepcopy(_VALIDATE_BASE)
+    cfg["validate"][key] = value
+    code, out, err = run_cli(
+        ["validate", target, "--config", write_config(tmp_path, "bad.json", cfg)], capsys
+    )
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_support_indices_mode(tmp_path, capsys):

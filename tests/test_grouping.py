@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcs.grouping import (
+    bernoulli_selections,
     contiguous_1d,
     draw_bernoulli,
     draw_uniform,
@@ -235,3 +236,28 @@ def test_draw_bernoulli():
     assert abs(sizes.mean() - mean) <= 3 * (var / draws) ** 0.5
     with pytest.raises(ValueError):
         draw_bernoulli(gs, 17, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gs=st.sampled_from(ALL_GENERATORS),
+    eighths=st.integers(0, 8),
+    trials=st.integers(0, 40),
+    cut=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bernoulli_selections_are_successive_draws(gs, eighths, trials, cut, seed):
+    # row i is the selection of the i-th of `trials` draw_bernoulli calls, the
+    # generator ends in the same state, and drawing the rows in two chunks
+    # (cut anywhere) gives the same rows and state again
+    m = eighths * gs.n // 8
+    rng_rows, rng_draws, rng_chunks = (np.random.default_rng(seed) for _ in range(3))
+    sel = bernoulli_selections(gs, m, trials, rng_rows)
+    assert sel.shape == (trials, gs.n_groups) and sel.dtype == bool
+    for row in sel:
+        assert np.array_equal(np.flatnonzero(row), draw_bernoulli(gs, m, rng_draws).selected_groups)
+    assert rng_rows.bit_generator.state == rng_draws.bit_generator.state
+    cut = min(cut, trials)
+    chunks = [bernoulli_selections(gs, m, size, rng_chunks) for size in (cut, trials - cut)]
+    assert np.array_equal(np.concatenate(chunks), sel)
+    assert rng_chunks.bit_generator.state == rng_rows.bit_generator.state
