@@ -90,6 +90,13 @@ def _number(value, name: str, kind=int):
     return kind(value)
 
 
+def _flag(section: dict, key: str, where: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _optional_int(section: dict, key: str, where: str):
     value = section.get(key)
     return None if value is None else _number(value, f"{where}.{key}")
@@ -172,6 +179,7 @@ def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> G
     _check_keys(spec, _STRUCT_KEYS, "structure")
     kind = _kind(spec, "structure")
     g = _number(_require(spec, "g", "structure"), "structure.g") if kind != "singletons" else 1
+    cyclic = _flag(spec, "cyclic", "structure", False)
     need_2d = kind in ("vlines2d", "hlines2d", "rect2d", "spiral2d", "max_manhattan2d")
     if need_2d and (rows is None or cols is None):
         raise ConfigError(f"structure {kind} needs ensemble rows/cols")
@@ -188,7 +196,7 @@ def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> G
     if kind == "rect2d":
         return rect_2d(rows, cols, g)
     if kind == "spiral2d":
-        return spiral_2d(rows, cols, g, cyclic=bool(spec.get("cyclic", False)))
+        return spiral_2d(rows, cols, g, cyclic=cyclic)
     if kind == "max_manhattan2d":
         return max_manhattan_2d(rows, cols, g)
     if kind == "random":
@@ -261,26 +269,37 @@ def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConf
     if step is not None and step < 1:
         raise ConfigError(f"sweep.step must be positive, got {step}")
     grid = section.get("m_grid")
-    return SweepConfig(
+    fields = dict(
         m_grid=tuple(_int_list(grid, "sweep.m_grid") if grid else default_m_grid(n, g, step)),
         trials_per_m=_number(section.get("trials_per_m", 100), "sweep.trials_per_m"),
         success_nre=_number(section.get("success_nre", 1e-3), "sweep.success_nre", float),
         success_quota=_number(section.get("success_quota", 0.99), "sweep.success_quota", float),
         master_seed=master_seed,
         step=step,
-        fresh_coefficients=bool(section.get("fresh_coefficients", True)),
-        early_stop=bool(section.get("early_stop", True)),
+        fresh_coefficients=_flag(section, "fresh_coefficients", "sweep", True),
+        early_stop=_flag(section, "early_stop", "sweep", True),
     )
+    return _checked(SweepConfig, fields, "sweep")
 
 
 def build_solver(cfg: dict) -> SolverOptions:
     section = cfg.get("solver", {})
     _check_keys(section, _SOLVER_KEYS, "solver")
-    return SolverOptions(
+    fields = dict(
         tol_feas=_number(section.get("tol_feas", 1e-8), "solver.tol_feas", float),
         tol_obj=_number(section.get("tol_obj", 1e-6), "solver.tol_obj", float),
         max_iters=_number(section.get("max_iters", 20000), "solver.max_iters"),
     )
+    return _checked(SolverOptions, fields, "solver")
+
+
+def _checked(cls, fields: dict, where: str):
+    """cls(**fields); its ValueError, which starts with the field name,
+    becomes a ConfigError naming the key."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def master_seed_of(cfg: dict, override: int | None) -> int:

@@ -29,7 +29,7 @@ from .operators import (
 from .recovery import (
     VERDICT_ROUTES,
     RecoveryResult,
-    basis_pursuit_or_descent,
+    TrialPool,
     basis_pursuit_trials,
     nre,
 )
@@ -183,13 +183,19 @@ class SweepConfig:
         grid = tuple(int(m) for m in self.m_grid)
         object.__setattr__(self, "m_grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("m grid must be nonempty and strictly ascending")
+            raise ValueError("m_grid must be nonempty and strictly ascending")
         if not 0 < self.success_quota <= 1:
-            raise ValueError("success quota must lie in (0, 1]")
+            raise ValueError(f"success_quota must lie in (0, 1], got {self.success_quota!r}")
+        _check_tolerance("success_nre", self.success_nre)
         if self.trials_per_m < 1:
             raise ValueError("trials_per_m must be positive")
         if self.step is not None and any(m % self.step for m in grid):
-            raise ValueError(f"every grid value must be a multiple of step={self.step}")
+            raise ValueError(f"step must divide every grid value, got step={self.step}")
+
+
+def _check_tolerance(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def default_m_grid(n: int, g: int, step: int | None = None) -> tuple[int, ...]:
@@ -235,6 +241,12 @@ class SolverOptions:
     tol_feas: float = 1e-8
     tol_obj: float = 1e-6
     max_iters: int = 20000
+
+    def __post_init__(self):
+        _check_tolerance("tol_feas", self.tol_feas)
+        _check_tolerance("tol_obj", self.tol_obj)
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 def _draw_trials(
@@ -313,25 +325,73 @@ def trial_verdicts(
     """Success of each trial and the route that decided it, one of
     ``VERDICT_ROUTES``.
 
-    Trials are drawn as in ``run_trials`` and decided together by
-    ``recovery.basis_pursuit_or_descent``, which stops each trial at the
-    first proof: "rank_deficient" (a failure: the true coefficients are not
-    an l1 minimizer), "certified" (a success: the least-squares dual
-    certificate proves they are the unique minimizer, with no iteration),
-    "dual" (a success: a certificate built from the ADMM dual iterate proves
-    it), or "descent" (a failure: an iterate proves a feasible point of
-    smaller l1 norm).  A proved verdict holds even where ``run_trials``
-    would exhaust its iteration budget.  The other trials are "solved" and
-    succeed when the normalized error is at most ``success_nre``.
+    Trials are drawn as in ``run_trials`` and decided together in a
+    ``recovery.TrialPool``, which stops each trial at the first proof, as
+    ``recovery.basis_pursuit_or_descent`` does: "rank_deficient" (a failure:
+    the true coefficients are not an l1 minimizer), "certified" (a success:
+    the least-squares dual certificate proves they are the unique minimizer,
+    with no iteration), "dual" (a success: a certificate built from the ADMM
+    dual iterate proves it), or "descent" (a failure: an iterate proves a
+    feasible point of smaller l1 norm).  A proved verdict holds even where
+    ``run_trials`` would exhaust its iteration budget.  The other trials are
+    "solved" and succeed when the normalized error is at most
+    ``success_nre``.
     """
+    request = _verdicts(
+        e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre
+    )
+    return _drive(e, [request], solver)[0]
+
+
+def _verdicts(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
+    """Request of ``trial_verdicts`` for ``_drive``: yields the drawn rows and
+    coefficients of the trials, receives their results and routes, and
+    returns the verdicts."""
+    if len(trials) == 0:
+        return []
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
-    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, **_solver_kwargs(solver))
+    results, routes = yield omegas, coeffs
     # by unitarity of the sparsity basis this equals the signal-domain error
     return [
         (route in ("certified", "dual") or (route == "solved" and nre(c, r.c_hat) <= success_nre),
-         str(route))
+         route)
         for c, r, route in zip(coeffs, results, routes)
     ]
+
+
+def _drive(e: MeasurementEnsemble, requests: list, solver: SolverOptions | None) -> list:
+    """Run request generators in one ``recovery.TrialPool`` and return what
+    each returns.
+
+    A request yields one chunk of trials at a time, (rows, coefficients),
+    and receives their (results, routes) once every trial of the chunk is
+    decided; it yields its next chunk only then.  The pool admits that chunk
+    at its next admission tick, so the chunks of many requests run in one
+    block, and a trial's result does not depend on the requests beside it.
+    """
+    pool = TrialPool(e, verdicts=True, **_solver_kwargs(solver))
+    out = [None] * len(requests)
+    chunks = {}  # request -> [results, routes, trials still open]
+
+    def send(i, value):
+        try:
+            omegas, coeffs = requests[i].send(value)
+        except StopIteration as stop:
+            out[i] = stop.value
+        else:
+            chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs)]
+            pool.submit(i, omegas, coeffs)
+
+    for i in range(len(requests)):
+        send(i, None)
+    while pool.busy:
+        for i, j, result, route in pool.advance():
+            chunk = chunks[i]
+            chunk[0][j], chunk[1][j] = result, route
+            chunk[2] -= 1
+            if chunk[2] == 0:
+                send(i, tuple(chunk[:2]))
+    return out
 
 
 _FIRST_CHUNK, _MAX_CHUNK = 2, 32
@@ -359,8 +419,8 @@ def find_min_m(
 ) -> MinMResult:
     """First grid value whose success quota is met; None when all saturate.
 
-    Trials at each m are decided by ``trial_verdicts`` in chunks of 2, 4, 8,
-    16, 32, 32, ... trials.  With ``early_stop`` a grid value is abandoned
+    Trials at each m are decided as by ``trial_verdicts`` in chunks of 2, 4,
+    8, 16, 32, 32, ... trials.  With ``early_stop`` a grid value is abandoned
     after the first chunk at which the quota is arithmetically decided.  A
     trial's verdict does not depend on its chunk, so the success indicator is
     exactly the one of a trial-by-trial loop; ``executed`` (and ``successes``
@@ -368,6 +428,11 @@ def find_min_m(
     the same chunk.  ``threads`` is accepted for compatibility and has no
     effect.
     """
+    return _drive(e, [_sweep(e, gs, t, c0, cfg)], solver)[0]
+
+
+def _sweep(e, gs, t, c0, cfg: SweepConfig):
+    """Request of ``find_min_m`` for ``_drive``; returns the MinMResult."""
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
     if cfg.m_grid[0] < gs.g or cfg.m_grid[-1] > gs.n:
@@ -375,23 +440,15 @@ def find_min_m(
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
     allowed_failures = cfg.trials_per_m - needed
     per_m = []
-    m_min = None
     for m in cfg.m_grid:
         successes = executed = 0
         routes = dict.fromkeys(VERDICT_ROUTES, 0)
         for chunk in _trial_chunks(cfg.trials_per_m):
-            for ok, route in trial_verdicts(
-                e,
-                gs,
-                t,
-                c0,
-                m,
-                chunk,
-                master_seed=cfg.master_seed,
-                fresh_coefficients=cfg.fresh_coefficients,
-                success_nre=cfg.success_nre,
-                solver=solver,
-            ):
+            verdicts = yield from _verdicts(
+                e, gs, t, c0, m, chunk,
+                cfg.master_seed, cfg.fresh_coefficients, cfg.success_nre,
+            )
+            for ok, route in verdicts:
                 successes += ok
                 routes[route] += 1
             executed += len(chunk)
@@ -403,9 +460,8 @@ def find_min_m(
         success = successes >= needed
         per_m.append(MStats(m, successes, executed, success, **routes))
         if success:
-            m_min = m
-            break
-    return MinMResult(m_min, tuple(per_m))
+            return MinMResult(m, tuple(per_m))
+    return MinMResult(None, tuple(per_m))
 
 
 @dataclass(frozen=True)
@@ -439,31 +495,32 @@ def scatter_gamma_vs_m(
 ) -> list[SweepRecord]:
     """One record per (structure, support): penalty factor, minimal M, and the
     size-1-group baseline M0 computed with the identical protocol.
+
+    Every penalty factor is computed first.  Then the baseline sweep of each
+    support and the sweep of each other (structure, support) run together
+    in one pool (``_drive``), so one sweep's slow trials iterate beside the
+    next chunks of the others; each sweep's result is the one it gets alone.
     ``threads`` is accepted for compatibility and has no effect."""
     base = singletons(e.n)
-    records = []
-    m0_cache: dict[str, int | None] = {}
+    gammas = [[penalty_gamma(e, sup.t, gs, mode, seed=gamma_seed) for gs in structures]
+              for sup in supports]
+    baseline = {}  # one baseline sweep per support descriptor
     for sup in supports:
-        if sup.descriptor not in m0_cache:
-            m0_cache[sup.descriptor] = find_min_m(
-                e, base, sup.t, sup.c0, cfg, solver=solver, threads=threads
-            ).m_min
-        m0 = m0_cache[sup.descriptor]
-        for gs in structures:
-            est = penalty_gamma(e, sup.t, gs, mode, seed=gamma_seed)
-            if gs.label == base.label:
-                m_min = m0
-            else:
-                m_min = find_min_m(
-                    e, gs, sup.t, sup.c0, cfg, solver=solver, threads=threads
-                ).m_min
+        baseline.setdefault(sup.descriptor, sup)
+    jobs = [(base, sup) for sup in baseline.values()]
+    jobs += [(gs, sup) for sup in supports for gs in structures if gs.label != base.label]
+    results = iter(_drive(e, [_sweep(e, gs, sup.t, sup.c0, cfg) for gs, sup in jobs], solver))
+    m0 = {descriptor: next(results).m_min for descriptor in baseline}
+    records = []
+    for sup, row in zip(supports, gammas):
+        for gs, est in zip(structures, row):
             records.append(
                 SweepRecord(
                     structure_label=gs.label,
                     support_descriptor=sup.descriptor,
                     gamma=est,
-                    m_min=m_min,
-                    m0=m0,
+                    m_min=m0[sup.descriptor] if gs.label == base.label else next(results).m_min,
+                    m0=m0[sup.descriptor],
                     trials=cfg.trials_per_m,
                     seed=cfg.master_seed,
                 )
@@ -490,22 +547,19 @@ def success_rate(
     ``structure=None`` samples m rows uniformly at random (no grouping);
     otherwise whole groups are drawn.  Returns (successes, trials).
     """
-    successes = 0
-    for chunk in _trial_chunks(trials):
-        verdicts = trial_verdicts(
-            e,
-            structure,
-            t,
-            c0,
-            m,
-            chunk,
-            master_seed=master_seed,
-            fresh_coefficients=fresh_coefficients,
-            success_nre=success_nre,
-            solver=solver,
-        )
-        successes += sum(ok for ok, _ in verdicts)
-    return successes, trials
+    verdicts = trial_verdicts(
+        e,
+        structure,
+        t,
+        c0,
+        m,
+        range(trials),
+        master_seed=master_seed,
+        fresh_coefficients=fresh_coefficients,
+        success_nre=success_nre,
+        solver=solver,
+    )
+    return sum(ok for ok, _ in verdicts), trials
 
 
 _CSV_COLUMNS = (

@@ -5,18 +5,19 @@ The solver is an alternating-direction splitting of
     min ||c||_1   s.t.   A_omega c = y
 
 into an affine projection step, a complex soft-threshold step, and a dual
-update.  One loop serves three entry points.  ``basis_pursuit_trials`` solves
-a block of sweep trials at once, each measuring a row subset of a unitary
-ensemble, so the projection needs no Gram solve; the unitary 1-D DFT is
-applied by FFT (O(N log N) per iteration), any other ensemble by its
-gathered rows (O(MN)).  ``basis_pursuit_or_descent`` does the same for sweep
-verdicts and stops a trial as soon as a proof decides it: the rank rule or
-a dual certificate built from the ADMM dual iterate (a success), or a
-feasible iterate with a smaller l1 norm than the true coefficients (a
-failure).  ``basis_pursuit`` solves one
-user-supplied problem and keeps a factorized Gram fallback for rows that
-are not orthonormal.  Every result is a deterministic function of its own
-trial's inputs.
+update.  One step over the live rows of a block serves every entry point.
+``TrialPool`` is a continuously refilled block of trials, each measuring a
+row subset of a unitary ensemble, so the projection needs no Gram solve;
+the unitary 1-D DFT is applied by FFT (O(N log N) per iteration), any other
+ensemble by its gathered rows (O(MN)).  Trials join it between runs of
+``_CHECK_EVERY`` iterations and leave when they stop.  With verdicts it stops
+a trial as soon as a proof decides it: the rank rule or a dual certificate
+built from the ADMM dual iterate (a success), or a feasible iterate with a
+smaller l1 norm than the true coefficients (a failure).
+``basis_pursuit_trials`` and ``basis_pursuit_or_descent`` submit one block
+of trials to a pool.  ``basis_pursuit`` solves one user-supplied problem
+and keeps a factorized Gram fallback for rows that are not orthonormal.
+Every result is a deterministic function of its own trial's inputs.
 
 ``proved_recovery`` decides a trial without a solve where a proof does: the
 dual certificate proves that the true coefficients are the unique minimizer;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +139,13 @@ class _MaskedDft:
         w *= self.mask
         return w
 
-    def take(self, keep: np.ndarray) -> "_MaskedDft":
+    def __getitem__(self, keep) -> "_MaskedDft":
         return _MaskedDft(self.mask[keep], None if self.y is None else self.y[keep])
+
+    def join(self, other: "_MaskedDft") -> "_MaskedDft":
+        return _MaskedDft(
+            np.concatenate((self.mask, other.mask)), np.concatenate((self.y, other.y))
+        )
 
 
 class _GatheredRows:
@@ -165,9 +172,15 @@ class _GatheredRows:
             return np.matmul(r.conj()[:, None, :], self.rows)[:, 0, :].conj()
         return np.matmul(r[:, None, :], self.rows)[:, 0, :]
 
-    def take(self, keep: np.ndarray) -> "_GatheredRows":
+    def __getitem__(self, keep) -> "_GatheredRows":
         y = None if self.y is None else self.y[keep]
         return _GatheredRows(self.rows[keep], y, self.solve_gram)
+
+    def join(self, other: "_GatheredRows") -> "_GatheredRows":
+        # rows of one m; only single-problem blocks carry solve_gram, and they never join
+        return _GatheredRows(
+            np.concatenate((self.rows, other.rows)), np.concatenate((self.y, other.y))
+        )
 
 
 def _project(op, v: np.ndarray) -> np.ndarray:
@@ -192,15 +205,18 @@ class _SupportProof:
     """What the verdict proofs need of each trial's support submatrix.
 
     Per row b, with S = supp(c_b), z = sign(c_b on S) and A_S = A[omega_b, S]:
-    ``idx`` holds S and ``sign`` holds z, padded to the largest |S| of the
-    block by repeating their first entry; ``ginv`` holds
-    G^{-1} = (A_S^H A_S)^{-1}, zero outside the leading |S| x |S| block, so
-    the padding carries no weight; ``valid`` marks the rows with
-    sigma_min(A_S) > 1e-5, the only rows a certificate can hold for.
+    ``size`` holds |S|; ``idx`` holds S and ``sign`` holds z, padded to the
+    largest |S| of the block by repeating one of their entries; ``ginv`` holds
+    G^{-1} = (A_S^H A_S)^{-1}, zero outside the leading |S| x |S| block;
+    ``valid`` marks the rows with sigma_min(A_S) > 1e-5, the only rows a
+    certificate can hold for.  G^{-1} is applied to each row's leading |S|
+    entries only, so the padding changes no bit of a row's check.
     """
 
-    def __init__(self, n, idx, sign, ginv, valid):
-        self.n, self.idx, self.sign, self.ginv, self.valid = n, idx, sign, ginv, valid
+    def __init__(self, n, size, idx, sign, ginv, valid):
+        self.n, self.size, self.idx, self.sign = n, size, idx, sign
+        self.ginv, self.valid = ginv, valid
+        self.sizes = np.unique(size[valid])  # the |S| a certificate can hold for
 
     @classmethod
     def factor(cls, a: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray):
@@ -246,12 +262,27 @@ class _SupportProof:
             r_inv = np.linalg.inv(r[good])
             ginv[rows[good], :k, :k] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
             valid[rows[good]] = True
-        return cls(coeffs.shape[1], idx, sign, ginv, valid), refuted
+        return cls(coeffs.shape[1], sizes, idx, sign, ginv, valid), refuted
 
-    def take(self, keep: np.ndarray) -> "_SupportProof":
+    def __getitem__(self, keep) -> "_SupportProof":
         return _SupportProof(
-            self.n, self.idx[keep], self.sign[keep], self.ginv[keep], self.valid[keep]
+            self.n, self.size[keep], self.idx[keep], self.sign[keep], self.ginv[keep],
+            self.valid[keep],
         )
+
+    def join(self, other: "_SupportProof") -> "_SupportProof":
+        k = max(self.idx.shape[1], other.idx.shape[1])
+        parts = [p._widen(k) for p in (self, other)]
+        return _SupportProof(self.n, *(np.concatenate(f) for f in zip(*parts)))
+
+    def _widen(self, k: int):
+        """The fields padded to width k with duplicates of a support entry
+        (zeros in a block without supports, whose rows are not valid)."""
+        w = self.idx.shape[1]
+        mode = "edge" if w else "constant"
+        idx, sign = (np.pad(x, ((0, 0), (0, k - w)), mode=mode) for x in (self.idx, self.sign))
+        ginv = np.pad(self.ginv, ((0, 0), (0, k - w), (0, k - w)))
+        return self.size, idx, sign, ginv, self.valid
 
     def holds(self, op, pi: np.ndarray | None = None) -> np.ndarray:
         """Whether the dual candidate pi (None: zero) yields a certificate.
@@ -271,8 +302,15 @@ class _SupportProof:
         if pi is not None:
             r = op.forward(pi)
             step = step - op.adjoint(r)[row, self.idx]
-        v = np.zeros((len(self.idx), self.n), dtype=np.result_type(step, self.ginv))
-        np.add.at(v, (row, self.idx), np.matmul(self.ginv, step[:, :, None])[:, :, 0])
+        if len(self.sizes) == 1 and self.sizes[0] == self.idx.shape[1]:  # no valid row padded
+            q = np.matmul(self.ginv, step[:, :, None])[:, :, 0]
+        else:
+            q = np.zeros(self.idx.shape, dtype=np.result_type(step, self.ginv))
+            for k in self.sizes:
+                rows = np.flatnonzero(self.size == k)
+                q[rows, :k] = np.matmul(self.ginv[rows, :k, :k], step[rows, :k, None])[:, :, 0]
+        v = np.zeros((len(self.idx), self.n), dtype=q.dtype)
+        np.add.at(v, (row, self.idx), q)
         w = op.forward(v)
         if pi is not None:
             w += r
@@ -283,127 +321,134 @@ class _SupportProof:
         return self.valid & (on <= 1e-8) & (off <= 1.0 - 1e-9)
 
 
-_DESCENT, _CERTIFIED = 1, 2  # how _admm stopped a row early
+class _Block:
+    """Live ADMM rows that share one operator: masked DFT rows of any m, or
+    gathered rows of one m.
 
-
-def _admm(
-    op, kappa: np.ndarray, stop_tol: float, max_iters: int, z: np.ndarray, floor=None, proof=None
-):
-    """Iterate every row of the block from z (zeros) until it passes the stop
-    test; a stopped row is frozen and removed from the block.
-
-    With ``floor`` (one l1 norm per row), a row that has not converged also
-    stops on descent: when its feasible projection x = c of this iteration
-    has ||x||_1 + sqrt(N) ||A x - y||_2 < floor.  Then x - A^H (A x - y),
-    which meets the constraints exactly (the rows of A are orthonormal), has
-    an l1 norm below the floor.  The residual is computed for the rows with
-    ||x||_1 < floor only.  Such a row returns x in place of z.
-
-    With ``proof`` (a ``_SupportProof``), every ``_CHECK_EVERY``-th iteration
-    also tests the scaled dual iterate u / kappa, which lies in the unit
-    ball, as a certificate candidate; a row it certifies stops, whatever the
-    other tests say.
-
-    Returns the final z, the iteration count, the convergence flag and the
-    early stop per row (0, ``_DESCENT`` or ``_CERTIFIED``).  Every operation
-    acts row by row, so a row's iterates do not depend on the other rows of
-    the block.
+    Each row carries its own iterate z, scaled dual u, threshold kappa and
+    iteration count, the trial it belongs to (``tag``, ``j``) and its stop
+    data: with verdicts, the descent floor (one l1 norm) and the support
+    proof (a ``_SupportProof``), else None.  Every operation acts row by row,
+    so rows join and leave without changing each other's iterates.
     """
-    z_out = np.empty_like(z)
-    iterations = np.full(len(z), max_iters)
-    converged = np.zeros(len(z), dtype=bool)
-    early = np.zeros(len(z), dtype=np.int8)
-    live = np.arange(len(z))
-    u = np.zeros_like(z)
-    root_n = math.sqrt(z.shape[1])
-    # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
-    terms = np.empty((4,) + z.shape, dtype=z.dtype)
-    for it in range(1, max_iters + 1):
+
+    _PER_ROW = ("op", "proof", "tag", "j", "floor", "y_norm", "kappa", "z", "u", "it")
+
+    def __init__(self, op, norm_a: float, tag, j, floor=None, proof=None):
+        self.op, self.proof, self.tag, self.j, self.floor = op, proof, tag, j, floor
+        self.y_norm = _row_norm(op.y)
+        backprojection = op.adjoint(op.y)
+        coeff_scale = np.max(np.abs(backprojection), axis=1)
+        rho = _RHO0 * max(norm_a, 1e-12) ** 2 / np.maximum(coeff_scale, 1e-300)
+        # kappa > 0 keeps the soft-threshold quotient defined
+        self.kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
+        self.z = np.zeros_like(backprojection)
+        self.u = np.zeros_like(backprojection)
+        self.it = np.zeros(len(self.z), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.it)
+
+    def _keep(self, keep: np.ndarray):
+        for name in self._PER_ROW:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def join(self, other: "_Block"):
+        for name in self._PER_ROW:
+            value = getattr(self, name)
+            if value is not None:
+                new = getattr(other, name)
+                if name in ("op", "proof"):
+                    setattr(self, name, value.join(new))
+                else:
+                    setattr(self, name, np.concatenate((value, new)))
+
+    def leave(self, stop: np.ndarray, z: np.ndarray, converged, routes) -> list:
+        """Remove the rows ``stop``, each with its final z, and return them as
+        (tag, j, result, route).  The result reports the feasible point
+        z - A^H (A z - y)."""
+        op, y_norm = self.op[stop], self.y_norm[stop]
+        c_hat = _project(op, z[stop])
+        feas = np.divide(
+            _row_norm(op.residual(c_hat)), y_norm, out=np.zeros_like(y_norm), where=y_norm > 0
+        )
+        objective = np.sum(np.abs(c_hat), axis=1)
+        out = [
+            (tag, j, RecoveryResult(c, float(f), float(o), int(i), bool(ok)), str(route))
+            for tag, j, c, f, o, i, ok, route in zip(
+                self.tag[stop], self.j[stop], c_hat, feas, objective, self.it[stop],
+                np.broadcast_to(converged, stop.shape)[stop],
+                np.broadcast_to(routes, stop.shape)[stop],
+            )
+        ]
+        self._keep(~stop)
+        return out
+
+    def run(self, stop_tol: float, max_iters: int) -> list:
+        """``_CHECK_EVERY`` iterations, the last with the certificate check,
+        or fewer when every row stops; returns the rows that stop.  Rows join
+        a block only between runs, so every row's checks fall on its own
+        iterations 8, 16, ..."""
+        stopped = []
+        for tick in range(1, _CHECK_EVERY + 1):
+            stopped += self.step(stop_tol, max_iters, check=tick == _CHECK_EVERY)
+            if not len(self):
+                break
+        return stopped
+
+    def step(self, stop_tol: float, max_iters: int, check: bool) -> list:
+        """One iteration of every row; the rows that stop leave the block and
+        are returned as by ``leave``.
+
+        A row stops when its iterates pass the stop test (converged), after
+        ``max_iters`` iterations, or on a proof (verdicts only):
+
+        - "descent": a row that has not converged stops when its feasible
+          projection x = c of this iteration has ||x||_1 + sqrt(N)
+          ||A x - y||_2 below its floor.  Then x - A^H (A x - y), which meets
+          the constraints exactly (the rows of A are orthonormal), has an l1
+          norm below the floor.  The residual is computed for the rows with
+          ||x||_1 < floor only.  Such a row returns x in place of z.
+        - "dual": with ``check`` set, the scaled dual iterate u / kappa, which
+          lies in the unit ball, is tested as a certificate candidate; a row
+          it certifies stops, whatever the other tests say.
+        """
+        op, z, u, kappa = self.op, self.z, self.u, self.kappa
+        self.it += 1
         c = _project(op, z - u)
         c_relaxed = _RELAX * c
         c_relaxed += (1.0 - _RELAX) * z
         z_new = _soft_threshold(c_relaxed + u, kappa)
         u += c_relaxed
         u -= z_new
+        # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
+        terms = np.empty((4,) + z.shape, dtype=z.dtype)
         np.subtract(z_new, z, out=terms[0])
         np.subtract(c, z_new, out=terms[1])
         terms[2] = z_new
         terms[3] = c
         step, split, z_norm, c_norm = _row_norm(terms)
-        z = z_new
+        self.z = z = z_new
         tol = stop_tol * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
         done = np.maximum(split, step) <= tol
         fell = np.zeros_like(done)
-        if floor is not None:
+        if self.floor is not None:
             l1 = np.add.reduce(np.abs(c), axis=1)
-            below = (l1 < floor) & ~done
+            below = (l1 < self.floor) & ~done
             if below.any():
-                r_norm = _row_norm(op.take(below).residual(c[below]))
-                fell[below] = l1[below] + root_n * r_norm < floor[below]
+                r_norm = _row_norm(op[below].residual(c[below]))
+                fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < self.floor[below]
         proved = np.zeros_like(done)
-        if proof is not None and it % _CHECK_EVERY == 0:
-            proved = proof.holds(op, u / kappa)
+        if self.proof is not None and check:
+            proved = self.proof.holds(op, u / kappa)
             fell &= ~proved
-        stop = done | fell | proved
-        if stop.any():
-            z_out[live[stop]] = z[stop]
-            z_out[live[fell]] = c[fell]
-            iterations[live[stop]] = it
-            converged[live[done]] = True
-            early[live[fell]] = _DESCENT
-            early[live[proved]] = _CERTIFIED
-            keep = ~stop
-            live, z, u, kappa = live[keep], z[keep], u[keep], kappa[keep]
-            if floor is not None:
-                floor = floor[keep]
-            if proof is not None:
-                proof = proof.take(keep)
-            if live.size == 0:
-                break
-            op = op.take(keep)
-            terms = terms[:, keep]
-    z_out[live] = z
-    return z_out, iterations, converged, early
-
-
-def _solve(
-    op, norm_a: float, tol_feas: float, tol_obj: float, max_iters: int, floor=None, proof=None
-) -> tuple[list[RecoveryResult], np.ndarray]:
-    """Basis pursuit for every row of a block: y_b = A_b c_b, min ||c_b||_1.
-
-    Returns the results and the early stop per row (see ``_admm``); a row
-    stopped by descent reports the exactly feasible point x - A^H (A x - y).
-    """
-    y_norm = _row_norm(op.y)
-    backprojection = op.adjoint(op.y)
-    coeff_scale = np.max(np.abs(backprojection), axis=1)
-    rho = _RHO0 * max(norm_a, 1e-12) ** 2 / np.maximum(coeff_scale, 1e-300)
-    # kappa > 0 keeps the soft-threshold quotient defined
-    kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
-    stop_tol = min(tol_feas, 1e-2 * tol_obj)
-    # a zero measurement vector has the zero solution: no iterations
-    z = np.zeros_like(backprojection)
-    iterations = np.zeros(len(z), dtype=np.int64)
-    converged = np.ones(len(z), dtype=bool)
-    early = np.zeros(len(z), dtype=np.int8)
-    live = y_norm > 0.0
-    if live.any():
-        block = op if live.all() else op.take(live)
-        z[live], iterations[live], converged[live], early[live] = _admm(
-            block, kappa[live], stop_tol, max_iters, z[live],
-            None if floor is None else floor[live],
-            None if proof is None else proof.take(live),
-        )
-    c_hat = _project(op, z)  # feasible iterates
-    feas = np.divide(
-        _row_norm(op.residual(c_hat)), y_norm, out=np.zeros_like(y_norm), where=live
-    )
-    objective = np.sum(np.abs(c_hat), axis=1)
-    results = [
-        RecoveryResult(c, float(f), float(o), int(i), bool(ok))
-        for c, f, o, i, ok in zip(c_hat, feas, objective, iterations, converged)
-    ]
-    return results, early
+        stop = done | fell | proved | (self.it >= max_iters)
+        if not stop.any():
+            return []
+        routes = np.where(proved, "dual", np.where(fell, "descent", "solved"))
+        return self.leave(stop, np.where(fell[:, None], c, z), done, routes)
 
 
 def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
@@ -436,11 +481,17 @@ def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
                 return pinv @ r
 
     op = _GatheredRows(a[None], y[None], solve_gram)
-    results, _ = _solve(op, spectral_norm_estimate(a, y), p.tol_feas, p.tol_obj, p.max_iters)
-    return results[0]
+    block = _Block(op, spectral_norm_estimate(a, y), tag=np.zeros(1), j=np.zeros(1))
+    while not (stopped := block.run(_stop_tol(p.tol_feas, p.tol_obj), p.max_iters)):
+        pass
+    return stopped[0][2]
 
 
-# a block of gathered rows holds at most this many matrix entries, or one trial's rows
+def _stop_tol(tol_feas: float, tol_obj: float) -> float:
+    return min(tol_feas, 1e-2 * tol_obj)
+
+
+# a pool's gathered rows hold at most this many matrix entries, or one trial's rows
 _GATHER_ENTRIES = 1 << 20
 
 
@@ -461,8 +512,9 @@ def basis_pursuit_trials(
     the projection needs no Gram solve and ||A[omega_b]|| = 1; each trial
     gets the step size, stop test and final projection of ``basis_pursuit``.
     The unitary 1-D DFT is applied by FFT with a row mask; any other
-    ensemble by its gathered rows, at most 2^20 entries per block.  A trial's
-    result does not depend on the other trials of the block.
+    ensemble by its gathered rows, at most 2^20 entries at a time (see
+    ``TrialPool``).  A trial's result does not depend on the other trials
+    of the block.
     """
     return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=False)[0]
 
@@ -509,47 +561,137 @@ def basis_pursuit_or_descent(
 
 
 def _trials(e, omegas, coeffs, opts, verdicts: bool):
-    omegas = np.asarray(omegas, dtype=np.int64)
-    coeffs = np.asarray(coeffs)
-    dtype = np.complex128 if e.is_dft1d else np.result_type(e.a, coeffs, np.float64)
-    coeffs = coeffs.astype(dtype, copy=False)
-    results = [None] * len(coeffs)
-    route = np.full(len(coeffs), "solved", dtype=object)
-    todo, floor, proof = np.arange(len(coeffs)), None, None
-    if verdicts:
-        floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1)
-        proof, refuted = _SupportProof.factor(e.a, omegas, coeffs)
-        route[refuted] = "rank_deficient"
-        todo = np.flatnonzero(~refuted)
-    if e.is_dft1d:
-        blocks = [todo]
-    else:
-        per_block = max(1, _GATHER_ENTRIES // max(1, omegas.shape[1] * e.n))
-        blocks = [todo[s : s + per_block] for s in range(0, len(todo), per_block)]
-    for block in blocks:
-        if e.is_dft1d:
-            op = _MaskedDft.of_rows(omegas[block], e.n)
+    pool = TrialPool(e, *opts, verdicts=verdicts)
+    pool.submit(0, omegas, coeffs)
+    results, routes = [None] * len(coeffs), ["solved"] * len(coeffs)
+    while pool.busy:
+        for _, j, result, route in pool.advance():
+            results[j], routes[j] = result, route
+    return results, np.array(routes)
+
+
+class _Trials:
+    """Trials of a request waiting to join a pool: the request's tag, each
+    trial's index j in the request, rows, coefficients and stop data."""
+
+    def __init__(self, tag, j, omegas, coeffs, floor, proof):
+        self.tag, self.j, self.omegas, self.coeffs = tag, j, omegas, coeffs
+        self.floor, self.proof = floor, proof
+
+    def __getitem__(self, keep) -> "_Trials":
+        return _Trials(*(None if v is None else v[keep] for v in (
+            self.tag, self.j, self.omegas, self.coeffs, self.floor, self.proof
+        )))
+
+
+class TrialPool:
+    """One ADMM that trials join and leave while it runs.
+
+    ``submit`` queues a request's trials (B x m rows ``omegas`` of the
+    unitary ensemble and B x N coefficients, each trial measuring
+    y_b = A[omega_b] c_b); ``advance`` admits queued trials and, when that
+    decides none, runs every block for ``_CHECK_EVERY`` iterations (fewer if
+    it empties), then returns the trials decided as (tag, j, result, route):
+    ``tag`` names the request, ``j`` the trial's index in it.  Call it while
+    ``busy``.
+
+    Trials join a block only between such runs, so every row's certificate
+    checks fall on its own iterations 8, 16, ... as when it runs alone, and
+    each row keeps its own iteration count, ``max_iters`` and stop tests: a
+    trial's result, iteration count and route do not depend on the trials
+    it runs with.  Masked DFT rows of any
+    m share one block.  Gathered rows share a block only with rows of the
+    same m, and all blocks together hold at most ``_GATHER_ENTRIES`` matrix
+    entries, or one trial's rows; trials that do not fit wait in order.
+
+    With ``verdicts``, a trial is decided by the first proof, in the order
+    of ``basis_pursuit_or_descent``: the rank rule at ``submit``, the
+    least-squares certificate when it joins (the trials it certifies are
+    never measured), then the dual and descent stops.
+    """
+
+    def __init__(self, e: MeasurementEnsemble, tol_feas: float, tol_obj: float,
+                 max_iters: int, *, verdicts: bool):
+        self.e, self.max_iters, self.verdicts = e, max_iters, verdicts
+        self.stop_tol = _stop_tol(tol_feas, tol_obj)
+        self.blocks: dict = {}  # None (masked DFT) or m (gathered rows) -> _Block
+        self.queue: deque[_Trials] = deque()
+        self.decided: list = []
+
+    @property
+    def busy(self) -> bool:
+        return bool(self.blocks or self.queue or self.decided)
+
+    def submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
+        omegas = np.asarray(omegas, dtype=np.int64)
+        coeffs = np.asarray(coeffs)
+        dtype = np.complex128 if self.e.is_dft1d else np.result_type(self.e.a, coeffs, np.float64)
+        coeffs = coeffs.astype(dtype, copy=False)
+        trials = _Trials(np.full(len(coeffs), tag), np.arange(len(coeffs)), omegas, coeffs,
+                         None, None)
+        if self.verdicts and len(coeffs):
+            trials.floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1)
+            trials.proof, refuted = _SupportProof.factor(self.e.a, omegas, coeffs)
+            self.decided += [(tag, j, None, "rank_deficient") for j in trials.j[refuted]]
+            trials = trials[~refuted]
+        if len(trials.j):
+            self.queue.append(trials)
+
+    def advance(self) -> list:
+        self._admit()
+        if not self.decided:
+            for key, block in list(self.blocks.items()):
+                self.decided += block.run(self.stop_tol, self.max_iters)
+                if not len(block):
+                    del self.blocks[key]
+        decided, self.decided = self.decided, []
+        return decided
+
+    def _admit(self):
+        while self.queue:
+            head = self.queue[0]
+            count = len(head.j)
+            if not self.e.is_dft1d:
+                live = sum(block.op.rows.size for block in self.blocks.values())
+                count = min(count, (_GATHER_ENTRIES - live) // head.omegas[0].size // self.e.n)
+                if count < 1:
+                    if live:
+                        return
+                    count = 1
+            if count < len(head.j):
+                self.queue[0] = head[count:]
+                head = head[:count]
+            else:
+                self.queue.popleft()
+            self._join(head)
+
+    def _join(self, trials: _Trials):
+        if self.e.is_dft1d:
+            key, op = None, _MaskedDft.of_rows(trials.omegas, self.e.n)
         else:
-            op = _GatheredRows(e.a[omegas[block]])
-        sub = None
-        if proof is not None and block.size:
+            key, op = trials.omegas.shape[1], _GatheredRows(self.e.a[trials.omegas])
+        if trials.proof is not None:
             # iteration 0: with u = 0 the check is the least-squares certificate
-            sub = proof.take(block)
-            certified = sub.holds(op)
-            route[block[certified]] = "certified"
-            if certified.any():
-                keep = ~certified
-                block, op, sub = block[keep], op.take(keep), sub.take(keep)
-        if block.size:
-            # measured only now: a trial certified at iteration 0 needs no y
-            op.y = op.forward(coeffs[block])
-            res, early = _solve(op, 1.0, *opts, None if floor is None else floor[block], sub)
-            route[block[early == _DESCENT]] = "descent"
-            route[block[early == _CERTIFIED]] = "dual"
-            for i, r in zip(block, res):
-                results[i] = r
-        del op  # before the next block gathers its rows: one block in memory at a time
-    return results, route.astype(str)
+            certified = trials.proof.holds(op)
+            self.decided += [
+                (tag, j, None, "certified")
+                for tag, j in zip(trials.tag[certified], trials.j[certified])
+            ]
+            trials, op = trials[~certified], op[~certified]
+            if not len(trials.j):
+                return
+        # measured only now: a trial certified at iteration 0 needs no y
+        op.y = op.forward(trials.coeffs)
+        block = _Block(op, 1.0, trials.tag, trials.j, trials.floor, trials.proof)
+        # a zero measurement vector has the zero solution: no iterations
+        zero = block.y_norm == 0.0
+        if zero.any():
+            self.decided += block.leave(zero, block.z, True, "solved")
+        if len(block):
+            if key in self.blocks:
+                self.blocks[key].join(block)
+            else:
+                self.blocks[key] = block
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -266,6 +268,22 @@ _SWEEP_BASE = {
 }
 
 
+def test_python_m_groupcs_writes_same_bytes(tmp_path):
+    # the package runs as `python -m groupcs` from a source tree, without installation
+    cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcs", "sweep", "--config", cfg,
+         "--out", str(tmp_path / "module.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
 def _set_path(cfg, path, value):
     *parents, last = path
     for key in parents:
@@ -285,6 +303,13 @@ def _set_path(cfg, path, value):
         (("seeds", "master"), None, "seeds.master"),
         (("support", "k"), None, "support.k"),
         (("ensemble", "n"), "44", "ensemble.n"),
+        (("solver", "max_iters"), 0, "solver.max_iters"),
+        (("solver", "tol_obj"), -1, "solver.tol_obj"),
+        (("solver", "tol_feas"), float("nan"), "solver.tol_feas"),
+        (("sweep", "success_nre"), float("nan"), "sweep.success_nre"),
+        (("sweep", "fresh_coefficients"), "false", "sweep.fresh_coefficients"),
+        (("sweep", "early_stop"), "no", "sweep.early_stop"),
+        (("structures", 1, "cyclic"), "false", "structure.cyclic"),
     ],
 )
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
@@ -313,8 +338,10 @@ _FUZZ_PATHS = [
     ("sweep", "success_quota"),
     ("sweep", "success_nre"),
     ("sweep", "early_stop"),
+    ("sweep", "fresh_coefficients"),
     ("solver", "max_iters"),
     ("solver", "tol_feas"),
+    ("solver", "tol_obj"),
     ("seeds", "master"),
 ]
 # small values only: a valid mutation still runs a sweep
@@ -502,17 +529,18 @@ def _bench_workloads(monkeypatch):
 
 
 def _record_per_m(monkeypatch):
+    # the scatter runs every sweep through one harness._drive call
     from groupcs import harness
 
     per_m = []
-    find_min_m = harness.find_min_m
+    drive = harness._drive
 
     def recording(*args, **kwargs):
-        res = find_min_m(*args, **kwargs)
-        per_m.extend(res.per_m)
-        return res
+        results = drive(*args, **kwargs)
+        per_m.extend(s for res in results for s in res.per_m)
+        return results
 
-    monkeypatch.setattr(harness, "find_min_m", recording)
+    monkeypatch.setattr(harness, "_drive", recording)
     return per_m
 
 
@@ -547,7 +575,7 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
         pytest.fail("ADMM ran")
 
     monkeypatch.setattr(harness, "basis_pursuit_trials", admm_ran)
-    monkeypatch.setattr(recovery, "_admm", admm_ran)
+    monkeypatch.setattr(recovery._Block, "step", admm_ran)
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
     assert code == 0, err
     rows = {r["structure"]: (r["m_min"], r["m0"]) for r in csv.DictReader(io.StringIO(out))}

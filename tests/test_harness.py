@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from groupcs.gamma import GammaEstimate
-from groupcs.grouping import contiguous_1d, draw_uniform, rect_2d, singletons, strided_1d
+from groupcs import harness
+from groupcs.grouping import (
+    contiguous_1d,
+    draw_uniform,
+    lines_2d,
+    rect_2d,
+    singletons,
+    strided_1d,
+)
 from groupcs.harness import _trial_chunks
 from groupcs.harness import (
     VERDICT_ROUTES,
@@ -413,6 +421,19 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
     assert [(s.m, s.success) for s in res.per_m] == ref
     assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
     assert len(ref) > 1  # the sweep crosses at least one failing grid value
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_pooled_sweeps_match_one_at_a_time(kind):
+    # two sweeps in one pool: each ends exactly as find_min_m alone, though
+    # their chunks run beside each other (gathered Haar rows share a block
+    # only at equal m)
+    e, gs, t, cfg, solver = _sweep_case(kind)
+    other = contiguous_1d(64, 4) if kind == "dft" else lines_2d(8, 8, 4, "vertical")
+    pooled = harness._drive(e, [harness._sweep(e, s, t, None, cfg) for s in (gs, other)], solver)
+    alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in (gs, other)]
+    assert pooled == alone
+    assert all(len(res.per_m) > 1 for res in alone)
 
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])

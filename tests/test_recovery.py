@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     RecoveryProblem,
+    TrialPool,
     basis_pursuit,
     basis_pursuit_or_descent,
     basis_pursuit_trials,
@@ -471,7 +472,9 @@ def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         if route == "dual":
             assert res.iterations >= 1
             a = e.a[omega]
-            full = basis_pursuit(RecoveryProblem(a, a @ c))
+            # re-solved to convergence: some trials need more than the default budget
+            full = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=200_000))
+            assert full.converged
             assert nre(c, full.c_hat) <= 1e-3
 
 
@@ -512,3 +515,60 @@ def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
         else:
             assert np.array_equal(alone.c_hat, results[b].c_hat)
             assert alone.iterations == results[b].iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gathered=st.booleans(),
+    verdicts=st.booleans(),
+    companions=st.integers(0, 6),
+    join_after=st.integers(0, 6),
+)
+def test_pool_row_does_not_depend_on_companions(seed, gathered, verdicts, companions, join_after):
+    # a trial that joins a running pool after join_after admission ticks,
+    # beside companions of other support sizes and m, ends exactly as alone:
+    # masked DFT rows of any m share a block; gathered Haar rows share one
+    # with rows of the same m
+    rng = np.random.default_rng(seed)
+    sparsity = make_basis("haar2d", rows=8, cols=8) if gathered else make_basis("dft1d", 64)
+    e = make_ensemble(make_basis("identity", 64), sparsity)
+    sizes = [16, 24, 32]
+
+    def draw(m):
+        omega = np.sort(rng.permutation(64)[:m])
+        size = rng.integers(1, 9)
+        s = rng.permutation(64)[:size]
+        c = np.zeros(64, dtype=np.complex128 if not gathered else np.float64)
+        c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        if not gathered:
+            c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
+        return omega[None], c[None]
+
+    m = int(rng.choice(sizes))
+    omega, c = draw(m)
+    opts = dict(tol_feas=1e-8, tol_obj=1e-6, max_iters=400)
+    pool = TrialPool(e, **opts, verdicts=verdicts)
+    for tag in range(1, companions + 1):
+        pool.submit(tag, *draw(m if rng.random() < 0.5 else int(rng.choice(sizes))))
+    decided = []
+    for _ in range(join_after):
+        decided += pool.advance() if pool.busy else []
+    pool.submit(0, omega, c)
+    while pool.busy:
+        decided += pool.advance()
+    ((_, j, result, route),) = [d for d in decided if d[0] == 0]
+    assert j == 0
+    assert sorted(d[0] for d in decided) == list(range(companions + 1))
+    if verdicts:
+        (alone,), (alone_route,) = basis_pursuit_or_descent(e, omega, c, **opts)
+    else:
+        (alone,), alone_route = basis_pursuit_trials(e, omega, c, **opts), "solved"
+    assert route == alone_route
+    if alone is None:
+        assert result is None
+    else:
+        assert np.array_equal(result.c_hat, alone.c_hat)
+        assert (result.iterations, result.converged, result.objective, result.feas_residual) == (
+            alone.iterations, alone.converged, alone.objective, alone.feas_residual
+        )
