@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,11 +345,12 @@ def trial_verdicts(
 
 
 def _verdicts(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
-    """Request of ``trial_verdicts`` for ``_drive``: yields the drawn rows and
-    coefficients of the trials, receives their results and routes, and
-    returns the verdicts."""
+    """Request of ``trial_verdicts`` for ``_drive``: once there is room,
+    yields the drawn rows and coefficients of the trials, receives their
+    results and routes, and returns the verdicts."""
     if len(trials) == 0:
         return []
+    yield  # wait for room in the pool before drawing
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
     results, routes = yield omegas, coeffs
     # by unitarity of the sparsity basis this equals the signal-domain error
@@ -363,34 +365,54 @@ def _drive(e: MeasurementEnsemble, requests: list, solver: SolverOptions | None)
     """Run request generators in one ``recovery.TrialPool`` and return what
     each returns.
 
-    A request yields one chunk of trials at a time, (rows, coefficients),
-    and receives their (results, routes) once every trial of the chunk is
-    decided; it yields its next chunk only then.  The pool admits that chunk
-    at its next admission tick, so the chunks of many requests run in one
-    block, and a trial's result does not depend on the requests beside it.
+    A request yields None to wait for room in the pool, then one chunk of
+    trials, (rows, coefficients), and receives their (results, routes) once
+    every trial of the chunk is decided.  The pool admits that chunk at its
+    next admission tick, so the chunks of many requests run in one block,
+    and a trial's result does not depend on the requests beside it.  A
+    waiting request resumes, in turn, only while the open chunks, counted
+    as live rows, fit in the pool's capacity: the trials held stay within
+    the capacity and one chunk, whatever the number of requests.
     """
     pool = TrialPool(e, verdicts=True, **_solver_kwargs(solver))
     out = [None] * len(requests)
-    chunks = {}  # request -> [results, routes, trials still open]
+    chunks = {}  # request -> [results, routes, trials still open, entries]
+    waiting = deque()
+    held = 0  # entries of the open chunks' trials
 
     def send(i, value):
+        nonlocal held
         try:
-            omegas, coeffs = requests[i].send(value)
+            chunk = requests[i].send(value)
         except StopIteration as stop:
             out[i] = stop.value
-        else:
-            chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs)]
-            pool.submit(i, omegas, coeffs)
+            return
+        if chunk is None:
+            waiting.append(i)
+            return
+        omegas, coeffs = chunk
+        entries = pool.entries(*np.shape(omegas))
+        held += entries
+        chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs), entries]
+        pool.submit(i, omegas, coeffs)
+
+    def resume():
+        while waiting and held < pool.capacity:
+            send(waiting.popleft(), None)
 
     for i in range(len(requests)):
         send(i, None)
+    resume()
     while pool.busy:
         for i, j, result, route in pool.advance():
             chunk = chunks[i]
             chunk[0][j], chunk[1][j] = result, route
             chunk[2] -= 1
             if chunk[2] == 0:
+                del chunks[i]
+                held -= chunk[3]
                 send(i, tuple(chunk[:2]))
+        resume()
     return out
 
 
@@ -547,19 +569,22 @@ def success_rate(
     ``structure=None`` samples m rows uniformly at random (no grouping);
     otherwise whole groups are drawn.  Returns (successes, trials).
     """
-    verdicts = trial_verdicts(
-        e,
-        structure,
-        t,
-        c0,
-        m,
-        range(trials),
-        master_seed=master_seed,
-        fresh_coefficients=fresh_coefficients,
-        success_nre=success_nre,
-        solver=solver,
+    request = _successes(
+        e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre
     )
-    return sum(ok for ok, _ in verdicts), trials
+    return _drive(e, [request], solver)[0], trials
+
+
+def _successes(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
+    """Request of ``success_rate`` for ``_drive``: the trials go in the
+    chunks of ``find_min_m``, so at most 32 are drawn at a time."""
+    successes = 0
+    for chunk in _trial_chunks(trials):
+        verdicts = yield from _verdicts(
+            e, structure, t, c0, m, chunk, master_seed, fresh_coefficients, success_nre
+        )
+        successes += sum(ok for ok, _ in verdicts)
+    return successes
 
 
 _CSV_COLUMNS = (

@@ -216,7 +216,12 @@ class _SupportProof:
     def __init__(self, n, size, idx, sign, ginv, valid):
         self.n, self.size, self.idx, self.sign = n, size, idx, sign
         self.ginv, self.valid = ginv, valid
-        self.sizes = np.unique(size[valid])  # the |S| a certificate can hold for
+        # per |S| a certificate can hold for: its rows, their G^{-1} and S
+        self.groups = [
+            (k, rows, ginv[rows, :k, :k], idx[rows, :k])
+            for k in np.unique(size[valid]).tolist()
+            for rows in [np.flatnonzero(size == k)]
+        ]
 
     @classmethod
     def factor(cls, a: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray):
@@ -295,22 +300,16 @@ class _SupportProof:
         minimizer.  With pi = 0, pi_2 is the least-squares certificate
         A^H A_S G^{-1} z.
         """
-        if not self.valid.any():
+        if not self.groups:
             return self.valid.copy()
         row = np.arange(len(self.idx))[:, None]
         step = self.sign
         if pi is not None:
             r = op.forward(pi)
             step = step - op.adjoint(r)[row, self.idx]
-        if len(self.sizes) == 1 and self.sizes[0] == self.idx.shape[1]:  # no valid row padded
-            q = np.matmul(self.ginv, step[:, :, None])[:, :, 0]
-        else:
-            q = np.zeros(self.idx.shape, dtype=np.result_type(step, self.ginv))
-            for k in self.sizes:
-                rows = np.flatnonzero(self.size == k)
-                q[rows, :k] = np.matmul(self.ginv[rows, :k, :k], step[rows, :k, None])[:, :, 0]
-        v = np.zeros((len(self.idx), self.n), dtype=q.dtype)
-        np.add.at(v, (row, self.idx), q)
+        v = np.zeros((len(self.idx), self.n), dtype=np.result_type(step, self.ginv))
+        for k, rows, ginv, s in self.groups:
+            v[rows[:, None], s] = np.matmul(ginv, step[rows, :k, None])[:, :, 0]
         w = op.forward(v)
         if pi is not None:
             w += r
@@ -326,13 +325,14 @@ class _Block:
     gathered rows of one m.
 
     Each row carries its own iterate z, scaled dual u, threshold kappa and
-    iteration count, the trial it belongs to (``tag``, ``j``) and its stop
+    the block tick at which it joined (``born``), so its iteration count is
+    ``ticks - born``; the trial it belongs to (``tag``, ``j``) and its stop
     data: with verdicts, the descent floor (one l1 norm) and the support
     proof (a ``_SupportProof``), else None.  Every operation acts row by row,
     so rows join and leave without changing each other's iterates.
     """
 
-    _PER_ROW = ("op", "proof", "tag", "j", "floor", "y_norm", "kappa", "z", "u", "it")
+    _PER_ROW = ("op", "proof", "tag", "j", "floor", "y_norm", "kappa", "z", "u", "born")
 
     def __init__(self, op, norm_a: float, tag, j, floor=None, proof=None):
         self.op, self.proof, self.tag, self.j, self.floor = op, proof, tag, j, floor
@@ -344,18 +344,32 @@ class _Block:
         self.kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
         self.z = np.zeros_like(backprojection)
         self.u = np.zeros_like(backprojection)
-        self.it = np.zeros(len(self.z), dtype=np.int64)
+        self.ticks = self.eldest = 0  # steps run; the earliest born
+        self.born = np.zeros(len(self.z), dtype=np.int64)
+        self._resized()
 
     def __len__(self) -> int:
-        return len(self.it)
+        return len(self.born)
+
+    @property
+    def it(self) -> np.ndarray:
+        """The iteration count of every row."""
+        return self.ticks - self.born
+
+    def _resized(self):
+        # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
+        self.terms = np.empty((4,) + self.z.shape, dtype=self.z.dtype)
+        self.eldest = int(self.born.min(initial=self.ticks))
 
     def _keep(self, keep: np.ndarray):
         for name in self._PER_ROW:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
+        self._resized()
 
     def join(self, other: "_Block"):
+        other.born += self.ticks - other.ticks
         for name in self._PER_ROW:
             value = getattr(self, name)
             if value is not None:
@@ -364,11 +378,13 @@ class _Block:
                     setattr(self, name, value.join(new))
                 else:
                     setattr(self, name, np.concatenate((value, new)))
+        self._resized()
 
     def leave(self, stop: np.ndarray, z: np.ndarray, converged, routes) -> list:
         """Remove the rows ``stop``, each with its final z, and return them as
         (tag, j, result, route).  The result reports the feasible point
-        z - A^H (A z - y)."""
+        z - A^H (A z - y), in an array of its own: results of one leave go to
+        different requests, and a view would keep the others' rows alive."""
         op, y_norm = self.op[stop], self.y_norm[stop]
         c_hat = _project(op, z[stop])
         feas = np.divide(
@@ -376,7 +392,7 @@ class _Block:
         )
         objective = np.sum(np.abs(c_hat), axis=1)
         out = [
-            (tag, j, RecoveryResult(c, float(f), float(o), int(i), bool(ok)), str(route))
+            (tag, j, RecoveryResult(c.copy(), float(f), float(o), int(i), bool(ok)), str(route))
             for tag, j, c, f, o, i, ok, route in zip(
                 self.tag[stop], self.j[stop], c_hat, feas, objective, self.it[stop],
                 np.broadcast_to(converged, stop.shape)[stop],
@@ -393,9 +409,10 @@ class _Block:
         iterations 8, 16, ..."""
         stopped = []
         for tick in range(1, _CHECK_EVERY + 1):
-            stopped += self.step(stop_tol, max_iters, check=tick == _CHECK_EVERY)
-            if not len(self):
-                break
+            if out := self.step(stop_tol, max_iters, tick == _CHECK_EVERY):
+                stopped += out
+                if not len(self):
+                    break
         return stopped
 
     def step(self, stop_tol: float, max_iters: int, check: bool) -> list:
@@ -416,15 +433,14 @@ class _Block:
           it certifies stops, whatever the other tests say.
         """
         op, z, u, kappa = self.op, self.z, self.u, self.kappa
-        self.it += 1
+        self.ticks += 1
         c = _project(op, z - u)
         c_relaxed = _RELAX * c
         c_relaxed += (1.0 - _RELAX) * z
         z_new = _soft_threshold(c_relaxed + u, kappa)
         u += c_relaxed
         u -= z_new
-        # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
-        terms = np.empty((4,) + z.shape, dtype=z.dtype)
+        terms = self.terms
         np.subtract(z_new, z, out=terms[0])
         np.subtract(c, z_new, out=terms[1])
         terms[2] = z_new
@@ -440,14 +456,19 @@ class _Block:
             if below.any():
                 r_norm = _row_norm(op[below].residual(c[below]))
                 fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < self.floor[below]
-        proved = np.zeros_like(done)
-        if self.proof is not None and check:
+        stop = done | fell
+        proved = None
+        if check and self.proof is not None:
             proved = self.proof.holds(op, u / kappa)
             fell &= ~proved
-        stop = done | fell | proved | (self.it >= max_iters)
+            stop |= proved
+        if self.ticks - self.eldest >= max_iters:  # a row has run its budget
+            stop |= self.it >= max_iters
         if not stop.any():
             return []
-        routes = np.where(proved, "dual", np.where(fell, "descent", "solved"))
+        routes = np.where(fell, "descent", "solved")
+        if proved is not None:
+            routes[proved] = "dual"
         return self.leave(stop, np.where(fell[:, None], c, z), done, routes)
 
 
@@ -491,8 +512,11 @@ def _stop_tol(tol_feas: float, tol_obj: float) -> float:
     return min(tol_feas, 1e-2 * tol_obj)
 
 
-# a pool's gathered rows hold at most this many matrix entries, or one trial's rows
-_GATHER_ENTRIES = 1 << 20
+# a pool's live rows hold at most this many entries, or one trial's rows
+_LIVE_ENTRIES = 1 << 20
+# N-vectors of state and temporaries per live row in a step (z, u, y, the
+# mask, the four norm terms, the projection and the certificate check)
+_ROW_VECTORS = 16
 
 
 def basis_pursuit_trials(
@@ -512,8 +536,8 @@ def basis_pursuit_trials(
     the projection needs no Gram solve and ||A[omega_b]|| = 1; each trial
     gets the step size, stop test and final projection of ``basis_pursuit``.
     The unitary 1-D DFT is applied by FFT with a row mask; any other
-    ensemble by its gathered rows, at most 2^20 entries at a time (see
-    ``TrialPool``).  A trial's result does not depend on the other trials
+    ensemble by its gathered rows; at most 2^20 entries are live at a time
+    (see ``TrialPool``).  A trial's result does not depend on the other trials
     of the block.
     """
     return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=False)[0]
@@ -601,8 +625,10 @@ class TrialPool:
     trial's result, iteration count and route do not depend on the trials
     it runs with.  Masked DFT rows of any
     m share one block.  Gathered rows share a block only with rows of the
-    same m, and all blocks together hold at most ``_GATHER_ENTRIES`` matrix
-    entries, or one trial's rows; trials that do not fit wait in order.
+    same m.  All live rows together hold at most ``_LIVE_ENTRIES`` entries
+    (``_ROW_VECTORS`` N-vectors per row, and m x N more per gathered row),
+    or one trial's rows; trials that do not fit wait in order.  So the
+    pool's memory does not grow with the number of requests submitted.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
     of ``basis_pursuit_or_descent``: the rank rule at ``submit``, the
@@ -647,17 +673,25 @@ class TrialPool:
         decided, self.decided = self.decided, []
         return decided
 
+    @property
+    def capacity(self) -> int:
+        """The entries all live rows may hold, ``_LIVE_ENTRIES``."""
+        return _LIVE_ENTRIES
+
+    def entries(self, rows: int, m: int) -> int:
+        """Entries that ``rows`` live rows of m measurements hold:
+        ``_ROW_VECTORS`` N-vectors each, and for gathered rows m x N more."""
+        return rows * self.e.n * (_ROW_VECTORS + (0 if self.e.is_dft1d else m))
+
     def _admit(self):
         while self.queue:
             head = self.queue[0]
-            count = len(head.j)
-            if not self.e.is_dft1d:
-                live = sum(block.op.rows.size for block in self.blocks.values())
-                count = min(count, (_GATHER_ENTRIES - live) // head.omegas[0].size // self.e.n)
-                if count < 1:
-                    if live:
-                        return
-                    count = 1
+            live = sum(self.entries(len(block), m) for m, block in self.blocks.items())
+            count = min(len(head.j), (_LIVE_ENTRIES - live) // self.entries(1, head.omegas.shape[1]))
+            if count < 1:
+                if live:
+                    return
+                count = 1
             if count < len(head.j):
                 self.queue[0] = head[count:]
                 head = head[:count]

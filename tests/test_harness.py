@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groupcs.gamma import GammaEstimate
-from groupcs import harness
+from groupcs import harness, recovery
 from groupcs.grouping import (
     contiguous_1d,
     draw_uniform,
@@ -434,6 +434,28 @@ def test_pooled_sweeps_match_one_at_a_time(kind):
     alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in (gs, other)]
     assert pooled == alone
     assert all(len(res.per_m) > 1 for res in alone)
+
+
+@pytest.mark.parametrize("kind", ["dft", "haar"])
+def test_full_pool_starts_requests_in_turn(kind, monkeypatch):
+    # with room for one trial at a time, a chunk is drawn only once no other
+    # chunk is open, and the requests take turns; each sweep ends as alone
+    e, gs, t, cfg, solver = _sweep_case(kind)
+    others = [contiguous_1d(64, 4), singletons(64)] if kind == "dft" else [
+        lines_2d(8, 8, 4, "vertical"), lines_2d(8, 8, 4, "horizontal")]
+    alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in [gs, *others]]
+    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", 1)
+    tags, submit = [], recovery.TrialPool.submit
+
+    def recorded(self, tag, omegas, coeffs):
+        assert not self.busy
+        tags.append(tag)
+        submit(self, tag, omegas, coeffs)
+
+    monkeypatch.setattr(recovery.TrialPool, "submit", recorded)
+    pooled = harness._drive(e, [harness._sweep(e, s, t, None, cfg) for s in [gs, *others]], solver)
+    assert pooled == alone
+    assert tags[:3] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcs import recovery
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     RecoveryProblem,
@@ -132,7 +133,7 @@ def test_scaling_equivariance():
 def test_zero_measurements():
     a = np.eye(4)[:2]
     res = basis_pursuit(RecoveryProblem(a, np.zeros(2)))
-    assert res.converged and res.objective == 0.0
+    assert res.converged and res.objective == 0.0 and res.iterations == 0
 
 
 def test_rank_deficient_rows_warn_not_fail():
@@ -286,6 +287,38 @@ def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
         assert np.array_equal(alone.c_hat, chunk[i].c_hat)
         assert alone.iterations == chunk[i].iterations
         assert alone.converged == chunk[i].converged
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, k, real, cap",
+    [
+        (lambda: _dft_ensemble(220), 88, 11, False, 3),  # 3 masked DFT rows
+        (lambda: _haar_ensemble(16, 16), 96, 8, True, 2),  # 2 gathered trials
+        (lambda: _haar_ensemble(16, 16), 96, 8, True, 0),  # one trial at a time
+    ],
+)
+def test_pool_live_rows_stay_within_entry_bound(monkeypatch, ensemble, m, k, real, cap):
+    # every live row counts _ROW_VECTORS N-vectors, plus m x N for gathered
+    # rows, against _LIVE_ENTRIES, with one trial always admitted; results
+    # do not change
+    e = ensemble()
+    omegas, coeffs = _trial_block(e, m, k, 12, seed=53, real=real)
+    opts = dict(max_iters=3000)
+    unbounded = basis_pursuit_trials(e, omegas, coeffs, **opts)
+    per_row = e.n * (recovery._ROW_VECTORS + (0 if e.is_dft1d else m))
+    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", cap * per_row)
+    live = []
+    step = recovery._Block.step
+
+    def counted(self, *args, **kwargs):
+        live.append(len(self))
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(recovery._Block, "step", counted)
+    bounded = basis_pursuit_trials(e, omegas, coeffs, **opts)
+    assert max(live) == max(cap, 1)
+    for a, b in zip(unbounded, bounded):
+        assert np.array_equal(a.c_hat, b.c_hat) and a.iterations == b.iterations
 
 
 @pytest.mark.parametrize(
