@@ -86,9 +86,10 @@ def _group_products(e: MeasurementEnsemble, rows: np.ndarray, left, right) -> np
     return np.matmul(a_l.conj().transpose(0, 2, 1), a_r).reshape(len(rows), -1)
 
 
-def _selected_sums(e, t, gs, m, trials, rng, left):
+def _selected_sums(e, t, gs, m, trials, rng, left, entries=None):
     """Per chunk of trials, in trial order: for each trial, the sum over its
-    Bernoulli-selected groups j of A[j, left]^H A[j, T], flattened to one row.
+    Bernoulli-selected groups j of A[j, left]^H A[j, T], flattened to one row
+    and restricted to the flat positions ``entries`` when they are given.
 
     The selections are drawn one chunk at a time by ``bernoulli_selections``,
     which gives the draws, and the generator state, of ``trials`` successive
@@ -102,16 +103,23 @@ def _selected_sums(e, t, gs, m, trials, rng, left):
     width = len(left) * k
     per_span = max(1, _CHUNK_ENTRIES // max(1, gs.g * (len(left) + k) + width))
     spans = [gs.groups[s : s + per_span] for s in range(0, gs.n_groups, per_span)]
-    fixed = _group_products(e, spans[0], left, t.indices) if len(spans) == 1 else None
+
+    def products(rows):
+        p = _group_products(e, rows, left, t.indices)
+        return p if entries is None else np.take(p, entries, axis=1)
+
+    fixed = products(spans[0]) if len(spans) == 1 else None
+    # chunks are sized by the full product, as the caller may unpack to it
     per_chunk = min(trials, max(1, _CHUNK_ENTRIES // max(gs.n_groups, width)))
-    sums = np.empty((per_chunk, width), dtype=np.result_type(e.a, np.float64))
+    formed = width if entries is None else len(entries)
+    sums = np.empty((per_chunk, formed), dtype=np.result_type(e.a, np.float64))
     part = np.empty_like(sums) if fixed is None else None
     for start in range(0, trials, per_chunk):
         sel = bernoulli_selections(gs, m, min(per_chunk, trials - start), rng)
         sel = sel.astype(np.float64)
         out, col = sums[: len(sel)], 0
         for rows in spans:
-            p = fixed if fixed is not None else _group_products(e, rows, left, t.indices)
+            p = fixed if fixed is not None else products(rows)
             target = out if col == 0 else part[: len(sel)]
             # complex terms as (re, im) pairs: the 0/1 weights stay real
             np.matmul(sel[:, col : col + len(rows)], _as_real(p), out=_as_real(target))
@@ -139,18 +147,25 @@ def validate_gram_concentration(
     A trial's support Gram is the sum of the fixed per-group Grams of its
     selected groups, so a chunk of trials takes one GEMM and one batched
     ``eigvalsh``; the draws are those of successive ``draw_bernoulli`` calls.
+    ``eigvalsh`` reads only the lower triangle, so only its k(k+1)/2 entries
+    are summed, scaled and shifted; the upper triangle stays zero.
     """
     _check_trials(trials)
     if not 0 < m <= e.n:
         raise ValueError(f"m={m} out of range (0, {e.n}]")
     k = len(t)
-    eye = np.eye(k)
+    lower = np.tril_indices(k)
+    diagonal = np.flatnonzero(lower[0] == lower[1])
     deviations = np.empty(trials)
+    grams = None
     done = 0
-    for grams in _selected_sums(e, t, gs, m, trials, rng, t.indices):
-        y = grams.reshape(-1, k, k)
-        y *= e.n / m
-        y -= eye
+    for sums in _selected_sums(e, t, gs, m, trials, rng, t.indices, lower[0] * k + lower[1]):
+        sums *= e.n / m
+        sums[:, diagonal] -= 1.0
+        if grams is None:
+            grams = np.zeros((len(sums), k, k), dtype=sums.dtype)
+        y = grams[: len(sums)]
+        y[:, lower[0], lower[1]] = sums
         deviations[done : done + len(y)] = np.max(np.abs(np.linalg.eigvalsh(y)), axis=1)
         done += len(y)
     fail_rate = float(np.mean(deviations >= 0.5))

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they verify: the sphere oracle never
 enumerates sign patterns, the LP oracle solves the split linear program by
 basic-solution enumeration, the spiral reference walks ring by ring, and the
-Monte-Carlo validator loops draw and reduce one trial at a time.
+Monte-Carlo validator loops draw and reduce one trial at a time, and the
+operator references form every Gram and product densely and run the Haar
+transform by concatenated copies.
 """
 
 import itertools
@@ -124,3 +126,71 @@ def two_proportion_fisher_pvalue(s1, n1, s2, n2):
 
     table = [[s1, n1 - s1], [s2, n2 - s2]]
     return float(fisher_exact(table)[1])
+
+
+def unitarity_residual_dense(entries):
+    """Max-abs entry of E^H E - I by the dense product."""
+    n = entries.shape[0]
+    return float(np.max(np.abs(entries.conj().T @ entries - np.eye(n))))
+
+
+def ensemble_product(v, u):
+    """A = V^H U by the dense product, cast to real when its imaginary part
+    is at most 1e-13, as ``make_ensemble`` defines it."""
+    a = v.entries.conj().T @ u.entries
+    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) <= 1e-13:
+        a = np.ascontiguousarray(a.real)
+    return a
+
+
+def _haar_step(x, axis):
+    """One orthonormal averaging/differencing step along ``axis``."""
+    x = np.moveaxis(x, axis, -1)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.concatenate([(even + odd), (even - odd)], axis=-1) / math.sqrt(2)
+    return np.moveaxis(out, -1, axis)
+
+
+def _haar_step_inv(c, axis):
+    c = np.moveaxis(c, axis, -1)
+    half = c.shape[-1] // 2
+    lo, hi = c[..., :half], c[..., half:]
+    out = np.empty_like(c)
+    out[..., 0::2] = (lo + hi) / math.sqrt(2)
+    out[..., 1::2] = (lo - hi) / math.sqrt(2)
+    return np.moveaxis(out, -1, axis)
+
+
+def haar2d_analysis_reference(img, levels):
+    """Multi-level 2-D Haar analysis of the images in the last two axes, one
+    copied step per axis and level."""
+    rows, cols = img.shape[-2:]
+    out = np.array(img, dtype=np.result_type(img, np.float64), copy=True)
+    r, c = rows, cols
+    for _ in range(levels):
+        block = _haar_step(out[..., :r, :c], axis=-1)
+        out[..., :r, :c] = _haar_step(block, axis=-2)
+        r //= 2
+        c //= 2
+    return out
+
+
+def haar2d_synthesis_reference(coeffs, levels):
+    """Inverse of ``haar2d_analysis_reference``."""
+    rows, cols = coeffs.shape[-2:]
+    out = np.array(coeffs, dtype=np.result_type(coeffs, np.float64), copy=True)
+    r, c = rows >> levels, cols >> levels
+    for _ in range(levels):
+        r *= 2
+        c *= 2
+        block = _haar_step_inv(out[..., :r, :c], axis=-2)
+        out[..., :r, :c] = _haar_step_inv(block, axis=-1)
+    return out
+
+
+def haar2d_matrix_reference(rows, cols, levels):
+    """Synthesis matrix of the 2-D Haar basis: row i is the analysis of the
+    i-th unit image."""
+    n = rows * cols
+    eye = np.eye(n).reshape(n, rows, cols)
+    return np.ascontiguousarray(haar2d_analysis_reference(eye, levels).reshape(n, n))

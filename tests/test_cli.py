@@ -252,6 +252,24 @@ def test_malformed_config_shape_exits_2(tmp_path, capsys, bad, where):
     assert where in err and "Traceback" not in err
 
 
+def test_non_finite_custom_basis_exits_2(tmp_path, capsys):
+    q = np.eye(8)
+    q[2, 5] = np.nan
+    np.save(tmp_path / "q.npy", q)
+    cfg = {
+        "ensemble": {
+            "n": 8,
+            "measurement": {"kind": "custom", "path": str(tmp_path / "q.npy")},
+            "sparsity": {"kind": "dft1d"},
+        },
+        "structure": {"kind": "singletons"},
+        "support": {"k": 2},
+    }
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "nan.json", cfg)], capsys)
+    assert code == 2
+    assert "basis is not unitary: residual nan" in err and "Traceback" not in err
+
+
 def test_missing_config_file(capsys):
     code, out, err = run_cli(["gamma", "--config", "/nonexistent.json"], capsys)
     assert code == 2

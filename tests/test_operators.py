@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from groupcs.operators import (
+    MeasurementEnsemble,
+    OrthonormalBasis,
     SupportSet,
+    _transform,
     haar2d_analysis,
     haar2d_synthesis,
     make_basis,
@@ -14,7 +18,44 @@ from groupcs.operators import (
     unitarity_residual,
 )
 
-from oracles import hadamard_matrix
+from oracles import (
+    ensemble_product,
+    haar2d_analysis_reference,
+    haar2d_matrix_reference,
+    haar2d_synthesis_reference,
+    hadamard_matrix,
+    unitarity_residual_dense,
+)
+
+NAMED = [
+    ("identity", dict(n=16)),
+    ("dft1d", dict(n=16)),
+    ("dft2d", dict(rows=4, cols=8)),
+    ("haar2d", dict(rows=8, cols=8, levels=3)),
+    ("haar2d", dict(rows=16, cols=8)),
+    ("dft1d", dict(n=60)),
+    ("dft2d", dict(rows=32, cols=32)),
+    ("haar2d", dict(rows=8, cols=8, levels=1)),
+    ("haar2d", dict(rows=32, cols=32)),
+]
+
+
+def _dft_reference(n):
+    jk = np.outer(np.arange(n), np.arange(n))
+    return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
+
+
+def _named_reference(kind, kwargs):
+    """The dense construction of each named basis."""
+    if kind == "identity":
+        return np.eye(kwargs["n"])
+    if kind == "dft1d":
+        return _dft_reference(kwargs["n"])
+    rows, cols = kwargs["rows"], kwargs["cols"]
+    if kind == "dft2d":
+        return np.kron(_dft_reference(rows), _dft_reference(cols))
+    levels = kwargs.get("levels", int(math.log2(min(rows, cols))))
+    return haar2d_matrix_reference(rows, cols, levels)
 
 
 def test_identity_basis():
@@ -27,19 +68,55 @@ def test_dft_entries_unit_modulus():
     assert np.allclose(np.abs(b.entries), 0.5, atol=1e-14)
 
 
-@pytest.mark.parametrize(
-    "kind,kwargs",
-    [
-        ("identity", dict(n=16)),
-        ("dft1d", dict(n=16)),
-        ("dft2d", dict(rows=4, cols=8)),
-        ("haar2d", dict(rows=8, cols=8, levels=3)),
-        ("haar2d", dict(rows=16, cols=8)),
-    ],
-)
+@pytest.mark.parametrize("kind,kwargs", NAMED)
 def test_unitarity(kind, kwargs):
     b = make_basis(kind, **kwargs)
-    assert unitarity_residual(b.entries) <= 1e-10
+    assert unitarity_residual_dense(b.entries) <= 1e-13
+    assert unitarity_residual(b.entries, _transform(b, adjoint=True)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind,kwargs", NAMED)
+def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwargs):
+    b = make_basis(kind, **kwargs)
+    assert np.array_equal(b.entries, _named_reference(kind, kwargs))
+    eye = make_basis("identity", b.n)
+    for v, u in ((eye, b), (b, eye)):
+        e = make_ensemble(v, u)
+        ref = ensemble_product(v, u)
+        assert e.a.dtype == ref.dtype and np.array_equal(e.a, ref)
+        assert e.a.flags.c_contiguous and not e.a.flags.writeable
+        assert e.mu == float(np.max(np.abs(ref)))
+    assert make_ensemble(eye, b).a is b.entries
+
+
+@pytest.mark.parametrize(
+    "v,u",
+    [
+        (("dft2d", dict(rows=8, cols=16)), ("haar2d", dict(rows=8, cols=16))),
+        (("haar2d", dict(rows=16, cols=16, levels=2)), ("dft2d", dict(rows=16, cols=16))),
+        (("dft1d", dict(n=64)), ("dft1d", dict(n=64))),
+    ],
+)
+def test_ensemble_of_named_bases_fast_residual(v, u):
+    v, u = make_basis(v[0], **v[1]), make_basis(u[0], **u[1])
+    e = make_ensemble(v, u)
+    assert np.array_equal(e.a, ensemble_product(v, u))
+    v_map, u_map = _transform(v, adjoint=False), _transform(u, adjoint=True)
+    assert unitarity_residual(e.a, lambda x: u_map(v_map(x))) <= 1e-13
+    assert unitarity_residual_dense(e.a) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (2, 16, 4), (5, 4, 32), (2, 3, 2, 2), (32, 32)])
+def test_haar_matches_copying_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    z = x + 1j * rng.standard_normal(shape)
+    for levels in range(1, int(math.log2(min(shape[-2:]))) + 1):
+        for img in (x, z):
+            got = haar2d_analysis(img, levels)
+            assert got.tobytes() == haar2d_analysis_reference(img, levels).tobytes()
+            got = haar2d_synthesis(img, levels)
+            assert got.tobytes() == haar2d_synthesis_reference(img, levels).tobytes()
 
 
 def test_haar_requires_power_of_two():
@@ -109,6 +186,63 @@ def test_custom_basis_checked():
     make_basis("custom", entries=hadamard_matrix(8) / math.sqrt(8))
     with pytest.raises(ValueError):
         make_basis("custom", entries=np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_non_finite_basis_rejected(where):
+    q = np.eye(4)
+    if where == "one":
+        q[1, 2] = np.nan
+    else:
+        q[:] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        make_basis("custom", entries=q)
+
+
+def test_named_kind_checked_by_its_transform():
+    h = make_basis("haar2d", rows=8, cols=8)
+    bent = h.entries.copy()
+    bent[3, 5] += 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        OrthonormalBasis(64, bent, "haar2d", shape2d=(8, 8), levels=h.levels)
+    with pytest.raises(ValueError, match="not unitary"):
+        OrthonormalBasis(64, np.full((64, 64), np.nan), "dft2d", shape2d=(8, 8))
+    with pytest.raises(ValueError, match="identity"):
+        OrthonormalBasis(64, h.entries.copy(), "identity")
+
+
+def test_non_unitary_ensemble_rejected():
+    eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
+    a = 2.0 * h.entries
+    mu = float(np.max(np.abs(a))) / 2.0
+    with pytest.raises(ValueError, match="not unitary"):
+        MeasurementEnsemble(a=a.copy(), mu=mu, n=64, factors=(eye, h))
+    with pytest.raises(ValueError, match="not unitary"):
+        MeasurementEnsemble(a=a.copy(), mu=mu, n=64)
+    nan = h.entries.copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        MeasurementEnsemble(a=nan, mu=mu, n=64, factors=(eye, h))
+
+
+def test_custom_entries_are_copied():
+    q = hadamard_matrix(8) / math.sqrt(8)
+    before = q.copy()
+    b = make_basis("custom", entries=q)
+    assert q.flags.writeable and np.array_equal(q, before)
+    assert b.entries is not q and not b.entries.flags.writeable
+
+
+def test_identity_haar_ensemble_traced_peak():
+    # the parent's dense build and checks peaked at 6 N^2 doubles
+    n = 1024
+    tracemalloc.start()
+    try:
+        make_ensemble(make_basis("identity", n), make_basis("haar2d", rows=32, cols=32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
 
 
 def test_submatrix():
