@@ -12,11 +12,23 @@ enumeration.  In general the norm is bracketed by
     whose square root overshoots the true norm by at most K_p
     (sqrt(pi/2) real, sqrt(4/pi) complex).
 
-The relaxation is solved primally by low-rank row-normalized factorization
-(coordinate ascent) and certified from the dual side: any diagonal D with
-D >= m m^H gives the valid bound sqrt(trace D), which a log-barrier Newton
-rebalancing drives down to the relaxation optimum.  The reported upper bound
-is always a certified dual value, never a primal guess.
+Every upper bound is certified from the dual side: any diagonal D with
+D >= m m^H gives the valid bound sqrt(trace D).  The sandwich route of
+``penalty_gamma`` certifies a group in this order:
+
+  1. The phase fixed point.  At u = phase(Q u), Q = m m^H, the diagonal
+     d = |Q u| satisfies (diag(d) - Q) u = 0 and trace(d) = ||m^H u||^2, so
+     when diag(d) - Q is also positive semidefinite (one eigenvalue shift
+     makes it so) d is a dual certificate whose value equals the lower bound,
+     and the bracket closes without the SDP (Bandeira, Boumal & Singer 2017).
+     The witness is tried from the all-ones start, then with 8 and then with
+     all random restarts, stopping at the first that closes.
+  2. The SDP, only for groups the fixed point leaves open.  A log-barrier
+     Newton rebalancing drives a dual diagonal to the relaxation optimum;
+     low-rank row-normalized factorization (Burer & Monteiro 2003), all its
+     restarts advanced as one block, then raises the primal until it comes
+     within the gap tolerance of that dual.  The primal only measures the
+     certification gap; the reported upper bound is the dual value.
 
 Both certificates carry over between groups: a unimodular u is a feasible
 dual vector for every group, and a diagonal D certified for one Gram matrix
@@ -46,6 +58,15 @@ _METHODS = ("exact_sign_enum", "sandwich")
 # upper bound is this close to the running lower bound is not evaluated, and
 # groups this close to the maximum tie for argmax_group
 _TIE = 1e-12
+# sign enumeration takes this many candidate sign vectors at a time, and
+# keeps at most this many entries of their products with the matrices live
+_SIGN_CHUNK = 1 << 16
+_ENUM_ENTRIES = 1 << 20
+# the phase fixed-point certificate of a group tries the all-ones witness,
+# then this many random restarts, then all of them; a witness takes at most
+# this many further phase steps before its certificate is formed
+_WITNESS_STAGES = (0, 8)
+_POLISH_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -96,30 +117,51 @@ def norm_2to1_exact_real(
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ValueError("sign enumeration is exact only for real matrices")
-    g = m.shape[0]
-    if g > enum_limit:
-        raise ValueError(f"{g} rows exceeds enumeration limit {enum_limit}")
-    best, best_s = 0.0, np.ones(g)
-    if g > 0 and m.shape[1] > 0:
-        total = 1 << (g - 1)
-        chunk = 1 << 16
-        bits_of = np.arange(g - 1, dtype=np.int64)
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            signs = np.empty((codes.size, g))
-            signs[:, 0] = 1.0
-            signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> bits_of) & 1)
-            vals = signs @ m
-            energy = np.einsum("ij,ij->i", vals, vals)
-            j = int(np.argmax(energy))
-            if energy[j] > best:
-                best, best_s = float(energy[j]), signs[j].copy()
-    value = math.sqrt(best)
-    return (value, best_s) if return_info else value
+    if m.shape[0] > enum_limit:
+        raise ValueError(f"{m.shape[0]} rows exceeds enumeration limit {enum_limit}")
+    values, signs = _sign_enumeration(m[None])
+    value = float(values[0])
+    return (value, signs[0]) if return_info else value
+
+
+def _sign_enumeration(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 2->1 norms of a stack of real g x k matrices, and for each the
+    first maximizing sign vector, by enumerating the 2^(g-1) sign vectors
+    with s_0 = +1.
+
+    The candidates are taken a chunk of ``_SIGN_CHUNK`` at a time, and the
+    stack enough matrices at a time that the products held stay within
+    ``_ENUM_ENTRIES`` entries (or one chunk of one matrix).
+    """
+    n_mats, g, k = ms.shape
+    best, best_s = np.zeros(n_mats), np.ones((n_mats, g))
+    if g == 0 or k == 0:
+        return best, best_s
+    total = 1 << (g - 1)
+    chunk = min(total, _SIGN_CHUNK)
+    per = max(1, _ENUM_ENTRIES // (chunk * k))
+    bits_of = np.arange(g - 1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        signs = np.empty((codes.size, g))
+        signs[:, 0] = 1.0
+        signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> bits_of) & 1)
+        for lo in range(0, n_mats, per):
+            vals = np.matmul(signs, ms[lo : lo + per])
+            energy = np.einsum("bij,bij->bi", vals, vals)
+            j = np.argmax(energy, axis=1)
+            top = energy[np.arange(j.size), j]
+            # strictly greater: an earlier chunk's maximum wins ties
+            better = np.flatnonzero(top > best[lo : lo + per])
+            best[lo + better] = top[better]
+            best_s[lo + better] = signs[j[better]]
+    return np.sqrt(best), best_s
 
 
 def _phase(w: np.ndarray) -> np.ndarray:
     a = np.abs(w)
+    if a.all():
+        return w / a
     safe = np.where(a == 0.0, 1.0, a)
     out = w / safe
     if np.iscomplexobj(out):
@@ -165,8 +207,9 @@ def norm_2to1_lower(
     u = np.array(starts, dtype=q.dtype).T
     active = np.arange(u.shape[1])
     for _ in range(200):
-        u_new = _phase(q @ u[:, active])
-        moved = np.max(np.abs(u_new - u[:, active]), axis=0) >= 1e-10
+        cur = u[:, active]
+        u_new = _phase(q @ cur)
+        moved = np.max(np.abs(u_new - cur), axis=0) >= 1e-10
         u[:, active] = u_new
         active = active[moved]
         if active.size == 0:
@@ -179,6 +222,9 @@ def norm_2to1_lower(
 
 @dataclass(frozen=True)
 class SdpBoundInfo:
+    """Certificate of one group: the dual value, the best primal value found,
+    their gap, and whether the gap exceeds the tolerance."""
+
     dual: float
     primal: float
     gap: float
@@ -187,27 +233,48 @@ class SdpBoundInfo:
     diag: np.ndarray
 
 
-def _bm_primal(q: np.ndarray, rank: int, rng: np.random.Generator, sweeps: int = 500) -> float:
-    """Row-normalized low-rank coordinate ascent on max tr(q R R^H)."""
+def _bm_primal(
+    q: np.ndarray, rank: int, rngs: list[np.random.Generator], target: float, sweeps: int = 500
+) -> float:
+    """Best value of tr(q R R^H) over row-normalized g x rank factors R
+    reached by coordinate ascent from one random start per generator.
+
+    The starts advance as one block of sweeps; each stops once its objective
+    stops rising or after ``sweeps`` sweeps, and the whole block stops as soon
+    as the best objective reaches ``target``.
+    """
     g = q.shape[0]
     is_cx = np.iscomplexobj(q)
-    r = rng.standard_normal((g, rank))
-    if is_cx:
-        r = r + 1j * rng.standard_normal((g, rank))
-    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    starts = []
+    for rng in rngs:
+        r = rng.standard_normal((g, rank))
+        if is_cx:
+            r = r + 1j * rng.standard_normal((g, rank))
+        starts.append(r)
+    if not starts:
+        return 0.0
+    r = np.array(starts)
+    r /= np.linalg.norm(r, axis=2, keepdims=True)
     q_off = q - np.diag(np.diag(q))
-    obj_prev = -np.inf
+    obj_prev = np.full(len(starts), -np.inf)
+    live = np.arange(len(starts))
+    best = -np.inf
     for _ in range(sweeps):
+        block = r[live]
         for i in range(g):
-            v = q_off[i] @ r
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                r[i] = v / nv
-        obj = float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
-        if obj - obj_prev <= 1e-14 * max(1.0, abs(obj)):
+            v = q_off[i] @ block
+            nv = np.linalg.norm(v, axis=1)
+            moved = nv > 0
+            block[moved, i] = v[moved] / nv[moved, None]
+        r[live] = block
+        obj = np.real(np.sum((q @ block) * block.conj(), axis=(1, 2)))
+        best = max(best, float(np.max(obj)))
+        rising = obj - obj_prev[live] > 1e-14 * np.maximum(1.0, np.abs(obj))
+        obj_prev[live] = obj
+        live = live[rising]
+        if live.size == 0 or best >= target:
             break
-        obj_prev = obj
-    return float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
+    return best
 
 
 def _dual_diag_value(q: np.ndarray) -> np.ndarray:
@@ -226,18 +293,21 @@ def _dual_diag_value(q: np.ndarray) -> np.ndarray:
     lam = np.full(g, 1.0 + 1e-6)
     t = 1.0
 
-    def barrier(lam_vec):
+    def slack(lam_vec):
+        """diag(lam_vec) - qs and its log-determinant, -inf when it is not
+        positive definite."""
         s = np.diag(lam_vec) - qs
         try:
             chol = np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
-            return None, np.inf
-        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-        return s, t * float(np.sum(lam_vec)) - logdet
+            return None, -np.inf
+        return s, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
+    # the barrier t * sum(lam) - log det(diag(lam) - qs) at the iterate
+    s, logdet = slack(lam)
     while True:
         for _ in range(60):
-            s, phi = barrier(lam)
+            phi = t * float(np.sum(lam)) - logdet
             sinv = np.linalg.inv(s)
             sinv = (sinv + sinv.conj().T) / 2
             grad = t - np.real(np.diag(sinv))
@@ -253,9 +323,9 @@ def _dual_diag_value(q: np.ndarray) -> np.ndarray:
             alpha = 1.0
             while alpha > 1e-12:
                 cand = lam + alpha * step
-                _, phi_cand = barrier(cand)
-                if phi_cand <= phi + 0.25 * alpha * (grad @ step):
-                    lam = cand
+                s_cand, logdet_cand = slack(cand)
+                if t * float(np.sum(cand)) - logdet_cand <= phi + 0.25 * alpha * (grad @ step):
+                    lam, s, logdet = cand, s_cand, logdet_cand
                     break
                 alpha /= 2
             else:
@@ -274,25 +344,34 @@ def _dual_diag_value(q: np.ndarray) -> np.ndarray:
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    q = m @ m.conj().T
-    return (q + q.conj().T) / 2
+    """Hermitian m m^H of a matrix, or of each matrix of a stack."""
+    q = m @ m.conj().swapaxes(-1, -2)
+    return (q + q.conj().swapaxes(-1, -2)) / 2
 
 
 def _trivial_diags(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two certified diagonals needing no iteration: lambda_max(q) I, and the
-    absolute row sums of q (diag(d) - q is then diagonally dominant)."""
-    lam_max = float(np.linalg.eigvalsh(q)[-1])
-    return np.full(q.shape[0], lam_max), np.sum(np.abs(q), axis=1)
+    """Two certified diagonals needing no iteration, for a Gram matrix or
+    each of a stack: lambda_max(q) I, and the absolute row sums of q
+    (diag(d) - q is then diagonally dominant)."""
+    lam_max = np.linalg.eigvalsh(q)[..., -1]
+    return np.repeat(lam_max[..., None], q.shape[-1], axis=-1), np.sum(np.abs(q), axis=-1)
 
 
-def _recertified_upper(d: np.ndarray, q: np.ndarray) -> float:
-    """Upper bound on the 2->1 norm of any m with m m^H = q from a diagonal d
-    certified for another Gram matrix: diag(d) - q shifted by its smallest
-    eigenvalue, less a rounding margin, is positive semidefinite."""
-    g = d.size
-    w_min = float(np.linalg.eigvalsh(np.diag(d) - q)[0])
-    margin = 8 * g * np.finfo(float).eps * float(np.max(np.abs(d)))
-    return math.sqrt(max(float(np.sum(d)) + g * (margin - w_min), 0.0))
+def _recertified_shift(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Shift c, one per Gram matrix of ``q`` (a matrix or a stack), that makes
+    diag(d + c) - q positive semidefinite: minus the smallest eigenvalue of
+    diag(d) - q, plus a rounding margin scaled by the larger of max |d| and
+    that matrix's spectral norm (d itself may be far from certified)."""
+    w = np.linalg.eigvalsh(np.diag(d) - q)
+    scale = np.maximum(np.max(np.abs(d)), np.max(np.abs(w), axis=-1))
+    return 8 * d.size * np.finfo(float).eps * scale - w[..., 0]
+
+
+def _recertified_upper(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Upper bound on the 2->1 norm of any m with m m^H = q, for a Gram
+    matrix q or each of a stack, from a diagonal d certified for another
+    Gram matrix."""
+    return np.sqrt(np.maximum(np.sum(d) + d.size * _recertified_shift(d, q), 0.0))
 
 
 def norm_2to1_upper_sdp(
@@ -307,7 +386,8 @@ def norm_2to1_upper_sdp(
 
     The returned value is sqrt of a dual-feasible diagonal trace, so it upper
     bounds the relaxation (and hence the norm) even if the primal ascent
-    stalls; the primal side only measures the certification gap.  If dual
+    stalls; the primal side only measures the certification gap, and its
+    restarts stop once it comes within ``gap_tol`` of the dual.  If dual
     refinement fails the trivial certificate sqrt(g * lambda_max(m m^H)) is
     returned with ``degraded`` set.  With ``return_info`` an ``SdpBoundInfo``
     carrying the certified diagonal is returned as well.
@@ -328,11 +408,6 @@ def norm_2to1_upper_sdp(
         info = SdpBoundInfo(diag_sum, diag_sum, 0.0, False, d)
         return (math.sqrt(diag_sum), info) if return_info else math.sqrt(diag_sum)
 
-    rank = min(g, math.isqrt(2 * g) + 2)
-    primal = 0.0
-    seq = np.random.SeedSequence((seed, 0x5D9))
-    for child in seq.spawn(restarts):
-        primal = max(primal, _bm_primal(q, rank, np.random.default_rng(child)))
     candidates = [eig_diag, row_sums]
     try:
         candidates.append(_dual_diag_value(q))
@@ -340,8 +415,12 @@ def norm_2to1_upper_sdp(
         warnings.warn("dual rebalancing failed; falling back to the trivial certificate")
     d = min(candidates, key=np.sum)
     dual = float(np.sum(d))
+    tol = gap_tol * max(1.0, dual)
+    rank = min(g, math.isqrt(2 * g) + 2)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence((seed, 0x5D9)).spawn(restarts)]
+    primal = max(_bm_primal(q, rank, rngs, dual - tol), 0.0)
     gap = dual - primal
-    degraded = gap > gap_tol * max(1.0, dual)
+    degraded = gap > tol
     if degraded and dual < trivial:
         # the certificate is still valid, just not provably tight
         warnings.warn(f"sdp certification gap {gap:.3e} exceeds tolerance")
@@ -351,14 +430,64 @@ def norm_2to1_upper_sdp(
     return value
 
 
-def _group_exact(msub: np.ndarray, enum_limit: int) -> float:
-    if msub.shape[0] == 1:
-        return float(np.linalg.norm(msub))
-    return norm_2to1_exact_real(msub, enum_limit)
-
-
 def _first_max(uppers: np.ndarray) -> int:
     return int(np.flatnonzero(uppers >= np.max(uppers) * (1 - _TIE))[0])
+
+
+def _phase_certificate(
+    m: np.ndarray, q: np.ndarray, u: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Lower bound, witness and certified diagonal from the phase fixed point
+    near the unimodular witness u of m, with q = m m^H.
+
+    u takes further steps u <- phase(q u), which never lower ||m^H u||, until
+    its step stops shrinking.  That carries u from the phase iteration's 1e-10
+    tolerance to rounding level, which matters: the certificate's excess over
+    ||m^H u||^2 can be first order in the distance to the fixed point.  The
+    diagonal d = |q u|, shifted so that diag(d) - q is positive semidefinite,
+    certifies the upper bound sqrt(sum d); at an exact fixed point needing no
+    shift, sum d = ||m^H u||^2.
+    """
+    step = np.inf
+    for _ in range(_POLISH_STEPS):
+        u_new = _phase(q @ u)
+        moved = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if not moved < step:
+            break
+        step = moved
+    d = np.abs(q @ u)
+    return float(np.linalg.norm(m.conj().T @ u)), u, d + _recertified_shift(d, q)
+
+
+def _certify_group(
+    m: np.ndarray, q: np.ndarray, restarts: int, seeds: np.random.SeedSequence
+) -> tuple[float, np.ndarray, SdpBoundInfo | None]:
+    """Phase lower bound, witness and, when the phase fixed point closes the
+    bracket, its certificate, for one group m with Gram matrix q.
+
+    The witness is grown from the all-ones start to ``_WITNESS_STAGES``
+    random restarts and then to ``restarts``, each stage drawing its starts
+    from ``seeds`` afresh, until the certified upper bound lies within a
+    relative ``_TIE`` of the lower bound.  The closing certificate carries
+    the shifted diagonal, the lower bound squared as its primal value, and is
+    never degraded; None means the bracket stayed open.
+    """
+    for stage in sorted({min(r, restarts) for r in (*_WITNESS_STAGES, restarts)}):
+        lo, u = norm_2to1_lower(m, stage, np.random.default_rng(seeds), return_info=True)
+        witnessed, u, diag = _phase_certificate(m, q, u)
+        lo = max(lo, witnessed)
+        dual = float(np.sum(diag))
+        if math.sqrt(max(dual, 0.0)) <= lo * (1 + _TIE):
+            return lo, u, SdpBoundInfo(dual, lo * lo, dual - lo * lo, False, diag)
+    return lo, u, None
+
+
+def _group_rows(e: MeasurementEnsemble, t: SupportSet, gs: GroupStructure) -> np.ndarray:
+    """Row-normalized A_{G_i, T} of every group, as one n_groups x g x |T|
+    stack (all N rows of A_T, reordered by group)."""
+    rows = submatrix(e, gs.groups.ravel(), t)
+    return normalize_rows(rows.reshape(gs.n_groups, gs.g, len(t)))
 
 
 def penalty_gamma(
@@ -379,11 +508,14 @@ def penalty_gamma(
     enough to enumerate (always when g == 1), else the sandwich; "exact" and
     "sandwich" force the respective route.
 
-    The sandwich route evaluates a group in full (SDP certificate plus phase
-    iteration) only while its cheap certified upper bound exceeds the best
-    lower bound found so far; every other group is bracketed by certificates
-    carried over from the evaluated ones, which moves neither end of the
-    reported bracket by more than a relative 1e-12.
+    The submatrices, their Gram matrices, the cheap bounds and the exact
+    route's enumeration are formed for all groups at once.  The sandwich
+    route evaluates a group in full only while its cheap certified upper
+    bound exceeds the best lower bound found so far: first by the phase
+    fixed point, whose certificate usually closes the group's bracket, and
+    by the SDP only when that bracket stays open.  Every other group is
+    bracketed by certificates carried over from the evaluated ones, which
+    moves neither end of the reported bracket by more than a relative 1e-12.
     """
     if mode not in GAMMA_MODES:
         raise ValueError(f"mode must be one of {GAMMA_MODES}, got {mode!r}")
@@ -405,19 +537,22 @@ def penalty_gamma(
             "exact mode needs a real ensemble with g <= enum_limit (or g == 1)"
         )
 
-    msubs = [normalize_rows(submatrix(e, gs.group(i), t)) for i in range(gs.n_groups)]
+    msubs = _group_rows(e, t, gs)
     if route == "exact":
-        exacts = np.array([_group_exact(msub, enum_limit) for msub in msubs])
+        if g == 1:
+            exacts = np.linalg.norm(msubs[:, 0], axis=1)
+        else:
+            exacts = _sign_enumeration(msubs)[0]
         exact = float(np.max(exacts))
         return GammaEstimate(exact, exact, exact, "exact_sign_enum", _first_max(exacts))
 
     group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(gs.n_groups)
-    grams = [_gram(msub) for msub in msubs]
-    energy = np.array([math.sqrt(float(np.sum(np.abs(msub) ** 2))) for msub in msubs])
+    grams = _gram(msubs)
+    kp = kp_constant(not np.iscomplexobj(msubs))
     # cheap bounds: the row energy and carried-over witnesses from below, the
     # trivial certificates and carried-over diagonals from above
-    lowers = energy.copy()
-    uppers = np.array([math.sqrt(min(np.sum(d) for d in _trivial_diags(q))) for q in grams])
+    lowers = np.sqrt(np.sum(np.abs(msubs) ** 2, axis=(1, 2)))
+    uppers = np.sqrt(np.min([np.sum(d, axis=1) for d in _trivial_diags(grams)], axis=0))
     pending = np.ones(gs.n_groups, dtype=bool)
     best_lower = 0.0
     degraded = False
@@ -427,21 +562,21 @@ def penalty_gamma(
         if uppers[i] <= best_lower * (1 + _TIE):
             break
         pending[i] = False
-        up, info = norm_2to1_upper_sdp(
-            msubs[i], restarts=sdp_restarts, seed=seed + i, return_info=True
-        )
-        lo, u = norm_2to1_lower(
-            msubs[i], lower_restarts, np.random.default_rng(group_seeds[i]), return_info=True
-        )
+        lo, u, info = _certify_group(msubs[i], grams[i], lower_restarts, group_seeds[i])
+        if info is None:
+            _, info = norm_2to1_upper_sdp(
+                msubs[i], restarts=sdp_restarts, seed=seed + i, return_info=True
+            )
+        up = math.sqrt(max(info.dual, 0.0))
         # valid floors: mean over random signs/phases, and Nesterov's quotient
         # of the relaxation value, which the primal ascent reaches from below
-        kp = kp_constant(not np.iscomplexobj(msubs[i]))
-        lowers[i] = min(max(lo, energy[i], math.sqrt(max(info.primal, 0.0)) / kp), up)
+        lowers[i] = min(max(lo, lowers[i], math.sqrt(max(info.primal, 0.0)) / kp), up)
         uppers[i] = up
         degraded = degraded or info.degraded
         best_lower = max(best_lower, lowers[i])
-        for j in np.flatnonzero(pending):
-            uppers[j] = min(uppers[j], _recertified_upper(info.diag, grams[j]))
-            lowers[j] = max(lowers[j], float(np.linalg.norm(msubs[j].conj().T @ u)))
+        rest = np.flatnonzero(pending)
+        uppers[rest] = np.minimum(uppers[rest], _recertified_upper(info.diag, grams[rest]))
+        witnessed = np.linalg.norm(u.conj() @ msubs[rest], axis=1)
+        lowers[rest] = np.maximum(lowers[rest], witnessed)
     lower = float(np.max(np.minimum(lowers, uppers)))
     return GammaEstimate(lower, float(np.max(uppers)), None, "sandwich", _first_max(uppers), degraded)

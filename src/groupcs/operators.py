@@ -262,7 +262,8 @@ class MeasurementEnsemble:
     ``factors`` is (V, U) when A was built from them, as ``make_ensemble``
     does.  A is then checked unitary by applying A^H = U^H V to its columns
     through the factors' fast transforms, or not at all when A is a factor's
-    own, already checked, matrix.  Without factors, or with a ``custom`` one,
+    own, already checked, matrix; when that factor is ``dft1d``, its check
+    also settles ``is_dft1d``.  Without factors, or with a ``custom`` one,
     the check is the dense Gram product.  Either way a non-unitary A is
     rejected.
     """
@@ -273,12 +274,16 @@ class MeasurementEnsemble:
     factors: InitVar[tuple[OrthonormalBasis, OrthonormalBasis] | None] = None
 
     def __post_init__(self, factors):
+        own = [b for b in factors or () if self.a is b.entries]
         if factors is None:
             _check_unitary(unitarity_residual(self.a), "ensemble")
-        elif not any(self.a is b.entries for b in factors):
+        elif not own:
             v_map, u_map = _transform(factors[0], adjoint=False), _transform(factors[1], adjoint=True)
             adjoint = None if v_map is None or u_map is None else lambda x: u_map(v_map(x))
             _check_unitary(unitarity_residual(self.a, adjoint), "ensemble")
+        elif own[0].kind == "dft1d":
+            # its own check bounded max|ifft(A) - I|, the is_dft1d test
+            self.__dict__["is_dft1d"] = True
         lo = 1.0 / math.sqrt(self.n) - 1e-12
         if not (lo <= self.mu <= 1.0 + 1e-12):
             raise ValueError(f"coherence {self.mu} outside [1/sqrt(N), 1]")
@@ -287,7 +292,8 @@ class MeasurementEnsemble:
     @cached_property
     def is_dft1d(self) -> bool:
         """Whether A is the unitary 1-D DFT to within UNITARITY_TOL, so that
-        A v = ``np.fft.fft(v, norm="ortho")``."""
+        A v = ``np.fft.fft(v, norm="ortho")``.  Checked by inverse FFTs of
+        A's columns unless A is a dft1d factor's own matrix."""
         if not np.iscomplexobj(self.a):
             return False
         for j in range(0, self.n, 64):
@@ -359,15 +365,16 @@ def submatrix(e: MeasurementEnsemble, rows, t: SupportSet) -> np.ndarray:
 
 
 def normalize_rows(m: np.ndarray, *, return_zero_mask: bool = False):
-    """Scale each nonzero row to unit Euclidean norm.
+    """Scale each nonzero row to unit Euclidean norm; a stack of matrices is
+    scaled matrix by matrix.
 
     Zero rows are left as zero (they contribute nothing to a 2->1 norm); the
     optional mask reports which rows were zero.
     """
     m = np.asarray(m)
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=-1)
     zero = norms == 0.0
-    scaled = m / np.where(zero, 1.0, norms)[:, None]
+    scaled = m / np.where(zero, 1.0, norms)[..., None]
     if return_zero_mask:
         return scaled, zero
     return scaled

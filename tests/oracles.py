@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they verify: the sphere oracle never
 enumerates sign patterns, the LP oracle solves the split linear program by
 basic-solution enumeration, the spiral reference walks ring by ring, and the
-Monte-Carlo validator loops draw and reduce one trial at a time, and the
+Monte-Carlo validator loops draw and reduce one trial at a time, the
 operator references form every Gram and product densely and run the Haar
-transform by concatenated copies.
+transform by concatenated copies, and the penalty-factor references
+enumerate the signs of one matrix at a time and run one Burer-Monteiro start
+at a time.
 """
 
 import itertools
@@ -194,3 +196,46 @@ def haar2d_matrix_reference(rows, cols, levels):
     n = rows * cols
     eye = np.eye(n).reshape(n, rows, cols)
     return np.ascontiguousarray(haar2d_analysis_reference(eye, levels).reshape(n, n))
+
+
+def norm_2to1_exact_real_loop(m):
+    """Sign enumeration of one real matrix, 2^16 candidates at a time:
+    (max ||m^T s||_2 over s in {-1,1}^g with s_0 = +1, the first maximizer)."""
+    g = m.shape[0]
+    best, best_s = 0.0, np.ones(g)
+    total = 1 << (g - 1)
+    bits_of = np.arange(g - 1, dtype=np.int64)
+    for start in range(0, total, 1 << 16):
+        codes = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        signs = np.empty((codes.size, g))
+        signs[:, 0] = 1.0
+        signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> bits_of) & 1)
+        vals = signs @ m
+        energy = np.einsum("ij,ij->i", vals, vals)
+        j = int(np.argmax(energy))
+        if energy[j] > best:
+            best, best_s = float(energy[j]), signs[j].copy()
+    return math.sqrt(best), best_s
+
+
+def bm_primal_loop(q, rank, rng, sweeps=500):
+    """Row-normalized rank-``rank`` coordinate ascent on max tr(q R R^H) from
+    one random start, until the objective stops rising."""
+    g = q.shape[0]
+    r = rng.standard_normal((g, rank))
+    if np.iscomplexobj(q):
+        r = r + 1j * rng.standard_normal((g, rank))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    q_off = q - np.diag(np.diag(q))
+    obj_prev = -np.inf
+    for _ in range(sweeps):
+        for i in range(g):
+            v = q_off[i] @ r
+            nv = np.linalg.norm(v)
+            if nv > 0:
+                r[i] = v / nv
+        obj = float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
+        if obj - obj_prev <= 1e-14 * max(1.0, abs(obj)):
+            break
+        obj_prev = obj
+    return float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcs import gamma
+from groupcs import gamma, harness
 from groupcs.gamma import (
     KP_COMPLEX,
     KP_REAL,
@@ -16,10 +16,22 @@ from groupcs.gamma import (
     norm_2to1_upper_sdp,
     penalty_gamma,
 )
-from groupcs.grouping import contiguous_1d, random_groups, singletons, strided_1d
+from groupcs.grouping import (
+    contiguous_1d,
+    random_groups,
+    rect_2d,
+    singletons,
+    spiral_2d,
+    strided_1d,
+)
 from groupcs.operators import SupportSet, make_basis, make_ensemble, normalize_rows, submatrix
 
-from oracles import hadamard_matrix, norm_2to1_sphere_oracle
+from oracles import (
+    bm_primal_loop,
+    hadamard_matrix,
+    norm_2to1_exact_real_loop,
+    norm_2to1_sphere_oracle,
+)
 
 
 def test_exact_orthonormal_rows():
@@ -305,6 +317,19 @@ def _penalty_gamma_loop(e, t, gs, lower_restarts=64, sdp_restarts=8, seed=0):
     return max(lowers), max(uppers)
 
 
+def _counted(monkeypatch, name):
+    """Replace gamma.<name>, which penalty_gamma looks up in its module, by a
+    wrapper that records each call; returns the list of calls."""
+    original, calls = getattr(gamma, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gamma, name, counted)
+    return calls
+
+
 def test_penalty_gamma_matches_full_loop(monkeypatch):
     n = 64
     rng = np.random.default_rng(19)
@@ -318,25 +343,22 @@ def test_penalty_gamma_matches_full_loop(monkeypatch):
         (_dft_ensemble(n), SupportSet(np.array([3, 9, 30, 41, 50])), random_groups(n, 8, 2)),
         (unitary, SupportSet(np.sort(rng.permutation(n)[:6])), contiguous_1d(n, 8)),
     ]
-    original = gamma.norm_2to1_upper_sdp
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    # penalty_gamma looks the name up in its module; the reference loop does not
-    monkeypatch.setattr(gamma, "norm_2to1_upper_sdp", counted)
+    sdp_calls, full = _counted(monkeypatch, "norm_2to1_upper_sdp"), _counted(monkeypatch, "_certify_group")
     for e, t, gs in cases:
         lower, upper = _penalty_gamma_loop(e, t, gs)
-        calls.clear()
+        sdp_calls.clear()
+        full.clear()
         est = penalty_gamma(e, t, gs, "sandwich")
         assert est.lower == pytest.approx(lower, rel=1e-12)
         assert est.upper == pytest.approx(upper, rel=1e-12)
-        assert 1 <= len(calls) <= gs.n_groups
+        assert 1 <= len(full) <= gs.n_groups
+        assert len(sdp_calls) <= len(full)
+        if gs.label in ("strided1d", "contiguous1d"):
+            # the phase fixed point closes these brackets without the SDP
+            assert not sdp_calls
         if gs.label == "strided1d":
             # every strided group has the same Gram matrix: one full evaluation
-            assert len(calls) == 1 and est.argmax_group == 0
+            assert len(full) == 1 and est.argmax_group == 0
 
 
 def test_sandwich_lower_floor_survives_an_inflated_dual(monkeypatch):
@@ -383,3 +405,131 @@ def test_sandwich_brackets_exact_on_real_orthogonal(seed, g, n_groups, k):
     est = penalty_gamma(e, t, gs, "sandwich")
     tol = 1e-9 * max(1.0, exact)
     assert est.lower - tol <= exact <= est.upper + tol
+
+
+# the E1 support of the narrowband benchmark (n=220, k=11)
+_E1_SUPPORT = SupportSet(np.array([14, 15, 18, 19, 21, 22, 116, 117, 123, 125, 126]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(1, 10),
+    k=st.integers(1, 8),
+    is_complex=st.booleans(),
+    restarts=st.sampled_from([0, 8, 64]),
+    repeat=st.booleans(),
+)
+def test_phase_certificate_bounds_the_norm(seed, g, k, is_complex, restarts, repeat):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((g, k))
+    if is_complex:
+        m = m + 1j * rng.standard_normal((g, k))
+    if repeat and g > 1:
+        m[g // 2 :] = m[: g - g // 2]  # equal rows: a degenerate fixed point
+    m = normalize_rows(m)
+    q = gamma._gram(m)
+    lo, u = norm_2to1_lower(m, restarts, rng, return_info=True)
+    lower, _, diag = gamma._phase_certificate(m, q, u)
+    upper = math.sqrt(np.sum(diag))
+    assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
+    assert lower >= lo * (1 - 1e-15)  # further phase steps never lower the bound
+    if is_complex:
+        assert upper >= lower
+    else:
+        assert upper >= norm_2to1_exact_real(m)
+
+
+def test_phase_certificate_of_a_vanishing_witness():
+    # the all-ones start is a fixed point with q u = 0: d = |q u| = 0 gives the
+    # rounding margin no scale, so the shift alone must carry it
+    m = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+    q = gamma._gram(m)
+    lower, _, diag = gamma._phase_certificate(m, q, np.ones(4))
+    assert lower == 0.0
+    assert math.sqrt(np.sum(diag)) >= norm_2to1_exact_real(m) == 4.0
+    assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
+
+
+def test_closed_groups_match_the_sdp_dual():
+    e220 = _dft_ensemble(220)
+    e32 = _dft_ensemble(32)
+    cases = [
+        (e220, _E1_SUPPORT, strided_1d(220, 11), (0, 7, 19)),
+        (e220, _E1_SUPPORT, contiguous_1d(220, 11), (0, 7, 19)),
+        (e32, SupportSet(np.array([1, 4, 5, 11, 20])), random_groups(32, 8, 2), (0, 1, 2, 3)),
+    ]
+    closed = 0
+    for e, t, gs, picks in cases:
+        msubs, seeds = gamma._group_rows(e, t, gs), np.random.SeedSequence(1).spawn(gs.n_groups)
+        for i in picks:
+            q = gamma._gram(msubs[i])
+            lo, _, info = gamma._certify_group(msubs[i], q, 64, seeds[i])
+            if info is None:
+                continue
+            closed += 1
+            up = math.sqrt(info.dual)
+            assert lo <= up <= lo * (1 + 1e-12)
+            assert up == pytest.approx(norm_2to1_upper_sdp(msubs[i], seed=i), rel=1e-12)
+            assert np.sum(info.diag) == info.dual and info.primal == lo * lo
+            assert not info.degraded
+            assert np.linalg.eigvalsh(np.diag(info.diag) - q)[0] >= 0.0
+    assert closed >= 6
+
+
+@pytest.mark.parametrize("structure", [rect_2d(32, 32, 8), spiral_2d(32, 32, 8, cyclic=True)])
+def test_batched_exact_route_is_bit_identical_per_group(structure):
+    # the E2 image workload: 32x32 identity/haar2d, k=51 largest coefficients
+    e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
+    img = harness.synthetic_image(32, 32, np.random.default_rng(7))
+    t, _ = harness.image_to_sparse(img, 51)
+    msubs = gamma._group_rows(e, t, structure)
+    values, signs = gamma._sign_enumeration(msubs)
+    for i in range(structure.n_groups):
+        msub = normalize_rows(submatrix(e, structure.group(i), t))
+        assert np.array_equal(msubs[i], msub)
+        value, s = norm_2to1_exact_real(msub, return_info=True)
+        ref_value, ref_s = norm_2to1_exact_real_loop(msub)
+        assert values[i] == value == ref_value
+        assert np.array_equal(signs[i], s) and np.array_equal(s, ref_s)
+    est = penalty_gamma(e, t, structure, "exact")
+    assert est.exact == np.max(values)
+    assert est.argmax_group == gamma._first_max(values)
+
+
+def test_block_bm_keeps_bracket_and_degraded_flag(monkeypatch):
+    # contiguous groups on this support leave the phase bracket open
+    e = _dft_ensemble(32)
+    t = SupportSet(np.sort(np.random.default_rng(0).permutation(32)[:10]))
+    gs = contiguous_1d(32, 8)
+    sdp_calls = _counted(monkeypatch, "norm_2to1_upper_sdp")
+    block = penalty_gamma(e, t, gs, "sandwich")
+    assert sdp_calls and block.upper > block.lower * (1 + 1e-6)
+
+    def loop(q, rank, rngs, target, sweeps=500):
+        return max((bm_primal_loop(q, rank, rng, sweeps) for rng in rngs), default=0.0)
+
+    monkeypatch.setattr(gamma, "_bm_primal", loop)
+    one_at_a_time = penalty_gamma(e, t, gs, "sandwich")
+    assert (block.lower, block.upper, block.degraded, block.argmax_group) == (
+        one_at_a_time.lower,
+        one_at_a_time.upper,
+        one_at_a_time.degraded,
+        one_at_a_time.argmax_group,
+    )
+
+
+def test_block_bm_matches_one_start_at_a_time():
+    rng = np.random.default_rng(41)
+    for is_complex in (False, True):
+        m = rng.standard_normal((9, 4))
+        if is_complex:
+            m = m + 1j * rng.standard_normal((9, 4))
+        q = gamma._gram(normalize_rows(m))
+        kids = np.random.SeedSequence(3).spawn(8)
+        block = gamma._bm_primal(q, 6, [np.random.default_rng(c) for c in kids], np.inf)
+        loop = max(bm_primal_loop(q, 6, np.random.default_rng(c)) for c in kids)
+        assert block == pytest.approx(loop, rel=1e-12)
+        # an early stop returns as soon as the target is reached
+        early = gamma._bm_primal(q, 6, [np.random.default_rng(c) for c in kids], 0.5 * loop)
+        assert 0.5 * loop <= early <= block * (1 + 1e-12)

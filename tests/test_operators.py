@@ -268,6 +268,35 @@ def test_normalize_rows():
     assert np.array_equal(out[0], [0.0, 0.0])
     # idempotent
     assert np.allclose(normalize_rows(out), out)
+    # a stack is normalized matrix by matrix, as each matrix alone
+    stack = np.random.default_rng(3).standard_normal((4, 3, 5)) + 1j
+    stack[2, 1] = 0.0
+    scaled, zero = normalize_rows(stack, return_zero_mask=True)
+    assert zero.shape == (4, 3) and np.flatnonzero(zero.ravel()).tolist() == [7]
+    for block, alone in zip(scaled, stack):
+        assert np.array_equal(block, normalize_rows(alone))
+
+
+def test_is_dft1d_settled_by_the_factors(monkeypatch):
+    dft = make_basis("dft1d", 64)
+    settled = make_ensemble(make_basis("identity", 64), dft)
+    real = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
+    direct = MeasurementEnsemble(a=dft.entries.copy(), mu=1 / 8, n=64)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("is_dft1d ran a transform")
+
+    monkeypatch.setattr(np.fft, "ifft", no_transform)
+    assert settled.is_dft1d and not real.is_dft1d
+    # without factors the columns are transformed
+    with pytest.raises(AssertionError, match="ran a transform"):
+        direct.is_dft1d
+    monkeypatch.undo()
+    assert direct.is_dft1d
+    assert not make_ensemble(dft, make_basis("identity", 64)).is_dft1d
+    # a 1 x 64 dft2d basis is the 1-D DFT as well, found by the transform check
+    assert make_ensemble(make_basis("identity", 64), make_basis("dft2d", rows=1, cols=64)).is_dft1d
+    assert not make_ensemble(make_basis("identity", 64), make_basis("dft2d", rows=8, cols=8)).is_dft1d
 
 
 def test_support_set_validation():
