@@ -2,9 +2,10 @@
 
 Core pieces: orthonormal bases and measurement ensembles (`operators`),
 group structures and grouped draws (`grouping`), the grouping penalty factor
-with certified bounds (`gamma`), l1 recovery and dual certificates
-(`recovery`), sample-count bounds and their Monte-Carlo validation
-(`bounds`), and the experiment harness plus CLI (`harness`, `cli`).
+with certified bounds (`gamma`), l1 recovery with verdicts proved where a
+proof exists (`recovery`), sample-count bounds and their Monte-Carlo
+validation (`bounds`), and the experiment harness plus CLI (`harness`,
+`cli`).
 """
 
 from .bounds import (
@@ -44,7 +45,6 @@ from .grouping import (
 from .harness import (
     MinMResult,
     SignalSpec,
-    SolverOptions,
     SupportCase,
     SweepConfig,
     SweepRecord,
@@ -57,7 +57,6 @@ from .harness import (
     records_to_csv,
     run_trials,
     scatter_gamma_vs_m,
-    success_rate,
     synthetic_image,
     trial_verdicts,
 )
@@ -74,16 +73,11 @@ from .operators import (
 )
 from .pgm import read_pgm, write_pgm
 from .recovery import (
-    CertificateReport,
-    RecoveryProblem,
     RecoveryResult,
+    SolverOptions,
     basis_pursuit,
-    basis_pursuit_or_descent,
-    basis_pursuit_trials,
-    cross_gram,
-    dual_certificate,
     nre,
-    proved_recovery,
+    solve_trials,
 )
 
 __version__ = "0.1.0"

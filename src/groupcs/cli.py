@@ -70,11 +70,14 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _kind(spec: dict, where: str) -> str:
-    kind = _require(spec, "kind", where)
-    if not isinstance(kind, str):
-        raise ConfigError(f"{where}.kind must be a string, got {kind!r}")
-    return kind
+    return _string(_require(spec, "kind", where), f"{where}.kind")
 
 
 def _number(value, name: str, kind=int):
@@ -122,7 +125,7 @@ _TOP_KEYS = {
 }
 
 _BASIS_KEYS = {"kind", "levels", "path"}
-_STRUCT_KEYS = {"kind", "g", "seed", "orientation", "cyclic"}
+_STRUCT_KEYS = {"kind", "g", "seed", "cyclic"}
 _SUPPORT_KEYS = {"model", "k", "channels", "width_frac", "indices", "image", "tile_rows", "tile_cols", "draws"}
 _SWEEP_KEYS = {
     "m_grid",
@@ -133,7 +136,7 @@ _SWEEP_KEYS = {
     "fresh_coefficients",
     "early_stop",
 }
-_SOLVER_KEYS = {"tol_feas", "tol_obj", "max_iters"}
+_SOLVER_KEYS = {"tol_feas", "max_iters"}
 _BOUNDS_KEYS = {"n", "t_size", "mu", "gamma", "delta", "const"}
 _VALIDATE_KEYS = {"m", "m_grid", "trials", "t0"}
 _RECOVER_KEYS = {"m", "dump_reconstruction"}
@@ -153,7 +156,7 @@ def _build_basis(spec: dict, n: int | None, rows: int | None, cols: int | None, 
     _check_keys(spec, _BASIS_KEYS, where)
     kind = _kind(spec, where)
     if kind == "custom":
-        path = _require(spec, "path", where)
+        path = _string(_require(spec, "path", where), f"{where}.path")
         return make_basis("custom", entries=np.load(path))
     if kind in ("dft2d", "haar2d"):
         if rows is None or cols is None:
@@ -223,7 +226,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     if "image" in section:
         k = _number(_require(section, "k", "support"), "support.k")
-        img = read_pgm(section["image"])
+        img = read_pgm(_string(section["image"], "support.image"))
         tiles = [img]
         names = ["image"]
         tr, tc = (_optional_int(section, key, "support") for key in ("tile_rows", "tile_cols"))
@@ -245,6 +248,8 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     model = section.get("model", "unrestricted")
     k = _number(_require(section, "k", "support"), "support.k")
     draws = _number(section.get("draws", 1), "support.draws")
+    if draws < 1:
+        raise ConfigError(f"support.draws must be at least 1, got {draws}")
     spec = SignalSpec(
         kind="fourier1d",
         n=e.n,
@@ -287,7 +292,6 @@ def build_solver(cfg: dict) -> SolverOptions:
     _check_keys(section, _SOLVER_KEYS, "solver")
     fields = dict(
         tol_feas=_number(section.get("tol_feas", 1e-8), "solver.tol_feas", float),
-        tol_obj=_number(section.get("tol_obj", 1e-6), "solver.tol_obj", float),
         max_iters=_number(section.get("max_iters", 20000), "solver.max_iters"),
     )
     return _checked(SolverOptions, fields, "solver")
@@ -384,7 +388,6 @@ def cmd_sweep(args) -> int:
         sweep_cfg,
         mode=args.mode,
         solver=solver,
-        threads=args.threads,
         gamma_seed=seed,
     )
     buf = io.StringIO()
@@ -491,8 +494,10 @@ def cmd_recover(args) -> int:
     _check_keys(section, _RECOVER_KEYS, "recover")
     m = _number(_require(section, "m", "recover"), "recover.m")
     dump = section.get("dump_reconstruction")
-    if dump is not None and (rows is None or cols is None):
-        raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")
+    if dump is not None:
+        _string(dump, "recover.dump_reconstruction")
+        if rows is None or cols is None:
+            raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")
     solver = build_solver(cfg)
     out_rows = []
     for idx, sup in enumerate(supports):
@@ -556,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seeds.master")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; has no effect (trials are solved in blocks)",
-        )
         if mode:
             p.add_argument("--mode", choices=GAMMA_MODES, default="auto")
 

@@ -27,12 +27,13 @@ from .operators import (
     haar2d_analysis,
     make_basis,
 )
-from .recovery import (
+from .recovery import (  # harness.SolverOptions stays public
     VERDICT_ROUTES,
     RecoveryResult,
+    SolverOptions,
     TrialPool,
-    basis_pursuit_trials,
     nre,
+    solve_trials,
 )
 
 SUPPORT_MODELS = ("unrestricted", "subband")
@@ -237,19 +238,6 @@ def trial_rng(master_seed: int, label: str, m: int, trial: int) -> np.random.Gen
     return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_feas: float = 1e-8
-    tol_obj: float = 1e-6
-    max_iters: int = 20000
-
-    def __post_init__(self):
-        _check_tolerance("tol_feas", self.tol_feas)
-        _check_tolerance("tol_obj", self.tol_obj)
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-
-
 def _draw_trials(
     e: MeasurementEnsemble,
     structure: GroupStructure | None,
@@ -279,11 +267,6 @@ def _draw_trials(
     return np.array(omegas), np.array(coeffs)
 
 
-def _solver_kwargs(solver: SolverOptions | None) -> dict:
-    solver = solver or SolverOptions()
-    return dict(tol_feas=solver.tol_feas, tol_obj=solver.tol_obj, max_iters=solver.max_iters)
-
-
 def run_trials(
     e: MeasurementEnsemble,
     structure: GroupStructure | None,
@@ -302,12 +285,12 @@ def run_trials(
     Returns the true coefficients (one row per trial) and the recovery
     results.  This is the path of the ``recover`` command, which reports the
     reconstruction, its iterations and its objective: every trial runs
-    ``basis_pursuit_trials`` to convergence or to ``max_iters`` and never
-    stops on a proof.  Sweeps take their verdicts from ``trial_verdicts``
-    instead.
+    ``solve_trials`` without verdicts, to convergence or to ``max_iters``,
+    and never stops on a proof.  Sweeps take their verdicts from
+    ``trial_verdicts`` instead.
     """
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
-    return coeffs, basis_pursuit_trials(e, omegas, coeffs, **_solver_kwargs(solver))
+    return coeffs, solve_trials(e, omegas, coeffs, solver, verdicts=False)[0]
 
 
 def trial_verdicts(
@@ -328,7 +311,7 @@ def trial_verdicts(
 
     Trials are drawn as in ``run_trials`` and decided together in a
     ``recovery.TrialPool``, which stops each trial at the first proof, as
-    ``recovery.basis_pursuit_or_descent`` does: "rank_deficient" (a failure:
+    ``recovery.solve_trials`` with verdicts does: "rank_deficient" (a failure:
     the true coefficients are not an l1 minimizer), "certified" (a success:
     the least-squares dual certificate proves they are the unique minimizer,
     with no iteration), "dual" (a success: a certificate built from the ADMM
@@ -374,7 +357,7 @@ def _drive(e: MeasurementEnsemble, requests: list, solver: SolverOptions | None)
     as live rows, fit in the pool's capacity: the trials held stay within
     the capacity and one chunk, whatever the number of requests.
     """
-    pool = TrialPool(e, verdicts=True, **_solver_kwargs(solver))
+    pool = TrialPool(e, solver, verdicts=True)
     out = [None] * len(requests)
     chunks = {}  # request -> [results, routes, trials still open, entries]
     waiting = deque()
@@ -437,7 +420,6 @@ def find_min_m(
     cfg: SweepConfig,
     *,
     solver: SolverOptions | None = None,
-    threads: int = 1,
 ) -> MinMResult:
     """First grid value whose success quota is met; None when all saturate.
 
@@ -447,8 +429,7 @@ def find_min_m(
     trial's verdict does not depend on its chunk, so the success indicator is
     exactly the one of a trial-by-trial loop; ``executed`` (and ``successes``
     and the route counts) also count the trials after the deciding one in
-    the same chunk.  ``threads`` is accepted for compatibility and has no
-    effect.
+    the same chunk.
     """
     return _drive(e, [_sweep(e, gs, t, c0, cfg)], solver)[0]
 
@@ -522,7 +503,8 @@ def scatter_gamma_vs_m(
     support and the sweep of each other (structure, support) run together
     in one pool (``_drive``), so one sweep's slow trials iterate beside the
     next chunks of the others; each sweep's result is the one it gets alone.
-    ``threads`` is accepted for compatibility and has no effect."""
+    ``threads`` is ignored; it stays accepted because ``bench/workloads.py``
+    passes ``threads=1``."""
     base = singletons(e.n)
     gammas = [[penalty_gamma(e, sup.t, gs, mode, seed=gamma_seed) for gs in structures]
               for sup in supports]
@@ -548,43 +530,6 @@ def scatter_gamma_vs_m(
                 )
             )
     return records
-
-
-def success_rate(
-    e: MeasurementEnsemble,
-    t: SupportSet,
-    c0: np.ndarray,
-    m: int,
-    trials: int,
-    *,
-    structure: GroupStructure | None = None,
-    master_seed: int = 0,
-    success_nre: float = 1e-3,
-    solver: SolverOptions | None = None,
-    fresh_coefficients: bool = True,
-) -> tuple[int, int]:
-    """Successes out of ``trials`` at fixed m, each decided by
-    ``trial_verdicts`` as in ``find_min_m``.
-
-    ``structure=None`` samples m rows uniformly at random (no grouping);
-    otherwise whole groups are drawn.  Returns (successes, trials).
-    """
-    request = _successes(
-        e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre
-    )
-    return _drive(e, [request], solver)[0], trials
-
-
-def _successes(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
-    """Request of ``success_rate`` for ``_drive``: the trials go in the
-    chunks of ``find_min_m``, so at most 32 are drawn at a time."""
-    successes = 0
-    for chunk in _trial_chunks(trials):
-        verdicts = yield from _verdicts(
-            e, structure, t, c0, m, chunk, master_seed, fresh_coefficients, success_nre
-        )
-        successes += sum(ok for ok, _ in verdicts)
-    return successes
 
 
 _CSV_COLUMNS = (

@@ -1,40 +1,35 @@
-"""Equality-constrained l1 recovery and the dual-certificate check.
+"""Equality-constrained l1 recovery of trials that measure rows of a unitary
+ensemble.
 
 The solver is an alternating-direction splitting of
 
     min ||c||_1   s.t.   A_omega c = y
 
 into an affine projection step, a complex soft-threshold step, and a dual
-update.  One step over the live rows of a block serves every entry point.
-``TrialPool`` is a continuously refilled block of trials, each measuring a
-row subset of a unitary ensemble, so the projection needs no Gram solve;
-the unitary 1-D DFT is applied by FFT (O(N log N) per iteration), any other
-ensemble by its gathered rows (O(MN)).  Trials join it between runs of
-``_CHECK_EVERY`` iterations and leave when they stop.  With verdicts it stops
-a trial as soon as a proof decides it: the rank rule or a dual certificate
-built from the ADMM dual iterate (a success), or a feasible iterate with a
-smaller l1 norm than the true coefficients (a failure).
-``basis_pursuit_trials`` and ``basis_pursuit_or_descent`` submit one block
-of trials to a pool.  ``basis_pursuit`` solves one user-supplied problem
-and keeps a factorized Gram fallback for rows that are not orthonormal.
-Every result is a deterministic function of its own trial's inputs.
-
-``proved_recovery`` decides a trial without a solve where a proof does: the
-dual certificate proves that the true coefficients are the unique minimizer;
-a rank-deficient support submatrix, when the sign pattern has a component in
-its null space, proves that they are not a minimizer at all.
+update.  Every problem measures orthonormal rows, as any rows of a unitary A
+are, so the projection needs no Gram solve and ||A_omega|| = 1.  One step
+over the live rows of a block serves every entry point.  ``TrialPool`` is a
+continuously refilled block of trials; the unitary 1-D DFT is applied by FFT
+(O(N log N) per iteration), any other ensemble by its gathered rows (O(MN)).
+Trials join it between runs of ``_CHECK_EVERY`` iterations and leave when
+they stop.  With verdicts it stops a trial as soon as a proof decides it: the
+rank rule or a dual certificate built from the ADMM dual iterate (a success),
+or a feasible iterate with a smaller l1 norm than the true coefficients (a
+failure).  ``solve_trials`` submits one block of trials to a pool;
+``basis_pursuit`` solves one user-supplied problem as a block of one gathered
+row set.  ``SolverOptions`` holds the settings of all of them.  Every result
+is a deterministic function of its own trial's inputs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import MeasurementEnsemble, SupportSet
+from .operators import MeasurementEnsemble
 
 _RELAX = 1.8  # over-relaxation; fixed, keeps iterates deterministic
 _RHO0 = 10.0
@@ -44,26 +39,20 @@ _CHECK_EVERY = 8  # iterations between dual-certificate checks on the verdict pa
 VERDICT_ROUTES = ("certified", "rank_deficient", "dual", "descent", "solved")
 
 
-@dataclass
-class RecoveryProblem:
-    a_omega: np.ndarray
-    y: np.ndarray
+@dataclass(frozen=True)
+class SolverOptions:
+    """The ADMM's settings: a trial converges when the norms of its last step
+    and of its split residual are at most ``tol_feas`` times the larger of
+    its iterates' norms, and stops after ``max_iters`` iterations."""
+
     tol_feas: float = 1e-8
-    tol_obj: float = 1e-6
     max_iters: int = 20000
 
     def __post_init__(self):
-        self.a_omega = np.asarray(self.a_omega)
-        self.y = np.asarray(self.y)
-        m, n = self.a_omega.shape
-        if self.y.shape != (m,):
-            raise ValueError(f"y has shape {self.y.shape}, expected ({m},)")
-        if m > n:
-            raise ValueError(f"more measurements ({m}) than unknowns ({n})")
-        if not (np.all(np.isfinite(self.a_omega)) and np.all(np.isfinite(self.y))):
-            raise ValueError("non-finite entries in the problem data")
-        if not (self.tol_feas > 0 and self.tol_obj > 0 and self.max_iters > 0):
-            raise ValueError("tolerances and the iteration budget must be positive")
+        if not (math.isfinite(self.tol_feas) and self.tol_feas > 0):
+            raise ValueError(f"tol_feas must be a finite positive number, got {self.tol_feas!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -73,24 +62,6 @@ class RecoveryResult:
     objective: float
     iterations: int
     converged: bool
-
-
-def spectral_norm_estimate(a: np.ndarray, y: np.ndarray | None = None, iters: int = 50) -> float:
-    """Deterministic power-iteration estimate of ||a||_2."""
-    n = a.shape[1]
-    v = a.conj().T @ y if y is not None else None
-    if v is None or not np.linalg.norm(v) > 0:
-        v = np.ones(n, dtype=a.dtype)
-    v = v / np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iters):
-        w = a.conj().T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = math.sqrt(nw)
-        v = w / nw
-    return est
 
 
 def _soft_threshold(w: np.ndarray, kappa) -> np.ndarray:
@@ -113,8 +84,6 @@ class _MaskedDft:
     The mask is complex 0/1, which multiplies finite values exactly.  The
     measurements y may be set after construction (None until then).
     """
-
-    solve_gram = None
 
     def __init__(self, mask: np.ndarray, y: np.ndarray | None = None):
         self.mask, self.y = mask, y
@@ -150,14 +119,10 @@ class _MaskedDft:
 
 class _GatheredRows:
     """Explicit row blocks A_b (B x m x N) with measurements y (B x m), which
-    may be set after construction (None until then).
+    may be set after construction (None until then)."""
 
-    ``solve_gram`` applies (A A^H)^{-1} when the rows are not orthonormal;
-    only single-problem blocks carry one.
-    """
-
-    def __init__(self, rows: np.ndarray, y: np.ndarray | None = None, solve_gram=None):
-        self.rows, self.y, self.solve_gram = rows, y, solve_gram
+    def __init__(self, rows: np.ndarray, y: np.ndarray | None = None):
+        self.rows, self.y = rows, y
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         return np.matmul(self.rows, v[:, :, None])[:, :, 0]
@@ -173,22 +138,18 @@ class _GatheredRows:
         return np.matmul(r[:, None, :], self.rows)[:, 0, :]
 
     def __getitem__(self, keep) -> "_GatheredRows":
-        y = None if self.y is None else self.y[keep]
-        return _GatheredRows(self.rows[keep], y, self.solve_gram)
+        return _GatheredRows(self.rows[keep], None if self.y is None else self.y[keep])
 
-    def join(self, other: "_GatheredRows") -> "_GatheredRows":
-        # rows of one m; only single-problem blocks carry solve_gram, and they never join
+    def join(self, other: "_GatheredRows") -> "_GatheredRows":  # rows of one m
         return _GatheredRows(
             np.concatenate((self.rows, other.rows)), np.concatenate((self.y, other.y))
         )
 
 
 def _project(op, v: np.ndarray) -> np.ndarray:
-    """Row-wise affine projection v - A^H (A A^H)^{-1} (A v - y)."""
-    r = op.residual(v)
-    if op.solve_gram is not None:
-        r = op.solve_gram(r[0])[None]
-    d = op.adjoint(r)
+    """Row-wise affine projection v - A^H (A v - y) onto {c : A c = y}, for
+    orthonormal rows A."""
+    d = op.adjoint(op.residual(v))
     np.subtract(v, d, out=d)
     return d
 
@@ -296,8 +257,8 @@ class _SupportProof:
         pi_2 = pi_1 + A^H A_S q = A^H (A pi + A_S q) with
         q = G^{-1} (z - pi_1 on S), so that pi_2 = z on S.  The certificate
         holds where |pi_2 - z| <= 1e-8 on S and |pi_2| <= 1 - 1e-9 off S,
-        the tolerances of ``dual_certificate``; then c is the unique l1
-        minimizer.  With pi = 0, pi_2 is the least-squares certificate
+        the tolerances of the one-trial reference ``dual_certificate`` in
+        ``tests/oracles.py``; then c is the unique l1 minimizer.  With pi = 0, pi_2 is the least-squares certificate
         A^H A_S G^{-1} z.
         """
         if not self.groups:
@@ -334,12 +295,12 @@ class _Block:
 
     _PER_ROW = ("op", "proof", "tag", "j", "floor", "y_norm", "kappa", "z", "u", "born")
 
-    def __init__(self, op, norm_a: float, tag, j, floor=None, proof=None):
+    def __init__(self, op, tag, j, floor=None, proof=None):
         self.op, self.proof, self.tag, self.j, self.floor = op, proof, tag, j, floor
         self.y_norm = _row_norm(op.y)
         backprojection = op.adjoint(op.y)
         coeff_scale = np.max(np.abs(backprojection), axis=1)
-        rho = _RHO0 * max(norm_a, 1e-12) ** 2 / np.maximum(coeff_scale, 1e-300)
+        rho = _RHO0 / np.maximum(coeff_scale, 1e-300)  # ||A_omega|| = 1
         # kappa > 0 keeps the soft-threshold quotient defined
         self.kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
         self.z = np.zeros_like(backprojection)
@@ -402,20 +363,20 @@ class _Block:
         self._keep(~stop)
         return out
 
-    def run(self, stop_tol: float, max_iters: int) -> list:
+    def run(self, solver: SolverOptions) -> list:
         """``_CHECK_EVERY`` iterations, the last with the certificate check,
         or fewer when every row stops; returns the rows that stop.  Rows join
         a block only between runs, so every row's checks fall on its own
         iterations 8, 16, ..."""
         stopped = []
         for tick in range(1, _CHECK_EVERY + 1):
-            if out := self.step(stop_tol, max_iters, tick == _CHECK_EVERY):
+            if out := self.step(solver, tick == _CHECK_EVERY):
                 stopped += out
                 if not len(self):
                     break
         return stopped
 
-    def step(self, stop_tol: float, max_iters: int, check: bool) -> list:
+    def step(self, solver: SolverOptions, check: bool) -> list:
         """One iteration of every row; the rows that stop leave the block and
         are returned as by ``leave``.
 
@@ -447,7 +408,7 @@ class _Block:
         terms[3] = c
         step, split, z_norm, c_norm = _row_norm(terms)
         self.z = z = z_new
-        tol = stop_tol * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
+        tol = solver.tol_feas * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
         done = np.maximum(split, step) <= tol
         fell = np.zeros_like(done)
         if self.floor is not None:
@@ -462,8 +423,8 @@ class _Block:
             proved = self.proof.holds(op, u / kappa)
             fell &= ~proved
             stop |= proved
-        if self.ticks - self.eldest >= max_iters:  # a row has run its budget
-            stop |= self.it >= max_iters
+        if self.ticks - self.eldest >= solver.max_iters:  # a row has run its budget
+            stop |= self.it >= solver.max_iters
         if not stop.any():
             return []
         routes = np.where(fell, "descent", "solved")
@@ -472,44 +433,32 @@ class _Block:
         return self.leave(stop, np.where(fell[:, None], c, z), done, routes)
 
 
-def basis_pursuit(p: RecoveryProblem) -> RecoveryResult:
-    a, y = p.a_omega, p.y
-    m, n = a.shape
-    dtype = np.result_type(a, y, np.float64)
-    a = a.astype(dtype, copy=False)
-    y = y.astype(dtype, copy=False)
+def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryResult:
+    """Solve min ||c||_1 s.t. a_omega c = y for one problem.
 
+    The rows of ``a_omega`` (m x N, m <= N) must be orthonormal to 1e-12, as
+    any rows of a unitary matrix are; other rows raise ValueError.  The
+    problem runs as a block of one gathered row set, with the step size, stop
+    test and final projection of every trial of ``solve_trials``.
+    """
+    a, y = np.asarray(a_omega), np.asarray(y)
+    m, n = a.shape
+    if y.shape != (m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    if m > n:
+        raise ValueError(f"more measurements ({m}) than unknowns ({n})")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite entries in the problem data")
+    dtype = np.result_type(a, y, np.float64)
+    a, y = a.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    if np.max(np.abs(a @ a.conj().T - np.eye(m)), initial=0.0) > 1e-12:
+        raise ValueError("the rows of a_omega are not orthonormal (to 1e-12)")
     if float(np.linalg.norm(y)) == 0.0:
         return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
-
-    # affine projection onto {c : a c = y}
-    aah = a @ a.conj().T
-    gram_resid = float(np.max(np.abs(aah - np.eye(m))))
-    if gram_resid <= 1e-12:
-        solve_gram = None
-    else:
-        try:
-            chol = np.linalg.cholesky(aah)
-
-            def solve_gram(r):
-                return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, r))
-
-        except np.linalg.LinAlgError:
-            warnings.warn("a_omega is row-rank deficient; using a pseudo-inverse projection")
-            pinv = np.linalg.pinv(aah, rcond=1e-12)
-
-            def solve_gram(r):
-                return pinv @ r
-
-    op = _GatheredRows(a[None], y[None], solve_gram)
-    block = _Block(op, spectral_norm_estimate(a, y), tag=np.zeros(1), j=np.zeros(1))
-    while not (stopped := block.run(_stop_tol(p.tol_feas, p.tol_obj), p.max_iters)):
+    block = _Block(_GatheredRows(a[None], y[None]), tag=np.zeros(1), j=np.zeros(1))
+    while not (stopped := block.run(solver or SolverOptions())):
         pass
     return stopped[0][2]
-
-
-def _stop_tol(tol_feas: float, tol_obj: float) -> float:
-    return min(tol_feas, 1e-2 * tol_obj)
 
 
 # a pool's live rows hold at most this many entries, or one trial's rows
@@ -519,49 +468,35 @@ _LIVE_ENTRIES = 1 << 20
 _ROW_VECTORS = 16
 
 
-def basis_pursuit_trials(
+def solve_trials(
     e: MeasurementEnsemble,
     omegas: np.ndarray,
     coeffs: np.ndarray,
+    solver: SolverOptions | None = None,
     *,
-    tol_feas: float = 1e-8,
-    tol_obj: float = 1e-6,
-    max_iters: int = 20000,
-) -> list[RecoveryResult]:
-    """Recover a block of trials in one ADMM: trial b measures y_b = A[omega_b] c_b
-    and solves min ||c||_1 s.t. A[omega_b] c = y_b.
+    verdicts: bool,
+) -> tuple[list[RecoveryResult | None], np.ndarray]:
+    """Recover a block of trials in one ``TrialPool``: trial b measures
+    y_b = A[omega_b] c_b and solves min ||c||_1 s.t. A[omega_b] c = y_b.
 
     ``omegas`` (B x m) holds distinct row indices per trial and ``coeffs``
-    (B x N) the true coefficients.  Rows of the unitary A are orthonormal, so
-    the projection needs no Gram solve and ||A[omega_b]|| = 1; each trial
-    gets the step size, stop test and final projection of ``basis_pursuit``.
-    The unitary 1-D DFT is applied by FFT with a row mask; any other
-    ensemble by its gathered rows; at most 2^20 entries are live at a time
-    (see ``TrialPool``).  A trial's result does not depend on the other trials
-    of the block.
-    """
-    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=False)[0]
+    (B x N) the true coefficients.  Each trial gets the step size, stop test
+    and final projection of ``basis_pursuit``, and its result does not depend
+    on the other trials of the block.  Returns the results and the route per
+    trial, one of ``VERDICT_ROUTES``.
 
-
-def basis_pursuit_or_descent(
-    e: MeasurementEnsemble,
-    omegas: np.ndarray,
-    coeffs: np.ndarray,
-    *,
-    tol_feas: float = 1e-8,
-    tol_obj: float = 1e-6,
-    max_iters: int = 20000,
-) -> tuple[list[RecoveryResult | None], np.ndarray]:
-    """``basis_pursuit_trials`` for sweep verdicts: a trial stops as soon as a
-    proof decides whether its true coefficients c_b are the unique l1
-    minimizer.  With S = supp(c_b) and z = sign(c_b on S), the route of each
-    trial, one of ``VERDICT_ROUTES``, is checked in this order:
+    Without ``verdicts`` every trial runs to convergence or ``max_iters``
+    (route "solved").  With ``verdicts`` a trial stops as soon as a proof
+    decides whether its true coefficients c_b are the unique l1 minimizer.
+    With S = supp(c_b) and z = sign(c_b on S), the routes are checked in
+    this order:
 
     - "rank_deficient", a failure, before any solve: A[omega_b, S] is
       numerically rank-deficient (the tolerance of ``matrix_rank``) and z has
       a component in its null space, so no minimizer equals c_b.
     - "certified", a success at iteration 0: the least-squares dual
-      certificate holds (the checks and tolerances of ``dual_certificate``).
+      certificate holds (sigma_min(A[omega_b, S]) > 1e-5, and the certificate
+      is within 1e-8 of z on S and at most 1 - 1e-9 in modulus off S).
     - "dual", a success at a later iteration: every ``_CHECK_EVERY``-th
       iteration the scaled dual iterate, moved into the row space and
       corrected on S, is tested as a certificate with the same tolerances.
@@ -575,17 +510,12 @@ def basis_pursuit_or_descent(
 
     One factorization of A[omega_b, S] per trial (a QR and the singular
     values of its R) serves the rank rule and every certificate test, which
-    keeps only (A_S^H A_S)^{-1} per trial.  Returns
-    the results and the route per trial.  A trial decided at iteration 0 has
-    no result (None); a "dual" or "descent" trial reports the iterate and
+    keeps only (A_S^H A_S)^{-1} per trial.  A trial decided at iteration 0
+    has no result (None); a "dual" or "descent" trial reports the iterate and
     iteration of its proof (the corrected point for descent); a "solved"
-    trial's result is bit-identical to ``basis_pursuit_trials``.
+    trial's result is bit-identical to the one it gets without verdicts.
     """
-    return _trials(e, omegas, coeffs, (tol_feas, tol_obj, max_iters), verdicts=True)
-
-
-def _trials(e, omegas, coeffs, opts, verdicts: bool):
-    pool = TrialPool(e, *opts, verdicts=verdicts)
+    pool = TrialPool(e, solver, verdicts=verdicts)
     pool.submit(0, omegas, coeffs)
     results, routes = [None] * len(coeffs), ["solved"] * len(coeffs)
     while pool.busy:
@@ -631,15 +561,14 @@ class TrialPool:
     pool's memory does not grow with the number of requests submitted.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
-    of ``basis_pursuit_or_descent``: the rank rule at ``submit``, the
+    of ``solve_trials``: the rank rule at ``submit``, the
     least-squares certificate when it joins (the trials it certifies are
     never measured), then the dual and descent stops.
     """
 
-    def __init__(self, e: MeasurementEnsemble, tol_feas: float, tol_obj: float,
-                 max_iters: int, *, verdicts: bool):
-        self.e, self.max_iters, self.verdicts = e, max_iters, verdicts
-        self.stop_tol = _stop_tol(tol_feas, tol_obj)
+    def __init__(self, e: MeasurementEnsemble, solver: SolverOptions | None = None, *,
+                 verdicts: bool):
+        self.e, self.solver, self.verdicts = e, solver or SolverOptions(), verdicts
         self.blocks: dict = {}  # None (masked DFT) or m (gathered rows) -> _Block
         self.queue: deque[_Trials] = deque()
         self.decided: list = []
@@ -667,7 +596,7 @@ class TrialPool:
         self._admit()
         if not self.decided:
             for key, block in list(self.blocks.items()):
-                self.decided += block.run(self.stop_tol, self.max_iters)
+                self.decided += block.run(self.solver)
                 if not len(block):
                     del self.blocks[key]
         decided, self.decided = self.decided, []
@@ -716,7 +645,7 @@ class TrialPool:
                 return
         # measured only now: a trial certified at iteration 0 needs no y
         op.y = op.forward(trials.coeffs)
-        block = _Block(op, 1.0, trials.tag, trials.j, trials.floor, trials.proof)
+        block = _Block(op, trials.tag, trials.j, trials.floor, trials.proof)
         # a zero measurement vector has the zero solution: no iterations
         zero = block.y_norm == 0.0
         if zero.any():
@@ -738,85 +667,3 @@ def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:
     if denom == 0.0:
         raise ValueError("true signal is zero; the error is undefined")
     return float(np.linalg.norm(s_true - s_hat)) / denom
-
-
-@dataclass
-class CertificateReport:
-    invertible: bool
-    min_singular: float  # smallest singular value of A_{omega,T}
-    pi: np.ndarray | None
-    max_offsupport: float
-    holds: bool
-
-
-def cross_gram(a_omega: np.ndarray, t: SupportSet) -> np.ndarray:
-    """A_omega^H A_{omega,T}: N x |T|; off-support rows drive the certificate."""
-    return a_omega.conj().T @ a_omega[:, t.indices]
-
-
-def dual_certificate(
-    e: MeasurementEnsemble,
-    omega,
-    t: SupportSet,
-    z: np.ndarray,
-) -> CertificateReport:
-    """Evaluate the l1 dual certificate for support t and sign sequence z.
-
-    The candidate is pi = A_omega^H A_{omega,T} (A_{omega,T}^H A_{omega,T})^{-1} z;
-    the certificate holds when the support Gram matrix is invertible, pi
-    matches z on the support, and |pi| stays strictly below 1 elsewhere
-    (implemented as <= 1 - 1e-9).
-    """
-    rows = omega.omega if hasattr(omega, "omega") else np.asarray(omega, dtype=np.int64)
-    z = np.asarray(z)
-    if z.shape != (len(t),):
-        raise ValueError("sign sequence length must equal the support size")
-    a_om = e.a[rows]
-    at = a_om[:, t.indices]
-    gram = at.conj().T @ at
-    # the Gram matrix's smallest eigenvalue is the square of A_{omega,T}'s
-    min_singular = math.sqrt(max(float(np.linalg.eigvalsh(gram)[0]), 0.0))
-    if min_singular <= 1e-5:
-        return CertificateReport(False, min_singular, None, math.inf, False)
-    coeffs = np.linalg.solve(gram, z.astype(gram.dtype))
-    pi = a_om.conj().T @ (at @ coeffs)
-    sign_ok = float(np.max(np.abs(pi[t.indices] - z))) <= 1e-8
-    comp = t.complement(e.n)
-    max_off = float(np.max(np.abs(pi[comp]))) if comp.size else 0.0
-    holds = sign_ok and max_off <= 1.0 - 1e-9
-    return CertificateReport(True, min_singular, pi, max_off, holds)
-
-
-def proved_recovery(e: MeasurementEnsemble, omega, c: np.ndarray) -> bool | None:
-    """Decide without a solve whether c is the unique l1 minimizer given the
-    rows ``omega``, when a proof does; None when neither proof applies.  This
-    is the one-trial reference of the sweep's rank rule and iteration-0
-    certificate in ``basis_pursuit_or_descent``.
-
-    With S = supp(c) and z = sign(c_S), checked in this order:
-
-    - False when A_{omega,S} is numerically rank-deficient (sigma_min <=
-      sigma_max * max(m, |S|) * eps, the default tolerance of ``matrix_rank``)
-      and z has a component in its null space (norm above 1e-8 ||z||).  Then
-      no dual vector matches z on S, so c is not an l1 minimizer: along that
-      component h, c + t h is feasible and ||c + t h||_1 < ||c||_1 for a
-      small t of the right sign.  When z lies in the row space, c may still
-      be one of many minimizers, which the solver can return, so the trial
-      is left undecided.
-    - True when ``dual_certificate(e, omega, S, z)`` holds: c is the unique
-      minimizer.
-    """
-    rows = np.asarray(omega, dtype=np.int64)
-    s = np.flatnonzero(c)
-    if s.size == 0:
-        return None
-    z = c[s] / np.abs(c[s])
-    at = e.a[np.ix_(rows, s)]
-    # projection of z onto the row space of A_{omega,S}, truncated at the
-    # same tolerance as the rank
-    row_part, _, rank, _ = np.linalg.lstsq(at, at @ z, rcond=None)
-    if rank < s.size:
-        if np.linalg.norm(z - row_part) > 1e-8 * np.linalg.norm(z):
-            return False
-        return None
-    return True if dual_certificate(e, rows, SupportSet(s), z).holds else None

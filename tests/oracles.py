@@ -7,15 +7,19 @@ Monte-Carlo validator loops draw and reduce one trial at a time, the
 operator references form every Gram and product densely and run the Haar
 transform by concatenated copies, and the penalty-factor references
 enumerate the signs of one matrix at a time and run one Burer-Monteiro start
-at a time.
+at a time.  The one-trial certificate references (``dual_certificate``,
+``proved_recovery``, ``cross_gram``) form each trial's support submatrix and
+solve with it directly, where the sweep batches one QR per trial.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from groupcs.grouping import draw_bernoulli
+from groupcs.operators import MeasurementEnsemble, SupportSet
 
 
 def norm_2to1_sphere_oracle(m, rng, samples=200000, polish_iters=200, starts=50):
@@ -239,3 +243,85 @@ def bm_primal_loop(q, rank, rng, sweeps=500):
             break
         obj_prev = obj
     return float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
+
+
+@dataclass
+class CertificateReport:
+    invertible: bool
+    min_singular: float  # smallest singular value of A_{omega,T}
+    pi: np.ndarray | None
+    max_offsupport: float
+    holds: bool
+
+
+def cross_gram(a_omega: np.ndarray, t: SupportSet) -> np.ndarray:
+    """A_omega^H A_{omega,T}: N x |T|; off-support rows drive the certificate."""
+    return a_omega.conj().T @ a_omega[:, t.indices]
+
+
+def dual_certificate(
+    e: MeasurementEnsemble,
+    omega,
+    t: SupportSet,
+    z: np.ndarray,
+) -> CertificateReport:
+    """Evaluate the l1 dual certificate for support t and sign sequence z.
+
+    The candidate is pi = A_omega^H A_{omega,T} (A_{omega,T}^H A_{omega,T})^{-1} z;
+    the certificate holds when the support Gram matrix is invertible, pi
+    matches z on the support, and |pi| stays strictly below 1 elsewhere
+    (implemented as <= 1 - 1e-9).
+    """
+    rows = omega.omega if hasattr(omega, "omega") else np.asarray(omega, dtype=np.int64)
+    z = np.asarray(z)
+    if z.shape != (len(t),):
+        raise ValueError("sign sequence length must equal the support size")
+    a_om = e.a[rows]
+    at = a_om[:, t.indices]
+    gram = at.conj().T @ at
+    # the Gram matrix's smallest eigenvalue is the square of A_{omega,T}'s
+    min_singular = math.sqrt(max(float(np.linalg.eigvalsh(gram)[0]), 0.0))
+    if min_singular <= 1e-5:
+        return CertificateReport(False, min_singular, None, math.inf, False)
+    coeffs = np.linalg.solve(gram, z.astype(gram.dtype))
+    pi = a_om.conj().T @ (at @ coeffs)
+    sign_ok = float(np.max(np.abs(pi[t.indices] - z))) <= 1e-8
+    comp = t.complement(e.n)
+    max_off = float(np.max(np.abs(pi[comp]))) if comp.size else 0.0
+    holds = sign_ok and max_off <= 1.0 - 1e-9
+    return CertificateReport(True, min_singular, pi, max_off, holds)
+
+
+def proved_recovery(e: MeasurementEnsemble, omega, c: np.ndarray) -> bool | None:
+    """Decide without a solve whether c is the unique l1 minimizer given the
+    rows ``omega``, when a proof does; None when neither proof applies.  This
+    is the one-trial reference of the sweep's rank rule and iteration-0
+    certificate in ``recovery.solve_trials``.
+
+    With S = supp(c) and z = sign(c_S), checked in this order:
+
+    - False when A_{omega,S} is numerically rank-deficient (sigma_min <=
+      sigma_max * max(m, |S|) * eps, the default tolerance of ``matrix_rank``)
+      and z has a component in its null space (norm above 1e-8 ||z||).  Then
+      no dual vector matches z on S, so c is not an l1 minimizer: along that
+      component h, c + t h is feasible and ||c + t h||_1 < ||c||_1 for a
+      small t of the right sign.  When z lies in the row space, c may still
+      be one of many minimizers, which the solver can return, so the trial
+      is left undecided.
+    - True when ``dual_certificate(e, omega, S, z)`` holds: c is the unique
+      minimizer.
+    """
+    rows = np.asarray(omega, dtype=np.int64)
+    s = np.flatnonzero(c)
+    if s.size == 0:
+        return None
+    z = c[s] / np.abs(c[s])
+    at = e.a[np.ix_(rows, s)]
+    # projection of z onto the row space of A_{omega,S}, truncated at the
+    # same tolerance as the rank
+    row_part, _, rank, _ = np.linalg.lstsq(at, at @ z, rcond=None)
+    if rank < s.size:
+        if np.linalg.norm(z - row_part) > 1e-8 * np.linalg.norm(z):
+            return False
+        return None
+    return True if dual_certificate(e, rows, SupportSet(s), z).holds else None

@@ -15,9 +15,8 @@ from groupcs.bounds import (
 )
 from groupcs.grouping import draw_bernoulli, rect_2d, strided_1d
 from groupcs.operators import SupportSet, make_basis, make_ensemble
-from groupcs.recovery import cross_gram
 
-from oracles import cross_row_energy_loop, gram_deviations_loop
+from oracles import cross_gram, cross_row_energy_loop, gram_deviations_loop
 
 
 def _dft_ensemble(n):

@@ -286,6 +286,26 @@ _SWEEP_BASE = {
 }
 
 
+def test_threads_option_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--config", cfg, "--threads", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("solver", "tol_obj"), 1e-6), (("structures", 1, "orientation"), "vertical")],
+)
+def test_removed_config_keys_exit_2(tmp_path, capsys, path, value):
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    _set_path(cfg, path, value)
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "old.json", cfg)], capsys)
+    assert code == 2
+    assert f"unknown key(s) [{path[-1]!r}]" in err and "Traceback" not in err
+
+
 def test_python_m_groupcs_writes_same_bytes(tmp_path):
     # the package runs as `python -m groupcs` from a source tree, without installation
     cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
@@ -322,18 +342,26 @@ def _set_path(cfg, path, value):
         (("support", "k"), None, "support.k"),
         (("ensemble", "n"), "44", "ensemble.n"),
         (("solver", "max_iters"), 0, "solver.max_iters"),
-        (("solver", "tol_obj"), -1, "solver.tol_obj"),
+        (("solver", "tol_feas"), -1, "solver.tol_feas"),
         (("solver", "tol_feas"), float("nan"), "solver.tol_feas"),
         (("sweep", "success_nre"), float("nan"), "sweep.success_nre"),
         (("sweep", "fresh_coefficients"), "false", "sweep.fresh_coefficients"),
         (("sweep", "early_stop"), "no", "sweep.early_stop"),
         (("structures", 1, "cyclic"), "false", "structure.cyclic"),
+        (("ensemble", "measurement"), {"kind": "custom", "path": 5}, "ensemble.measurement.path"),
+        (("ensemble", "sparsity"), {"kind": "custom", "path": 5}, "ensemble.sparsity.path"),
+        (("support", "image"), 5, "support.image"),
+        (("recover", "dump_reconstruction"), 1, "recover.dump_reconstruction"),
+        (("support", "draws"), 0, "support.draws"),
     ],
 )
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     cfg = copy.deepcopy(_SWEEP_BASE)
+    command = "sweep"
+    if path[0] == "recover":  # recover takes one structure
+        command, cfg["structures"], cfg["recover"] = "recover", cfg["structures"][:1], {"m": 8}
     _set_path(cfg, path, value)
-    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    code, out, err = run_cli([command, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
     assert code == 2
     assert f"{name} must be" in err and "Traceback" not in err
 
@@ -359,7 +387,6 @@ _FUZZ_PATHS = [
     ("sweep", "fresh_coefficients"),
     ("solver", "max_iters"),
     ("solver", "tol_feas"),
-    ("solver", "tol_obj"),
     ("seeds", "master"),
 ]
 # small values only: a valid mutation still runs a sweep
@@ -592,7 +619,7 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
     def admm_ran(*args, **kwargs):
         pytest.fail("ADMM ran")
 
-    monkeypatch.setattr(harness, "basis_pursuit_trials", admm_ran)
+    monkeypatch.setattr(harness, "solve_trials", admm_ran)
     monkeypatch.setattr(recovery._Block, "step", admm_ran)
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
     assert code == 0, err

@@ -32,19 +32,12 @@ from groupcs.harness import (
     records_to_csv_text,
     run_trials,
     scatter_gamma_vs_m,
-    success_rate,
     synthetic_image,
     trial_rng,
     trial_verdicts,
 )
 from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
-from groupcs.recovery import (
-    RecoveryProblem,
-    basis_pursuit,
-    basis_pursuit_or_descent,
-    basis_pursuit_trials,
-    nre,
-)
+from groupcs.recovery import basis_pursuit, nre, solve_trials
 
 
 def _dft_ensemble(n):
@@ -198,19 +191,6 @@ def test_find_min_m_early_stop_same_decision():
         assert a.success == b.success
 
 
-def test_find_min_m_threads_match_sequential():
-    e = _dft_ensemble(32)
-    gs = strided_1d(32, 4)
-    rng = np.random.default_rng(7)
-    t = SupportSet(np.sort(rng.permutation(32)[:3]))
-    c0 = np.zeros(32, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, 3)
-    cfg = SweepConfig(m_grid=(8, 16, 32), trials_per_m=8, success_quota=0.9, master_seed=4)
-    seq = find_min_m(e, gs, t, c0, cfg, threads=1)
-    par = find_min_m(e, gs, t, c0, cfg, threads=4)
-    assert seq == par  # threads has no effect: same verdicts and counts
-
-
 def test_find_min_m_grid_bounds():
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
@@ -306,13 +286,17 @@ def test_success_rate_direct_vs_singleton_same_law():
     t = SupportSet(np.sort(rng.permutation(n)[:4]))
     c0 = np.zeros(n, dtype=complex)
     c0[t.indices] = rng.uniform(-1, 1, 4)
-    s_direct, n_direct = success_rate(e, t, c0, m, 60, master_seed=10)
-    s_single, n_single = success_rate(
-        e, t, c0, m, 60, structure=singletons(n), master_seed=11
-    )
+    s_direct = _successes(e, None, t, c0, m, 60, master_seed=10)
+    s_single = _successes(e, singletons(n), t, c0, m, 60, master_seed=11)
     from oracles import two_proportion_fisher_pvalue
 
-    assert two_proportion_fisher_pvalue(s_direct, n_direct, s_single, n_single) >= 0.05
+    assert two_proportion_fisher_pvalue(s_direct, 60, s_single, 60) >= 0.05
+
+
+def _successes(e, structure, t, c0, m, trials, **kw):
+    # every trial draws from its own stream, so one call decides each
+    # trial as a sweep's chunks would
+    return sum(ok for ok, _ in trial_verdicts(e, structure, t, c0, m, range(trials), **kw))
 
 
 def test_trial_rng_stable_streams():
@@ -385,7 +369,7 @@ def _find_min_m_trial_by_trial(e, gs, t, c0, cfg):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
             a = e.a[draw_uniform(gs, m, rng).omega]
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(RecoveryProblem(a, a @ c))
+            res = basis_pursuit(a, a @ c)
             assert res.converged
             ok = nre(c, res.c_hat) <= cfg.success_nre
             successes += ok
@@ -477,7 +461,7 @@ def test_proved_verdicts_agree_with_solver(kind):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
             a = e.a[draw_uniform(gs, m, rng).omega]
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(RecoveryProblem(a, a @ c))
+            res = basis_pursuit(a, a @ c)
             assert res.converged
             assert (nre(c, res.c_hat) <= cfg.success_nre) == ok, (m, j, route)
     assert routes["certified"] > 0 and routes["certified"] + routes["rank_deficient"] >= 60, routes
@@ -497,8 +481,8 @@ def test_recover_path_never_stops_on_descent():
     coeffs, results = run_trials(e, gs, t, None, m, trials, **kw)
     omegas = np.array([draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
                        for j in trials])
-    full = basis_pursuit_trials(e, omegas, coeffs, max_iters=solver.max_iters)
-    stopped, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=solver.max_iters)
+    full, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
+    stopped, routes = solve_trials(e, omegas, coeffs, solver, verdicts=True)
     assert [route for _, route in verdicts] == list(routes)
     for r, ref, early, route in zip(results, full, stopped, routes):
         assert np.array_equal(r.c_hat, ref.c_hat)

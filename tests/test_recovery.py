@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from groupcs import recovery
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
-    RecoveryProblem,
+    SolverOptions,
     TrialPool,
     basis_pursuit,
-    basis_pursuit_or_descent,
-    basis_pursuit_trials,
-    cross_gram,
     _soft_threshold,
-    dual_certificate,
     nre,
-    proved_recovery,
+    solve_trials,
 )
 
-from oracles import l1_min_vertex_oracle, random_orthogonal
+from oracles import (
+    cross_gram,
+    dual_certificate,
+    l1_min_vertex_oracle,
+    proved_recovery,
+    random_orthogonal,
+)
 
 
 def _dft_ensemble(n):
@@ -42,13 +44,13 @@ def test_nre_basics():
 def test_problem_validation():
     a = np.eye(3)
     with pytest.raises(ValueError):
-        RecoveryProblem(a, np.ones(2))
+        basis_pursuit(a, np.ones(2))
     with pytest.raises(ValueError):
-        RecoveryProblem(a, np.array([1.0, np.nan, 0.0]))
+        basis_pursuit(a, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError):
-        RecoveryProblem(np.ones((4, 3)), np.ones(4))
+        basis_pursuit(np.ones((4, 3)), np.ones(4))
     with pytest.raises(ValueError):
-        RecoveryProblem(a, np.ones(3), tol_feas=0.0)
+        SolverOptions(tol_feas=0.0)
 
 
 def test_full_sampling_exact():
@@ -56,7 +58,7 @@ def test_full_sampling_exact():
     rng = np.random.default_rng(0)
     c0 = np.zeros(32)
     c0[rng.permutation(32)[:7]] = rng.uniform(-1, 1, 7)
-    res = basis_pursuit(RecoveryProblem(e.a, e.a @ c0))
+    res = basis_pursuit(e.a, e.a @ c0)
     assert res.converged
     assert nre(c0, res.c_hat) <= 1e-8
     assert res.feas_residual <= 1e-8
@@ -70,7 +72,7 @@ def test_one_sparse_dft_recovery():
         c0 = np.zeros(32)
         c0[rng.integers(0, 32)] = rng.uniform(0.1, 1.0) * rng.choice([-1, 1])
         a = e.a[omega]
-        res = basis_pursuit(RecoveryProblem(a, a @ c0))
+        res = basis_pursuit(a, a @ c0)
         assert nre(c0, res.c_hat) <= 1e-6, seed
 
 
@@ -83,7 +85,7 @@ def test_objective_matches_lp_oracle():
         c0 = np.zeros(12)
         c0[rng.permutation(12)[:2]] = rng.uniform(-1, 1, 2)
         y = a @ c0
-        res = basis_pursuit(RecoveryProblem(a, y))
+        res = basis_pursuit(a, y)
         oracle = l1_min_vertex_oracle(a, y)
         worst = max(worst, abs(res.objective - oracle))
         assert res.objective == pytest.approx(oracle, abs=1e-6)
@@ -97,10 +99,9 @@ def test_solver_sanity_objective_not_above_truth():
     c0 = np.zeros(64)
     c0[rng.permutation(64)[:5]] = rng.uniform(-1, 1, 5)
     a = e.a[omega]
-    p = RecoveryProblem(a, a @ c0)
-    res = basis_pursuit(p)
+    res = basis_pursuit(a, a @ c0)
     assert res.converged
-    assert res.objective <= np.sum(np.abs(c0)) * (1 + p.tol_obj)
+    assert res.objective <= np.sum(np.abs(c0)) * (1 + 1e-6)
 
 
 def test_determinism_bit_identical():
@@ -110,8 +111,8 @@ def test_determinism_bit_identical():
     c0 = np.zeros(48)
     c0[rng.permutation(48)[:4]] = rng.uniform(-1, 1, 4)
     a = e.a[omega]
-    r1 = basis_pursuit(RecoveryProblem(a, a @ c0))
-    r2 = basis_pursuit(RecoveryProblem(a, a @ c0))
+    r1 = basis_pursuit(a, a @ c0)
+    r2 = basis_pursuit(a, a @ c0)
     assert np.array_equal(r1.c_hat, r2.c_hat)
     assert r1.iterations == r2.iterations
 
@@ -124,28 +125,26 @@ def test_scaling_equivariance():
     c0[rng.permutation(32)[:3]] = rng.uniform(-1, 1, 3)
     a = e.a[omega]
     y = a @ c0
-    base = basis_pursuit(RecoveryProblem(a, y))
+    base = basis_pursuit(a, y)
     for alpha in (0.25, 3.0, 1e3):
-        scaled = basis_pursuit(RecoveryProblem(a, alpha * y))
+        scaled = basis_pursuit(a, alpha * y)
         assert np.allclose(scaled.c_hat, alpha * base.c_hat, atol=1e-8 * alpha)
 
 
 def test_zero_measurements():
     a = np.eye(4)[:2]
-    res = basis_pursuit(RecoveryProblem(a, np.zeros(2)))
+    res = basis_pursuit(a, np.zeros(2))
     assert res.converged and res.objective == 0.0 and res.iterations == 0
 
 
-def test_rank_deficient_rows_warn_not_fail():
+def test_non_orthonormal_rows_rejected():
     rng = np.random.default_rng(21)
     q = random_orthogonal(8, rng)
-    a = np.vstack([q[:3], q[2]])  # duplicated row
     c0 = np.zeros(8)
     c0[1] = 0.8
-    with pytest.warns(UserWarning, match="rank deficient"):
-        res = basis_pursuit(RecoveryProblem(a, a @ c0))
-    assert res.feas_residual <= 1e-6
-    assert nre(c0, res.c_hat) <= 1e-4
+    for a in (np.vstack([q[:3], q[2]]), 2.0 * q[:3]):  # a duplicated row; a scaled block
+        with pytest.raises(ValueError, match="not orthonormal"):
+            basis_pursuit(a, a @ c0)
 
 
 def test_max_iters_exhaustion_flags():
@@ -155,7 +154,7 @@ def test_max_iters_exhaustion_flags():
     c0 = np.zeros(32)
     c0[rng.permutation(32)[:4]] = rng.uniform(-1, 1, 4)
     a = e.a[omega]
-    res = basis_pursuit(RecoveryProblem(a, a @ c0, max_iters=3))
+    res = basis_pursuit(a, a @ c0, SolverOptions(max_iters=3))
     assert not res.converged
     assert res.iterations == 3
     assert np.all(np.isfinite(res.c_hat))
@@ -209,7 +208,7 @@ def test_certificate_predicts_recovery():
         c0 = np.zeros(64)
         c0[t.indices] = coeffs
         a = e.a[omega]
-        res = basis_pursuit(RecoveryProblem(a, a @ c0))
+        res = basis_pursuit(a, a @ c0)
         err = np.linalg.norm(res.c_hat - c0) / np.linalg.norm(c0)
         assert err <= 1e-4, (seed, err)
     assert held >= 200  # the sweep must actually exercise the implication
@@ -281,9 +280,10 @@ def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
     e = ensemble()
     assert e.is_dft1d == (not real)
     omegas, coeffs = _trial_block(e, m, k, 32, seed=41, real=real)
-    chunk = basis_pursuit_trials(e, omegas, coeffs, max_iters=3000)
+    solver = SolverOptions(max_iters=3000)
+    chunk, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     for i in (0, 7, 31):
-        alone = basis_pursuit_trials(e, omegas[i : i + 1], coeffs[i : i + 1], max_iters=3000)[0]
+        (alone,), _ = solve_trials(e, omegas[i : i + 1], coeffs[i : i + 1], solver, verdicts=False)
         assert np.array_equal(alone.c_hat, chunk[i].c_hat)
         assert alone.iterations == chunk[i].iterations
         assert alone.converged == chunk[i].converged
@@ -303,8 +303,8 @@ def test_pool_live_rows_stay_within_entry_bound(monkeypatch, ensemble, m, k, rea
     # do not change
     e = ensemble()
     omegas, coeffs = _trial_block(e, m, k, 12, seed=53, real=real)
-    opts = dict(max_iters=3000)
-    unbounded = basis_pursuit_trials(e, omegas, coeffs, **opts)
+    solver = SolverOptions(max_iters=3000)
+    unbounded, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     per_row = e.n * (recovery._ROW_VECTORS + (0 if e.is_dft1d else m))
     monkeypatch.setattr(recovery, "_LIVE_ENTRIES", cap * per_row)
     live = []
@@ -315,7 +315,7 @@ def test_pool_live_rows_stay_within_entry_bound(monkeypatch, ensemble, m, k, rea
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(recovery._Block, "step", counted)
-    bounded = basis_pursuit_trials(e, omegas, coeffs, **opts)
+    bounded, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     assert max(live) == max(cap, 1)
     for a, b in zip(unbounded, bounded):
         assert np.array_equal(a.c_hat, b.c_hat) and a.iterations == b.iterations
@@ -336,10 +336,10 @@ def test_trial_engine_matches_basis_pursuit(ensemble, m, k):
     e = ensemble()
     real = not np.iscomplexobj(e.a)
     omegas, coeffs = _trial_block(e, m, k, 6, seed=43, real=real)
-    block = basis_pursuit_trials(e, omegas, coeffs, max_iters=4000)
+    block, _ = solve_trials(e, omegas, coeffs, SolverOptions(max_iters=4000), verdicts=False)
     for omega, c, res in zip(omegas, coeffs, block):
         a = e.a[omega]
-        ref = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=4000))
+        ref = basis_pursuit(a, a @ c, SolverOptions(max_iters=4000))
         assert (nre(c, res.c_hat) <= 1e-3) == (nre(c, ref.c_hat) <= 1e-3)
         assert np.max(np.abs(res.c_hat - ref.c_hat)) <= 1e-6
         assert res.converged == ref.converged
@@ -350,7 +350,7 @@ def test_trial_engine_zero_trial_needs_no_iterations():
     e = _dft_ensemble(32)
     omegas, coeffs = _trial_block(e, 16, 3, 2, seed=47)
     coeffs[1] = 0.0
-    res = basis_pursuit_trials(e, omegas, coeffs)
+    res, _ = solve_trials(e, omegas, coeffs, verdicts=False)
     assert res[1].iterations == 0 and res[1].converged
     assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
     assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
@@ -396,7 +396,7 @@ def test_proved_recovery_is_sound(seed, n, split_frac, k, m):
         step = 0.5 * np.min(np.abs(c[s])) / np.max(np.abs(h))
         assert np.sum(np.abs(c - step * h)) < np.sum(np.abs(c))
     elif proof is True:
-        res = basis_pursuit(RecoveryProblem(a, a @ c))
+        res = basis_pursuit(a, a @ c)
         assert nre(c, res.c_hat) <= 1e-3
 
 
@@ -454,8 +454,9 @@ def test_descent_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         c[s] = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
         if complex_:
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=k))
-    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
-    full = basis_pursuit_trials(e, omegas, coeffs, max_iters=500)
+    solver = SolverOptions(max_iters=500)
+    results, routes = solve_trials(e, omegas, coeffs, solver, verdicts=True)
+    full, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     for omega, c, res, ref, route in zip(omegas, coeffs, results, full, routes):
         if route == "solved":
             assert np.array_equal(res.c_hat, ref.c_hat) and res.iterations == ref.iterations
@@ -494,7 +495,7 @@ def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
         if complex_:
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
-    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=500)
+    results, routes = solve_trials(e, omegas, coeffs, SolverOptions(max_iters=500), verdicts=True)
     for omega, c, res, route in zip(omegas, coeffs, results, routes):
         s = np.flatnonzero(c)
         cert = dual_certificate(e, omega, SupportSet(s), c[s] / np.abs(c[s]))
@@ -506,7 +507,7 @@ def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
             assert res.iterations >= 1
             a = e.a[omega]
             # re-solved to convergence: some trials need more than the default budget
-            full = basis_pursuit(RecoveryProblem(a, a @ c, max_iters=200_000))
+            full = basis_pursuit(a, a @ c, SolverOptions(max_iters=200_000))
             assert full.converged
             assert nre(c, full.c_hat) <= 1e-3
 
@@ -536,11 +537,12 @@ def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
         size = 1 + b % 8
         s = np.sort(rng.permutation(64)[:size])
         c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
-    results, routes = basis_pursuit_or_descent(e, omegas, coeffs, max_iters=2000)
+    solver = SolverOptions(max_iters=2000)
+    results, routes = solve_trials(e, omegas, coeffs, solver, verdicts=True)
     assert set(routes) == seen, routes
     for b in range(16):
-        (alone,), (route,) = basis_pursuit_or_descent(
-            e, omegas[b : b + 1], coeffs[b : b + 1], max_iters=2000
+        (alone,), (route,) = solve_trials(
+            e, omegas[b : b + 1], coeffs[b : b + 1], solver, verdicts=True
         )
         assert route == routes[b]
         if alone is None:
@@ -580,8 +582,8 @@ def test_pool_row_does_not_depend_on_companions(seed, gathered, verdicts, compan
 
     m = int(rng.choice(sizes))
     omega, c = draw(m)
-    opts = dict(tol_feas=1e-8, tol_obj=1e-6, max_iters=400)
-    pool = TrialPool(e, **opts, verdicts=verdicts)
+    solver = SolverOptions(max_iters=400)
+    pool = TrialPool(e, solver, verdicts=verdicts)
     for tag in range(1, companions + 1):
         pool.submit(tag, *draw(m if rng.random() < 0.5 else int(rng.choice(sizes))))
     decided = []
@@ -593,10 +595,7 @@ def test_pool_row_does_not_depend_on_companions(seed, gathered, verdicts, compan
     ((_, j, result, route),) = [d for d in decided if d[0] == 0]
     assert j == 0
     assert sorted(d[0] for d in decided) == list(range(companions + 1))
-    if verdicts:
-        (alone,), (alone_route,) = basis_pursuit_or_descent(e, omega, c, **opts)
-    else:
-        (alone,), alone_route = basis_pursuit_trials(e, omega, c, **opts), "solved"
+    (alone,), (alone_route,) = solve_trials(e, omega, c, solver, verdicts=verdicts)
     assert route == alone_route
     if alone is None:
         assert result is None
