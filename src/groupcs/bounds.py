@@ -27,8 +27,9 @@ class BoundQuery:
     const: float = 1.0
 
     def __post_init__(self):
-        if min(self.n, self.t_size) < 1 or min(self.mu, self.gamma, self.const) <= 0:
-            raise ValueError("bound query fields must be positive")
+        reals = (self.mu, self.gamma, self.const)
+        if min(self.n, self.t_size) < 1 or not all(math.isfinite(x) and x > 0 for x in reals):
+            raise ValueError("bound query fields must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 

@@ -230,12 +230,18 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
         tiles = [img]
         names = ["image"]
         tr, tc = (_optional_int(section, key, "support") for key in ("tile_rows", "tile_cols"))
-        if tr and tc:
+        if (tr is None) != (tc is None):
+            raise ConfigError("support.tile_rows and support.tile_cols go together")
+        if tr is not None:
+            if min(tr, tc) < 1:
+                raise ConfigError(f"support tiles must be at least 1x1, got {tr}x{tc}")
             tiles, names = [], []
             for i0 in range(0, img.shape[0] - tr + 1, tr):
                 for j0 in range(0, img.shape[1] - tc + 1, tc):
                     tiles.append(img[i0 : i0 + tr, j0 : j0 + tc])
                     names.append(f"tile{i0}_{j0}")
+            if not tiles:
+                raise ConfigError(f"no {tr}x{tc} tile fits the {img.shape[0]}x{img.shape[1]} image")
         cases = []
         for tile, name in zip(tiles, names):
             if rows is not None and tile.shape != (rows, cols):

@@ -63,10 +63,13 @@ _TIE = 1e-12
 _SIGN_CHUNK = 1 << 16
 _ENUM_ENTRIES = 1 << 20
 # the phase fixed-point certificate of a group tries the all-ones witness,
-# then this many random restarts, then all of them; a witness takes at most
-# this many further phase steps before its certificate is formed
+# then this many random restarts, then all _LOWER_RESTARTS of them; a witness
+# takes at most this many further phase steps before its certificate is formed
 _WITNESS_STAGES = (0, 8)
 _POLISH_STEPS = 50
+_LOWER_RESTARTS = 64
+# restarts of the SDP's low-rank ascent, for groups the fixed point leaves open
+_SDP_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -496,9 +499,6 @@ def penalty_gamma(
     gs: GroupStructure,
     mode: str = "auto",
     *,
-    enum_limit: int = ENUM_LIMIT_DEFAULT,
-    lower_restarts: int = 64,
-    sdp_restarts: int = 8,
     seed: int = 0,
 ) -> GammaEstimate:
     """Penalty factor: max over groups of the 2->1 norm of the row-normalized
@@ -528,13 +528,13 @@ def penalty_gamma(
 
     g = gs.g
     is_real_a = not np.iscomplexobj(e.a)
-    enum_ok = g == 1 or (is_real_a and g <= enum_limit)
+    enum_ok = g == 1 or (is_real_a and g <= ENUM_LIMIT_DEFAULT)
     route = mode
     if mode == "auto":
         route = "exact" if enum_ok else "sandwich"
     if route == "exact" and not enum_ok:
         raise ValueError(
-            "exact mode needs a real ensemble with g <= enum_limit (or g == 1)"
+            f"exact mode needs a real ensemble with g <= {ENUM_LIMIT_DEFAULT} (or g == 1)"
         )
 
     msubs = _group_rows(e, t, gs)
@@ -562,10 +562,10 @@ def penalty_gamma(
         if uppers[i] <= best_lower * (1 + _TIE):
             break
         pending[i] = False
-        lo, u, info = _certify_group(msubs[i], grams[i], lower_restarts, group_seeds[i])
+        lo, u, info = _certify_group(msubs[i], grams[i], _LOWER_RESTARTS, group_seeds[i])
         if info is None:
             _, info = norm_2to1_upper_sdp(
-                msubs[i], restarts=sdp_restarts, seed=seed + i, return_info=True
+                msubs[i], restarts=_SDP_RESTARTS, seed=seed + i, return_info=True
             )
         up = math.sqrt(max(info.dual, 0.0))
         # valid floors: mean over random signs/phases, and Nesterov's quotient

@@ -9,16 +9,18 @@ into an affine projection step, a complex soft-threshold step, and a dual
 update.  Every problem measures orthonormal rows, as any rows of a unitary A
 are, so the projection needs no Gram solve and ||A_omega|| = 1.  One step
 over the live rows of a block serves every entry point.  ``TrialPool`` is a
-continuously refilled block of trials; the unitary 1-D DFT is applied by FFT
-(O(N log N) per iteration), any other ensemble by its gathered rows (O(MN)).
-Trials join it between runs of ``_CHECK_EVERY`` iterations and leave when
-they stop.  With verdicts it stops a trial as soon as a proof decides it: the
-rank rule or a dual certificate built from the ADMM dual iterate (a success),
-or a feasible iterate with a smaller l1 norm than the true coefficients (a
-failure).  ``solve_trials`` submits one block of trials to a pool;
-``basis_pursuit`` solves one user-supplied problem as a block of one gathered
-row set.  ``SolverOptions`` holds the settings of all of them.  Every result
-is a deterministic function of its own trial's inputs.
+continuously refilled set of blocks of trials, one per support size, that
+carry every per-trial quantity as a column of one row table (``_Rows``); the
+unitary 1-D DFT is applied by FFT (O(N log N) per iteration), any other
+ensemble by its gathered rows (O(MN)).  Trials join it between runs of
+``_CHECK_EVERY`` iterations and leave when they stop.  With verdicts it stops
+a trial as soon as a proof decides it: the least-squares certificate or one
+built from the ADMM dual iterate (a success), or the rank rule or a feasible
+iterate with a smaller l1 norm than the true coefficients (a failure).
+``solve_trials`` submits one request of trials to a pool; ``basis_pursuit``
+solves one user-supplied problem as a block of one gathered row set.
+``SolverOptions`` holds the settings of all of them.  Every result is a
+deterministic function of its own trial's inputs.
 """
 
 from __future__ import annotations
@@ -76,80 +78,87 @@ def _soft_threshold(w: np.ndarray, kappa) -> np.ndarray:
     return w * shrink
 
 
-class _MaskedDft:
-    """Rows omega_b of the unitary 1-D DFT for a block of trials, as a row mask.
+class _Rows:
+    """Per-trial arrays of equal length, one attribute each.
 
-    Measurements are held zero-padded to length N, so A_omega v is the
-    masked ``fft(v, norm="ortho")`` and A_omega^H r is ``ifft(r, norm="ortho")``.
-    The mask is complex 0/1, which multiplies finite values exactly.  The
-    measurements y may be set after construction (None until then).
+    Every per-trial quantity of a pool is such a column, from the queue to
+    the blocks, so one keep (``rows[keep]``) and one ``join`` move them all.
     """
 
-    def __init__(self, mask: np.ndarray, y: np.ndarray | None = None):
-        self.mask, self.y = mask, y
+    def __init__(self, **columns):
+        self.__dict__.update(columns)
 
-    @classmethod
-    def of_rows(cls, omegas: np.ndarray, n: int) -> "_MaskedDft":
-        mask = np.zeros((len(omegas), n), dtype=np.complex128)
+    def __len__(self) -> int:
+        return len(self.j)
+
+    def __getitem__(self, keep) -> "_Rows":
+        return _Rows(**{name: v[keep] for name, v in vars(self).items()})
+
+    def join(self, other: "_Rows") -> "_Rows":
+        return _Rows(**{name: np.concatenate((v, getattr(other, name)))
+                        for name, v in vars(self).items()})
+
+
+class _MaskedDft:
+    """Rows omega_b of the unitary 1-D DFT, held per trial as a row mask a
+    (B x N).
+
+    Measurements y are held zero-padded to length N, so A_omega v is the
+    masked ``fft(v, norm="ortho")`` and A_omega^H r is ``ifft(r, norm="ortho")``.
+    The mask is complex 0/1, which multiplies finite values exactly.
+    """
+
+    @staticmethod
+    def rows(e: MeasurementEnsemble, omegas: np.ndarray) -> np.ndarray:
+        mask = np.zeros((len(omegas), e.n), dtype=np.complex128)
         mask[np.arange(len(omegas))[:, None], omegas] = 1.0
-        return cls(mask)
+        return mask
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def forward(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = np.fft.fft(v, axis=1, norm="ortho")
-        w -= self.y
-        w *= self.mask
+        w *= a
         return w
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def residual(a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        w = np.fft.fft(v, axis=1, norm="ortho")
+        w -= y
+        w *= a
+        return w
+
+    @staticmethod
+    def adjoint(a: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.fft.ifft(r, axis=1, norm="ortho")
-
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        w = np.fft.fft(v, axis=1, norm="ortho")
-        w *= self.mask
-        return w
-
-    def __getitem__(self, keep) -> "_MaskedDft":
-        return _MaskedDft(self.mask[keep], None if self.y is None else self.y[keep])
-
-    def join(self, other: "_MaskedDft") -> "_MaskedDft":
-        return _MaskedDft(
-            np.concatenate((self.mask, other.mask)), np.concatenate((self.y, other.y))
-        )
 
 
 class _GatheredRows:
-    """Explicit row blocks A_b (B x m x N) with measurements y (B x m), which
-    may be set after construction (None until then)."""
+    """Explicit rows a = A[omega_b] (B x m x N) per trial, with
+    measurements y (B x m)."""
 
-    def __init__(self, rows: np.ndarray, y: np.ndarray | None = None):
-        self.rows, self.y = rows, y
+    @staticmethod
+    def rows(e: MeasurementEnsemble, omegas: np.ndarray) -> np.ndarray:
+        return e.a[omegas]
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        return np.matmul(self.rows, v[:, :, None])[:, :, 0]
+    @staticmethod
+    def forward(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.matmul(a, v[:, :, None])[:, :, 0]
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        r = self.forward(v)
-        r -= self.y
-        return r
+    @staticmethod
+    def residual(a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _GatheredRows.forward(a, v) - y
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(self.rows):
-            return np.matmul(r.conj()[:, None, :], self.rows)[:, 0, :].conj()
-        return np.matmul(r[:, None, :], self.rows)[:, 0, :]
-
-    def __getitem__(self, keep) -> "_GatheredRows":
-        return _GatheredRows(self.rows[keep], None if self.y is None else self.y[keep])
-
-    def join(self, other: "_GatheredRows") -> "_GatheredRows":  # rows of one m
-        return _GatheredRows(
-            np.concatenate((self.rows, other.rows)), np.concatenate((self.y, other.y))
-        )
+    @staticmethod
+    def adjoint(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(a):
+            return np.matmul(r.conj()[:, None, :], a)[:, 0, :].conj()
+        return np.matmul(r[:, None, :], a)[:, 0, :]
 
 
-def _project(op, v: np.ndarray) -> np.ndarray:
+def _project(op, a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise affine projection v - A^H (A v - y) onto {c : A c = y}, for
     orthonormal rows A."""
-    d = op.adjoint(op.residual(v))
+    d = op.adjoint(a, op.residual(a, y, v))
     np.subtract(v, d, out=d)
     return d
 
@@ -163,204 +172,150 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
 
 
 class _SupportProof:
-    """What the verdict proofs need of each trial's support submatrix.
+    """What the verdict proofs need of each trial's support submatrix, as
+    columns of a ``_Rows`` table whose trials share one |S|.
 
     Per row b, with S = supp(c_b), z = sign(c_b on S) and A_S = A[omega_b, S]:
-    ``size`` holds |S|; ``idx`` holds S and ``sign`` holds z, padded to the
-    largest |S| of the block by repeating one of their entries; ``ginv`` holds
-    G^{-1} = (A_S^H A_S)^{-1}, zero outside the leading |S| x |S| block;
+    ``idx`` (B x |S|) holds S and ``sign`` holds z; ``ginv`` (B x |S| x |S|)
+    holds G^{-1} = (A_S^H A_S)^{-1}, zero where ``valid`` is not set;
     ``valid`` marks the rows with sigma_min(A_S) > 1e-5, the only rows a
-    certificate can hold for.  G^{-1} is applied to each row's leading |S|
-    entries only, so the padding changes no bit of a row's check.
+    certificate can hold for.
     """
 
-    def __init__(self, n, size, idx, sign, ginv, valid):
-        self.n, self.size, self.idx, self.sign = n, size, idx, sign
-        self.ginv, self.valid = ginv, valid
-        # per |S| a certificate can hold for: its rows, their G^{-1} and S
-        self.groups = [
-            (k, rows, ginv[rows, :k, :k], idx[rows, :k])
-            for k in np.unique(size[valid]).tolist()
-            for rows in [np.flatnonzero(size == k)]
-        ]
+    @staticmethod
+    def factor(a: np.ndarray, t: _Rows, k: int) -> np.ndarray:
+        """One factorization of A_S per trial of ``t`` (rows ``omegas``,
+        coefficients ``coeffs``, |S| = k), batched: a QR without Q, then the
+        singular values of the small triangular factor R (and its singular
+        vectors only where the rank is short).  Adds the proof columns to t.
 
-    @classmethod
-    def factor(cls, a: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray):
-        """One factorization of A_S per trial, batched over trials of equal
-        |S|: a QR without Q, then the singular values of the small triangular
-        factor R (and its singular vectors only where the rank is short).
-
-        Returns the proof data and the rank rule per trial: True where A_S is
-        numerically rank-deficient (sigma_min <= sigma_max max(m, |S|) eps,
-        the default tolerance of ``matrix_rank``) and z has a component in its
-        null space (norm above 1e-8 ||z||).  Then c_b is not an l1 minimizer.
+        Returns the rank rule per trial: True where A_S is numerically
+        rank-deficient (sigma_min <= sigma_max max(m, |S|) eps, the default
+        tolerance of ``matrix_rank``) and z has a component in its null space
+        (norm above 1e-8 ||z||).  Then c_b is not an l1 minimizer.
         """
-        b, m = omegas.shape
-        nonzero = coeffs != 0
-        sizes = np.count_nonzero(nonzero, axis=1)
-        kmax = int(sizes.max(initial=0))
-        idx = np.zeros((b, kmax), dtype=np.int64)
-        sign = np.zeros((b, kmax), dtype=np.result_type(coeffs, np.float64))
-        ginv = np.zeros((b, kmax, kmax), dtype=np.result_type(a, coeffs, np.float64))
-        valid = np.zeros(b, dtype=bool)
+        b, m = t.omegas.shape
+        t.idx = np.nonzero(t.coeffs)[1].reshape(b, k)
+        z = np.take_along_axis(t.coeffs, t.idx, axis=1)
+        t.sign = z = z / np.abs(z)
+        t.ginv = np.zeros((b, k, k), dtype=np.result_type(a, t.coeffs, np.float64))
+        t.valid = np.zeros(b, dtype=bool)
         refuted = np.zeros(b, dtype=bool)
-        for k in np.unique(sizes[sizes > 0]):
-            rows = np.flatnonzero(sizes == k)
-            s = np.nonzero(nonzero[rows])[1].reshape(len(rows), k)
-            z = np.take_along_axis(coeffs[rows], s, axis=1)
-            z = z / np.abs(z)
-            idx[rows] = s[:, :1]
-            sign[rows] = z[:, :1]
-            idx[rows, :k], sign[rows, :k] = s, z
-            # A_S = Q R, so R has the singular values and G = R^H R
-            r = np.linalg.qr(a[omegas[rows][:, :, None], s[:, None, :]], mode="r")
-            sv = np.linalg.svd(r, compute_uv=False)
-            rank = np.sum(sv > sv[:, :1] * max(m, k) * np.finfo(np.float64).eps, axis=1)
-            low = np.flatnonzero(rank < k)
-            if low.size:
-                _, _, vh = np.linalg.svd(r[low], full_matrices=True)  # vh is k x k
-                z_rot = np.matmul(vh, z[low, :, None])[:, :, 0]
-                null_part = _row_norm(np.where(np.arange(k) >= rank[low, None], z_rot, 0))
-                refuted[rows[low]] = null_part > 1e-8 * math.sqrt(k)
-            if m < k:
-                continue
-            good = sv[:, -1] > 1e-5
-            r_inv = np.linalg.inv(r[good])
-            ginv[rows[good], :k, :k] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
-            valid[rows[good]] = True
-        return cls(coeffs.shape[1], sizes, idx, sign, ginv, valid), refuted
+        if k == 0:
+            return refuted
+        # A_S = Q R, so R has the singular values and G = R^H R
+        r = np.linalg.qr(a[t.omegas[:, :, None], t.idx[:, None, :]], mode="r")
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank = np.sum(sv > sv[:, :1] * max(m, k) * np.finfo(np.float64).eps, axis=1)
+        low = np.flatnonzero(rank < k)
+        if low.size:
+            _, _, vh = np.linalg.svd(r[low], full_matrices=True)  # vh is k x k
+            z_rot = np.matmul(vh, z[low, :, None])[:, :, 0]
+            null_part = _row_norm(np.where(np.arange(k) >= rank[low, None], z_rot, 0))
+            refuted[low] = null_part > 1e-8 * math.sqrt(k)
+        if m >= k:
+            t.valid = sv[:, -1] > 1e-5
+            r_inv = np.linalg.inv(r[t.valid])
+            t.ginv[t.valid] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
+        return refuted
 
-    def __getitem__(self, keep) -> "_SupportProof":
-        return _SupportProof(
-            self.n, self.size[keep], self.idx[keep], self.sign[keep], self.ginv[keep],
-            self.valid[keep],
-        )
-
-    def join(self, other: "_SupportProof") -> "_SupportProof":
-        k = max(self.idx.shape[1], other.idx.shape[1])
-        parts = [p._widen(k) for p in (self, other)]
-        return _SupportProof(self.n, *(np.concatenate(f) for f in zip(*parts)))
-
-    def _widen(self, k: int):
-        """The fields padded to width k with duplicates of a support entry
-        (zeros in a block without supports, whose rows are not valid)."""
-        w = self.idx.shape[1]
-        mode = "edge" if w else "constant"
-        idx, sign = (np.pad(x, ((0, 0), (0, k - w)), mode=mode) for x in (self.idx, self.sign))
-        ginv = np.pad(self.ginv, ((0, 0), (0, k - w), (0, k - w)))
-        return self.size, idx, sign, ginv, self.valid
-
-    def holds(self, op, pi: np.ndarray | None = None) -> np.ndarray:
-        """Whether the dual candidate pi (None: zero) yields a certificate.
+    @staticmethod
+    def holds(op, t: _Rows, pi: np.ndarray | None = None) -> np.ndarray:
+        """Whether the dual candidate pi (None: zero) yields a certificate,
+        per row of t (operator rows ``a`` and the proof columns).
 
         pi is moved into the row space, pi_1 = A^H A pi, and corrected on S,
         pi_2 = pi_1 + A^H A_S q = A^H (A pi + A_S q) with
         q = G^{-1} (z - pi_1 on S), so that pi_2 = z on S.  The certificate
         holds where |pi_2 - z| <= 1e-8 on S and |pi_2| <= 1 - 1e-9 off S,
         the tolerances of the one-trial reference ``dual_certificate`` in
-        ``tests/oracles.py``; then c is the unique l1 minimizer.  With pi = 0, pi_2 is the least-squares certificate
-        A^H A_S G^{-1} z.
+        ``tests/oracles.py``; then c is the unique l1 minimizer.  With pi = 0,
+        pi_2 is the least-squares certificate A^H A_S G^{-1} z.
         """
-        if not self.groups:
-            return self.valid.copy()
-        row = np.arange(len(self.idx))[:, None]
-        step = self.sign
+        if not t.valid.any():  # every block of |S| = 0 returns here
+            return t.valid.copy()
+        row = np.arange(len(t))[:, None]
+        step = t.sign
         if pi is not None:
-            r = op.forward(pi)
-            step = step - op.adjoint(r)[row, self.idx]
-        v = np.zeros((len(self.idx), self.n), dtype=np.result_type(step, self.ginv))
-        for k, rows, ginv, s in self.groups:
-            v[rows[:, None], s] = np.matmul(ginv, step[rows, :k, None])[:, :, 0]
-        w = op.forward(v)
+            r = op.forward(t.a, pi)
+            step = step - op.adjoint(t.a, r)[row, t.idx]
+        v = np.zeros((len(t), t.a.shape[-1]), dtype=np.result_type(step, t.ginv))
+        v[row, t.idx] = np.matmul(t.ginv, step[:, :, None])[:, :, 0]
+        w = op.forward(t.a, v)
         if pi is not None:
             w += r
-        p = op.adjoint(w)
-        on = np.max(np.abs(p[row, self.idx] - self.sign), axis=1)
-        p[row, self.idx] = 0.0
+        p = op.adjoint(t.a, w)
+        on = np.max(np.abs(p[row, t.idx] - t.sign), axis=1)
+        p[row, t.idx] = 0.0
         off = np.max(np.abs(p), axis=1)
-        return self.valid & (on <= 1e-8) & (off <= 1.0 - 1e-9)
+        return t.valid & (on <= 1e-8) & (off <= 1.0 - 1e-9)
 
 
 class _Block:
-    """Live ADMM rows that share one operator: masked DFT rows of any m, or
-    gathered rows of one m.
+    """Live ADMM rows that share one operator and one |S|: masked DFT rows,
+    or gathered rows of one m.
 
-    Each row carries its own iterate z, scaled dual u, threshold kappa and
-    the block tick at which it joined (``born``), so its iteration count is
-    ``ticks - born``; the trial it belongs to (``tag``, ``j``) and its stop
-    data: with verdicts, the descent floor (one l1 norm) and the support
-    proof (a ``_SupportProof``), else None.  Every operation acts row by row,
-    so rows join and leave without changing each other's iterates.
+    Its ``rows`` table holds per row the operator's rows ``a``, the
+    measurements y and their norm ``y_norm`` (both given), the iterate z,
+    the scaled dual u, the threshold kappa and the block tick at which the
+    row joined (``born``), so its iteration count is ``ticks - born``; the
+    trial it belongs to (``tag``, ``j``); and with verdicts its stop data:
+    the descent floor (one l1 norm) and the columns of ``_SupportProof``.
+    Every operation acts row by row, so rows join and leave without
+    changing each other's iterates.
     """
 
-    _PER_ROW = ("op", "proof", "tag", "j", "floor", "y_norm", "kappa", "z", "u", "born")
+    def __init__(self, op, rows: _Rows, verdicts: bool):
+        self.op, self.verdicts, self.ticks = op, verdicts, 0  # ticks: steps run
+        self.rows = self._started(rows)
+        self._resized()
 
-    def __init__(self, op, tag, j, floor=None, proof=None):
-        self.op, self.proof, self.tag, self.j, self.floor = op, proof, tag, j, floor
-        self.y_norm = _row_norm(op.y)
-        backprojection = op.adjoint(op.y)
+    def add(self, rows: _Rows):
+        """Start the trials of ``rows`` at the current tick."""
+        self.rows = self.rows.join(self._started(rows))
+        self._resized()
+
+    def _started(self, t: _Rows) -> _Rows:
+        backprojection = self.op.adjoint(t.a, t.y)
         coeff_scale = np.max(np.abs(backprojection), axis=1)
         rho = _RHO0 / np.maximum(coeff_scale, 1e-300)  # ||A_omega|| = 1
         # kappa > 0 keeps the soft-threshold quotient defined
-        self.kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
-        self.z = np.zeros_like(backprojection)
-        self.u = np.zeros_like(backprojection)
-        self.ticks = self.eldest = 0  # steps run; the earliest born
-        self.born = np.zeros(len(self.z), dtype=np.int64)
-        self._resized()
+        t.kappa = np.maximum(1.0 / rho, np.finfo(np.float64).tiny)[:, None]
+        t.z = np.zeros_like(backprojection)
+        t.u = np.zeros_like(backprojection)
+        t.born = np.full(len(t), self.ticks)
+        return t
 
     def __len__(self) -> int:
-        return len(self.born)
-
-    @property
-    def it(self) -> np.ndarray:
-        """The iteration count of every row."""
-        return self.ticks - self.born
+        return len(self.rows)
 
     def _resized(self):
+        z = self.rows.z
         # z_new - z (step), c - z_new (split), z_new and c, normed in one reduction
-        self.terms = np.empty((4,) + self.z.shape, dtype=self.z.dtype)
-        self.eldest = int(self.born.min(initial=self.ticks))
-
-    def _keep(self, keep: np.ndarray):
-        for name in self._PER_ROW:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
-        self._resized()
-
-    def join(self, other: "_Block"):
-        other.born += self.ticks - other.ticks
-        for name in self._PER_ROW:
-            value = getattr(self, name)
-            if value is not None:
-                new = getattr(other, name)
-                if name in ("op", "proof"):
-                    setattr(self, name, value.join(new))
-                else:
-                    setattr(self, name, np.concatenate((value, new)))
-        self._resized()
+        self.terms = np.empty((4,) + z.shape, dtype=z.dtype)
+        self.eldest = int(self.rows.born.min(initial=self.ticks))  # the earliest born
 
     def leave(self, stop: np.ndarray, z: np.ndarray, converged, routes) -> list:
         """Remove the rows ``stop``, each with its final z, and return them as
         (tag, j, result, route).  The result reports the feasible point
         z - A^H (A z - y), in an array of its own: results of one leave go to
         different requests, and a view would keep the others' rows alive."""
-        op, y_norm = self.op[stop], self.y_norm[stop]
-        c_hat = _project(op, z[stop])
+        gone = self.rows[stop]
+        c_hat = _project(self.op, gone.a, gone.y, z[stop])
         feas = np.divide(
-            _row_norm(op.residual(c_hat)), y_norm, out=np.zeros_like(y_norm), where=y_norm > 0
+            _row_norm(self.op.residual(gone.a, gone.y, c_hat)), gone.y_norm,
+            out=np.zeros_like(gone.y_norm), where=gone.y_norm > 0,
         )
         objective = np.sum(np.abs(c_hat), axis=1)
         out = [
             (tag, j, RecoveryResult(c.copy(), float(f), float(o), int(i), bool(ok)), str(route))
             for tag, j, c, f, o, i, ok, route in zip(
-                self.tag[stop], self.j[stop], c_hat, feas, objective, self.it[stop],
-                np.broadcast_to(converged, stop.shape)[stop],
-                np.broadcast_to(routes, stop.shape)[stop],
+                gone.tag, gone.j, c_hat, feas, objective, self.ticks - gone.born,
+                converged[stop], routes[stop],
             )
         ]
-        self._keep(~stop)
+        self.rows = self.rows[~stop]
+        self._resized()
         return out
 
     def run(self, solver: SolverOptions) -> list:
@@ -393,9 +348,10 @@ class _Block:
           lies in the unit ball, is tested as a certificate candidate; a row
           it certifies stops, whatever the other tests say.
         """
-        op, z, u, kappa = self.op, self.z, self.u, self.kappa
+        op, t = self.op, self.rows
+        z, u, kappa = t.z, t.u, t.kappa
         self.ticks += 1
-        c = _project(op, z - u)
+        c = _project(op, t.a, t.y, z - u)
         c_relaxed = _RELAX * c
         c_relaxed += (1.0 - _RELAX) * z
         z_new = _soft_threshold(c_relaxed + u, kappa)
@@ -407,24 +363,24 @@ class _Block:
         terms[2] = z_new
         terms[3] = c
         step, split, z_norm, c_norm = _row_norm(terms)
-        self.z = z = z_new
+        t.z = z = z_new
         tol = solver.tol_feas * np.maximum(np.maximum(z_norm, c_norm), 1e-300)
         done = np.maximum(split, step) <= tol
         fell = np.zeros_like(done)
-        if self.floor is not None:
+        if self.verdicts:
             l1 = np.add.reduce(np.abs(c), axis=1)
-            below = (l1 < self.floor) & ~done
+            below = (l1 < t.floor) & ~done
             if below.any():
-                r_norm = _row_norm(op[below].residual(c[below]))
-                fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < self.floor[below]
+                r_norm = _row_norm(op.residual(t.a[below], t.y[below], c[below]))
+                fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < t.floor[below]
         stop = done | fell
         proved = None
-        if check and self.proof is not None:
-            proved = self.proof.holds(op, u / kappa)
+        if check and self.verdicts:
+            proved = _SupportProof.holds(op, t, u / kappa)
             fell &= ~proved
             stop |= proved
         if self.ticks - self.eldest >= solver.max_iters:  # a row has run its budget
-            stop |= self.it >= solver.max_iters
+            stop |= self.ticks - t.born >= solver.max_iters
         if not stop.any():
             return []
         routes = np.where(fell, "descent", "solved")
@@ -455,7 +411,8 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
         raise ValueError("the rows of a_omega are not orthonormal (to 1e-12)")
     if float(np.linalg.norm(y)) == 0.0:
         return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
-    block = _Block(_GatheredRows(a[None], y[None]), tag=np.zeros(1), j=np.zeros(1))
+    rows = _Rows(a=a[None], y=y[None], y_norm=_row_norm(y[None]), tag=np.zeros(1), j=np.zeros(1))
+    block = _Block(_GatheredRows, rows, verdicts=False)
     while not (stopped := block.run(solver or SolverOptions())):
         pass
     return stopped[0][2]
@@ -524,20 +481,6 @@ def solve_trials(
     return results, np.array(routes)
 
 
-class _Trials:
-    """Trials of a request waiting to join a pool: the request's tag, each
-    trial's index j in the request, rows, coefficients and stop data."""
-
-    def __init__(self, tag, j, omegas, coeffs, floor, proof):
-        self.tag, self.j, self.omegas, self.coeffs = tag, j, omegas, coeffs
-        self.floor, self.proof = floor, proof
-
-    def __getitem__(self, keep) -> "_Trials":
-        return _Trials(*(None if v is None else v[keep] for v in (
-            self.tag, self.j, self.omegas, self.coeffs, self.floor, self.proof
-        )))
-
-
 class TrialPool:
     """One ADMM that trials join and leave while it runs.
 
@@ -553,12 +496,14 @@ class TrialPool:
     checks fall on its own iterations 8, 16, ... as when it runs alone, and
     each row keeps its own iteration count, ``max_iters`` and stop tests: a
     trial's result, iteration count and route do not depend on the trials
-    it runs with.  Masked DFT rows of any
-    m share one block.  Gathered rows share a block only with rows of the
-    same m.  All live rows together hold at most ``_LIVE_ENTRIES`` entries
-    (``_ROW_VECTORS`` N-vectors per row, and m x N more per gathered row),
-    or one trial's rows; trials that do not fit wait in order.  So the
-    pool's memory does not grow with the number of requests submitted.
+    it runs with.  A block holds the trials of one |S| = |supp(c_b)|, and
+    of one m for gathered rows (masked DFT rows of any m share one), so
+    each support proof is a dense G^{-1} stack.  ``submit`` queues a
+    request's trials by |S|.  All live rows together hold at most
+    ``_LIVE_ENTRIES`` entries (``_ROW_VECTORS`` N-vectors per row, and
+    m x N more per gathered row), or one trial's rows; trials that do not
+    fit wait in order.  So the pool's memory does not grow with the number
+    of requests submitted.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
     of ``solve_trials``: the rank rule at ``submit``, the
@@ -569,8 +514,9 @@ class TrialPool:
     def __init__(self, e: MeasurementEnsemble, solver: SolverOptions | None = None, *,
                  verdicts: bool):
         self.e, self.solver, self.verdicts = e, solver or SolverOptions(), verdicts
-        self.blocks: dict = {}  # None (masked DFT) or m (gathered rows) -> _Block
-        self.queue: deque[_Trials] = deque()
+        self.op = _MaskedDft if e.is_dft1d else _GatheredRows
+        self.blocks: dict = {}  # (m, or None for the masked DFT, and |S|) -> _Block
+        self.queue: deque = deque()  # (block key, _Rows of waiting trials)
         self.decided: list = []
 
     @property
@@ -582,15 +528,18 @@ class TrialPool:
         coeffs = np.asarray(coeffs)
         dtype = np.complex128 if self.e.is_dft1d else np.result_type(self.e.a, coeffs, np.float64)
         coeffs = coeffs.astype(dtype, copy=False)
-        trials = _Trials(np.full(len(coeffs), tag), np.arange(len(coeffs)), omegas, coeffs,
-                         None, None)
-        if self.verdicts and len(coeffs):
-            trials.floor = (1.0 - 1e-9) * np.sum(np.abs(coeffs), axis=1)
-            trials.proof, refuted = _SupportProof.factor(self.e.a, omegas, coeffs)
-            self.decided += [(tag, j, None, "rank_deficient") for j in trials.j[refuted]]
-            trials = trials[~refuted]
-        if len(trials.j):
-            self.queue.append(trials)
+        m = None if self.e.is_dft1d else omegas.shape[1]
+        sizes = np.count_nonzero(coeffs, axis=1)
+        for k in np.unique(sizes).tolist():
+            j = np.flatnonzero(sizes == k)
+            t = _Rows(tag=np.full(len(j), tag), j=j, omegas=omegas[j], coeffs=coeffs[j])
+            if self.verdicts:
+                t.floor = (1.0 - 1e-9) * np.sum(np.abs(t.coeffs), axis=1)
+                refuted = _SupportProof.factor(self.e.a, t, k)
+                self.decided += [(tag, j, None, "rank_deficient") for j in t.j[refuted]]
+                t = t[~refuted]
+            if len(t):
+                self.queue.append(((m, k), t))
 
     def advance(self) -> list:
         self._admit()
@@ -614,47 +563,49 @@ class TrialPool:
 
     def _admit(self):
         while self.queue:
-            head = self.queue[0]
-            live = sum(self.entries(len(block), m) for m, block in self.blocks.items())
-            count = min(len(head.j), (_LIVE_ENTRIES - live) // self.entries(1, head.omegas.shape[1]))
+            key, head = self.queue[0]
+            live = sum(self.entries(len(block), m) for (m, _), block in self.blocks.items())
+            count = min(len(head), (_LIVE_ENTRIES - live) // self.entries(1, key[0]))
             if count < 1:
                 if live:
                     return
                 count = 1
-            if count < len(head.j):
-                self.queue[0] = head[count:]
+            if count < len(head):
+                self.queue[0] = key, head[count:]
                 head = head[:count]
             else:
                 self.queue.popleft()
-            self._join(head)
+            self._join(key, head)
 
-    def _join(self, trials: _Trials):
-        if self.e.is_dft1d:
-            key, op = None, _MaskedDft.of_rows(trials.omegas, self.e.n)
-        else:
-            key, op = trials.omegas.shape[1], _GatheredRows(self.e.a[trials.omegas])
-        if trials.proof is not None:
+    def _join(self, key, t: _Rows):
+        t.a = self.op.rows(self.e, t.omegas)
+        if self.verdicts:
             # iteration 0: with u = 0 the check is the least-squares certificate
-            certified = trials.proof.holds(op)
+            certified = _SupportProof.holds(self.op, t)
             self.decided += [
-                (tag, j, None, "certified")
-                for tag, j in zip(trials.tag[certified], trials.j[certified])
+                (tag, j, None, "certified") for tag, j in zip(t.tag[certified], t.j[certified])
             ]
-            trials, op = trials[~certified], op[~certified]
-            if not len(trials.j):
+            t = t[~certified]
+            if not len(t):
                 return
         # measured only now: a trial certified at iteration 0 needs no y
-        op.y = op.forward(trials.coeffs)
-        block = _Block(op, trials.tag, trials.j, trials.floor, trials.proof)
+        t.y = self.op.forward(t.a, t.coeffs)
+        t.y_norm = _row_norm(t.y)
         # a zero measurement vector has the zero solution: no iterations
-        zero = block.y_norm == 0.0
+        zero = t.y_norm == 0.0
+        self.decided += [
+            (tag, j, RecoveryResult(np.zeros_like(c), 0.0, 0.0, 0, True), "solved")
+            for tag, j, c in zip(t.tag[zero], t.j[zero], t.coeffs[zero])
+        ]
+        del t.omegas, t.coeffs
         if zero.any():
-            self.decided += block.leave(zero, block.z, True, "solved")
-        if len(block):
-            if key in self.blocks:
-                self.blocks[key].join(block)
-            else:
-                self.blocks[key] = block
+            t = t[~zero]
+            if not len(t):
+                return
+        if key in self.blocks:
+            self.blocks[key].add(t)
+        else:
+            self.blocks[key] = _Block(self.op, t, self.verdicts)
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:

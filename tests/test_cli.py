@@ -105,6 +105,19 @@ def test_bounds_command(tmp_path, capsys):
     assert grouped == pytest.approx(2.0 * unstructured, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"mu": float("nan")}, {"gamma": float("inf"), "const": float("nan")}],
+)
+def test_bounds_non_finite_fields_exit_2(tmp_path, capsys, fields):
+    # json reads the literals NaN and Infinity; no bound is computed from them
+    query = {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05, **fields}
+    cfg = write_config(tmp_path, "b.json", {"bounds": query})
+    code, out, err = run_cli(["bounds", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert "positive and finite" in err and "Traceback" not in err
+
+
 def test_validate_crossrow_holds(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -508,6 +521,53 @@ def test_image_support_via_pgm(tmp_path, capsys):
     code, out, err = run_cli(["gamma", "--config", cfg], capsys)
     assert code == 0, err
     assert "image-k5" in out
+
+
+def _tiled_image_config(tmp_path, tiles):
+    from groupcs.harness import synthetic_image
+
+    path = tmp_path / "img16.pgm"
+    write_pgm(path, synthetic_image(16, 16, np.random.default_rng(0)))
+    return write_config(
+        tmp_path,
+        "tiles.json",
+        {
+            "ensemble": {
+                "rows": 8,
+                "cols": 8,
+                "measurement": {"kind": "identity"},
+                "sparsity": {"kind": "haar2d"},
+            },
+            "structure": {"kind": "rect2d", "g": 4},
+            "support": {"image": str(path), "k": 5, **tiles},
+        },
+    )
+
+
+def test_image_tiles_are_supports(tmp_path, capsys):
+    cfg = _tiled_image_config(tmp_path, {"tile_rows": 8, "tile_cols": 8})
+    code, out, err = run_cli(["gamma", "--config", cfg], capsys)
+    assert code == 0, err
+    supports = [r["support"] for r in csv.DictReader(io.StringIO(out))]
+    assert supports == ["tile0_0-k5", "tile0_8-k5", "tile8_0-k5", "tile8_8-k5"]
+
+
+@pytest.mark.parametrize(
+    "tiles, message",
+    [
+        ({"tile_rows": 8}, "go together"),
+        ({"tile_cols": 8}, "go together"),
+        ({"tile_rows": 0, "tile_cols": 8}, "at least 1x1"),
+        ({"tile_rows": -8, "tile_cols": -8}, "at least 1x1"),
+        ({"tile_rows": 32, "tile_cols": 8}, "no 32x8 tile fits the 16x16 image"),
+    ],
+)
+def test_bad_image_tiling_exits_2(tmp_path, capsys, tiles, message):
+    cfg = _tiled_image_config(tmp_path, tiles)
+    for command in ("gamma", "sweep"):
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
 
 
 def test_recover_dump_reconstruction(tmp_path, capsys):

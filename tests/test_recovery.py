@@ -346,14 +346,19 @@ def test_trial_engine_matches_basis_pursuit(ensemble, m, k):
         assert res.feas_residual <= 1e-8
 
 
-def test_trial_engine_zero_trial_needs_no_iterations():
+@pytest.mark.parametrize("verdicts", [False, True])
+def test_trial_engine_zero_trial_needs_no_iterations(verdicts):
+    # a zero trial (|S| = 0) beside nonzero ones: no proof applies to it, and
+    # it is solved with no iteration
     e = _dft_ensemble(32)
     omegas, coeffs = _trial_block(e, 16, 3, 2, seed=47)
     coeffs[1] = 0.0
-    res, _ = solve_trials(e, omegas, coeffs, verdicts=False)
+    res, routes = solve_trials(e, omegas, coeffs, verdicts=verdicts)
+    assert routes[1] == "solved"
     assert res[1].iterations == 0 and res[1].converged
     assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
-    assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
+    if routes[0] == "solved":
+        assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
 
 
 def _block_orthogonal(n, split, rng):
