@@ -221,7 +221,10 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     section = _require(cfg, "support", "config")
     _check_keys(section, _SUPPORT_KEYS, "support")
     if "indices" in section:
-        t = SupportSet.from_indices(_int_list(section["indices"], "support.indices"))
+        indices = _int_list(section["indices"], "support.indices")
+        if any(not 0 <= i < e.n for i in indices):
+            raise ConfigError(f"support.indices must be in [0, {e.n}), got {indices}")
+        t = SupportSet.from_indices(indices)
         c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     if "image" in section:

@@ -374,7 +374,7 @@ def _drive(e: MeasurementEnsemble, requests: list, solver: SolverOptions | None)
             waiting.append(i)
             return
         omegas, coeffs = chunk
-        entries = pool.entries(*np.shape(omegas))
+        entries = pool.entries(len(omegas))
         held += entries
         chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs), entries]
         pool.submit(i, omegas, coeffs)
@@ -431,15 +431,22 @@ def find_min_m(
     and the route counts) also count the trials after the deciding one in
     the same chunk.
     """
+    _check_grid(gs, cfg)
     return _drive(e, [_sweep(e, gs, t, c0, cfg)], solver)[0]
+
+
+def _check_grid(gs: GroupStructure, cfg: SweepConfig):
+    """Reject a grid value that ``gs`` cannot draw."""
+    for m in cfg.m_grid:
+        if not gs.g <= m <= gs.n or m % gs.g:
+            raise ValueError(f"{gs.label} cannot draw m={m}: the grid must hold multiples "
+                             f"of the group size {gs.g} in [{gs.g}, {gs.n}]")
 
 
 def _sweep(e, gs, t, c0, cfg: SweepConfig):
     """Request of ``find_min_m`` for ``_drive``; returns the MinMResult."""
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
-    if cfg.m_grid[0] < gs.g or cfg.m_grid[-1] > gs.n:
-        raise ValueError(f"m grid must stay within [{gs.g}, {gs.n}]")
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
     allowed_failures = cfg.trials_per_m - needed
     per_m = []
@@ -499,13 +506,16 @@ def scatter_gamma_vs_m(
     """One record per (structure, support): penalty factor, minimal M, and the
     size-1-group baseline M0 computed with the identical protocol.
 
-    Every penalty factor is computed first.  Then the baseline sweep of each
+    Every structure's grid is checked, then every penalty factor computed.
+    Then the baseline sweep of each
     support and the sweep of each other (structure, support) run together
     in one pool (``_drive``), so one sweep's slow trials iterate beside the
     next chunks of the others; each sweep's result is the one it gets alone.
     ``threads`` is ignored; it stays accepted because ``bench/workloads.py``
     passes ``threads=1``."""
     base = singletons(e.n)
+    for gs in [base, *structures]:
+        _check_grid(gs, cfg)
     gammas = [[penalty_gamma(e, sup.t, gs, mode, seed=gamma_seed) for gs in structures]
               for sup in supports]
     baseline = {}  # one baseline sweep per support descriptor

@@ -2,18 +2,19 @@
 
 Matrices are stored dense: the target problem sizes (N up to a few thousand)
 make N x N matrices cheap, and dense storage keeps submatrix extraction and
-coherence scans trivial.  They are built and verified through their
+coherence scans trivial.  They are built, verified and applied through their
 structure, though.  An identity factor is never multiplied, and a named
 basis, or an ensemble of named bases, is checked unitary by the bases' own
 fast transforms in O(N^2 log N); only ``custom`` entries take the dense
-O(N^3) Gram product.
+O(N^3) Gram product.  ``MeasurementEnsemble.apply``/``adjoint`` map a batch
+of vectors through the same transforms, one table (``_transform``) for both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from functools import cached_property, partial
+from dataclasses import InitVar, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -97,19 +98,20 @@ class OrthonormalBasis:
         self.entries.setflags(write=False)
 
 
-def _transform(b: OrthonormalBasis, adjoint: bool):
-    """Map an N x w block of column vectors to a new array holding E times
-    the block, or E^H times it, by the kind's fast transform; None for
-    ``custom``, whose only path is the dense product."""
+def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
+    """Map the vectors along ``axis`` of a 2-D array (columns: 0, rows: 1) to
+    a new array holding E, or E^H, times each by the kind's fast transform;
+    None for ``custom``, whose only path is the dense product."""
     if b.kind == "identity":
         return np.array
     if b.kind == "dft1d":
-        return partial(np.fft.ifft if adjoint else np.fft.fft, axis=0, norm="ortho")
+        return partial(np.fft.ifft if adjoint else np.fft.fft, axis=axis, norm="ortho")
     if b.kind == "dft2d":
-        fft2 = np.fft.ifft2 if adjoint else np.fft.fft2
-        return lambda x: fft2(x.reshape(*b.shape2d, -1), axes=(0, 1), norm="ortho").reshape(b.n, -1)
+        fft2, shape2d = np.fft.ifft2 if adjoint else np.fft.fft2, tuple(b.shape2d)
+        images = lambda x: x.reshape(x.shape[:axis] + shape2d + x.shape[axis + 1 :])
+        return lambda x: fft2(images(x), axes=(axis, axis + 1), norm="ortho").reshape(x.shape)
     if b.kind == "haar2d":
-        return partial(_haar2d_columns, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint)
+        return partial(_haar2d_vectors, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint, axis=axis)
     return None
 
 
@@ -150,12 +152,13 @@ def _haar2d_inplace(out: np.ndarray, levels: int, inverse: bool) -> None:
             _haar_pass(out[:r, :c], tmp[:r, :c], axis, inverse)
 
 
-def _haar2d_columns(x: np.ndarray, shape2d, levels: int, inverse: bool) -> np.ndarray:
-    """Haar analysis (or synthesis) of each column of x as a row-major image,
-    into a new array; with the pixels leading, every step runs over
-    contiguous rows of columns."""
+def _haar2d_vectors(x: np.ndarray, shape2d, levels: int, inverse: bool, axis: int) -> np.ndarray:
+    """Haar analysis (or synthesis) of each vector of the 2-D array x along
+    ``axis`` as a row-major image, into a new array; with the pixels leading
+    (axis 0), every step runs over contiguous rows of columns."""
     out = np.array(x, dtype=np.result_type(x, np.float64), order="C")
-    _haar2d_inplace(out.reshape(*shape2d, -1), levels, inverse)
+    images = out.reshape(x.shape[:axis] + tuple(shape2d) + x.shape[axis + 1 :])
+    _haar2d_inplace(np.moveaxis(images, (axis, axis + 1), (0, 1)), levels, inverse)
     return out
 
 
@@ -261,49 +264,65 @@ class MeasurementEnsemble:
 
     ``factors`` is (V, U) when A was built from them, as ``make_ensemble``
     does.  A is then checked unitary by applying A^H = U^H V to its columns
-    through the factors' fast transforms, or not at all when A is a factor's
-    own, already checked, matrix; when that factor is ``dft1d``, its check
-    also settles ``is_dft1d``.  Without factors, or with a ``custom`` one,
-    the check is the dense Gram product.  Either way a non-unitary A is
-    rejected.
+    through the factors' fast transforms, or not at all when V is the
+    identity and A is U's own, already checked, matrix.  Without factors, or
+    with a ``custom`` one, the check is the dense Gram product.  Either way
+    a non-unitary A, or one that is not V^H U, is rejected.
     """
 
     a: np.ndarray
     mu: float
     n: int
     factors: InitVar[tuple[OrthonormalBasis, OrthonormalBasis] | None] = None
+    # the fast transforms of A x and of A^H x on rows, in order; None: the dense A
+    _maps: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, factors):
-        own = [b for b in factors or () if self.a is b.entries]
         if factors is None:
             _check_unitary(unitarity_residual(self.a), "ensemble")
-        elif not own:
+        elif not (factors[0].kind == "identity" and self.a is factors[1].entries):
             v_map, u_map = _transform(factors[0], adjoint=False), _transform(factors[1], adjoint=True)
             adjoint = None if v_map is None or u_map is None else lambda x: u_map(v_map(x))
             _check_unitary(unitarity_residual(self.a, adjoint), "ensemble")
-        elif own[0].kind == "dft1d":
-            # its own check bounded max|ifft(A) - I|, the is_dft1d test
-            self.__dict__["is_dft1d"] = True
         lo = 1.0 / math.sqrt(self.n) - 1e-12
         if not (lo <= self.mu <= 1.0 + 1e-12):
             raise ValueError(f"coherence {self.mu} outside [1/sqrt(N), 1]")
         self.a.setflags(write=False)
+        maps = None
+        if factors is not None and all(b.kind != "custom" for b in factors):
+            v, u = factors  # A x = V^H (U x), A^H x = U^H (V x)
+            maps = tuple([_transform(b, inv, axis=1) for b, inv in steps if b.kind != "identity"]
+                         for steps in (((u, False), (v, True)), ((v, False), (u, True))))
+        object.__setattr__(self, "_maps", maps)
 
-    @cached_property
-    def is_dft1d(self) -> bool:
-        """Whether A is the unitary 1-D DFT to within UNITARITY_TOL, so that
-        A v = ``np.fft.fft(v, norm="ortho")``.  Checked by inverse FFTs of
-        A's columns unless A is a dft1d factor's own matrix."""
-        if not np.iscomplexobj(self.a):
-            return False
-        for j in range(0, self.n, 64):
-            # columns j.. of the DFT are the DFTs of unit vectors
-            block = np.fft.ifft(self.a[:, j : j + 64], axis=0, norm="ortho")
-            cols = np.arange(block.shape[1])
-            block[j + cols, cols] -= 1.0
-            if np.max(np.abs(block)) > UNITARITY_TOL:
-                return False
-        return True
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for each row x of ``x`` (B x N), into a new array: V^H (U x)
+        by the factors' fast transforms, an identity factor skipped, or the
+        dense A per row without factors or with a ``custom`` one.  A real A
+        maps real rows to real rows."""
+        return self._map(x, adjoint=False)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """A^H x = U^H (V x) for each row x of ``x``, as ``apply`` does."""
+        return self._map(x, adjoint=True)
+
+    def _map(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        if self._maps is None:
+            return matvec_rows(self.a, x, adjoint=adjoint)
+        out = x
+        for transform in self._maps[adjoint]:
+            out = transform(out)
+        if not (np.iscomplexobj(self.a) or np.iscomplexobj(x)):
+            out = np.ascontiguousarray(out.real)
+        return x.copy() if out is x else out
+
+
+def matvec_rows(a: np.ndarray, x: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+    """a x, or a^H x, for each row x of ``x``, into a new array: one
+    matrix-vector product per row, so no row depends on the others."""
+    if adjoint:
+        return np.matmul(x[:, None, :].conj(), a)[:, 0, :].conj()
+    return np.matmul(a, x[:, :, None])[:, :, 0]
 
 
 def make_ensemble(v: OrthonormalBasis, u: OrthonormalBasis) -> MeasurementEnsemble:
@@ -364,17 +383,12 @@ def submatrix(e: MeasurementEnsemble, rows, t: SupportSet) -> np.ndarray:
     return e.a[np.ix_(rows, t.indices)]
 
 
-def normalize_rows(m: np.ndarray, *, return_zero_mask: bool = False):
+def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each nonzero row to unit Euclidean norm; a stack of matrices is
     scaled matrix by matrix.
 
-    Zero rows are left as zero (they contribute nothing to a 2->1 norm); the
-    optional mask reports which rows were zero.
+    Zero rows are left as zero (they contribute nothing to a 2->1 norm).
     """
     m = np.asarray(m)
     norms = np.linalg.norm(m, axis=-1)
-    zero = norms == 0.0
-    scaled = m / np.where(zero, 1.0, norms)[..., None]
-    if return_zero_mask:
-        return scaled, zero
-    return scaled
+    return m / np.where(norms == 0.0, 1.0, norms)[..., None]

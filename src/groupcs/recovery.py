@@ -10,15 +10,17 @@ update.  Every problem measures orthonormal rows, as any rows of a unitary A
 are, so the projection needs no Gram solve and ||A_omega|| = 1.  One step
 over the live rows of a block serves every entry point.  ``TrialPool`` is a
 continuously refilled set of blocks of trials, one per support size, that
-carry every per-trial quantity as a column of one row table (``_Rows``); the
-unitary 1-D DFT is applied by FFT (O(N log N) per iteration), any other
-ensemble by its gathered rows (O(MN)).  Trials join it between runs of
-``_CHECK_EVERY`` iterations and leave when they stop.  With verdicts it stops
+carry every per-trial quantity as a column of one row table (``_Rows``).
+One operator serves every ensemble: a trial's rows are a 0/1 mask over the
+ensemble's own transform (``MeasurementEnsemble.apply``/``adjoint``), so no
+rows of A are copied.  Trials join it between runs of ``_CHECK_EVERY``
+iterations and leave when they stop.  With verdicts it stops
 a trial as soon as a proof decides it: the least-squares certificate or one
 built from the ADMM dual iterate (a success), or the rank rule or a feasible
 iterate with a smaller l1 norm than the true coefficients (a failure).
 ``solve_trials`` submits one request of trials to a pool; ``basis_pursuit``
-solves one user-supplied problem as a block of one gathered row set.
+solves one user-supplied problem as a block of one row, its own rows taking
+the ensemble's place.
 ``SolverOptions`` holds the settings of all of them.  Every result is a
 deterministic function of its own trial's inputs.
 """
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .operators import MeasurementEnsemble
+from .operators import MeasurementEnsemble, matvec_rows
 
 _RELAX = 1.8  # over-relaxation; fixed, keeps iterates deterministic
 _RHO0 = 10.0
@@ -99,66 +102,36 @@ class _Rows:
                         for name, v in vars(self).items()})
 
 
-class _MaskedDft:
-    """Rows omega_b of the unitary 1-D DFT, held per trial as a row mask a
-    (B x N).
+class _MaskedRows:
+    """Rows omega_b of a transform T (N' x N), held per trial as a 0/1 row
+    mask a (B x N').
 
-    Measurements y are held zero-padded to length N, so A_omega v is the
-    masked ``fft(v, norm="ortho")`` and A_omega^H r is ``ifft(r, norm="ortho")``.
-    The mask is complex 0/1, which multiplies finite values exactly.
+    T is given by its maps ``apply`` (T v) and ``adjoint`` (T^H w) of a batch
+    of rows: an ensemble's own ``apply``/``adjoint``, or a user problem's
+    rows.  Measurements y are held zero-padded to length N', so A_omega v is
+    the masked T v and A_omega^H r is T^H r.  The mask has the rows' dtype;
+    its ones multiply finite values exactly.
     """
 
-    @staticmethod
-    def rows(e: MeasurementEnsemble, omegas: np.ndarray) -> np.ndarray:
-        mask = np.zeros((len(omegas), e.n), dtype=np.complex128)
-        mask[np.arange(len(omegas))[:, None], omegas] = 1.0
-        return mask
+    def __init__(self, apply, adjoint):
+        self.t, self.t_h = apply, adjoint  # T and T^H
 
-    @staticmethod
-    def forward(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = np.fft.fft(v, axis=1, norm="ortho")
+    def forward(self, a: np.ndarray, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """A_omega v, or with y the residual A_omega v - y."""
+        w = self.t(v)
+        if y is not None:
+            w -= y
         w *= a
         return w
 
-    @staticmethod
-    def residual(a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w = np.fft.fft(v, axis=1, norm="ortho")
-        w -= y
-        w *= a
-        return w
-
-    @staticmethod
-    def adjoint(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(r, axis=1, norm="ortho")
-
-
-class _GatheredRows:
-    """Explicit rows a = A[omega_b] (B x m x N) per trial, with
-    measurements y (B x m)."""
-
-    @staticmethod
-    def rows(e: MeasurementEnsemble, omegas: np.ndarray) -> np.ndarray:
-        return e.a[omegas]
-
-    @staticmethod
-    def forward(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.matmul(a, v[:, :, None])[:, :, 0]
-
-    @staticmethod
-    def residual(a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _GatheredRows.forward(a, v) - y
-
-    @staticmethod
-    def adjoint(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(a):
-            return np.matmul(r.conj()[:, None, :], a)[:, 0, :].conj()
-        return np.matmul(r[:, None, :], a)[:, 0, :]
+    def adjoint(self, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return self.t_h(r)
 
 
 def _project(op, a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise affine projection v - A^H (A v - y) onto {c : A c = y}, for
     orthonormal rows A."""
-    d = op.adjoint(a, op.residual(a, y, v))
+    d = op.adjoint(a, op.forward(a, v, y))
     np.subtract(v, d, out=d)
     return d
 
@@ -252,10 +225,9 @@ class _SupportProof:
 
 
 class _Block:
-    """Live ADMM rows that share one operator and one |S|: masked DFT rows,
-    or gathered rows of one m.
+    """Live ADMM rows that share one operator and one |S|.
 
-    Its ``rows`` table holds per row the operator's rows ``a``, the
+    Its ``rows`` table holds per row the operator's row mask ``a``, the
     measurements y and their norm ``y_norm`` (both given), the iterate z,
     the scaled dual u, the threshold kappa and the block tick at which the
     row joined (``born``), so its iteration count is ``ticks - born``; the
@@ -303,7 +275,7 @@ class _Block:
         gone = self.rows[stop]
         c_hat = _project(self.op, gone.a, gone.y, z[stop])
         feas = np.divide(
-            _row_norm(self.op.residual(gone.a, gone.y, c_hat)), gone.y_norm,
+            _row_norm(self.op.forward(gone.a, c_hat, gone.y)), gone.y_norm,
             out=np.zeros_like(gone.y_norm), where=gone.y_norm > 0,
         )
         objective = np.sum(np.abs(c_hat), axis=1)
@@ -371,7 +343,7 @@ class _Block:
             l1 = np.add.reduce(np.abs(c), axis=1)
             below = (l1 < t.floor) & ~done
             if below.any():
-                r_norm = _row_norm(op.residual(t.a[below], t.y[below], c[below]))
+                r_norm = _row_norm(op.forward(t.a[below], c[below], t.y[below]))
                 fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < t.floor[below]
         stop = done | fell
         proved = None
@@ -394,8 +366,9 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
 
     The rows of ``a_omega`` (m x N, m <= N) must be orthonormal to 1e-12, as
     any rows of a unitary matrix are; other rows raise ValueError.  The
-    problem runs as a block of one gathered row set, with the step size, stop
-    test and final projection of every trial of ``solve_trials``.
+    problem runs as a block of one row whose transform is ``a_omega`` itself
+    under a mask of m ones, with the step size, stop test and final
+    projection of every trial of ``solve_trials``.
     """
     a, y = np.asarray(a_omega), np.asarray(y)
     m, n = a.shape
@@ -411,8 +384,9 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
         raise ValueError("the rows of a_omega are not orthonormal (to 1e-12)")
     if float(np.linalg.norm(y)) == 0.0:
         return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
-    rows = _Rows(a=a[None], y=y[None], y_norm=_row_norm(y[None]), tag=np.zeros(1), j=np.zeros(1))
-    block = _Block(_GatheredRows, rows, verdicts=False)
+    op = _MaskedRows(partial(matvec_rows, a), partial(matvec_rows, a, adjoint=True))
+    rows = _Rows(a=np.ones((1, m), dtype), y=y[None], y_norm=_row_norm(y[None]), tag=np.zeros(1), j=np.zeros(1))
+    block = _Block(op, rows, verdicts=False)
     while not (stopped := block.run(solver or SolverOptions())):
         pass
     return stopped[0][2]
@@ -496,14 +470,12 @@ class TrialPool:
     checks fall on its own iterations 8, 16, ... as when it runs alone, and
     each row keeps its own iteration count, ``max_iters`` and stop tests: a
     trial's result, iteration count and route do not depend on the trials
-    it runs with.  A block holds the trials of one |S| = |supp(c_b)|, and
-    of one m for gathered rows (masked DFT rows of any m share one), so
-    each support proof is a dense G^{-1} stack.  ``submit`` queues a
-    request's trials by |S|.  All live rows together hold at most
-    ``_LIVE_ENTRIES`` entries (``_ROW_VECTORS`` N-vectors per row, and
-    m x N more per gathered row), or one trial's rows; trials that do not
-    fit wait in order.  So the pool's memory does not grow with the number
-    of requests submitted.
+    it runs with.  A block holds the trials of one |S| = |supp(c_b)| and
+    any m, so each support proof is a dense G^{-1} stack.  ``submit``
+    queues a request's trials by |S|.  All live rows together hold at most
+    ``_LIVE_ENTRIES`` entries (``_ROW_VECTORS`` N-vectors per row), or one
+    trial's rows; trials that do not fit wait in order.  So the pool's
+    memory does not grow with the number of requests submitted.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
     of ``solve_trials``: the rank rule at ``submit``, the
@@ -514,8 +486,8 @@ class TrialPool:
     def __init__(self, e: MeasurementEnsemble, solver: SolverOptions | None = None, *,
                  verdicts: bool):
         self.e, self.solver, self.verdicts = e, solver or SolverOptions(), verdicts
-        self.op = _MaskedDft if e.is_dft1d else _GatheredRows
-        self.blocks: dict = {}  # (m, or None for the masked DFT, and |S|) -> _Block
+        self.op = _MaskedRows(e.apply, e.adjoint)
+        self.blocks: dict = {}  # |S| -> _Block
         self.queue: deque = deque()  # (block key, _Rows of waiting trials)
         self.decided: list = []
 
@@ -526,9 +498,7 @@ class TrialPool:
     def submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
         omegas = np.asarray(omegas, dtype=np.int64)
         coeffs = np.asarray(coeffs)
-        dtype = np.complex128 if self.e.is_dft1d else np.result_type(self.e.a, coeffs, np.float64)
-        coeffs = coeffs.astype(dtype, copy=False)
-        m = None if self.e.is_dft1d else omegas.shape[1]
+        coeffs = coeffs.astype(np.result_type(self.e.a, coeffs, np.float64), copy=False)
         sizes = np.count_nonzero(coeffs, axis=1)
         for k in np.unique(sizes).tolist():
             j = np.flatnonzero(sizes == k)
@@ -539,7 +509,7 @@ class TrialPool:
                 self.decided += [(tag, j, None, "rank_deficient") for j in t.j[refuted]]
                 t = t[~refuted]
             if len(t):
-                self.queue.append(((m, k), t))
+                self.queue.append((k, t))
 
     def advance(self) -> list:
         self._admit()
@@ -556,16 +526,16 @@ class TrialPool:
         """The entries all live rows may hold, ``_LIVE_ENTRIES``."""
         return _LIVE_ENTRIES
 
-    def entries(self, rows: int, m: int) -> int:
-        """Entries that ``rows`` live rows of m measurements hold:
-        ``_ROW_VECTORS`` N-vectors each, and for gathered rows m x N more."""
-        return rows * self.e.n * (_ROW_VECTORS + (0 if self.e.is_dft1d else m))
+    def entries(self, rows: int) -> int:
+        """Entries that ``rows`` live rows hold: ``_ROW_VECTORS`` N-vectors
+        each."""
+        return rows * self.e.n * _ROW_VECTORS
 
     def _admit(self):
         while self.queue:
             key, head = self.queue[0]
-            live = sum(self.entries(len(block), m) for (m, _), block in self.blocks.items())
-            count = min(len(head), (_LIVE_ENTRIES - live) // self.entries(1, key[0]))
+            live = self.entries(sum(len(block) for block in self.blocks.values()))
+            count = min(len(head), (_LIVE_ENTRIES - live) // self.entries(1))
             if count < 1:
                 if live:
                     return
@@ -578,7 +548,8 @@ class TrialPool:
             self._join(key, head)
 
     def _join(self, key, t: _Rows):
-        t.a = self.op.rows(self.e, t.omegas)
+        t.a = np.zeros((len(t), self.e.n), dtype=t.coeffs.dtype)  # the row mask
+        t.a[np.arange(len(t))[:, None], t.omegas] = 1.0
         if self.verdicts:
             # iteration 0: with u = 0 the check is the least-squares certificate
             certified = _SupportProof.holds(self.op, t)

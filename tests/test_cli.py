@@ -366,6 +366,7 @@ def _set_path(cfg, path, value):
         (("support", "image"), 5, "support.image"),
         (("recover", "dump_reconstruction"), 1, "recover.dump_reconstruction"),
         (("support", "draws"), 0, "support.draws"),
+        (("support", "indices"), [3, 15, 16], "support.indices"),
     ],
 )
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):

@@ -12,6 +12,7 @@ from groupcs.grouping import (
     lines_2d,
     rect_2d,
     singletons,
+    spiral_2d,
     strided_1d,
 )
 from groupcs.harness import _trial_chunks
@@ -199,6 +200,39 @@ def test_find_min_m_grid_bounds():
     c0[1] = 1.0
     with pytest.raises(ValueError):
         find_min_m(e, gs, t, c0, SweepConfig(m_grid=(2, 32), master_seed=0))
+
+
+def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
+    # n=220 on the default grid of g=11 (step 44): contiguous g=5 cannot
+    # draw m=44, and the scatter says so before its first penalty factor
+    e = _dft_ensemble(220)
+    t = SupportSet(np.array([3, 50, 64]))
+    c0 = random_coefficients(e, t, np.random.default_rng(0))
+
+    def no_gamma(*args, **kwargs):
+        raise AssertionError("penalty_gamma ran")
+
+    monkeypatch.setattr(harness, "penalty_gamma", no_gamma)
+    cfg = SweepConfig(m_grid=default_m_grid(220, 11), master_seed=0)
+    structures = [strided_1d(220, 11), contiguous_1d(220, 5)]
+    message = "contiguous1d cannot draw m=44: .* group size 5"
+    with pytest.raises(ValueError, match=message):
+        scatter_gamma_vs_m(e, structures, [SupportCase(t, c0, "d0")], cfg)
+    with pytest.raises(ValueError, match=message):
+        find_min_m(e, structures[1], t, c0, cfg)
+
+
+def test_sweep_pins_dft2d_verdicts():
+    # the complex 2-D regime: 16x16 dft2d/identity, k=8, grid step 16
+    e = make_ensemble(make_basis("dft2d", rows=16, cols=16), make_basis("identity", 256))
+    structures = [rect_2d(16, 16, 8), lines_2d(16, 16, 16, "vertical"), spiral_2d(16, 16, 16)]
+    pinned = {0: [64, 112, 48], 1: [48, 128, 64]}
+    for seed, m_mins in pinned.items():
+        rng = np.random.default_rng(seed)
+        t = SupportSet(np.sort(rng.permutation(256)[:8]))
+        c0 = random_coefficients(e, t, rng)
+        cfg = SweepConfig(m_grid=default_m_grid(256, 16, 16), master_seed=seed)
+        assert [find_min_m(e, gs, t, c0, cfg).m_min for gs in structures] == m_mins
 
 
 def test_pipeline_grouping_hurts_narrowband():
@@ -410,8 +444,7 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_pooled_sweeps_match_one_at_a_time(kind):
     # two sweeps in one pool: each ends exactly as find_min_m alone, though
-    # their chunks run beside each other (gathered Haar rows share a block
-    # only at equal m)
+    # their chunks run beside each other (rows of any m share a block)
     e, gs, t, cfg, solver = _sweep_case(kind)
     other = contiguous_1d(64, 4) if kind == "dft" else lines_2d(8, 8, 4, "vertical")
     pooled = harness._drive(e, [harness._sweep(e, s, t, None, cfg) for s in (gs, other)], solver)

@@ -263,40 +263,78 @@ def test_normalize_rows():
     eye = np.eye(3)
     assert np.array_equal(normalize_rows(eye), eye)
     m = np.array([[0.0, 0.0], [1.0, 1.0]])
-    out, zero = normalize_rows(m, return_zero_mask=True)
-    assert np.array_equal(zero, [True, False])
+    out = normalize_rows(m)
     assert np.array_equal(out[0], [0.0, 0.0])
     # idempotent
     assert np.allclose(normalize_rows(out), out)
     # a stack is normalized matrix by matrix, as each matrix alone
     stack = np.random.default_rng(3).standard_normal((4, 3, 5)) + 1j
     stack[2, 1] = 0.0
-    scaled, zero = normalize_rows(stack, return_zero_mask=True)
-    assert zero.shape == (4, 3) and np.flatnonzero(zero.ravel()).tolist() == [7]
+    scaled = normalize_rows(stack)
+    assert np.array_equal(scaled[2, 1], np.zeros(5))
     for block, alone in zip(scaled, stack):
         assert np.array_equal(block, normalize_rows(alone))
 
 
-def test_is_dft1d_settled_by_the_factors(monkeypatch):
-    dft = make_basis("dft1d", 64)
-    settled = make_ensemble(make_basis("identity", 64), dft)
-    real = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
-    direct = MeasurementEnsemble(a=dft.entries.copy(), mu=1 / 8, n=64)
+def test_ensemble_that_is_not_v_h_u_rejected():
+    # a factor's own matrix is taken unchecked only when V is the identity
+    dft, h = make_basis("dft1d", 64), make_basis("haar2d", rows=8, cols=8)
+    with pytest.raises(ValueError, match="not unitary"):
+        MeasurementEnsemble(a=h.entries, mu=float(np.max(np.abs(h.entries))), n=64, factors=(dft, h))
+    with pytest.raises(ValueError, match="not unitary"):
+        MeasurementEnsemble(a=dft.entries, mu=1 / 8, n=64, factors=(dft, make_basis("identity", 64)))
 
-    def no_transform(*args, **kwargs):
-        raise AssertionError("is_dft1d ran a transform")
 
-    monkeypatch.setattr(np.fft, "ifft", no_transform)
-    assert settled.is_dft1d and not real.is_dft1d
-    # without factors the columns are transformed
-    with pytest.raises(AssertionError, match="ran a transform"):
-        direct.is_dft1d
-    monkeypatch.undo()
-    assert direct.is_dft1d
-    assert not make_ensemble(dft, make_basis("identity", 64)).is_dft1d
-    # a 1 x 64 dft2d basis is the 1-D DFT as well, found by the transform check
-    assert make_ensemble(make_basis("identity", 64), make_basis("dft2d", rows=1, cols=64)).is_dft1d
-    assert not make_ensemble(make_basis("identity", 64), make_basis("dft2d", rows=8, cols=8)).is_dft1d
+_EYE, _D1 = ("identity", dict(n=64)), ("dft1d", dict(n=64))
+_D2, _H2 = ("dft2d", dict(rows=8, cols=8)), ("haar2d", dict(rows=8, cols=8))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(_EYE, _D1), (_D1, _EYE), (_EYE, _H2), (_EYE, _D2), (_D2, _EYE), (_D2, _H2), (_H2, _D2),
+     "custom", "no factors"],
+    ids=lambda p: p if isinstance(p, str) else f"{p[0][0]}-{p[1][0]}",
+)
+@pytest.mark.parametrize("real", [True, False])
+def test_ensemble_apply_and_adjoint_match_dense(pair, real):
+    if pair == "custom":
+        e = make_ensemble(make_basis("custom", entries=hadamard_matrix(64) / 8.0), make_basis("dft1d", 64))
+    elif pair == "no factors":
+        e = MeasurementEnsemble(a=make_basis("dft1d", 64).entries.copy(), mu=1 / 8, n=64)
+    else:
+        e = make_ensemble(make_basis(pair[0][0], **pair[0][1]), make_basis(pair[1][0], **pair[1][1]))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 64))
+    if not real:
+        x = x + 1j * rng.standard_normal((3, 64))
+    before = x.copy()
+    for got, ref in ((e.apply(x), x @ e.a.T), (e.adjoint(x), x @ e.a.conj())):
+        assert got.shape == ref.shape and np.iscomplexobj(got) == np.iscomplexobj(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert not np.shares_memory(got, x)
+    assert np.array_equal(x, before)
+
+
+def test_dft1d_ensemble_applies_the_fft():
+    # the trial engine's 1-D DFT rows run exactly these calls
+    e = make_ensemble(make_basis("identity", 64), make_basis("dft1d", 64))
+    x = np.random.default_rng(2).standard_normal((3, 64)) + 1j
+    assert np.array_equal(e.apply(x), np.fft.fft(x, axis=1, norm="ortho"))
+    assert np.array_equal(e.adjoint(x), np.fft.ifft(x, axis=1, norm="ortho"))
+
+
+def test_real_ensemble_of_complex_bases_maps_real_rows_to_real_rows():
+    # dft2d/dft2d is I: a real A, applied through complex transforms
+    d2 = make_basis("dft2d", rows=8, cols=8)
+    e = make_ensemble(d2, d2)
+    x = np.random.default_rng(1).standard_normal((2, 64))
+    for got in (e.apply(x), e.adjoint(x)):
+        assert not np.iscomplexobj(got) and got.flags.c_contiguous
+        assert np.max(np.abs(got - x)) <= 1e-13
+    # an ensemble with no transform to run returns a copy
+    eye = make_basis("identity", 64)
+    got = make_ensemble(eye, eye).apply(x)
+    assert np.array_equal(got, x) and got is not x
 
 
 def test_support_set_validation():

@@ -272,13 +272,12 @@ def _haar_ensemble(rows, cols):
 @pytest.mark.parametrize(
     "ensemble, m, k, real",
     [
-        (lambda: _dft_ensemble(220), 88, 11, False),  # FFT path
-        (lambda: _haar_ensemble(16, 16), 96, 8, True),  # gathered rows
+        (lambda: _dft_ensemble(220), 88, 11, False),  # FFT rows
+        (lambda: _haar_ensemble(16, 16), 96, 8, True),  # Haar synthesis rows
     ],
 )
 def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
     e = ensemble()
-    assert e.is_dft1d == (not real)
     omegas, coeffs = _trial_block(e, m, k, 32, seed=41, real=real)
     solver = SolverOptions(max_iters=3000)
     chunk, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
@@ -293,19 +292,18 @@ def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
     "ensemble, m, k, real, cap",
     [
         (lambda: _dft_ensemble(220), 88, 11, False, 3),  # 3 masked DFT rows
-        (lambda: _haar_ensemble(16, 16), 96, 8, True, 2),  # 2 gathered trials
+        (lambda: _haar_ensemble(16, 16), 96, 8, True, 2),  # 2 masked Haar rows
         (lambda: _haar_ensemble(16, 16), 96, 8, True, 0),  # one trial at a time
     ],
 )
 def test_pool_live_rows_stay_within_entry_bound(monkeypatch, ensemble, m, k, real, cap):
-    # every live row counts _ROW_VECTORS N-vectors, plus m x N for gathered
-    # rows, against _LIVE_ENTRIES, with one trial always admitted; results
-    # do not change
+    # every live row counts _ROW_VECTORS N-vectors against _LIVE_ENTRIES,
+    # with one trial always admitted; results do not change
     e = ensemble()
     omegas, coeffs = _trial_block(e, m, k, 12, seed=53, real=real)
     solver = SolverOptions(max_iters=3000)
     unbounded, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
-    per_row = e.n * (recovery._ROW_VECTORS + (0 if e.is_dft1d else m))
+    per_row = e.n * recovery._ROW_VECTORS
     monkeypatch.setattr(recovery, "_LIVE_ENTRIES", cap * per_row)
     live = []
     step = recovery._Block.step
@@ -527,7 +525,7 @@ def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
 )
 def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
     # each trial's route and result are those it gets alone, with |supp(c)|
-    # from 1 to 8 in one block; FFT rows (dft) and gathered rows (the others)
+    # from 1 to 8 in one block; FFT, Haar and dense rows
     if ensemble == "dft":
         e = _dft_ensemble(64)
     elif ensemble == "haar":
@@ -560,18 +558,17 @@ def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    gathered=st.booleans(),
+    haar=st.booleans(),
     verdicts=st.booleans(),
     companions=st.integers(0, 6),
     join_after=st.integers(0, 6),
 )
-def test_pool_row_does_not_depend_on_companions(seed, gathered, verdicts, companions, join_after):
+def test_pool_row_does_not_depend_on_companions(seed, haar, verdicts, companions, join_after):
     # a trial that joins a running pool after join_after admission ticks,
     # beside companions of other support sizes and m, ends exactly as alone:
-    # masked DFT rows of any m share a block; gathered Haar rows share one
-    # with rows of the same m
+    # masked DFT or Haar rows of any m share a block
     rng = np.random.default_rng(seed)
-    sparsity = make_basis("haar2d", rows=8, cols=8) if gathered else make_basis("dft1d", 64)
+    sparsity = make_basis("haar2d", rows=8, cols=8) if haar else make_basis("dft1d", 64)
     e = make_ensemble(make_basis("identity", 64), sparsity)
     sizes = [16, 24, 32]
 
@@ -579,9 +576,9 @@ def test_pool_row_does_not_depend_on_companions(seed, gathered, verdicts, compan
         omega = np.sort(rng.permutation(64)[:m])
         size = rng.integers(1, 9)
         s = rng.permutation(64)[:size]
-        c = np.zeros(64, dtype=np.complex128 if not gathered else np.float64)
+        c = np.zeros(64, dtype=np.float64 if haar else np.complex128)
         c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
-        if not gathered:
+        if not haar:
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
         return omega[None], c[None]
 
