@@ -52,11 +52,17 @@ def bound_gram(q: BoundQuery) -> float:
     return (28.0 / 3.0) * q.gamma * q.n * q.mu**2 * q.t_size * math.log(q.t_size / q.delta)
 
 
+# a Gram trial fails at a deviation of 1/2 less this margin, so an exact tie
+# (sums of roots of unity give them) fails however it rounds
+_TIE_MARGIN = 1e-12
+
+
 @dataclass(frozen=True)
 class ConcentrationStats:
     deviations: np.ndarray
     fail_rate: float
     trials: int
+    ties: int
 
     def __post_init__(self):
         dev = np.asarray(self.deviations, dtype=np.float64)
@@ -134,6 +140,37 @@ def _as_real(x: np.ndarray) -> np.ndarray:
     return x.view(x.real.dtype) if np.iscomplexobj(x) else x
 
 
+def _spectral_radii(h: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Spectral radius of each Hermitian k x k matrix H whose lower triangle,
+    in ``np.tril_indices`` order, is a row of ``h``, into ``out``.
+
+    An atom i whose off-diagonal entries in H are all exactly zero is
+    isolated: e_i is an eigenvector with eigenvalue H_ii.  So the radius is
+    the larger of |H_ii| over the isolated atoms and the radius of H on the
+    coupled ones, which one batched ``eigvalsh`` per coupled-atom count
+    takes; with every atom coupled it gets H's own lower triangle.
+    """
+    lower = np.tril_indices(k)
+    diagonal = np.flatnonzero(lower[0] == lower[1])
+    # a packed entry (i, j) with i > j couples atoms i and j; a diagonal one none
+    atom = np.arange(k)
+    touches = ((lower[0][:, None] == atom) != (lower[1][:, None] == atom)).astype(np.float32)
+    # packed position of (i, j) and of its mirror (j, i): the upper triangle
+    # of a gathered submatrix is never read, as ``eigvalsh`` reads the lower
+    packed = np.empty((k, k), dtype=np.intp)
+    packed[lower] = packed[lower[1], lower[0]] = np.arange(len(lower[0]))
+    coupled = (h != 0).astype(np.float32) @ touches > 0
+    # ``eigvalsh`` reads only the real part of a diagonal entry
+    np.max(np.where(coupled, 0.0, np.abs(h[:, diagonal].real)), axis=1, out=out)
+    sizes = np.count_nonzero(coupled, axis=1)
+    for c in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == c)
+        atoms = np.nonzero(coupled[rows])[1].reshape(len(rows), c)
+        at = rows[:, None, None] * h.shape[1] + packed[atoms[:, :, None], atoms[:, None, :]]
+        radius = np.max(np.abs(np.linalg.eigvalsh(np.take(h, at))), axis=1)
+        out[rows] = np.maximum(out[rows], radius)
+
+
 def validate_gram_concentration(
     e: MeasurementEnsemble,
     t: SupportSet,
@@ -143,13 +180,14 @@ def validate_gram_concentration(
     rng: np.random.Generator,
 ) -> ConcentrationStats:
     """Spectral deviation of (N/M) A_{omega,T}^H A_{omega,T} from I under
-    Bernoulli group selection; a trial fails when the deviation reaches 1/2.
+    Bernoulli group selection; a trial fails when the deviation reaches 1/2
+    less ``_TIE_MARGIN``, and one within that margin of 1/2 is a tie.
 
     A trial's support Gram is the sum of the fixed per-group Grams of its
-    selected groups, so a chunk of trials takes one GEMM and one batched
-    ``eigvalsh``; the draws are those of successive ``draw_bernoulli`` calls.
-    ``eigvalsh`` reads only the lower triangle, so only its k(k+1)/2 entries
-    are summed, scaled and shifted; the upper triangle stays zero.
+    selected groups, so a chunk of trials takes one GEMM and a batched
+    ``eigvalsh`` on each trial's coupled atoms (``_spectral_radii``); the
+    draws are those of successive ``draw_bernoulli`` calls.  Only the
+    k(k+1)/2 entries of the lower triangle are summed, scaled and shifted.
     """
     _check_trials(trials)
     if not 0 < m <= e.n:
@@ -158,19 +196,15 @@ def validate_gram_concentration(
     lower = np.tril_indices(k)
     diagonal = np.flatnonzero(lower[0] == lower[1])
     deviations = np.empty(trials)
-    grams = None
     done = 0
     for sums in _selected_sums(e, t, gs, m, trials, rng, t.indices, lower[0] * k + lower[1]):
         sums *= e.n / m
         sums[:, diagonal] -= 1.0
-        if grams is None:
-            grams = np.zeros((len(sums), k, k), dtype=sums.dtype)
-        y = grams[: len(sums)]
-        y[:, lower[0], lower[1]] = sums
-        deviations[done : done + len(y)] = np.max(np.abs(np.linalg.eigvalsh(y)), axis=1)
-        done += len(y)
-    fail_rate = float(np.mean(deviations >= 0.5))
-    return ConcentrationStats(deviations, fail_rate, trials)
+        _spectral_radii(sums, k, deviations[done : done + len(sums)])
+        done += len(sums)
+    fail_rate = float(np.mean(deviations >= 0.5 - _TIE_MARGIN))
+    ties = int(np.count_nonzero(np.abs(deviations - 0.5) <= _TIE_MARGIN))
+    return ConcentrationStats(deviations, fail_rate, trials, ties)
 
 
 def validate_cross_row_energy(

@@ -454,9 +454,10 @@ def cmd_validate(args) -> int:
                     format_float(stats.fail_rate),
                     format_float(float(np.mean(stats.deviations))),
                     format_float(float(np.max(stats.deviations))),
+                    stats.ties,
                 ]
             )
-        _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev"], out_rows), args.out)
+        _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev", "ties"], out_rows), args.out)
         return 0
     if args.target == "crossrow":
         m = _number(_require(section, "m", "validate"), "validate.m")

@@ -50,10 +50,10 @@ def unitarity_residual(entries: np.ndarray, adjoint=None) -> float:
     return float(np.max(worst))
 
 
-def _check_unitary(resid: float, what: str) -> None:
+def _check_unitary(resid: float, what: str, failure: str = "is not unitary") -> None:
     # written so that a NaN residual fails too
     if not resid <= UNITARITY_TOL:
-        raise ValueError(f"{what} is not unitary: residual {resid:.3e}")
+        raise ValueError(f"{what} {failure}: residual {resid:.3e}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,11 @@ def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
     if b.kind == "dft1d":
         return partial(np.fft.ifft if adjoint else np.fft.fft, axis=axis, norm="ortho")
     if b.kind == "dft2d":
-        fft2, shape2d = np.fft.ifft2 if adjoint else np.fft.fft2, tuple(b.shape2d)
+        # ``fft2`` less its overhead: one 1-D pass along the image's last axis,
+        # then one along its first, in ``fft2``'s own order, bit for bit
+        fft, shape2d = partial(np.fft.ifft if adjoint else np.fft.fft, norm="ortho"), tuple(b.shape2d)
         images = lambda x: x.reshape(x.shape[:axis] + shape2d + x.shape[axis + 1 :])
-        return lambda x: fft2(images(x), axes=(axis, axis + 1), norm="ortho").reshape(x.shape)
+        return lambda x: fft(fft(images(x), axis=axis + 1), axis=axis).reshape(x.shape)
     if b.kind == "haar2d":
         return partial(_haar2d_vectors, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint, axis=axis)
     return None
@@ -283,7 +285,9 @@ class MeasurementEnsemble:
         elif not (factors[0].kind == "identity" and self.a is factors[1].entries):
             v_map, u_map = _transform(factors[0], adjoint=False), _transform(factors[1], adjoint=True)
             adjoint = None if v_map is None or u_map is None else lambda x: u_map(v_map(x))
-            _check_unitary(unitarity_residual(self.a, adjoint), "ensemble")
+            # U^H V A = I exactly when A = V^H U
+            failure = "is not unitary" if adjoint is None else "A does not match its factors V^H U"
+            _check_unitary(unitarity_residual(self.a, adjoint), "ensemble", failure)
         lo = 1.0 / math.sqrt(self.n) - 1e-12
         if not (lo <= self.mu <= 1.0 + 1e-12):
             raise ValueError(f"coherence {self.mu} outside [1/sqrt(N), 1]")

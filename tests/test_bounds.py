@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcs import bounds
 from groupcs.bounds import (
@@ -13,7 +15,7 @@ from groupcs.bounds import (
     validate_cross_row_energy,
     validate_gram_concentration,
 )
-from groupcs.grouping import draw_bernoulli, rect_2d, strided_1d
+from groupcs.grouping import contiguous_1d, draw_bernoulli, rect_2d, strided_1d
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 
 from oracles import cross_gram, cross_row_energy_loop, gram_deviations_loop
@@ -196,11 +198,92 @@ def test_gram_concentration_matches_trial_loop(kind, monkeypatch):
         # relative to the larger of the deviation and |I| = 1: at m=N the
         # deviation is rounding noise of an exact zero
         assert np.all(np.abs(stats.deviations - ref) <= 1e-12 * np.maximum(ref, 1.0))
-        assert stats.fail_rate == np.mean(ref >= 0.5)
+        assert stats.fail_rate == np.mean(ref >= 0.5 - bounds._TIE_MARGIN)
+        assert stats.ties == np.count_nonzero(np.abs(ref - 0.5) <= bounds._TIE_MARGIN)
         rng_sizes = np.random.default_rng(9)
         empty = np.array([draw_bernoulli(gs, m, rng_sizes).m == 0 for _ in range(trials)])
         assert empty.any() == (m == 4)
         assert np.all(stats.deviations[empty] == 1.0)
+
+
+def _gram_deviations_dense_lower(e, t, gs, m, trials, rng):
+    # the dense solve: every trial's whole lower triangle, upper zero, to eigvalsh
+    k = len(t)
+    lower = np.tril_indices(k)
+    out = []
+    for sums in bounds._selected_sums(e, t, gs, m, trials, rng, t.indices, lower[0] * k + lower[1]):
+        y = np.zeros((len(sums), k, k), dtype=sums.dtype)
+        y[:, lower[0], lower[1]] = sums * (e.n / m)
+        y[:, np.arange(k), np.arange(k)] -= 1.0
+        out.append(np.max(np.abs(np.linalg.eigvalsh(y)), axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "ensemble, gs, support",
+    [
+        (_dft_ensemble(64), strided_1d(64, 4), [2, 3, 17, 40]),
+        (_dft_ensemble(220), strided_1d(220, 11), [14, 15, 18, 19, 21, 22, 116, 117, 123, 125, 126]),
+        (_dft_ensemble(220), contiguous_1d(220, 11), [14, 15, 18, 19, 21, 22, 116, 117, 123, 125, 126]),
+        (
+            make_ensemble(make_basis("dft2d", rows=16, cols=16), make_basis("identity", 256)),
+            rect_2d(16, 16, 4),
+            [0, 5, 17, 100, 200],
+        ),
+    ],
+)
+def test_dft_gram_deviations_bitwise_match_dense_solve(ensemble, gs, support, monkeypatch):
+    # DFT Grams couple every atom (sums of roots of unity round to nonzero),
+    # so each trial hands eigvalsh the lower triangle the dense solve does
+    t = SupportSet(np.array(support))
+    for chunk, m in itertools.product(_CHUNKS[:2], (4 * gs.g, ensemble.n // 2, ensemble.n)):
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", chunk)
+        stats = validate_gram_concentration(ensemble, t, gs, m, 60, np.random.default_rng(m))
+        ref = _gram_deviations_dense_lower(ensemble, t, gs, m, 60, np.random.default_rng(m))
+        assert np.array_equal(stats.deviations, ref)
+
+
+def test_gram_ties_fail_whatever_the_rounding():
+    # N=64 DFT, 16 strided groups of 4 rows, m=8: a trial of j groups has
+    # H_ii = j/2 - 1 exactly, and off-diagonal entries that are sums of roots
+    # of unity, zero up to rounding; so j = 1 and j = 3 are ties at 1/2
+    e, gs, t = _validator_case("dft")
+    rng_ref = np.random.default_rng(5)
+    j = np.array([draw_bernoulli(gs, 8, rng_ref).m // 4 for _ in range(400)])
+    stats = validate_gram_concentration(e, t, gs, 8, 400, np.random.default_rng(5))
+    tie = (j == 1) | (j == 3)
+    assert np.all(np.abs(stats.deviations[tie] - 0.5) <= 1e-14)
+    assert stats.ties == np.count_nonzero(tie) > 0
+    assert stats.fail_rate == np.mean(j != 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectral_radii_deflation_matches_dense(k, batch, complex_, isolate, seed):
+    # random Hermitian H with a random set of atoms cut off the diagonal
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((batch, k, k))
+    if complex_:
+        h = h + 1j * rng.standard_normal((batch, k, k))
+    h = h + h.conj().transpose(0, 2, 1)
+    h[:, np.arange(k), np.arange(k)] = h[:, np.arange(k), np.arange(k)].real
+    for b, cut in enumerate(rng.random((batch, k)) < isolate):
+        diag = h[b].diagonal().copy()
+        h[b][cut, :] = 0.0
+        h[b][:, cut] = 0.0
+        h[b][np.arange(k), np.arange(k)] = diag
+    radii = np.empty(batch)
+    lower = np.tril_indices(k)
+    bounds._spectral_radii(h[:, lower[0], lower[1]], k, radii)
+    dense = np.max(np.abs(np.linalg.eigvalsh(h)), axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(h, ord=2, axis=(1, 2)))
+    assert np.all(np.abs(radii - dense) <= 1e-12 * scale)
 
 
 def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):

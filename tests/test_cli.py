@@ -161,9 +161,9 @@ def test_validate_gram_grid(tmp_path, capsys):
     code, out, err = run_cli(["validate", "gram", "--config", cfg], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "m,trials,fail_rate,mean_dev,max_dev"
+    assert lines[0] == "m,trials,fail_rate,mean_dev,max_dev,ties"
     last = lines[-1].split(",")
-    assert last[0] == "64" and float(last[2]) == 0.0
+    assert last[0] == "64" and float(last[2]) == 0.0 and last[5] == "0"
 
 
 def test_gen_groups_partition(tmp_path, capsys):

@@ -75,6 +75,21 @@ def test_unitarity(kind, kwargs):
     assert unitarity_residual(b.entries, _transform(b, adjoint=True)) <= 1e-13
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("batch", [1, 4, 32])
+def test_dft2d_transform_is_bitwise_fft2(adjoint, batch):
+    # two 1-D passes in fft2's own order: the same bits as fft2/ifft2, on
+    # the columns (axis 0) and on the rows (axis 1) of a batch of images
+    b = make_basis("dft2d", rows=16, cols=8)
+    fft2 = np.fft.ifft2 if adjoint else np.fft.fft2
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((128, batch)) + 1j * rng.standard_normal((128, batch))
+    cols = fft2(x.reshape(16, 8, batch), axes=(0, 1), norm="ortho").reshape(128, batch)
+    assert np.array_equal(_transform(b, adjoint, axis=0)(x), cols)
+    rows = fft2(x.T.reshape(batch, 16, 8), axes=(1, 2), norm="ortho").reshape(batch, 128)
+    assert np.array_equal(_transform(b, adjoint, axis=1)(np.ascontiguousarray(x.T)), rows)
+
+
 @pytest.mark.parametrize("kind,kwargs", NAMED)
 def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwargs):
     b = make_basis(kind, **kwargs)
@@ -215,13 +230,13 @@ def test_non_unitary_ensemble_rejected():
     eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
     a = 2.0 * h.entries
     mu = float(np.max(np.abs(a))) / 2.0
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="does not match its factors"):
         MeasurementEnsemble(a=a.copy(), mu=mu, n=64, factors=(eye, h))
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="ensemble is not unitary"):
         MeasurementEnsemble(a=a.copy(), mu=mu, n=64)
     nan = h.entries.copy()
     nan[0, 0] = np.nan
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="does not match its factors V\\^H U: residual nan"):
         MeasurementEnsemble(a=nan, mu=mu, n=64, factors=(eye, h))
 
 
@@ -278,10 +293,12 @@ def test_normalize_rows():
 
 def test_ensemble_that_is_not_v_h_u_rejected():
     # a factor's own matrix is taken unchecked only when V is the identity
+    # A is unitary in both cases, so the message names the mismatch and its size
     dft, h = make_basis("dft1d", 64), make_basis("haar2d", rows=8, cols=8)
-    with pytest.raises(ValueError, match="not unitary"):
+    mismatch = r"ensemble A does not match its factors V\^H U: residual \d\.\d{3}e[+-]\d\d$"
+    with pytest.raises(ValueError, match=mismatch):
         MeasurementEnsemble(a=h.entries, mu=float(np.max(np.abs(h.entries))), n=64, factors=(dft, h))
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match=mismatch):
         MeasurementEnsemble(a=dft.entries, mu=1 / 8, n=64, factors=(dft, make_basis("identity", 64)))
 
 
