@@ -50,7 +50,6 @@ from .harness import (
     SweepRecord,
     default_m_grid,
     find_min_m,
-    gen_signal,
     image_to_sparse,
     random_coefficients,
     records_from_csv,

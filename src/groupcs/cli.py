@@ -260,7 +260,6 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     if draws < 1:
         raise ConfigError(f"support.draws must be at least 1, got {draws}")
     spec = SignalSpec(
-        kind="fourier1d",
         n=e.n,
         k=k,
         support_model=model,
@@ -526,7 +525,7 @@ def cmd_recover(args) -> int:
         if dump is not None:
             from .pgm import write_pgm
 
-            img = np.real(u_basis.entries @ res.c_hat).reshape(rows, cols)
+            img = np.real(u_basis.synthesize(res.c_hat)).reshape(rows, cols)
             path = dump if len(supports) == 1 else f"{dump}.{idx}.pgm"
             write_pgm(path, img)
         out_rows.append(

@@ -1,5 +1,5 @@
-"""Experiment orchestration: signal generation, minimal-M sweeps, and the
-penalty-versus-measurements scatter records.
+"""Experiment orchestration: supports and coefficients, minimal-M sweeps,
+and the penalty-versus-measurements scatter records.
 
 Every run is a pure function of its configuration and master seed: the seed
 for a single trial is derived from (master seed, structure label, m, trial
@@ -20,13 +20,7 @@ import numpy as np
 
 from .gamma import GammaEstimate, penalty_gamma
 from .grouping import GroupStructure, draw_uniform, singletons
-from .operators import (
-    MeasurementEnsemble,
-    OrthonormalBasis,
-    SupportSet,
-    haar2d_analysis,
-    make_basis,
-)
+from .operators import MeasurementEnsemble, SupportSet, haar2d_analysis
 from .recovery import (  # harness.SolverOptions stays public
     VERDICT_ROUTES,
     RecoveryResult,
@@ -41,29 +35,16 @@ SUPPORT_MODELS = ("unrestricted", "subband")
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for a synthetic sparse signal.
+    """Recipe for a random support of k of n indices, unrestricted or
+    confined to randomly placed contiguous sub-band channels."""
 
-    ``fourier1d`` draws a sparse spectrum (support unrestricted or confined
-    to randomly placed contiguous sub-band channels) with coefficients
-    uniform on [-1, 1]; ``wavelet_image`` keeps the k largest Haar
-    coefficients of a source image (a PGM path, or a seeded synthetic
-    piecewise-constant image when ``source`` is None).
-    """
-
-    kind: str
     n: int
     k: int
     support_model: str = "unrestricted"
     channel_count: int = 2
     channel_width_frac: float = 0.05
-    rows: int | None = None
-    cols: int | None = None
-    source: str | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fourier1d", "wavelet_image"):
-            raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.support_model not in SUPPORT_MODELS:
             raise ValueError(f"unknown support model {self.support_model!r}")
         if not 0 <= self.k <= self.n:
@@ -71,9 +52,6 @@ class SignalSpec:
         if self.support_model == "subband":
             if self.channel_count < 1 or not 0 < self.channel_width_frac <= 1:
                 raise ValueError("invalid sub-band channel parameters")
-        if self.kind == "wavelet_image":
-            if self.rows is None or self.cols is None or self.rows * self.cols != self.n:
-                raise ValueError("wavelet_image needs rows*cols == n")
 
 
 def draw_support(spec: SignalSpec, rng: np.random.Generator) -> SupportSet:
@@ -96,39 +74,6 @@ def random_coefficients(
     c = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
     c[t.indices] = rng.uniform(-1.0, 1.0, len(t))
     return c
-
-
-def gen_signal(
-    spec: SignalSpec,
-    rng: np.random.Generator | None = None,
-    u: OrthonormalBasis | None = None,
-) -> tuple[np.ndarray, np.ndarray, SupportSet]:
-    """Generate (x, c0, t): signal, sparse coefficients, support."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    if u is not None and u.n != spec.n:
-        raise ValueError("basis dimension does not match the signal spec")
-    if spec.kind == "wavelet_image":
-        if spec.source is not None:
-            from .pgm import read_pgm
-
-            img = read_pgm(spec.source)
-            if img.shape != (spec.rows, spec.cols):
-                raise ValueError(f"source image is {img.shape}, spec wants {(spec.rows, spec.cols)}")
-        else:
-            img = synthetic_image(spec.rows, spec.cols, rng)
-        t, c0 = image_to_sparse(img, spec.k)
-        if u is None:
-            u = make_basis("haar2d", rows=spec.rows, cols=spec.cols)
-        x = u.entries @ c0
-        return x, c0, t
-    if u is None:
-        u = make_basis("dft1d", spec.n)
-    t = draw_support(spec, rng)
-    c0 = np.zeros(spec.n, dtype=np.complex128)
-    c0[t.indices] = rng.uniform(-1.0, 1.0, len(t))
-    x = u.entries @ c0
-    return x, c0, t
 
 
 def image_to_sparse(

@@ -1,13 +1,15 @@
 """Orthonormal bases, measurement ensembles, and submatrix utilities.
 
-Matrices are stored dense: the target problem sizes (N up to a few thousand)
-make N x N matrices cheap, and dense storage keeps submatrix extraction and
-coherence scans trivial.  They are built, verified and applied through their
-structure, though.  An identity factor is never multiplied, and a named
-basis, or an ensemble of named bases, is checked unitary by the bases' own
-fast transforms in O(N^2 log N); only ``custom`` entries take the dense
-O(N^3) Gram product.  ``MeasurementEnsemble.apply``/``adjoint`` map a batch
-of vectors through the same transforms, one table (``_transform``) for both.
+A named basis (identity, dft1d, dft2d, haar2d) is its kind, shape and fast
+transform; it stores no matrix, and ``entries`` forms one from a closed form
+only when asked.  ``make_ensemble`` forms one dense N x N array, A = V^H U,
+which submatrix extraction reads: an identity factor's partner's closed
+form, or two named bases' transforms of unit vectors; only ``custom``
+factors are stored and multiplied.  One pass over A's column spans checks
+U^H V A = I through the same transforms in O(N^2 log N) and takes the
+coherence max |A|; only ``custom`` takes the dense O(N^3) Gram product.
+``MeasurementEnsemble.apply``/``adjoint`` map a batch of vectors through
+those transforms, one table (``_transform``) for every use.
 """
 
 from __future__ import annotations
@@ -22,32 +24,36 @@ UNITARITY_TOL = 1e-10
 
 BASIS_KINDS = ("identity", "dft1d", "dft2d", "haar2d", "custom")
 
-# a fast residual transforms its matrix's columns a span of this many entries
-# at a time
-_RESIDUAL_ENTRIES = 1 << 18
+# A is formed, scanned and checked a span of this many entries at a time, so
+# that the temporaries stay a small share of A
+_RESIDUAL_ENTRIES = 1 << 16
 
 
-def unitarity_residual(entries: np.ndarray, adjoint=None) -> float:
-    """Max-abs entry of E^H E - I, or NaN when E is not finite.
+def unitarity_residual(entries: np.ndarray, adjoint=None) -> tuple[float, float]:
+    """(max-abs entry of E^H E - I, max-abs entry of E); the first is NaN
+    when E is not finite.
 
     ``adjoint`` maps an N x w block of E's columns to a new array holding
     E^H times the block, the block's columns of E^H E; the columns are taken
-    a span at a time.  Without it E^H E is the dense product.
+    a span at a time, and so is the max-abs entry of E.  Without it E^H E is
+    the dense product.
     """
     n = entries.shape[0]
     if adjoint is None:
         gram = entries.conj().T @ entries
         gram = gram.astype(np.result_type(gram, np.float64), copy=False)
         gram[np.diag_indices(n)] -= 1.0
-        return float(np.max(np.abs(gram)))
+        return float(np.max(np.abs(gram))), float(np.max(np.abs(entries)))
     width = max(1, _RESIDUAL_ENTRIES // n)
-    worst = []
+    worst, peak = [], []
     for j in range(0, n, width):
-        block = adjoint(entries[:, j : j + width])
+        span = entries[:, j : j + width]
+        block = adjoint(span)
         cols = np.arange(block.shape[1])
         block[j + cols, cols] -= 1.0
         worst.append(np.max(np.abs(block)))
-    return float(np.max(worst))
+        peak.append(np.max(np.abs(span)))
+    return float(np.max(worst)), float(np.max(peak))
 
 
 def _check_unitary(resid: float, what: str, failure: str = "is not unitary") -> None:
@@ -61,41 +67,44 @@ class OrthonormalBasis:
     """Square unitary matrix whose columns are the basis vectors.
 
     ``entries`` maps coefficients to samples: x = entries @ c.  For the 2-D
-    kinds, vectors are row-major flattenings of ``shape2d`` images.  The
-    entries are checked unitary through the kind's fast transform (the
-    dense Gram for ``custom``); an ``identity`` basis must hold exactly I.
+    kinds, vectors are row-major flattenings of ``shape2d`` images.  A
+    ``custom`` basis holds its matrix in ``matrix``, checked unitary by the
+    dense Gram product; a named kind holds none, and ``entries`` forms its
+    matrix anew from the closed form on every call.
     """
 
     n: int
-    entries: np.ndarray
     kind: str
     shape2d: tuple[int, int] | None = None
     levels: int | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("basis dimension must be >= 1")
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match n={self.n}"
-            )
         if self.kind in ("dft2d", "haar2d"):
             if self.shape2d is None or self.shape2d[0] * self.shape2d[1] != self.n:
                 raise ValueError(f"{self.kind} needs a shape2d of n={self.n} pixels")
             if self.kind == "haar2d":
                 _check_haar_dims(*self.shape2d, self.levels)
-        if self.kind == "identity":
-            # I is exactly unitary; make_ensemble relies on it being exactly I
-            if not (
-                np.count_nonzero(self.entries) == self.n
-                and np.all(np.diagonal(self.entries) == 1)
-            ):
-                raise ValueError("identity basis entries are not the identity matrix")
-        else:
-            _check_unitary(unitarity_residual(self.entries, _transform(self, adjoint=True)), "basis")
-        self.entries.setflags(write=False)
+        if (self.matrix is not None) != (self.kind == "custom"):
+            raise ValueError("a custom basis, and only a custom one, holds a matrix")
+        if self.kind == "custom":
+            if self.matrix.shape != (self.n, self.n):
+                raise ValueError(f"entries shape {self.matrix.shape} does not match n={self.n}")
+            _check_unitary(unitarity_residual(self.matrix)[0], "basis")
+            self.matrix.setflags(write=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _matrix(self)
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """x = entries @ c for one coefficient vector, into a new array, by
+        the kind's fast transform (the stored matrix for ``custom``)."""
+        return self.matrix @ c if self.kind == "custom" else _transform(self, False)(c[:, None])[:, 0]
 
 
 def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
@@ -117,9 +126,48 @@ def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
     return None
 
 
+def _chain(steps, axis: int) -> list:
+    """The fast transforms along ``axis`` of named bases' (basis, adjoint)
+    ``steps`` in the order they apply, identity factors skipped."""
+    return [_transform(b, adjoint, axis=axis) for b, adjoint in steps if b.kind != "identity"]
+
+
+def _run(chain, x: np.ndarray) -> np.ndarray:
+    """The transforms of ``chain`` applied to x in turn, into a new array."""
+    out = x
+    for transform in chain:
+        out = transform(out)
+    return x.copy() if out is x else out
+
+
+def _matrix(b: OrthonormalBasis, adjoint: bool = False) -> np.ndarray:
+    """b's matrix, or with ``adjoint`` its conjugate transpose, as a new
+    array formed from the kind's closed form; a ``custom`` basis returns its
+    stored matrix itself, or a copy of its adjoint."""
+    if b.kind == "identity":
+        return np.eye(b.n)
+    if b.kind == "haar2d":
+        return _haar2d_matrix(*b.shape2d, b.levels, transpose=adjoint)
+    m = b.matrix if b.kind == "custom" else _dft_matrix(b.n) if b.kind == "dft1d" else _dft2d_matrix(*b.shape2d)
+    if not adjoint:
+        return m
+    # a DFT matrix is symmetric, so its adjoint is its conjugate, formed in place
+    m = np.conjugate(m.T, order="C") if b.kind == "custom" else np.conjugate(m, out=m)
+    m += 0.0  # the product V^H I has +0.0 where conjugation leaves -0.0
+    return m
+
+
 def _dft_matrix(n: int) -> np.ndarray:
     jk = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
+
+
+def _dft2d_matrix(rows: int, cols: int) -> np.ndarray:
+    # np.kron(F_rows, F_cols), its products written in place: entry
+    # (i cols + j, k cols + l) is F_rows[i, k] F_cols[j, l]
+    out = np.empty((rows, cols, rows, cols), dtype=np.complex128)
+    np.multiply(_dft_matrix(rows)[:, None, :, None], _dft_matrix(cols)[:, None, :], out=out)
+    return out.reshape(rows * cols, rows * cols)
 
 
 def _is_pow2(n: int) -> bool:
@@ -197,15 +245,30 @@ def _check_haar_dims(rows: int, cols: int, levels: int | None):
         raise ValueError(f"levels={levels} invalid for a {rows}x{cols} grid")
 
 
-def _haar2d_matrix(rows: int, cols: int, levels: int) -> np.ndarray:
-    # Row i is the analysis of the i-th pixel basis image, i.e. column i of
-    # the analysis operator W; the synthesis matrix is the (real) transpose
-    # of W, which is this matrix itself.  The unit images are transformed
-    # where they lie.
+def _haar2d_matrix(rows: int, cols: int, levels: int, transpose: bool = False) -> np.ndarray:
+    """The synthesis matrix (its transpose with ``transpose``), row i the
+    analysis of pixel i's unit image, scattered from closed form.  Each pass
+    meets one nonzero per (even, odd) pair, so each level leaves three
+    details and passes one approximation on: 3 levels + 1 nonzeros, of
+    magnitude v_d = v_{d-1}/sqrt 2 after d passes (the passes' own division)
+    and negative where the pixel's row (or column) at that level is odd."""
     n = rows * cols
-    eye = np.eye(n)
-    _haar2d_inplace(eye.reshape(n, rows, cols).transpose(1, 2, 0), levels, inverse=False)
-    return eye
+    pixel = np.arange(n)
+    p, q = np.divmod(pixel, cols)
+    coeffs, values, v = [], [], 1.0
+    for level in range(levels):
+        r, c = rows >> (level + 1), cols >> (level + 1)  # half the level's block
+        pr, pc = p >> (level + 1), q >> (level + 1)  # where the approximation goes
+        sr, sc = 1 - 2 * ((p >> level) & 1), 1 - 2 * ((q >> level) & 1)
+        v = v / math.sqrt(2) / math.sqrt(2)
+        coeffs += [pr * cols + c + pc, (r + pr) * cols + pc, (r + pr) * cols + c + pc]
+        values += [sc * v, sr * v, sr * sc * v]
+    coeffs.append(pr * cols + pc)
+    values.append(np.full(n, v))
+    coeff, pixels = np.concatenate(coeffs), np.tile(pixel, len(coeffs))
+    out = np.zeros((n, n))
+    out[(coeff, pixels) if transpose else (pixels, coeff)] = np.concatenate(values)
+    return out
 
 
 def make_basis(
@@ -230,30 +293,19 @@ def make_basis(
             raise ValueError(f"{kind} requires rows and cols")
         if n is not None and n != rows * cols:
             raise ValueError(f"n={n} inconsistent with {rows}x{cols}")
-        n = rows * cols
-    if kind == "identity":
-        if n is None:
-            raise ValueError("identity requires n")
-        return OrthonormalBasis(n, np.eye(n), "identity")
-    if kind == "dft1d":
-        if n is None:
-            raise ValueError("dft1d requires n")
-        return OrthonormalBasis(n, _dft_matrix(n), "dft1d")
-    if kind == "dft2d":
-        m = np.kron(_dft_matrix(rows), _dft_matrix(cols))
-        return OrthonormalBasis(n, m, "dft2d", shape2d=(rows, cols))
-    if kind == "haar2d":
+        if kind == "dft2d":
+            return OrthonormalBasis(rows * cols, kind, (rows, cols))
         levels = max_haar_levels(rows, cols) if levels is None else levels
-        _check_haar_dims(rows, cols, levels)
-        m = _haar2d_matrix(rows, cols, levels)
-        return OrthonormalBasis(n, m, "haar2d", shape2d=(rows, cols), levels=levels)
+        return OrthonormalBasis(rows * cols, kind, (rows, cols), levels)
+    if kind in ("identity", "dft1d"):
+        if n is None:
+            raise ValueError(f"{kind} requires n")
+        return OrthonormalBasis(n, kind)
     if kind == "custom":
         if entries is None:
             raise ValueError("custom requires entries")
         entries = np.array(entries)
-        if n is None:
-            n = entries.shape[0]
-        return OrthonormalBasis(n, entries, "custom")
+        return OrthonormalBasis(entries.shape[0] if n is None else n, "custom", matrix=entries)
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
@@ -262,41 +314,35 @@ class MeasurementEnsemble:
     """Product A = V^H U of a measurement basis V and sparsity basis U.
 
     ``mu`` is the coherence max |A(i,j)|, which for an N x N orthogonal A
-    lies in [1/sqrt(N), 1].
+    lies in [1/sqrt(N), 1]; the check that A is unitary takes it.
 
     ``factors`` is (V, U) when A was built from them, as ``make_ensemble``
-    does.  A is then checked unitary by applying A^H = U^H V to its columns
-    through the factors' fast transforms, or not at all when V is the
-    identity and A is U's own, already checked, matrix.  Without factors, or
-    with a ``custom`` one, the check is the dense Gram product.  Either way
-    a non-unitary A, or one that is not V^H U, is rejected.
+    does.  A is then checked by applying A^H = U^H V to its columns through
+    the factors' fast transforms, an identity factor skipped; without
+    factors, or with a ``custom`` one, the check is the dense Gram product.
+    Either way a non-unitary A, or one that is not V^H U, is rejected.
     """
 
     a: np.ndarray
-    mu: float
     n: int
     factors: InitVar[tuple[OrthonormalBasis, OrthonormalBasis] | None] = None
+    mu: float = field(init=False)
     # the fast transforms of A x and of A^H x on rows, in order; None: the dense A
     _maps: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, factors):
-        if factors is None:
-            _check_unitary(unitarity_residual(self.a), "ensemble")
-        elif not (factors[0].kind == "identity" and self.a is factors[1].entries):
-            v_map, u_map = _transform(factors[0], adjoint=False), _transform(factors[1], adjoint=True)
-            adjoint = None if v_map is None or u_map is None else lambda x: u_map(v_map(x))
-            # U^H V A = I exactly when A = V^H U
-            failure = "is not unitary" if adjoint is None else "A does not match its factors V^H U"
-            _check_unitary(unitarity_residual(self.a, adjoint), "ensemble", failure)
-        lo = 1.0 / math.sqrt(self.n) - 1e-12
-        if not (lo <= self.mu <= 1.0 + 1e-12):
-            raise ValueError(f"coherence {self.mu} outside [1/sqrt(N), 1]")
-        self.a.setflags(write=False)
-        maps = None
+        maps = check = None
         if factors is not None and all(b.kind != "custom" for b in factors):
             v, u = factors  # A x = V^H (U x), A^H x = U^H (V x)
-            maps = tuple([_transform(b, inv, axis=1) for b, inv in steps if b.kind != "identity"]
-                         for steps in (((u, False), (v, True)), ((v, False), (u, True))))
+            steps = ((u, False), (v, True)), ((v, False), (u, True))
+            maps = tuple(_chain(s, axis=1) for s in steps)
+            # U^H V A = I exactly when A = V^H U
+            check = partial(_run, _chain(steps[1], axis=0))
+        resid, mu = unitarity_residual(self.a, check)
+        failure = "is not unitary" if check is None else "A does not match its factors V^H U"
+        _check_unitary(resid, "ensemble", failure)
+        self.a.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "_maps", maps)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -313,12 +359,9 @@ class MeasurementEnsemble:
     def _map(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         if self._maps is None:
             return matvec_rows(self.a, x, adjoint=adjoint)
-        out = x
-        for transform in self._maps[adjoint]:
-            out = transform(out)
-        if not (np.iscomplexobj(self.a) or np.iscomplexobj(x)):
-            out = np.ascontiguousarray(out.real)
-        return x.copy() if out is x else out
+        out = _run(self._maps[adjoint], x)
+        real = not (np.iscomplexobj(self.a) or np.iscomplexobj(x))
+        return np.ascontiguousarray(out.real) if real else out
 
 
 def matvec_rows(a: np.ndarray, x: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
@@ -330,22 +373,28 @@ def matvec_rows(a: np.ndarray, x: np.ndarray, *, adjoint: bool = False) -> np.nd
 
 
 def make_ensemble(v: OrthonormalBasis, u: OrthonormalBasis) -> MeasurementEnsemble:
-    """A = V^H U.  An identity factor is not multiplied: A is U's own matrix
-    when V is I, and the conjugate transpose of V when U is I."""
+    """A = V^H U, formed as one N x N array.  An identity factor is not
+    multiplied: A is U's matrix when V is I, and V's adjoint when U is I.
+    Two named bases give A's columns by their transforms of unit vectors,
+    a span at a time; only a ``custom`` factor takes the dense product."""
     if v.n != u.n:
         raise ValueError(f"dimension mismatch: V is {v.n}, U is {u.n}")
+    n, width = v.n, max(1, _RESIDUAL_ENTRIES // v.n)
     if v.kind == "identity":
-        a = u.entries
+        a = _matrix(u)
     elif u.kind == "identity":
-        a = np.conjugate(v.entries.T, order="C")
-        # the product V^H I has +0.0 where conjugation leaves -0.0
-        a += 0.0
-    else:
+        a = _matrix(v, adjoint=True)
+    elif "custom" in (v.kind, u.kind):
         a = v.entries.conj().T @ u.entries
-    if np.iscomplexobj(a) and np.max(np.abs(a.imag)) <= 1e-13:
+    else:
+        apply = _chain(((u, False), (v, True)), axis=0)
+        a = np.empty((n, n), dtype=np.float64 if v.kind == u.kind == "haar2d" else np.complex128)
+        for j in range(0, n, width):
+            a[:, j : j + width] = _run(apply, np.eye(n, min(width, n - j), -j))
+    spans = range(0, n, width)
+    if np.iscomplexobj(a) and max(np.max(np.abs(a[i : i + width].imag)) for i in spans) <= 1e-13:
         a = np.ascontiguousarray(a.real)
-    mu = float(np.max(np.abs(a)))
-    return MeasurementEnsemble(a=a, mu=mu, n=v.n, factors=(v, u))
+    return MeasurementEnsemble(a=a, n=n, factors=(v, u))
 
 
 @dataclass(frozen=True)

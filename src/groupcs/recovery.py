@@ -165,7 +165,9 @@ class _SupportProof:
         Returns the rank rule per trial: True where A_S is numerically
         rank-deficient (sigma_min <= sigma_max max(m, |S|) eps, the default
         tolerance of ``matrix_rank``) and z has a component in its null space
-        (norm above 1e-8 ||z||).  Then c_b is not an l1 minimizer.
+        (norm above 1e-8 ||z||).  Then c_b is not an l1 minimizer.  A trial
+        whose A_S has an all-zero column j is refuted without a
+        factorization: e_j lies in the null space, and |z_j| = 1.
         """
         b, m = t.omegas.shape
         t.idx = np.nonzero(t.coeffs)[1].reshape(b, k)
@@ -173,23 +175,28 @@ class _SupportProof:
         t.sign = z = z / np.abs(z)
         t.ginv = np.zeros((b, k, k), dtype=np.result_type(a, t.coeffs, np.float64))
         t.valid = np.zeros(b, dtype=bool)
-        refuted = np.zeros(b, dtype=bool)
         if k == 0:
+            return np.zeros(b, dtype=bool)
+        a_s = a[t.omegas[:, :, None], t.idx[:, None, :]]
+        refuted = ~np.all(np.any(a_s, axis=1), axis=1)
+        rest = np.flatnonzero(~refuted)
+        if not rest.size:
             return refuted
         # A_S = Q R, so R has the singular values and G = R^H R
-        r = np.linalg.qr(a[t.omegas[:, :, None], t.idx[:, None, :]], mode="r")
+        r = np.linalg.qr(a_s if rest.size == b else a_s[rest], mode="r")
         sv = np.linalg.svd(r, compute_uv=False)
         rank = np.sum(sv > sv[:, :1] * max(m, k) * np.finfo(np.float64).eps, axis=1)
         low = np.flatnonzero(rank < k)
         if low.size:
             _, _, vh = np.linalg.svd(r[low], full_matrices=True)  # vh is k x k
-            z_rot = np.matmul(vh, z[low, :, None])[:, :, 0]
+            z_rot = np.matmul(vh, z[rest[low], :, None])[:, :, 0]
             null_part = _row_norm(np.where(np.arange(k) >= rank[low, None], z_rot, 0))
-            refuted[low] = null_part > 1e-8 * math.sqrt(k)
+            refuted[rest[low]] = null_part > 1e-8 * math.sqrt(k)
         if m >= k:
-            t.valid = sv[:, -1] > 1e-5
-            r_inv = np.linalg.inv(r[t.valid])
-            t.ginv[t.valid] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
+            valid = sv[:, -1] > 1e-5
+            t.valid[rest] = valid
+            r_inv = np.linalg.inv(r[valid])
+            t.ginv[rest[valid]] = np.matmul(r_inv, r_inv.conj().transpose(0, 2, 1))
         return refuted
 
     @staticmethod

@@ -140,10 +140,33 @@ def unitarity_residual_dense(entries):
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(n))))
 
 
+def basis_reference(b):
+    """The dense matrix of basis b by its direct construction: the identity
+    by ``np.eye``, the DFT by its exponential formula, the 2-D DFT by
+    ``np.kron`` and the Haar matrix by transforming unit images; a
+    ``custom`` basis's own matrix."""
+    if b.kind == "custom":
+        return b.matrix
+    if b.kind == "identity":
+        return np.eye(b.n)
+    if b.kind == "dft1d":
+        return _dft_reference(b.n)
+    rows, cols = b.shape2d
+    if b.kind == "dft2d":
+        return np.kron(_dft_reference(rows), _dft_reference(cols))
+    return haar2d_matrix_reference(rows, cols, b.levels)
+
+
+def _dft_reference(n):
+    jk = np.outer(np.arange(n), np.arange(n))
+    return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
+
+
 def ensemble_product(v, u):
-    """A = V^H U by the dense product, cast to real when its imaginary part
-    is at most 1e-13, as ``make_ensemble`` defines it."""
-    a = v.entries.conj().T @ u.entries
+    """A = V^H U by the dense product of the reference matrices, cast to
+    real when its imaginary part is at most 1e-13, as ``make_ensemble``
+    defines it."""
+    a = basis_reference(v).conj().T @ basis_reference(u)
     if np.iscomplexobj(a) and np.max(np.abs(a.imag)) <= 1e-13:
         a = np.ascontiguousarray(a.real)
     return a
@@ -252,6 +275,33 @@ class CertificateReport:
     pi: np.ndarray | None
     max_offsupport: float
     holds: bool
+
+
+def support_factor_qr(a, t, k):
+    """``recovery._SupportProof.factor`` with a QR and singular values for
+    every trial: the rank rule by the factorization alone, where the library
+    refutes a trial with an all-zero column of A_S before factoring."""
+    b, m = t.omegas.shape
+    t.idx = np.nonzero(t.coeffs)[1].reshape(b, k)
+    z = np.take_along_axis(t.coeffs, t.idx, axis=1)
+    t.sign = z = z / np.abs(z)
+    t.ginv = np.zeros((b, k, k), dtype=np.result_type(a, t.coeffs, np.float64))
+    t.valid = np.zeros(b, dtype=bool)
+    refuted = np.zeros(b, dtype=bool)
+    if k == 0:
+        return refuted
+    r = np.linalg.qr(a[t.omegas[:, :, None], t.idx[:, None, :]], mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = np.sum(sv > sv[:, :1] * max(m, k) * np.finfo(np.float64).eps, axis=1)
+    for i in np.flatnonzero(rank < k):
+        vh = np.linalg.svd(r[i])[2]
+        refuted[i] = np.linalg.norm((vh @ z[i])[rank[i]:]) > 1e-8 * math.sqrt(k)
+    if m >= k:
+        t.valid = sv[:, -1] > 1e-5
+        for i in np.flatnonzero(t.valid):
+            r_inv = np.linalg.inv(r[i])
+            t.ginv[i] = r_inv @ r_inv.conj().T
+    return refuted
 
 
 def cross_gram(a_omega: np.ndarray, t: SupportSet) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_c08_qualitative_replication_desk_scale():
     e = _dft_ensemble(n)
     contig, strided = contiguous_1d(n, g), strided_1d(n, g)
     spec = SignalSpec(
-        "fourier1d", n=n, k=k, support_model="subband",
+        n=n, k=k, support_model="subband",
         channel_count=2, channel_width_frac=0.05,
     )
     cfg = SweepConfig(

@@ -26,7 +26,6 @@ from groupcs.harness import (
     default_m_grid,
     draw_support,
     find_min_m,
-    gen_signal,
     image_to_sparse,
     random_coefficients,
     records_from_csv,
@@ -40,50 +39,41 @@ from groupcs.harness import (
 from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
 from groupcs.recovery import basis_pursuit, nre, solve_trials
 
+from oracles import support_factor_qr
+
 
 def _dft_ensemble(n):
     return make_ensemble(make_basis("identity", n), make_basis("dft1d", n))
 
 
-def test_gen_signal_zero_sparsity():
-    x, c0, t = gen_signal(SignalSpec("fourier1d", n=32, k=0), np.random.default_rng(0))
+def test_draw_support_zero_sparsity():
+    t = draw_support(SignalSpec(n=32, k=0), np.random.default_rng(0))
     assert len(t) == 0
-    assert np.all(c0 == 0) and np.all(x == 0)
 
 
-def test_gen_signal_subband_containment():
+def test_draw_support_subband_containment():
     spec = SignalSpec(
-        "fourier1d", n=1100, k=55, support_model="subband",
+        n=1100, k=55, support_model="subband",
         channel_count=2, channel_width_frac=0.05,
     )
     width = 55
     for seed in range(5):
-        rng = np.random.default_rng(seed)
-        x, c0, t = gen_signal(spec, rng)
-        idx = t.indices
-        assert len(t) == 55
+        idx = draw_support(spec, np.random.default_rng(seed)).indices
+        assert len(idx) == 55
         # the support must be coverable by two windows of the channel width:
         # indices beyond the first window all belong to the second channel
         rest = idx[idx >= idx[0] + width]
         assert rest.size == 0 or rest[-1] - rest[0] < width
-        assert math.isclose(np.linalg.norm(x), np.linalg.norm(c0), rel_tol=1e-10)
 
 
-def test_gen_signal_unitarity_preserves_norm():
-    spec = SignalSpec("fourier1d", n=64, k=6)
-    x, c0, t = gen_signal(spec, np.random.default_rng(1))
-    assert math.isclose(np.linalg.norm(x), np.linalg.norm(c0), rel_tol=1e-10)
-    assert np.all(np.isin(np.flatnonzero(c0), t.indices))
-
-
-def test_gen_signal_channel_union_too_small():
+def test_draw_support_channel_union_too_small():
     spec = SignalSpec(
-        "fourier1d", n=100, k=40, support_model="subband",
+        n=100, k=40, support_model="subband",
         channel_count=2, channel_width_frac=0.05,
     )
     with pytest.raises(ValueError):
         # 2 channels of width 5 can host at most 10 indices
-        gen_signal(spec, np.random.default_rng(0))
+        draw_support(spec, np.random.default_rng(0))
 
 
 def test_image_to_sparse_constant_image():
@@ -243,7 +233,7 @@ def test_pipeline_grouping_hurts_narrowband():
     gs_contig = contiguous_1d(n, g)
     base = singletons(n)
     spec = SignalSpec(
-        "fourier1d", n=n, k=4, support_model="subband",
+        n=n, k=4, support_model="subband",
         channel_count=2, channel_width_frac=0.05,
     )
     cfg = SweepConfig(
@@ -348,25 +338,6 @@ def test_synthetic_image_range_and_determinism():
     img2 = synthetic_image(16, 16, np.random.default_rng(42))
     assert np.array_equal(img1, img2)
     assert img1.min() >= 0.0 and img1.max() <= 1.0
-
-
-def test_gen_signal_wavelet_image_kind(tmp_path):
-    spec = SignalSpec("wavelet_image", n=64, k=10, rows=8, cols=8)
-    x, c0, t = gen_signal(spec, np.random.default_rng(3))
-    assert len(t) == 10 and np.count_nonzero(c0) <= 10
-    assert math.isclose(np.linalg.norm(x), np.linalg.norm(c0), rel_tol=1e-10)
-    # the signal is the Haar synthesis of the kept coefficients
-    assert np.allclose(x.reshape(8, 8), haar2d_synthesis(c0.reshape(8, 8)), atol=1e-12)
-    from groupcs.pgm import write_pgm
-
-    img = synthetic_image(8, 8, np.random.default_rng(4))
-    path = tmp_path / "src.pgm"
-    write_pgm(path, img)
-    spec2 = SignalSpec("wavelet_image", n=64, k=5, rows=8, cols=8, source=str(path))
-    _, c0b, tb = gen_signal(spec2, np.random.default_rng(5))
-    assert len(tb) == 5
-    with pytest.raises(ValueError):
-        SignalSpec("wavelet_image", n=64, k=5, rows=4, cols=4)
 
 
 def test_random_coefficients_match_inline_draw():
@@ -529,3 +500,25 @@ def test_recover_path_never_stops_on_descent():
         else:  # the verdict path solves an undecided trial exactly as recover does
             assert np.array_equal(early.c_hat, ref.c_hat)
             assert early.iterations == ref.iterations
+
+
+def test_zero_column_refutation_matches_qr_path(monkeypatch):
+    # the E2 benchmark's configuration: 32x32 identity/Haar, the k=51 support
+    # of its image, rect2d and cyclic spiral2d with g=8; most of its trials
+    # have an all-zero column in A_S and are refuted without a QR
+    e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
+    t, c0 = image_to_sparse(synthetic_image(32, 32, np.random.default_rng(7)), 51)
+    structures = [rect_2d(32, 32, 8), spiral_2d(32, 32, 8, cyclic=True)]
+    cfg = SweepConfig(m_grid=(64, 256, 1024), trials_per_m=3, success_quota=0.66, master_seed=1)
+    kw = dict(master_seed=1, solver=SolverOptions())
+
+    def run():
+        sweeps = [find_min_m(e, gs, t, c0, cfg) for gs in structures]
+        verdicts = [trial_verdicts(e, gs, t, c0, m, range(24), **kw) for gs in structures for m in (64, 256)]
+        return sweeps, verdicts
+
+    sweeps, verdicts = run()
+    routes = [route for trials in verdicts for _, route in trials]
+    assert routes.count("rank_deficient") >= 24, routes
+    monkeypatch.setattr(recovery._SupportProof, "factor", staticmethod(support_factor_qr))
+    assert run() == (sweeps, verdicts)

@@ -8,6 +8,7 @@ from groupcs.operators import (
     MeasurementEnsemble,
     OrthonormalBasis,
     SupportSet,
+    _matrix,
     _transform,
     haar2d_analysis,
     haar2d_synthesis,
@@ -19,9 +20,9 @@ from groupcs.operators import (
 )
 
 from oracles import (
+    basis_reference,
     ensemble_product,
     haar2d_analysis_reference,
-    haar2d_matrix_reference,
     haar2d_synthesis_reference,
     hadamard_matrix,
     unitarity_residual_dense,
@@ -37,25 +38,14 @@ NAMED = [
     ("dft2d", dict(rows=32, cols=32)),
     ("haar2d", dict(rows=8, cols=8, levels=1)),
     ("haar2d", dict(rows=32, cols=32)),
+    # wide grids, and the sizes whose DFT is real to 1e-13
+    ("haar2d", dict(rows=4, cols=16)),
+    ("dft2d", dict(rows=16, cols=2)),
+    ("dft2d", dict(rows=1, cols=2)),
+    ("dft1d", dict(n=2)),
+    ("dft1d", dict(n=1)),
+    ("identity", dict(n=1)),
 ]
-
-
-def _dft_reference(n):
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
-
-
-def _named_reference(kind, kwargs):
-    """The dense construction of each named basis."""
-    if kind == "identity":
-        return np.eye(kwargs["n"])
-    if kind == "dft1d":
-        return _dft_reference(kwargs["n"])
-    rows, cols = kwargs["rows"], kwargs["cols"]
-    if kind == "dft2d":
-        return np.kron(_dft_reference(rows), _dft_reference(cols))
-    levels = kwargs.get("levels", int(math.log2(min(rows, cols))))
-    return haar2d_matrix_reference(rows, cols, levels)
 
 
 def test_identity_basis():
@@ -72,7 +62,7 @@ def test_dft_entries_unit_modulus():
 def test_unitarity(kind, kwargs):
     b = make_basis(kind, **kwargs)
     assert unitarity_residual_dense(b.entries) <= 1e-13
-    assert unitarity_residual(b.entries, _transform(b, adjoint=True)) <= 1e-13
+    assert unitarity_residual(b.entries, _transform(b, adjoint=True))[0] <= 1e-13
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -92,16 +82,27 @@ def test_dft2d_transform_is_bitwise_fft2(adjoint, batch):
 
 @pytest.mark.parametrize("kind,kwargs", NAMED)
 def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwargs):
+    # bit for bit, signs of zeros included
     b = make_basis(kind, **kwargs)
-    assert np.array_equal(b.entries, _named_reference(kind, kwargs))
+    ref = basis_reference(b)
+    assert b.entries.dtype == ref.dtype and b.entries.tobytes() == ref.tobytes()
     eye = make_basis("identity", b.n)
     for v, u in ((eye, b), (b, eye)):
         e = make_ensemble(v, u)
         ref = ensemble_product(v, u)
-        assert e.a.dtype == ref.dtype and np.array_equal(e.a, ref)
+        assert e.a.dtype == ref.dtype and e.a.tobytes() == ref.tobytes()
         assert e.a.flags.c_contiguous and not e.a.flags.writeable
         assert e.mu == float(np.max(np.abs(ref)))
-    assert make_ensemble(eye, b).a is b.entries
+
+
+@pytest.mark.parametrize("rows,cols", [(32, 32), (8, 8), (16, 8), (4, 16), (2, 8), (2, 2)])
+def test_haar_closed_form_is_bitwise_the_transformed_unit_images(rows, cols):
+    # every level, and the transposed scatter that forms V^H for U = I
+    for levels in range(1, int(math.log2(min(rows, cols))) + 1):
+        h = make_basis("haar2d", rows=rows, cols=cols, levels=levels)
+        ref = basis_reference(h)
+        assert h.entries.tobytes() == ref.tobytes()
+        assert _matrix(h, adjoint=True).tobytes() == np.ascontiguousarray(ref.T).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -110,14 +111,20 @@ def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwarg
         (("dft2d", dict(rows=8, cols=16)), ("haar2d", dict(rows=8, cols=16))),
         (("haar2d", dict(rows=16, cols=16, levels=2)), ("dft2d", dict(rows=16, cols=16))),
         (("dft1d", dict(n=64)), ("dft1d", dict(n=64))),
+        (("dft2d", dict(rows=16, cols=16)), ("haar2d", dict(rows=16, cols=16))),
+        (("haar2d", dict(rows=8, cols=8)), ("haar2d", dict(rows=8, cols=8, levels=1))),
+        (("dft2d", dict(rows=8, cols=8)), ("dft2d", dict(rows=8, cols=8))),
     ],
 )
 def test_ensemble_of_named_bases_fast_residual(v, u):
     v, u = make_basis(v[0], **v[1]), make_basis(u[0], **u[1])
     e = make_ensemble(v, u)
-    assert np.array_equal(e.a, ensemble_product(v, u))
+    # A's columns are transforms of unit vectors, not the dense product
+    ref = ensemble_product(v, u)
+    assert e.a.dtype == ref.dtype and np.max(np.abs(e.a - ref)) <= 1e-13
+    assert e.mu == float(np.max(np.abs(e.a)))
     v_map, u_map = _transform(v, adjoint=False), _transform(u, adjoint=True)
-    assert unitarity_residual(e.a, lambda x: u_map(v_map(x))) <= 1e-13
+    assert unitarity_residual(e.a, lambda x: u_map(v_map(x)))[0] <= 1e-13
     assert unitarity_residual_dense(e.a) <= 1e-13
 
 
@@ -215,29 +222,35 @@ def test_non_finite_basis_rejected(where):
 
 
 def test_named_kind_checked_by_its_transform():
-    h = make_basis("haar2d", rows=8, cols=8)
-    bent = h.entries.copy()
+    # a named basis holds no matrix; the ensemble's A is checked against its
+    # factors by their transforms
+    eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
+    bent = h.entries
     bent[3, 5] += 1e-6
-    with pytest.raises(ValueError, match="not unitary"):
-        OrthonormalBasis(64, bent, "haar2d", shape2d=(8, 8), levels=h.levels)
-    with pytest.raises(ValueError, match="not unitary"):
-        OrthonormalBasis(64, np.full((64, 64), np.nan), "dft2d", shape2d=(8, 8))
-    with pytest.raises(ValueError, match="identity"):
-        OrthonormalBasis(64, h.entries.copy(), "identity")
+    mismatch = "does not match its factors"
+    with pytest.raises(ValueError, match=mismatch):
+        MeasurementEnsemble(a=bent, n=64, factors=(eye, h))
+    with pytest.raises(ValueError, match=f"{mismatch} V\\^H U: residual nan"):
+        MeasurementEnsemble(a=np.full((64, 64), np.nan), n=64, factors=(make_basis("dft2d", rows=8, cols=8), eye))
+    with pytest.raises(ValueError, match=mismatch):
+        MeasurementEnsemble(a=h.entries, n=64, factors=(eye, eye))
+    with pytest.raises(ValueError, match="only a custom one"):
+        OrthonormalBasis(64, "identity", matrix=np.eye(64))
+    with pytest.raises(ValueError, match="only a custom one"):
+        OrthonormalBasis(64, "custom")
 
 
 def test_non_unitary_ensemble_rejected():
     eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
     a = 2.0 * h.entries
-    mu = float(np.max(np.abs(a))) / 2.0
     with pytest.raises(ValueError, match="does not match its factors"):
-        MeasurementEnsemble(a=a.copy(), mu=mu, n=64, factors=(eye, h))
+        MeasurementEnsemble(a=a.copy(), n=64, factors=(eye, h))
     with pytest.raises(ValueError, match="ensemble is not unitary"):
-        MeasurementEnsemble(a=a.copy(), mu=mu, n=64)
-    nan = h.entries.copy()
+        MeasurementEnsemble(a=a.copy(), n=64)
+    nan = h.entries
     nan[0, 0] = np.nan
     with pytest.raises(ValueError, match="does not match its factors V\\^H U: residual nan"):
-        MeasurementEnsemble(a=nan, mu=mu, n=64, factors=(eye, h))
+        MeasurementEnsemble(a=nan, n=64, factors=(eye, h))
 
 
 def test_custom_entries_are_copied():
@@ -248,16 +261,28 @@ def test_custom_entries_are_copied():
     assert b.entries is not q and not b.entries.flags.writeable
 
 
-def test_identity_haar_ensemble_traced_peak():
-    # the parent's dense build and checks peaked at 6 N^2 doubles
-    n = 1024
+def _traced_peak_share(v, u):
+    """make_ensemble's traced peak allocation over the bytes of its A."""
     tracemalloc.start()
     try:
-        make_ensemble(make_basis("identity", n), make_basis("haar2d", rows=32, cols=32))
+        e = make_ensemble(v, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * n * n * 8
+    return peak / e.a.nbytes
+
+
+def test_identity_haar_ensemble_traced_peak():
+    # A is the one N x N array: no basis matrix, no identity matrix, and the
+    # check's column spans are a small share of it
+    v, u = make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32)
+    assert _traced_peak_share(v, u) <= 1.25
+
+
+def test_dft2d_identity_ensemble_traced_peak():
+    # V^H is formed in place, from a Kronecker product written in place
+    v, u = make_basis("dft2d", rows=32, cols=32), make_basis("identity", 1024)
+    assert _traced_peak_share(v, u) <= 1.25
 
 
 def test_submatrix():
@@ -292,14 +317,13 @@ def test_normalize_rows():
 
 
 def test_ensemble_that_is_not_v_h_u_rejected():
-    # a factor's own matrix is taken unchecked only when V is the identity
     # A is unitary in both cases, so the message names the mismatch and its size
     dft, h = make_basis("dft1d", 64), make_basis("haar2d", rows=8, cols=8)
     mismatch = r"ensemble A does not match its factors V\^H U: residual \d\.\d{3}e[+-]\d\d$"
     with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=h.entries, mu=float(np.max(np.abs(h.entries))), n=64, factors=(dft, h))
+        MeasurementEnsemble(a=h.entries, n=64, factors=(dft, h))
     with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=dft.entries, mu=1 / 8, n=64, factors=(dft, make_basis("identity", 64)))
+        MeasurementEnsemble(a=dft.entries, n=64, factors=(dft, make_basis("identity", 64)))
 
 
 _EYE, _D1 = ("identity", dict(n=64)), ("dft1d", dict(n=64))
@@ -317,7 +341,7 @@ def test_ensemble_apply_and_adjoint_match_dense(pair, real):
     if pair == "custom":
         e = make_ensemble(make_basis("custom", entries=hadamard_matrix(64) / 8.0), make_basis("dft1d", 64))
     elif pair == "no factors":
-        e = MeasurementEnsemble(a=make_basis("dft1d", 64).entries.copy(), mu=1 / 8, n=64)
+        e = MeasurementEnsemble(a=make_basis("dft1d", 64).entries, n=64)
     else:
         e = make_ensemble(make_basis(pair[0][0], **pair[0][1]), make_basis(pair[1][0], **pair[1][1]))
     rng = np.random.default_rng(5)
