@@ -85,12 +85,12 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials={trials} must be at least 1")
 
 
-def _group_products(e: MeasurementEnsemble, rows: np.ndarray, left, right) -> np.ndarray:
-    """A[j, left]^H A[j, right] for each group j (a row of ``rows``), one
-    flattened product per row."""
-    a_l = e.a[rows[:, :, None], left]
-    a_r = a_l if right is left else e.a[rows[:, :, None], right]
-    return np.matmul(a_l.conj().transpose(0, 2, 1), a_r).reshape(len(rows), -1)
+def _group_products(a_l: np.ndarray, a_r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A[j, L]^H A[j, R] for each group j (a row of ``rows``), one flattened
+    product per row, from the columns a_l = A[:, L] and a_r = A[:, R]."""
+    g_l = a_l[rows]
+    g_r = g_l if a_r is a_l else a_r[rows]
+    return np.matmul(g_l.conj().transpose(0, 2, 1), g_r).reshape(len(rows), -1)
 
 
 def _selected_sums(e, t, gs, m, trials, rng, left, entries=None):
@@ -111,15 +111,18 @@ def _selected_sums(e, t, gs, m, trials, rng, left, entries=None):
     per_span = max(1, _CHUNK_ENTRIES // max(1, gs.g * (len(left) + k) + width))
     spans = [gs.groups[s : s + per_span] for s in range(0, gs.n_groups, per_span)]
 
+    a_t = e.columns(t.indices)
+    a_l = a_t if left is t.indices else e.columns(left)
+
     def products(rows):
-        p = _group_products(e, rows, left, t.indices)
+        p = _group_products(a_l, a_t, rows)
         return p if entries is None else np.take(p, entries, axis=1)
 
     fixed = products(spans[0]) if len(spans) == 1 else None
     # chunks are sized by the full product, as the caller may unpack to it
     per_chunk = min(trials, max(1, _CHUNK_ENTRIES // max(gs.n_groups, width)))
     formed = width if entries is None else len(entries)
-    sums = np.empty((per_chunk, formed), dtype=np.result_type(e.a, np.float64))
+    sums = np.empty((per_chunk, formed), dtype=np.result_type(e.dtype, np.float64))
     part = np.empty_like(sums) if fixed is None else None
     for start in range(0, trials, per_chunk):
         sel = bernoulli_selections(gs, m, min(per_chunk, trials - start), rng)
@@ -238,7 +241,7 @@ def validate_cross_row_energy(
         gamma_value = penalty_gamma(e, t, gs, "auto").value
     # mean of the row over the Bernoulli draw: (m/n) times the full-A row,
     # which is zero for exactly orthogonal columns but kept for honesty
-    mean_row = (m / e.n) * (e.a[:, t0].conj() @ e.a[:, t.indices])
+    mean_row = (m / e.n) * (e.columns([t0])[:, 0].conj() @ e.columns(t.indices))
     acc = 0.0
     for rows in _selected_sums(e, t, gs, m, trials, rng, np.array([t0])):
         rows = rows - mean_row

@@ -40,9 +40,10 @@ from .harness import (
     default_m_grid,
     draw_support,
     format_float,
+    gamma_cells,
     image_to_sparse,
     random_coefficients,
-    records_to_csv,
+    records_to_csv_text,
     run_trials,
     scatter_gamma_vs_m,
     trial_rng,
@@ -338,31 +339,25 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def cmd_gamma(args) -> int:
+def _inputs(args, single: str | None = None):
+    """(config, master seed, ensemble, rows, cols, structures, supports) of a
+    command's config; ``single`` names a command that takes one structure."""
     cfg = load_config(args.config)
     seed = master_seed_of(cfg, args.seed)
-    e, rows, cols, u_basis = build_ensemble(cfg)
+    e, rows, cols, _ = build_ensemble(cfg)
     structures = build_structures(cfg, e.n, rows, cols)
-    supports = build_supports(cfg, e, rows, cols, seed)
+    if single and len(structures) != 1:
+        raise ConfigError(f"{single} expects a single structure")
+    return cfg, seed, e, rows, cols, structures, build_supports(cfg, e, rows, cols, seed)
+
+
+def cmd_gamma(args) -> int:
+    cfg, seed, e, rows, cols, structures, supports = _inputs(args)
     out_rows = []
     for gs in structures:
         for sup in supports:
             est = penalty_gamma(e, sup.t, gs, args.mode, seed=seed)
-            out_rows.append(
-                [
-                    gs.label,
-                    sup.descriptor,
-                    gs.g,
-                    e.n,
-                    len(sup.t),
-                    format_float(est.lower),
-                    format_float(est.upper),
-                    "" if est.exact is None else format_float(est.exact),
-                    est.method,
-                    est.argmax_group,
-                    int(est.degraded),
-                ]
-            )
+            out_rows.append([gs.label, sup.descriptor, gs.g, e.n, len(sup.t), *gamma_cells(est)])
     header = [
         "structure",
         "support",
@@ -381,11 +376,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    seed = master_seed_of(cfg, args.seed)
-    e, rows, cols, u_basis = build_ensemble(cfg)
-    structures = build_structures(cfg, e.n, rows, cols)
-    supports = build_supports(cfg, e, rows, cols, seed)
+    cfg, seed, e, rows, cols, structures, supports = _inputs(args)
     g = max(gs.g for gs in structures)
     sweep_cfg = build_sweep_config(cfg, e.n, g, seed)
     solver = build_solver(cfg)
@@ -398,9 +389,7 @@ def cmd_sweep(args) -> int:
         solver=solver,
         gamma_seed=seed,
     )
-    buf = io.StringIO()
-    records_to_csv(records, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit(records_to_csv_text(records), args.out)
     return 0
 
 
@@ -426,14 +415,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    seed = master_seed_of(cfg, args.seed)
-    e, rows, cols, u_basis = build_ensemble(cfg)
-    structures = build_structures(cfg, e.n, rows, cols)
-    if len(structures) != 1:
-        raise ConfigError("validate expects a single structure")
-    gs = structures[0]
-    supports = build_supports(cfg, e, rows, cols, seed)
+    cfg, seed, e, rows, cols, (gs,), supports = _inputs(args, "validate")
     if len(supports) != 1:
         raise ConfigError("validate expects a single support")
     t = supports[0].t
@@ -474,7 +456,7 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_groups(args) -> int:
     cfg = load_config(args.config)
-    e, rows, cols, u_basis = build_ensemble(cfg)
+    e, rows, cols, _ = build_ensemble(cfg)
     structures = build_structures(cfg, e.n, rows, cols)
     out_rows = []
     for gs in structures:
@@ -491,14 +473,7 @@ def cmd_recover(args) -> int:
     Unlike a sweep trial it is never decided by proof, because its output is
     the reconstruction itself: error, feasibility, objective and iterations.
     """
-    cfg = load_config(args.config)
-    seed = master_seed_of(cfg, args.seed)
-    e, rows, cols, u_basis = build_ensemble(cfg)
-    structures = build_structures(cfg, e.n, rows, cols)
-    if len(structures) != 1:
-        raise ConfigError("recover expects a single structure")
-    gs = structures[0]
-    supports = build_supports(cfg, e, rows, cols, seed)
+    cfg, seed, e, rows, cols, (gs,), supports = _inputs(args, "recover")
     section = cfg.get("recover", {})
     _check_keys(section, _RECOVER_KEYS, "recover")
     m = _number(_require(section, "m", "recover"), "recover.m")
@@ -525,7 +500,7 @@ def cmd_recover(args) -> int:
         if dump is not None:
             from .pgm import write_pgm
 
-            img = np.real(u_basis.synthesize(res.c_hat)).reshape(rows, cols)
+            img = np.real(e.u.synthesize(res.c_hat)).reshape(rows, cols)
             path = dump if len(supports) == 1 else f"{dump}.{idx}.pgm"
             write_pgm(path, img)
         out_rows.append(

@@ -527,7 +527,7 @@ def penalty_gamma(
         raise IndexError("support index out of range")
 
     g = gs.g
-    is_real_a = not np.iscomplexobj(e.a)
+    is_real_a = e.dtype == np.float64
     enum_ok = g == 1 or (is_real_a and g <= ENUM_LIMIT_DEFAULT)
     route = mode
     if mode == "auto":

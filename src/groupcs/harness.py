@@ -71,7 +71,7 @@ def random_coefficients(
 ) -> np.ndarray:
     """Coefficients uniform on [-1, 1] over the support, zero elsewhere; complex
     (with zero imaginary part) for a complex ensemble, real otherwise."""
-    c = np.zeros(e.n, dtype=np.complex128 if np.iscomplexobj(e.a) else np.float64)
+    c = np.zeros(e.n, dtype=e.dtype)
     c[t.indices] = rng.uniform(-1.0, 1.0, len(t))
     return c
 
@@ -457,7 +457,12 @@ def scatter_gamma_vs_m(
     in one pool (``_drive``), so one sweep's slow trials iterate beside the
     next chunks of the others; each sweep's result is the one it gets alone.
     ``threads`` is ignored; it stays accepted because ``bench/workloads.py``
-    passes ``threads=1``."""
+    passes ``threads=1``.  Two structures with one label are rejected: their
+    rows could not be told apart, and they would draw the same trials."""
+    labels = [gs.label for gs in structures]
+    if len(set(labels)) < len(labels):
+        twice = sorted({label for label in labels if labels.count(label) > 1})
+        raise ValueError(f"structures share the label {', '.join(twice)}; their rows would be indistinguishable")
     base = singletons(e.n)
     for gs in [base, *structures]:
         _check_grid(gs, cfg)
@@ -507,6 +512,13 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def gamma_cells(est: GammaEstimate) -> list:
+    """A penalty factor's CSV cells: lower, upper, exact ("" when unknown),
+    method, argmax group and degraded (0/1)."""
+    exact = "" if est.exact is None else format_float(est.exact)
+    return [format_float(est.lower), format_float(est.upper), exact, est.method, est.argmax_group, int(est.degraded)]
+
+
 def records_to_csv(records: list[SweepRecord], fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -515,12 +527,7 @@ def records_to_csv(records: list[SweepRecord], fh) -> None:
             [
                 r.structure_label,
                 r.support_descriptor,
-                format_float(r.gamma.lower),
-                format_float(r.gamma.upper),
-                "" if r.gamma.exact is None else format_float(r.gamma.exact),
-                r.gamma.method,
-                r.gamma.argmax_group,
-                int(r.gamma.degraded),
+                *gamma_cells(r.gamma),
                 "saturated" if r.m_min is None else r.m_min,
                 "saturated" if r.m0 is None else r.m0,
                 r.trials,

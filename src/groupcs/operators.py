@@ -1,21 +1,21 @@
 """Orthonormal bases, measurement ensembles, and submatrix utilities.
 
 A named basis (identity, dft1d, dft2d, haar2d) is its kind, shape and fast
-transform; it stores no matrix, and ``entries`` forms one from a closed form
-only when asked.  ``make_ensemble`` forms one dense N x N array, A = V^H U,
-which submatrix extraction reads: an identity factor's partner's closed
-form, or two named bases' transforms of unit vectors; only ``custom``
-factors are stored and multiplied.  One pass over A's column spans checks
-U^H V A = I through the same transforms in O(N^2 log N) and takes the
-coherence max |A|; only ``custom`` takes the dense O(N^3) Gram product.
-``MeasurementEnsemble.apply``/``adjoint`` map a batch of vectors through
-those transforms, one table (``_transform``) for every use.
+transform; it stores no matrix, and ``_columns`` forms any of its columns,
+or its adjoint's, from a closed form.  A ``MeasurementEnsemble`` is its
+factors V and U: ``columns`` forms columns of A = V^H U (an identity
+factor's partner's closed form, or V^H's transform of U's), which every
+reader of A takes, and ``apply``/``adjoint`` run the factors' fast
+transforms, one table (``_transform``) for every use.  No N x N array is
+formed for named bases: one pass over A's column spans checks U^H V A = I
+through the same transforms in O(N^2 log N), takes max |A| and decides
+whether A is real.  Only a ``custom`` factor is stored, and A with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -24,36 +24,31 @@ UNITARITY_TOL = 1e-10
 
 BASIS_KINDS = ("identity", "dft1d", "dft2d", "haar2d", "custom")
 
-# A is formed, scanned and checked a span of this many entries at a time, so
-# that the temporaries stay a small share of A
-_RESIDUAL_ENTRIES = 1 << 16
+# A is formed and checked a span of this many entries at a time, so that the
+# temporaries stay a small share of A
+_SPAN_ENTRIES = 1 << 15
 
 
-def unitarity_residual(entries: np.ndarray, adjoint=None) -> tuple[float, float]:
-    """(max-abs entry of E^H E - I, max-abs entry of E); the first is NaN
-    when E is not finite.
-
-    ``adjoint`` maps an N x w block of E's columns to a new array holding
-    E^H times the block, the block's columns of E^H E; the columns are taken
-    a span at a time, and so is the max-abs entry of E.  Without it E^H E is
-    the dense product.
-    """
-    n = entries.shape[0]
-    if adjoint is None:
-        gram = entries.conj().T @ entries
-        gram = gram.astype(np.result_type(gram, np.float64), copy=False)
-        gram[np.diag_indices(n)] -= 1.0
-        return float(np.max(np.abs(gram))), float(np.max(np.abs(entries)))
-    width = max(1, _RESIDUAL_ENTRIES // n)
-    worst, peak = [], []
+def unitarity_residual(columns, n: int, adjoint) -> tuple[float, float, float]:
+    """(max-abs entry of E^H E - I, max-abs entry of E, max-abs imaginary
+    part of E) in one pass over E's column spans; the first is NaN when E is
+    not finite.  ``columns`` maps indices to a new N x w array of those
+    columns of E, and ``adjoint`` such a block, which it may overwrite, to
+    E^H times it, the block's columns of E^H E."""
+    width = max(1, _SPAN_ENTRIES // n)
+    worst, peak, imag = [], [], [0.0]
     for j in range(0, n, width):
-        span = entries[:, j : j + width]
+        span = columns(np.arange(j, min(n, j + width)))
+        peak.append(np.max(np.abs(span)))
+        if np.iscomplexobj(span):
+            imag.append(np.max(np.abs(span.imag)))
         block = adjoint(span)
+        block = block.astype(np.result_type(block, np.float64), copy=False)
         cols = np.arange(block.shape[1])
         block[j + cols, cols] -= 1.0
         worst.append(np.max(np.abs(block)))
-        peak.append(np.max(np.abs(span)))
-    return float(np.max(worst)), float(np.max(peak))
+        del span, block  # before the next span is formed
+    return float(np.max(worst)), float(np.max(peak)), float(np.max(imag))
 
 
 def _check_unitary(resid: float, what: str, failure: str = "is not unitary") -> None:
@@ -94,12 +89,14 @@ class OrthonormalBasis:
         if self.kind == "custom":
             if self.matrix.shape != (self.n, self.n):
                 raise ValueError(f"entries shape {self.matrix.shape} does not match n={self.n}")
-            _check_unitary(unitarity_residual(self.matrix)[0], "basis")
+            m = self.matrix
+            resid = unitarity_residual(partial(np.take, m, axis=1), self.n, partial(np.matmul, m.conj().T))[0]
+            _check_unitary(resid, "basis")
             self.matrix.setflags(write=False)
 
     @property
     def entries(self) -> np.ndarray:
-        return _matrix(self)
+        return self.matrix if self.kind == "custom" else _columns(self, np.arange(self.n))
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """x = entries @ c for one coefficient vector, into a new array, by
@@ -107,10 +104,11 @@ class OrthonormalBasis:
         return self.matrix @ c if self.kind == "custom" else _transform(self, False)(c[:, None])[:, 0]
 
 
-def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
+def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0, own: bool = False):
     """Map the vectors along ``axis`` of a 2-D array (columns: 0, rows: 1) to
     a new array holding E, or E^H, times each by the kind's fast transform;
-    None for ``custom``, whose only path is the dense product."""
+    None for ``custom``, whose only path is the dense product.  With ``own``
+    the array is the transform's to overwrite, and the Haar passes run in it."""
     if b.kind == "identity":
         return np.array
     if b.kind == "dft1d":
@@ -122,52 +120,57 @@ def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0):
         images = lambda x: x.reshape(x.shape[:axis] + shape2d + x.shape[axis + 1 :])
         return lambda x: fft(fft(images(x), axis=axis + 1), axis=axis).reshape(x.shape)
     if b.kind == "haar2d":
-        return partial(_haar2d_vectors, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint, axis=axis)
+        return partial(_haar2d_vectors, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint, axis=axis,
+                       copy=not own)
     return None
 
 
-def _chain(steps, axis: int) -> list:
+def _chain(steps, axis: int, own: bool = False) -> list:
     """The fast transforms along ``axis`` of named bases' (basis, adjoint)
-    ``steps`` in the order they apply, identity factors skipped."""
-    return [_transform(b, adjoint, axis=axis) for b, adjoint in steps if b.kind != "identity"]
+    ``steps`` in the order they apply, identity factors skipped; each but
+    the first (with ``own``, each) owns its input."""
+    steps = [(b, adjoint) for b, adjoint in steps if b.kind != "identity"]
+    return [_transform(b, adjoint, axis, own or i > 0) for i, (b, adjoint) in enumerate(steps)]
 
 
 def _run(chain, x: np.ndarray) -> np.ndarray:
-    """The transforms of ``chain`` applied to x in turn, into a new array."""
+    """The transforms of ``chain`` applied to x in turn, into a new array
+    unless the chain owns x."""
     out = x
     for transform in chain:
         out = transform(out)
-    return x.copy() if out is x else out
+    return out if chain else x.copy()
 
 
-def _matrix(b: OrthonormalBasis, adjoint: bool = False) -> np.ndarray:
-    """b's matrix, or with ``adjoint`` its conjugate transpose, as a new
-    array formed from the kind's closed form; a ``custom`` basis returns its
-    stored matrix itself, or a copy of its adjoint."""
+def _columns(b: OrthonormalBasis, idx: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Columns ``idx`` of b's matrix, or with ``adjoint`` of its conjugate
+    transpose, as a new N x |idx| array formed from the kind's closed form
+    (gathered from the stored matrix for ``custom``)."""
     if b.kind == "identity":
-        return np.eye(b.n)
+        out = np.zeros((b.n, len(idx)))
+        out[idx, np.arange(len(idx))] = 1.0
+        return out
     if b.kind == "haar2d":
-        return _haar2d_matrix(*b.shape2d, b.levels, transpose=adjoint)
-    m = b.matrix if b.kind == "custom" else _dft_matrix(b.n) if b.kind == "dft1d" else _dft2d_matrix(*b.shape2d)
-    if not adjoint:
-        return m
-    # a DFT matrix is symmetric, so its adjoint is its conjugate, formed in place
-    m = np.conjugate(m.T, order="C") if b.kind == "custom" else np.conjugate(m, out=m)
-    m += 0.0  # the product V^H I has +0.0 where conjugation leaves -0.0
-    return m
+        return _haar2d_columns(*b.shape2d, b.levels, idx, adjoint)
+    if b.kind == "custom":
+        return np.conjugate(b.matrix[idx].T, order="C") + 0.0 if adjoint else b.matrix[:, idx]
+    if b.kind == "dft1d":
+        out = _dft_columns(b.n, idx)
+    else:
+        # np.kron(F_rows, F_cols)'s column k cols + l: F_rows[:, k] F_cols[:, l]
+        (rows, cols), (k, l) = b.shape2d, np.divmod(idx, b.shape2d[1])
+        out = np.multiply(_dft_columns(rows, k)[:, None], _dft_columns(cols, l)).reshape(b.n, len(idx))
+    if adjoint:
+        # a DFT matrix is symmetric, so its adjoint's columns are the conjugates
+        # of its columns, formed in place; the product V^H I has +0.0 where
+        # conjugation leaves -0.0
+        np.conjugate(out, out=out)
+        out += 0.0
+    return out
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
-
-
-def _dft2d_matrix(rows: int, cols: int) -> np.ndarray:
-    # np.kron(F_rows, F_cols), its products written in place: entry
-    # (i cols + j, k cols + l) is F_rows[i, k] F_cols[j, l]
-    out = np.empty((rows, cols, rows, cols), dtype=np.complex128)
-    np.multiply(_dft_matrix(rows)[:, None, :, None], _dft_matrix(cols)[:, None, :], out=out)
-    return out.reshape(rows * cols, rows * cols)
+def _dft_columns(n: int, idx: np.ndarray) -> np.ndarray:
+    return np.exp(-2j * np.pi * np.outer(np.arange(n), idx) / n) / math.sqrt(n)
 
 
 def _is_pow2(n: int) -> bool:
@@ -202,11 +205,12 @@ def _haar2d_inplace(out: np.ndarray, levels: int, inverse: bool) -> None:
             _haar_pass(out[:r, :c], tmp[:r, :c], axis, inverse)
 
 
-def _haar2d_vectors(x: np.ndarray, shape2d, levels: int, inverse: bool, axis: int) -> np.ndarray:
+def _haar2d_vectors(x: np.ndarray, shape2d, levels: int, inverse: bool, axis: int, copy: bool = True) -> np.ndarray:
     """Haar analysis (or synthesis) of each vector of the 2-D array x along
-    ``axis`` as a row-major image, into a new array; with the pixels leading
-    (axis 0), every step runs over contiguous rows of columns."""
-    out = np.array(x, dtype=np.result_type(x, np.float64), order="C")
+    ``axis`` as a row-major image, into a new array (without ``copy``, in x
+    when x is a C-ordered float array); with the pixels leading (axis 0),
+    every step runs over contiguous rows of columns."""
+    out = (np.array if copy else np.asarray)(x, dtype=np.result_type(x, np.float64), order="C")
     images = out.reshape(x.shape[:axis] + tuple(shape2d) + x.shape[axis + 1 :])
     _haar2d_inplace(np.moveaxis(images, (axis, axis + 1), (0, 1)), levels, inverse)
     return out
@@ -245,29 +249,49 @@ def _check_haar_dims(rows: int, cols: int, levels: int | None):
         raise ValueError(f"levels={levels} invalid for a {rows}x{cols} grid")
 
 
-def _haar2d_matrix(rows: int, cols: int, levels: int, transpose: bool = False) -> np.ndarray:
-    """The synthesis matrix (its transpose with ``transpose``), row i the
-    analysis of pixel i's unit image, scattered from closed form.  Each pass
-    meets one nonzero per (even, odd) pair, so each level leaves three
-    details and passes one approximation on: 3 levels + 1 nonzeros, of
-    magnitude v_d = v_{d-1}/sqrt 2 after d passes (the passes' own division)
-    and negative where the pixel's row (or column) at that level is odd."""
-    n = rows * cols
-    pixel = np.arange(n)
-    p, q = np.divmod(pixel, cols)
-    coeffs, values, v = [], [], 1.0
-    for level in range(levels):
-        r, c = rows >> (level + 1), cols >> (level + 1)  # half the level's block
-        pr, pc = p >> (level + 1), q >> (level + 1)  # where the approximation goes
-        sr, sc = 1 - 2 * ((p >> level) & 1), 1 - 2 * ((q >> level) & 1)
-        v = v / math.sqrt(2) / math.sqrt(2)
-        coeffs += [pr * cols + c + pc, (r + pr) * cols + pc, (r + pr) * cols + c + pc]
-        values += [sc * v, sr * v, sr * sc * v]
-    coeffs.append(pr * cols + pc)
-    values.append(np.full(n, v))
-    coeff, pixels = np.concatenate(coeffs), np.tile(pixel, len(coeffs))
-    out = np.zeros((n, n))
-    out[(coeff, pixels) if transpose else (pixels, coeff)] = np.concatenate(values)
+def _haar2d_columns(rows: int, cols: int, levels: int, idx: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Columns ``idx`` of the synthesis matrix, or with ``adjoint`` of its
+    transpose, scattered into zeros from closed form, bit for bit the
+    transforms of unit images.  Level d's details have magnitude
+    v_d = v_{d-1}/sqrt 2/sqrt 2 (the passes' own divisions), and the
+    approximation that of the last level.
+
+    Column j of the transpose, row j of the synthesis matrix, is pixel j's
+    analysis: 3 levels + 1 nonzeros, a detail negative where the pixel's row
+    (or column) at that level is odd.  Column j of the synthesis matrix is
+    coefficient j's image: the 2^(d+1)-square pixel block at the
+    coefficient's offset in its level-d quadrant, negative in the block's
+    second half of rows (columns) for a detail of rows (columns)."""
+    n, w, v = rows * cols, len(idx), 1.0
+    vs = [v := v / math.sqrt(2) / math.sqrt(2) for _ in range(levels)]
+    out = np.zeros((n, w))
+    if adjoint:
+        p, q = np.divmod(idx, cols)
+        coeffs, values = [], []
+        for level in range(levels):
+            r, c = rows >> (level + 1), cols >> (level + 1)  # half the level's block
+            pr, pc = p >> (level + 1), q >> (level + 1)  # where the approximation goes
+            sr, sc = 1 - 2 * ((p >> level) & 1), 1 - 2 * ((q >> level) & 1)
+            coeffs += [pr * cols + c + pc, (r + pr) * cols + pc, (r + pr) * cols + c + pc]
+            values += [sc * vs[level], sr * vs[level], sr * sc * vs[level]]
+        coeffs.append(pr * cols + pc)
+        values.append(np.full(w, vs[-1]))
+        out[np.concatenate(coeffs), np.tile(np.arange(w), len(coeffs))] = np.concatenate(values)
+        return out
+    a, b = np.divmod(idx, cols)
+    # each coefficient's level: the deepest whose quadrant (a < rows >> d,
+    # b < cols >> d) holds it, d <= log2 rows - bit length of a
+    bits = lambda x: np.frexp(x)[1]
+    deepest = np.minimum(levels - 1, np.minimum(rows.bit_length() - bits(a), cols.bit_length() - bits(b)) - 1)
+    flat = out.reshape(-1)
+    for level in np.flatnonzero(np.bincount(deepest)).tolist():
+        j = np.flatnonzero(deepest == level)
+        r, c, d = rows >> (level + 1), cols >> (level + 1), np.arange(2 << level)
+        half = 1 - 2 * (d >> level)  # -1 on the block's second half
+        aj, bj = a[j], b[j]
+        sr, sc = np.where((aj >= r)[:, None], half, 1), np.where((bj >= c)[:, None], half, 1)
+        p, q = ((aj % r) << (level + 1))[:, None] + d, ((bj % c) << (level + 1))[:, None] + d
+        flat[(p * (cols * w))[:, :, None] + (q * w + j[:, None])[:, None, :]] = (sr[:, :, None] * sc[:, None, :]) * vs[level]
     return out
 
 
@@ -311,45 +335,86 @@ def make_basis(
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
-    """Product A = V^H U of a measurement basis V and sparsity basis U.
+    """Product A = V^H U of a measurement basis V and sparsity basis U,
+    held as its factors: A is formed a column span at a time, by
+    ``columns``, and applied by ``apply``/``adjoint``.
 
     ``mu`` is the coherence max |A(i,j)|, which for an N x N orthogonal A
-    lies in [1/sqrt(N), 1]; the check that A is unitary takes it.
-
-    ``factors`` is (V, U) when A was built from them, as ``make_ensemble``
-    does.  A is then checked by applying A^H = U^H V to its columns through
-    the factors' fast transforms, an identity factor skipped; without
-    factors, or with a ``custom`` one, the check is the dense Gram product.
-    Either way a non-unitary A, or one that is not V^H U, is rejected.
+    lies in [1/sqrt(N), 1]; ``dtype`` is float64 where A's imaginary part
+    is at most 1e-13, else complex128.  The check that A is V^H U takes
+    both: it applies A^H = U^H V to A's columns through the factors' fast
+    transforms, an identity factor skipped.  A ``custom`` factor is stored,
+    so A is too, formed and checked by dense products.  Either way an A
+    that is not unitary, or not V^H U, is rejected.
     """
 
-    a: np.ndarray
-    n: int
-    factors: InitVar[tuple[OrthonormalBasis, OrthonormalBasis] | None] = None
+    v: OrthonormalBasis
+    u: OrthonormalBasis
     mu: float = field(init=False)
-    # the fast transforms of A x and of A^H x on rows, in order; None: the dense A
+    dtype: np.dtype = field(init=False)
+    # the dense A, held only with a ``custom`` factor
+    _dense: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # the fast transforms of A x and of A^H x on rows, in order
     _maps: tuple | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, factors):
-        maps = check = None
-        if factors is not None and all(b.kind != "custom" for b in factors):
-            v, u = factors  # A x = V^H (U x), A^H x = U^H (V x)
-            steps = ((u, False), (v, True)), ((v, False), (u, True))
-            maps = tuple(_chain(s, axis=1) for s in steps)
+    def __post_init__(self):
+        v, u = self.v, self.u
+        steps = ((u, False), (v, True)), ((v, False), (u, True))
+        if "custom" in (v.kind, u.kind):
+            dense = self._factor_columns(np.arange(self.n))
+            columns, check = partial(np.take, dense, axis=1), partial(np.matmul, dense.conj().T)
+            failure = "is not unitary"
+        else:
             # U^H V A = I exactly when A = V^H U
-            check = partial(_run, _chain(steps[1], axis=0))
-        resid, mu = unitarity_residual(self.a, check)
-        failure = "is not unitary" if check is None else "A does not match its factors V^H U"
+            dense, columns, check = None, self._factor_columns, partial(_run, _chain(steps[1], axis=0, own=True))
+            failure = "A does not match its factors V^H U"
+        resid, mu, imag = unitarity_residual(columns, self.n, check)
         _check_unitary(resid, "ensemble", failure)
-        self.a.setflags(write=False)
+        # |x + iy| rounds to |x| for |y| <= 1e-13, so mu is that of the real A too
+        dtype = np.dtype(np.complex128 if imag > 1e-13 else np.float64)
+        if dense is not None:
+            dense = np.ascontiguousarray(dense.real if dtype == np.float64 else dense)
+            dense.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "_maps", maps)
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_maps", None if dense is not None else tuple(_chain(s, axis=1) for s in steps))
+
+    @property
+    def n(self) -> int:
+        return self.v.n
+
+    @property
+    def a(self) -> np.ndarray:
+        """The dense N x N A, formed anew by ``columns`` on every access."""
+        return self.columns(np.arange(self.n))
+
+    def columns(self, idx) -> np.ndarray:
+        """A[:, idx] as a new N x |idx| array of ``dtype``: from the factors'
+        closed forms, bit for bit the columns of the dense A, or gathered from
+        the stored A with a ``custom`` factor."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = self._factor_columns(idx) if self._dense is None else self._dense[:, idx]
+        return np.ascontiguousarray(out.real) if np.iscomplexobj(out) and self.dtype == np.float64 else out
+
+    def _factor_columns(self, idx: np.ndarray) -> np.ndarray:
+        """V^H U[:, idx]: the partner's closed form when a factor is the
+        identity, V^H's transform of U's closed-form columns for two named
+        bases, the dense product with a ``custom`` factor."""
+        v, u = self.v, self.u
+        if v.kind == "identity":
+            return _columns(u, idx)
+        if u.kind == "identity":
+            return _columns(v, idx, adjoint=True)
+        if "custom" in (v.kind, u.kind):
+            return v.entries.conj().T @ _columns(u, idx)
+        return _run(_chain(((v, True),), axis=0, own=True), _columns(u, idx))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for each row x of ``x`` (B x N), into a new array: V^H (U x)
         by the factors' fast transforms, an identity factor skipped, or the
-        dense A per row without factors or with a ``custom`` one.  A real A
-        maps real rows to real rows."""
+        stored A per row with a ``custom`` factor.  A real A maps real rows
+        to real rows."""
         return self._map(x, adjoint=False)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
@@ -357,10 +422,10 @@ class MeasurementEnsemble:
         return self._map(x, adjoint=True)
 
     def _map(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
-        if self._maps is None:
-            return matvec_rows(self.a, x, adjoint=adjoint)
+        if self._dense is not None:
+            return matvec_rows(self._dense, x, adjoint=adjoint)
         out = _run(self._maps[adjoint], x)
-        real = not (np.iscomplexobj(self.a) or np.iscomplexobj(x))
+        real = self.dtype == np.float64 and not np.iscomplexobj(x)
         return np.ascontiguousarray(out.real) if real else out
 
 
@@ -373,28 +438,10 @@ def matvec_rows(a: np.ndarray, x: np.ndarray, *, adjoint: bool = False) -> np.nd
 
 
 def make_ensemble(v: OrthonormalBasis, u: OrthonormalBasis) -> MeasurementEnsemble:
-    """A = V^H U, formed as one N x N array.  An identity factor is not
-    multiplied: A is U's matrix when V is I, and V's adjoint when U is I.
-    Two named bases give A's columns by their transforms of unit vectors,
-    a span at a time; only a ``custom`` factor takes the dense product."""
+    """The ensemble A = V^H U of two bases of one dimension."""
     if v.n != u.n:
         raise ValueError(f"dimension mismatch: V is {v.n}, U is {u.n}")
-    n, width = v.n, max(1, _RESIDUAL_ENTRIES // v.n)
-    if v.kind == "identity":
-        a = _matrix(u)
-    elif u.kind == "identity":
-        a = _matrix(v, adjoint=True)
-    elif "custom" in (v.kind, u.kind):
-        a = v.entries.conj().T @ u.entries
-    else:
-        apply = _chain(((u, False), (v, True)), axis=0)
-        a = np.empty((n, n), dtype=np.float64 if v.kind == u.kind == "haar2d" else np.complex128)
-        for j in range(0, n, width):
-            a[:, j : j + width] = _run(apply, np.eye(n, min(width, n - j), -j))
-    spans = range(0, n, width)
-    if np.iscomplexobj(a) and max(np.max(np.abs(a[i : i + width].imag)) for i in spans) <= 1e-13:
-        a = np.ascontiguousarray(a.real)
-    return MeasurementEnsemble(a=a, n=n, factors=(v, u))
+    return MeasurementEnsemble(v, u)
 
 
 @dataclass(frozen=True)
@@ -433,7 +480,7 @@ def submatrix(e: MeasurementEnsemble, rows, t: SupportSet) -> np.ndarray:
         raise IndexError("row index out of range")
     if len(t) and t.indices.max() >= e.n:
         raise IndexError("support index out of range")
-    return e.a[np.ix_(rows, t.indices)]
+    return e.columns(t.indices)[rows]
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:

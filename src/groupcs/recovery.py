@@ -156,11 +156,13 @@ class _SupportProof:
     """
 
     @staticmethod
-    def factor(a: np.ndarray, t: _Rows, k: int) -> np.ndarray:
+    def factor(e: MeasurementEnsemble, t: _Rows, k: int) -> np.ndarray:
         """One factorization of A_S per trial of ``t`` (rows ``omegas``,
         coefficients ``coeffs``, |S| = k), batched: a QR without Q, then the
         singular values of the small triangular factor R (and its singular
         vectors only where the rank is short).  Adds the proof columns to t.
+        The columns of every trial's support are formed once, and each
+        trial's A_S gathered from them.
 
         Returns the rank rule per trial: True where A_S is numerically
         rank-deficient (sigma_min <= sigma_max max(m, |S|) eps, the default
@@ -173,11 +175,12 @@ class _SupportProof:
         t.idx = np.nonzero(t.coeffs)[1].reshape(b, k)
         z = np.take_along_axis(t.coeffs, t.idx, axis=1)
         t.sign = z = z / np.abs(z)
-        t.ginv = np.zeros((b, k, k), dtype=np.result_type(a, t.coeffs, np.float64))
+        t.ginv = np.zeros((b, k, k), dtype=np.result_type(e.dtype, t.coeffs, np.float64))
         t.valid = np.zeros(b, dtype=bool)
         if k == 0:
             return np.zeros(b, dtype=bool)
-        a_s = a[t.omegas[:, :, None], t.idx[:, None, :]]
+        support, where = np.unique(t.idx, return_inverse=True)
+        a_s = e.columns(support)[t.omegas[:, :, None], where.reshape(b, 1, k)]
         refuted = ~np.all(np.any(a_s, axis=1), axis=1)
         rest = np.flatnonzero(~refuted)
         if not rest.size:
@@ -505,14 +508,14 @@ class TrialPool:
     def submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
         omegas = np.asarray(omegas, dtype=np.int64)
         coeffs = np.asarray(coeffs)
-        coeffs = coeffs.astype(np.result_type(self.e.a, coeffs, np.float64), copy=False)
+        coeffs = coeffs.astype(np.result_type(self.e.dtype, coeffs, np.float64), copy=False)
         sizes = np.count_nonzero(coeffs, axis=1)
         for k in np.unique(sizes).tolist():
             j = np.flatnonzero(sizes == k)
             t = _Rows(tag=np.full(len(j), tag), j=j, omegas=omegas[j], coeffs=coeffs[j])
             if self.verdicts:
                 t.floor = (1.0 - 1e-9) * np.sum(np.abs(t.coeffs), axis=1)
-                refuted = _SupportProof.factor(self.e.a, t, k)
+                refuted = _SupportProof.factor(self.e, t, k)
                 self.decided += [(tag, j, None, "rank_deficient") for j in t.j[refuted]]
                 t = t[~refuted]
             if len(t):

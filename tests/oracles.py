@@ -277,10 +277,12 @@ class CertificateReport:
     holds: bool
 
 
-def support_factor_qr(a, t, k):
+def support_factor_qr(e, t, k):
     """``recovery._SupportProof.factor`` with a QR and singular values for
     every trial: the rank rule by the factorization alone, where the library
-    refutes a trial with an all-zero column of A_S before factoring."""
+    refutes a trial with an all-zero column of A_S before factoring.  Reads
+    the dense A."""
+    a = e.a
     b, m = t.omegas.shape
     t.idx = np.nonzero(t.coeffs)[1].reshape(b, k)
     z = np.take_along_axis(t.coeffs, t.idx, axis=1)

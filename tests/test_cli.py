@@ -691,3 +691,70 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
         assert s.solved == s.descent == s.dual == 0
         # below N the support submatrix is rank-deficient; at N every trial certifies
         assert (s.rank_deficient if s.m < 1024 else s.certified) == s.executed > 0
+
+
+def test_sweep_rejects_structures_sharing_a_label(tmp_path, capsys):
+    # strided1d with g=5 and g=11 share a label: their rows could not be told
+    # apart, and they would draw the same trials
+    cfg = write_config(
+        tmp_path,
+        "twice.json",
+        {
+            "ensemble": {"n": 220, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+            "structures": [{"kind": "strided1d", "g": 5}, {"kind": "strided1d", "g": 11}],
+            "support": {"indices": [14, 15, 18, 19, 21, 22, 116, 117, 123, 125, 126]},
+            "sweep": {"step": 55, "trials_per_m": 2, "success_quota": 0.5},
+            "seeds": {"master": 1},
+        },
+    )
+    code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("groupcs: error: structures share the label strided1d")
+
+
+def _dense_a_free_configs(tmp_path, monkeypatch):
+    """(config with every structure, config with the first) for a 16x16
+    dft2d/identity ensemble and for the E2 benchmark workload."""
+    d16 = {
+        "ensemble": {"rows": 16, "cols": 16, "measurement": {"kind": "dft2d"}, "sparsity": {"kind": "identity"}},
+        "structures": [{"kind": "vlines2d", "g": 16}, {"kind": "rect2d", "g": 4}],
+        "support": {"k": 8},
+        "sweep": {"step": 16, "trials_per_m": 4, "success_quota": 0.75},
+        "validate": {"m": 64, "m_grid": [64, 128], "trials": 20},
+        "recover": {"m": 128},
+        "seeds": {"master": 1},
+    }
+    e2 = _bench_workloads(monkeypatch).e2_sweep_config(7, tmp_path)
+    e2["validate"]["trials"] = 20
+    e2["recover"] = {"m": 1024, "dump_reconstruction": str(tmp_path / "e2.pgm")}
+    for name, cfg in (("d16", d16), ("e2", e2)):
+        yield (write_config(tmp_path, f"{name}.json", cfg),
+               write_config(tmp_path, f"{name}-one.json", dict(cfg, structures=cfg["structures"][:1])))
+
+
+def test_no_command_reads_the_dense_a(tmp_path, capsys, monkeypatch):
+    # every reader of A takes its columns; the dense A is formed only when
+    # asked for, so no command changes when asking for it fails
+    from groupcs.operators import MeasurementEnsemble
+
+    commands = [(["gamma"], 0), (["sweep"], 0), (["gen-groups"], 0),
+                (["validate", "gram"], 1), (["validate", "crossrow"], 1), (["recover"], 1)]
+    for configs in _dense_a_free_configs(tmp_path, monkeypatch):
+        runs = []
+        for patched in (False, True):
+            with monkeypatch.context() as patch:
+                if patched:
+                    def dense_a(e):
+                        raise AssertionError("the dense A was read")
+
+                    patch.setattr(MeasurementEnsemble, "a", property(dense_a))
+                dump = tmp_path / "e2.pgm"
+                dump.unlink(missing_ok=True)
+                outputs = []
+                for command, one in commands:
+                    code, out, err = run_cli([*command, "--config", configs[one]], capsys)
+                    assert code == 0, err
+                    outputs.append(out)
+                outputs.append(dump.read_bytes() if dump.exists() else b"")
+                runs.append(outputs)
+        assert runs[0] == runs[1]

@@ -18,6 +18,8 @@ from groupcs.gamma import (
 )
 from groupcs.grouping import (
     contiguous_1d,
+    draw_uniform,
+    lines_2d,
     random_groups,
     rect_2d,
     singletons,
@@ -533,3 +535,50 @@ def test_block_bm_matches_one_start_at_a_time():
         # an early stop returns as soon as the target is reached
         early = gamma._bm_primal(q, 6, [np.random.default_rng(c) for c in kids], 0.5 * loop)
         assert 0.5 * loop <= early <= block * (1 + 1e-12)
+
+
+# Coset structures: strided1d on identity/dft1d, and vlines2d with g = rows
+# (whole k-space lines) on dft2d/identity.  Each group is a coset of one
+# subgroup of the Fourier index group, so the columns of A_{G,T} split into
+# classes (t mod g; the image row), parallel within a class and orthogonal
+# across classes: gamma = g sqrt(n_max / k), with n_max the largest number of
+# support indices in one class.
+
+
+@st.composite
+def _coset_case(draw):
+    """(ensemble, coset structure, class of each index)."""
+    kind = draw(st.sampled_from(["identity-dft1d", "dft1d-identity", "vlines2d"]))
+    if kind == "vlines2d":
+        rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        e = make_ensemble(make_basis("dft2d", rows=rows, cols=cols), make_basis("identity", rows * cols))
+        return e, lines_2d(rows, cols, rows, "vertical"), np.arange(rows * cols) // cols
+    n = draw(st.sampled_from([12, 16, 22, 30, 32, 36, 48, 60, 64]))
+    g = draw(st.sampled_from([g for g in range(2, n + 1) if n % g == 0]))
+    eye, dft = make_basis("identity", n), make_basis("dft1d", n)
+    e = make_ensemble(eye, dft) if kind == "identity-dft1d" else make_ensemble(dft, eye)
+    return e, strided_1d(n, g), np.arange(n) % g
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_coset_case(), data=st.data())
+def test_coset_structure_gamma_is_the_closed_form(case, data):
+    e, gs, cls = case
+    t = SupportSet(np.array(sorted(data.draw(st.sets(st.integers(0, e.n - 1), min_size=1)))))
+    closed = gs.g * math.sqrt(np.bincount(cls[t.indices]).max() / len(t))
+    est = penalty_gamma(e, t, gs)
+    # the reported value (certified upper end, or the exact norm) is the
+    # closed form; the lower end stays below it
+    assert est.value == pytest.approx(closed, rel=1e-11)
+    assert est.lower <= closed * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_coset_case(), data=st.data())
+def test_coset_structure_gram_is_block_diagonal_over_classes(case, data):
+    e, gs, cls = case
+    m = gs.g * data.draw(st.integers(1, gs.n_groups))
+    omega = draw_uniform(gs, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))).omega
+    a_omega = e.columns(np.arange(e.n))[omega]
+    gram = a_omega.conj().T @ a_omega
+    assert np.max(np.abs(gram[cls[:, None] != cls]), initial=0.0) <= 1e-12

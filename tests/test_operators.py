@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from groupcs import operators
 from groupcs.operators import (
-    MeasurementEnsemble,
     OrthonormalBasis,
     SupportSet,
-    _matrix,
+    _columns,
     _transform,
     haar2d_analysis,
     haar2d_synthesis,
@@ -62,7 +63,7 @@ def test_dft_entries_unit_modulus():
 def test_unitarity(kind, kwargs):
     b = make_basis(kind, **kwargs)
     assert unitarity_residual_dense(b.entries) <= 1e-13
-    assert unitarity_residual(b.entries, _transform(b, adjoint=True))[0] <= 1e-13
+    assert unitarity_residual(partial(_columns, b), b.n, _transform(b, adjoint=True))[0] <= 1e-13
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -87,11 +88,13 @@ def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwarg
     ref = basis_reference(b)
     assert b.entries.dtype == ref.dtype and b.entries.tobytes() == ref.tobytes()
     eye = make_basis("identity", b.n)
+    idx = np.random.default_rng(b.n).permutation(b.n)[: max(1, b.n // 3)]
     for v, u in ((eye, b), (b, eye)):
         e = make_ensemble(v, u)
         ref = ensemble_product(v, u)
-        assert e.a.dtype == ref.dtype and e.a.tobytes() == ref.tobytes()
-        assert e.a.flags.c_contiguous and not e.a.flags.writeable
+        assert e.dtype == ref.dtype and e.a.tobytes() == ref.tobytes()
+        assert e.a.flags.c_contiguous
+        assert e.columns(idx).tobytes() == np.ascontiguousarray(ref[:, idx]).tobytes()
         assert e.mu == float(np.max(np.abs(ref)))
 
 
@@ -102,7 +105,12 @@ def test_haar_closed_form_is_bitwise_the_transformed_unit_images(rows, cols):
         h = make_basis("haar2d", rows=rows, cols=cols, levels=levels)
         ref = basis_reference(h)
         assert h.entries.tobytes() == ref.tobytes()
-        assert _matrix(h, adjoint=True).tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        every = np.arange(h.n)
+        assert _columns(h, every, adjoint=True).tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        # any columns, in any order, each coefficient's closed form alone
+        idx = np.random.default_rng(levels).permutation(h.n)[: max(1, h.n // 5)]
+        assert _columns(h, idx).tobytes() == np.ascontiguousarray(ref[:, idx]).tobytes()
+        assert _columns(h, idx, adjoint=True).tobytes() == np.ascontiguousarray(ref[idx].T).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -119,13 +127,19 @@ def test_haar_closed_form_is_bitwise_the_transformed_unit_images(rows, cols):
 def test_ensemble_of_named_bases_fast_residual(v, u):
     v, u = make_basis(v[0], **v[1]), make_basis(u[0], **u[1])
     e = make_ensemble(v, u)
-    # A's columns are transforms of unit vectors, not the dense product
+    # A's columns are V^H's transform of U's closed-form columns, not the
+    # dense product
     ref = ensemble_product(v, u)
-    assert e.a.dtype == ref.dtype and np.max(np.abs(e.a - ref)) <= 1e-13
+    assert e.dtype == ref.dtype and np.max(np.abs(e.a - ref)) <= 1e-13
     assert e.mu == float(np.max(np.abs(e.a)))
     v_map, u_map = _transform(v, adjoint=False), _transform(u, adjoint=True)
-    assert unitarity_residual(e.a, lambda x: u_map(v_map(x)))[0] <= 1e-13
+    assert unitarity_residual(e.columns, e.n, lambda x: u_map(v_map(x)))[0] <= 1e-13
     assert unitarity_residual_dense(e.a) <= 1e-13
+    if u.kind == "haar2d":
+        # the Haar closed form is bitwise its transform of unit images, so A
+        # is bitwise V^H's transform of them
+        ref = _transform(v, adjoint=True)(_transform(u, adjoint=False)(np.eye(e.n)))
+        assert e.a.tobytes() == (ref.real if e.dtype == np.float64 else ref).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 16, 4), (5, 4, 32), (2, 3, 2, 2), (32, 32)])
@@ -221,36 +235,58 @@ def test_non_finite_basis_rejected(where):
         make_basis("custom", entries=q)
 
 
-def test_named_kind_checked_by_its_transform():
-    # a named basis holds no matrix; the ensemble's A is checked against its
-    # factors by their transforms
+def _bent(kind, change):
+    """``_columns`` with ``change`` applied to the columns of bases of
+    ``kind``: a closed form that no longer matches the kind's transform."""
+    columns = operators._columns
+
+    def bent(b, idx, adjoint=False):
+        out = columns(b, idx, adjoint)
+        return change(out, idx) if b.kind == kind else out
+
+    return bent
+
+
+def _bump(out, idx):
+    out[3, np.flatnonzero(idx == 5)] += 1e-6
+    return out
+
+
+def test_named_kind_checked_by_its_transform(monkeypatch):
+    # a named basis holds no matrix; the ensemble's closed-form columns are
+    # checked against its factors by their transforms
     eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
-    bent = h.entries
-    bent[3, 5] += 1e-6
+    d2 = make_basis("dft2d", rows=8, cols=8)
     mismatch = "does not match its factors"
+    monkeypatch.setattr(operators, "_columns", _bent("haar2d", _bump))
     with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=bent, n=64, factors=(eye, h))
+        make_ensemble(eye, h)
+    with pytest.raises(ValueError, match=mismatch):
+        make_ensemble(h, eye)
+    monkeypatch.setattr(operators, "_columns", _bent("dft2d", lambda out, idx: out * np.nan))
     with pytest.raises(ValueError, match=f"{mismatch} V\\^H U: residual nan"):
-        MeasurementEnsemble(a=np.full((64, 64), np.nan), n=64, factors=(make_basis("dft2d", rows=8, cols=8), eye))
-    with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=h.entries, n=64, factors=(eye, eye))
+        make_ensemble(d2, eye)
+    with pytest.raises(ValueError, match=f"{mismatch} V\\^H U: residual nan"):
+        make_ensemble(h, d2)
     with pytest.raises(ValueError, match="only a custom one"):
         OrthonormalBasis(64, "identity", matrix=np.eye(64))
     with pytest.raises(ValueError, match="only a custom one"):
         OrthonormalBasis(64, "custom")
 
 
-def test_non_unitary_ensemble_rejected():
+def test_non_unitary_ensemble_rejected(monkeypatch):
     eye, h = make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)
-    a = 2.0 * h.entries
+    hc = make_basis("custom", entries=h.entries)
+    monkeypatch.setattr(operators, "_columns", _bent("haar2d", lambda out, idx: 2.0 * out))
     with pytest.raises(ValueError, match="does not match its factors"):
-        MeasurementEnsemble(a=a.copy(), n=64, factors=(eye, h))
+        make_ensemble(eye, h)
+    # a custom factor's A is stored and checked by the dense Gram product
+    monkeypatch.setattr(operators, "_columns", _bent("custom", lambda out, idx: 2.0 * out))
     with pytest.raises(ValueError, match="ensemble is not unitary"):
-        MeasurementEnsemble(a=a.copy(), n=64)
-    nan = h.entries
-    nan[0, 0] = np.nan
+        make_ensemble(eye, hc)
+    monkeypatch.setattr(operators, "_columns", _bent("haar2d", lambda out, idx: np.where(idx == 0, np.nan, out)))
     with pytest.raises(ValueError, match="does not match its factors V\\^H U: residual nan"):
-        MeasurementEnsemble(a=nan, n=64, factors=(eye, h))
+        make_ensemble(eye, h)
 
 
 def test_custom_entries_are_copied():
@@ -269,20 +305,39 @@ def _traced_peak_share(v, u):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / e.a.nbytes
+    return peak / (e.n * e.n * e.dtype.itemsize)
 
 
-def test_identity_haar_ensemble_traced_peak():
-    # A is the one N x N array: no basis matrix, no identity matrix, and the
-    # check's column spans are a small share of it
-    v, u = make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32)
-    assert _traced_peak_share(v, u) <= 1.25
+@pytest.mark.parametrize("side", [32, 64])
+def test_identity_haar_ensemble_traced_peak(side):
+    # no N x N array: the check's column spans are a small share of A
+    v, u = make_basis("identity", side * side), make_basis("haar2d", rows=side, cols=side)
+    assert _traced_peak_share(v, u) <= 1 / 8
 
 
-def test_dft2d_identity_ensemble_traced_peak():
-    # V^H is formed in place, from a Kronecker product written in place
-    v, u = make_basis("dft2d", rows=32, cols=32), make_basis("identity", 1024)
-    assert _traced_peak_share(v, u) <= 1.25
+@pytest.mark.parametrize("side", [32, 64])
+def test_dft2d_identity_ensemble_traced_peak(side):
+    v, u = make_basis("dft2d", rows=side, cols=side), make_basis("identity", side * side)
+    assert _traced_peak_share(v, u) <= 1 / 8
+
+
+def test_columns_of_every_ensemble_are_the_dense_columns():
+    # every reader takes A through ``columns``; ``a`` is all of them, formed
+    # anew on each access
+    rng = np.random.default_rng(4)
+    h = hadamard_matrix(64) / 8.0
+    pairs = [(_EYE, _D1), (_D2, _EYE), (_EYE, _H2), (_D2, _H2), (_H2, _D2), (_D1, _D1)]
+    ensembles = [make_ensemble(make_basis(v[0], **v[1]), make_basis(u[0], **u[1])) for v, u in pairs]
+    ensembles.append(make_ensemble(make_basis("custom", entries=h), make_basis("dft1d", 64)))
+    ensembles.append(make_ensemble(make_basis("identity", 64), make_basis("custom", entries=h)))
+    for e in ensembles:
+        a = e.a
+        assert a is not e.a and a.shape == (64, 64) and a.dtype == e.dtype
+        for idx in (rng.permutation(64)[:7], np.array([5, 5, 0]), np.arange(64), np.array([], dtype=np.int64)):
+            cols = e.columns(idx)
+            assert cols.shape == (64, len(idx)) and cols.dtype == e.dtype
+            assert cols.tobytes() == np.ascontiguousarray(a[:, idx]).tobytes()
+        assert e.columns([3]).tobytes() == np.ascontiguousarray(a[:, [3]]).tobytes()
 
 
 def test_submatrix():
@@ -316,14 +371,17 @@ def test_normalize_rows():
         assert np.array_equal(block, normalize_rows(alone))
 
 
-def test_ensemble_that_is_not_v_h_u_rejected():
+def test_ensemble_that_is_not_v_h_u_rejected(monkeypatch):
     # A is unitary in both cases, so the message names the mismatch and its size
     dft, h = make_basis("dft1d", 64), make_basis("haar2d", rows=8, cols=8)
     mismatch = r"ensemble A does not match its factors V\^H U: residual \d\.\d{3}e[+-]\d\d$"
+    # columns in the wrong order: still unitary, but not V^H U
+    monkeypatch.setattr(operators, "_columns", _bent("haar2d", lambda out, idx: out[:, ::-1]))
     with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=h.entries, n=64, factors=(dft, h))
+        make_ensemble(dft, h)
+    monkeypatch.setattr(operators, "_columns", _bent("dft1d", lambda out, idx: out.conj()))
     with pytest.raises(ValueError, match=mismatch):
-        MeasurementEnsemble(a=dft.entries, n=64, factors=(dft, make_basis("identity", 64)))
+        make_ensemble(dft, make_basis("identity", 64))
 
 
 _EYE, _D1 = ("identity", dict(n=64)), ("dft1d", dict(n=64))
@@ -333,15 +391,16 @@ _D2, _H2 = ("dft2d", dict(rows=8, cols=8)), ("haar2d", dict(rows=8, cols=8))
 @pytest.mark.parametrize(
     "pair",
     [(_EYE, _D1), (_D1, _EYE), (_EYE, _H2), (_EYE, _D2), (_D2, _EYE), (_D2, _H2), (_H2, _D2),
-     "custom", "no factors"],
+     "custom", "identity-custom"],
     ids=lambda p: p if isinstance(p, str) else f"{p[0][0]}-{p[1][0]}",
 )
 @pytest.mark.parametrize("real", [True, False])
 def test_ensemble_apply_and_adjoint_match_dense(pair, real):
     if pair == "custom":
         e = make_ensemble(make_basis("custom", entries=hadamard_matrix(64) / 8.0), make_basis("dft1d", 64))
-    elif pair == "no factors":
-        e = MeasurementEnsemble(a=make_basis("dft1d", 64).entries, n=64)
+    elif pair == "identity-custom":
+        # the dense A of a custom factor, as a factor-less ensemble was
+        e = make_ensemble(make_basis("identity", 64), make_basis("custom", entries=make_basis("dft1d", 64).entries))
     else:
         e = make_ensemble(make_basis(pair[0][0], **pair[0][1]), make_basis(pair[1][0], **pair[1][1]))
     rng = np.random.default_rng(5)
