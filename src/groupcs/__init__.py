@@ -63,8 +63,6 @@ from .operators import (
     MeasurementEnsemble,
     OrthonormalBasis,
     SupportSet,
-    haar2d_analysis,
-    haar2d_synthesis,
     make_basis,
     make_ensemble,
     normalize_rows,

@@ -135,7 +135,6 @@ _SWEEP_KEYS = {
     "success_nre",
     "success_quota",
     "fresh_coefficients",
-    "early_stop",
 }
 _SOLVER_KEYS = {"tol_feas", "max_iters"}
 _BOUNDS_KEYS = {"n", "t_size", "mu", "gamma", "delta", "const"}
@@ -252,7 +251,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
                 raise ConfigError(
                     f"image tile {tile.shape} does not match ensemble {rows}x{cols}"
                 )
-            t, c0 = image_to_sparse(tile, k)
+            t, c0 = image_to_sparse(tile, k, e.u)
             cases.append(SupportCase(t, c0, f"{name}-k{k}"))
         return cases
     model = section.get("model", "unrestricted")
@@ -283,15 +282,16 @@ def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConf
     if step is not None and step < 1:
         raise ConfigError(f"sweep.step must be positive, got {step}")
     grid = section.get("m_grid")
+    grid = tuple(_int_list(grid, "sweep.m_grid") if grid else default_m_grid(n, g, step))
+    if step is not None and any(m % step for m in grid):
+        raise ConfigError(f"sweep.step must divide every grid value, got step={step}")
     fields = dict(
-        m_grid=tuple(_int_list(grid, "sweep.m_grid") if grid else default_m_grid(n, g, step)),
+        m_grid=grid,
         trials_per_m=_number(section.get("trials_per_m", 100), "sweep.trials_per_m"),
         success_nre=_number(section.get("success_nre", 1e-3), "sweep.success_nre", float),
         success_quota=_number(section.get("success_quota", 0.99), "sweep.success_quota", float),
         master_seed=master_seed,
-        step=step,
         fresh_coefficients=_flag(section, "fresh_coefficients", "sweep", True),
-        early_stop=_flag(section, "early_stop", "sweep", True),
     )
     return _checked(SweepConfig, fields, "sweep")
 

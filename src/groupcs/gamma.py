@@ -52,7 +52,7 @@ KP_REAL = math.sqrt(math.pi / 2)
 KP_COMPLEX = math.sqrt(4 / math.pi)
 ENUM_LIMIT_DEFAULT = 20
 
-GAMMA_MODES = ("auto", "exact", "sandwich")
+GAMMA_MODES = ("auto", "sandwich")
 _METHODS = ("exact_sign_enum", "sandwich")
 # relative slack within which two bounds count as equal: a group whose cheap
 # upper bound is this close to the running lower bound is not evaluated, and
@@ -505,8 +505,8 @@ def penalty_gamma(
     submatrix A_{G_i, T}.
 
     ``mode``: "auto" picks exact evaluation when rows are real and g is small
-    enough to enumerate (always when g == 1), else the sandwich; "exact" and
-    "sandwich" force the respective route.
+    enough to enumerate (always when g == 1), else the sandwich; "sandwich"
+    forces the sandwich.
 
     The submatrices, their Gram matrices, the cheap bounds and the exact
     route's enumeration are formed for all groups at once.  The sandwich
@@ -529,16 +529,8 @@ def penalty_gamma(
     g = gs.g
     is_real_a = e.dtype == np.float64
     enum_ok = g == 1 or (is_real_a and g <= ENUM_LIMIT_DEFAULT)
-    route = mode
-    if mode == "auto":
-        route = "exact" if enum_ok else "sandwich"
-    if route == "exact" and not enum_ok:
-        raise ValueError(
-            f"exact mode needs a real ensemble with g <= {ENUM_LIMIT_DEFAULT} (or g == 1)"
-        )
-
     msubs = _group_rows(e, t, gs)
-    if route == "exact":
+    if mode == "auto" and enum_ok:
         if g == 1:
             exacts = np.linalg.norm(msubs[:, 0], axis=1)
         else:

@@ -13,14 +13,13 @@ import csv
 import hashlib
 import io
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gamma import GammaEstimate, penalty_gamma
 from .grouping import GroupStructure, draw_uniform, singletons
-from .operators import MeasurementEnsemble, SupportSet, haar2d_analysis
+from .operators import MeasurementEnsemble, OrthonormalBasis, SupportSet
 from .recovery import (  # harness.SolverOptions stays public
     VERDICT_ROUTES,
     RecoveryResult,
@@ -77,21 +76,24 @@ def random_coefficients(
 
 
 def image_to_sparse(
-    img: np.ndarray, k: int, levels: int | None = None
+    img: np.ndarray, k: int, basis: OrthonormalBasis
 ) -> tuple[SupportSet, np.ndarray]:
-    """Keep the k largest-magnitude Haar coefficients of a grayscale image.
+    """Keep the k largest-magnitude coefficients U^H x of a grayscale image
+    x (row-major) in the sparsity basis U, by U's own transform, so that
+    U c0 is the image's best k-term approximation in U.
 
-    Ties break toward the lower flat index.  Returns the support over
-    row-major coefficient indices and the thresholded coefficient vector.
+    Ties break toward the lower index.  Returns the support over coefficient
+    indices and the thresholded coefficient vector.
     """
-    img = np.asarray(img, dtype=np.float64)
-    n = img.size
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range [0, {n}]")
-    coeffs = haar2d_analysis(img, levels).reshape(-1)
+    x = np.asarray(img, dtype=np.float64).reshape(-1)
+    if x.size != basis.n:
+        raise ValueError(f"image of {x.size} pixels does not match a basis of n={basis.n}")
+    if not 0 <= k <= basis.n:
+        raise ValueError(f"k={k} out of range [0, {basis.n}]")
+    coeffs = basis.analyze(x)
     order = np.argsort(-np.abs(coeffs), kind="stable")
     keep = np.sort(order[:k])
-    c0 = np.zeros(n)
+    c0 = np.zeros_like(coeffs)
     c0[keep] = coeffs[keep]
     return SupportSet(keep), c0
 
@@ -122,9 +124,7 @@ class SweepConfig:
     success_nre: float = 1e-3
     success_quota: float = 0.99
     master_seed: int = 0
-    step: int | None = None
     fresh_coefficients: bool = True
-    early_stop: bool = True
 
     def __post_init__(self):
         grid = tuple(int(m) for m in self.m_grid)
@@ -136,8 +136,6 @@ class SweepConfig:
         _check_tolerance("success_nre", self.success_nre)
         if self.trials_per_m < 1:
             raise ValueError("trials_per_m must be positive")
-        if self.step is not None and any(m % self.step for m in grid):
-            raise ValueError(f"step must divide every grid value, got step={self.step}")
 
 
 def _check_tolerance(name: str, value: float):
@@ -269,15 +267,13 @@ def trial_verdicts(
     request = _verdicts(
         e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre
     )
-    return _drive(e, [request], solver)[0]
+    return TrialPool(e, solver, verdicts=True).run([request])[0]
 
 
 def _verdicts(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
-    """Request of ``trial_verdicts`` for ``_drive``: once there is room,
-    yields the drawn rows and coefficients of the trials, receives their
-    results and routes, and returns the verdicts."""
-    if len(trials) == 0:
-        return []
+    """Request of ``trial_verdicts`` for ``TrialPool.run``: once there is
+    room, yields the drawn rows and coefficients of the trials, receives
+    their results and routes, and returns the verdicts."""
     yield  # wait for room in the pool before drawing
     omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
     results, routes = yield omegas, coeffs
@@ -287,61 +283,6 @@ def _verdicts(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, s
          route)
         for c, r, route in zip(coeffs, results, routes)
     ]
-
-
-def _drive(e: MeasurementEnsemble, requests: list, solver: SolverOptions | None) -> list:
-    """Run request generators in one ``recovery.TrialPool`` and return what
-    each returns.
-
-    A request yields None to wait for room in the pool, then one chunk of
-    trials, (rows, coefficients), and receives their (results, routes) once
-    every trial of the chunk is decided.  The pool admits that chunk at its
-    next admission tick, so the chunks of many requests run in one block,
-    and a trial's result does not depend on the requests beside it.  A
-    waiting request resumes, in turn, only while the open chunks, counted
-    as live rows, fit in the pool's capacity: the trials held stay within
-    the capacity and one chunk, whatever the number of requests.
-    """
-    pool = TrialPool(e, solver, verdicts=True)
-    out = [None] * len(requests)
-    chunks = {}  # request -> [results, routes, trials still open, entries]
-    waiting = deque()
-    held = 0  # entries of the open chunks' trials
-
-    def send(i, value):
-        nonlocal held
-        try:
-            chunk = requests[i].send(value)
-        except StopIteration as stop:
-            out[i] = stop.value
-            return
-        if chunk is None:
-            waiting.append(i)
-            return
-        omegas, coeffs = chunk
-        entries = pool.entries(len(omegas))
-        held += entries
-        chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs), entries]
-        pool.submit(i, omegas, coeffs)
-
-    def resume():
-        while waiting and held < pool.capacity:
-            send(waiting.popleft(), None)
-
-    for i in range(len(requests)):
-        send(i, None)
-    resume()
-    while pool.busy:
-        for i, j, result, route in pool.advance():
-            chunk = chunks[i]
-            chunk[0][j], chunk[1][j] = result, route
-            chunk[2] -= 1
-            if chunk[2] == 0:
-                del chunks[i]
-                held -= chunk[3]
-                send(i, tuple(chunk[:2]))
-        resume()
-    return out
 
 
 _FIRST_CHUNK, _MAX_CHUNK = 2, 32
@@ -369,15 +310,15 @@ def find_min_m(
     """First grid value whose success quota is met; None when all saturate.
 
     Trials at each m are decided as by ``trial_verdicts`` in chunks of 2, 4,
-    8, 16, 32, 32, ... trials.  With ``early_stop`` a grid value is abandoned
-    after the first chunk at which the quota is arithmetically decided.  A
-    trial's verdict does not depend on its chunk, so the success indicator is
-    exactly the one of a trial-by-trial loop; ``executed`` (and ``successes``
-    and the route counts) also count the trials after the deciding one in
-    the same chunk.
+    8, 16, 32, 32, ... trials, and a grid value is abandoned after the first
+    chunk at which the quota is arithmetically decided.  A trial's verdict
+    does not depend on its chunk, so the success indicator is exactly the
+    one of a trial-by-trial loop; ``executed`` (and ``successes`` and the
+    route counts) also count the trials after the deciding one in the same
+    chunk.
     """
     _check_grid(gs, cfg)
-    return _drive(e, [_sweep(e, gs, t, c0, cfg)], solver)[0]
+    return TrialPool(e, solver, verdicts=True).run([_sweep(e, gs, t, c0, cfg)])[0]
 
 
 def _check_grid(gs: GroupStructure, cfg: SweepConfig):
@@ -389,7 +330,8 @@ def _check_grid(gs: GroupStructure, cfg: SweepConfig):
 
 
 def _sweep(e, gs, t, c0, cfg: SweepConfig):
-    """Request of ``find_min_m`` for ``_drive``; returns the MinMResult."""
+    """Request of ``find_min_m`` for ``TrialPool.run``; returns the
+    MinMResult."""
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
@@ -408,7 +350,7 @@ def _sweep(e, gs, t, c0, cfg: SweepConfig):
                 routes[route] += 1
             executed += len(chunk)
             failures = executed - successes
-            if cfg.early_stop and (failures > allowed_failures or successes >= needed):
+            if failures > allowed_failures or successes >= needed:
                 break
         # once failures exceed the allowance, successes can never reach the
         # quota, so the indicator is exactly the full-protocol one
@@ -454,7 +396,7 @@ def scatter_gamma_vs_m(
     Every structure's grid is checked, then every penalty factor computed.
     Then the baseline sweep of each
     support and the sweep of each other (structure, support) run together
-    in one pool (``_drive``), so one sweep's slow trials iterate beside the
+    in one ``TrialPool``, so one sweep's slow trials iterate beside the
     next chunks of the others; each sweep's result is the one it gets alone.
     ``threads`` is ignored; it stays accepted because ``bench/workloads.py``
     passes ``threads=1``.  Two structures with one label are rejected: their
@@ -473,7 +415,8 @@ def scatter_gamma_vs_m(
         baseline.setdefault(sup.descriptor, sup)
     jobs = [(base, sup) for sup in baseline.values()]
     jobs += [(gs, sup) for sup in supports for gs in structures if gs.label != base.label]
-    results = iter(_drive(e, [_sweep(e, gs, sup.t, sup.c0, cfg) for gs, sup in jobs], solver))
+    pool = TrialPool(e, solver, verdicts=True)
+    results = iter(pool.run([_sweep(e, gs, sup.t, sup.c0, cfg) for gs, sup in jobs]))
     m0 = {descriptor: next(results).m_min for descriptor in baseline}
     records = []
     for sup, row in zip(supports, gammas):

@@ -103,6 +103,18 @@ class OrthonormalBasis:
         the kind's fast transform (the stored matrix for ``custom``)."""
         return self.matrix @ c if self.kind == "custom" else _transform(self, False)(c[:, None])[:, 0]
 
+    def analyze(self, x: np.ndarray) -> np.ndarray:
+        """c = entries^H x, the inverse of ``synthesize``, likewise."""
+        return self.matrix.conj().T @ x if self.kind == "custom" else _transform(self, True)(x[:, None])[:, 0]
+
+    def __eq__(self, other) -> bool:
+        # a custom basis's matrix compares by value
+        if not isinstance(other, OrthonormalBasis):
+            return NotImplemented
+        return (self.n, self.kind, self.shape2d, self.levels) == (
+            other.n, other.kind, other.shape2d, other.levels
+        ) and np.array_equal(self.matrix, other.matrix)
+
 
 def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0, own: bool = False):
     """Map the vectors along ``axis`` of a 2-D array (columns: 0, rows: 1) to
@@ -218,28 +230,6 @@ def _haar2d_vectors(x: np.ndarray, shape2d, levels: int, inverse: bool, axis: in
 
 def max_haar_levels(rows: int, cols: int) -> int:
     return int(math.log2(min(rows, cols)))
-
-
-def _haar2d(img: np.ndarray, levels: int | None, inverse: bool) -> np.ndarray:
-    rows, cols = img.shape[-2:]
-    levels = max_haar_levels(rows, cols) if levels is None else levels
-    _check_haar_dims(rows, cols, levels)
-    out = np.array(img, dtype=np.result_type(img, np.float64), copy=True)
-    _haar2d_inplace(np.moveaxis(out, (-2, -1), (0, 1)), levels, inverse)
-    return out
-
-
-def haar2d_analysis(img: np.ndarray, levels: int | None = None) -> np.ndarray:
-    """Multi-level separable 2-D Haar decomposition (approximation at top-left).
-
-    Accepts a batch with the image in the last two axes.
-    """
-    return _haar2d(img, levels, inverse=False)
-
-
-def haar2d_synthesis(coeffs: np.ndarray, levels: int | None = None) -> np.ndarray:
-    """Inverse of ``haar2d_analysis``, on a batch in the last two axes."""
-    return _haar2d(coeffs, levels, inverse=True)
 
 
 def _check_haar_dims(rows: int, cols: int, levels: int | None):

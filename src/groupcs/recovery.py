@@ -18,7 +18,8 @@ iterations and leave when they stop.  With verdicts it stops
 a trial as soon as a proof decides it: the least-squares certificate or one
 built from the ADMM dual iterate (a success), or the rank rule or a feasible
 iterate with a smaller l1 norm than the true coefficients (a failure).
-``solve_trials`` submits one request of trials to a pool; ``basis_pursuit``
+``TrialPool.run`` drives requests that yield chunks of trials and receive
+their results; ``solve_trials`` runs one such request; ``basis_pursuit``
 solves one user-supplied problem as a block of one row, its own rows taking
 the ensemble's place.
 ``SolverOptions`` holds the settings of all of them.  Every result is a
@@ -402,7 +403,8 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
     return stopped[0][2]
 
 
-# a pool's live rows hold at most this many entries, or one trial's rows
+# a pool's live rows, and its open chunks' trials, hold at most this many
+# entries, or one trial's rows and one chunk
 _LIVE_ENTRIES = 1 << 20
 # N-vectors of state and temporaries per live row in a step (z, u, y, the
 # mask, the four norm terms, the projection and the certificate check)
@@ -456,39 +458,36 @@ def solve_trials(
     iteration of its proof (the corrected point for descent); a "solved"
     trial's result is bit-identical to the one it gets without verdicts.
     """
-    pool = TrialPool(e, solver, verdicts=verdicts)
-    pool.submit(0, omegas, coeffs)
-    results, routes = [None] * len(coeffs), ["solved"] * len(coeffs)
-    while pool.busy:
-        for _, j, result, route in pool.advance():
-            results[j], routes[j] = result, route
+    def request():
+        return (yield omegas, coeffs)
+
+    ((results, routes),) = TrialPool(e, solver, verdicts=verdicts).run([request()])
     return results, np.array(routes)
 
 
 class TrialPool:
     """One ADMM that trials join and leave while it runs.
 
-    ``submit`` queues a request's trials (B x m rows ``omegas`` of the
-    unitary ensemble and B x N coefficients, each trial measuring
-    y_b = A[omega_b] c_b); ``advance`` admits queued trials and, when that
-    decides none, runs every block for ``_CHECK_EVERY`` iterations (fewer if
-    it empties), then returns the trials decided as (tag, j, result, route):
-    ``tag`` names the request, ``j`` the trial's index in it.  Call it while
-    ``busy``.
+    ``run`` drives requests: generators that yield chunks of trials (B x m
+    rows ``omegas`` of the unitary ensemble and B x N coefficients, each
+    trial measuring y_b = A[omega_b] c_b) and receive each chunk's results.
+    Between runs of every block for ``_CHECK_EVERY`` iterations (fewer if it
+    empties), an admission tick admits queued trials.
 
-    Trials join a block only between such runs, so every row's certificate
+    Trials join a block only at such ticks, so every row's certificate
     checks fall on its own iterations 8, 16, ... as when it runs alone, and
     each row keeps its own iteration count, ``max_iters`` and stop tests: a
     trial's result, iteration count and route do not depend on the trials
     it runs with.  A block holds the trials of one |S| = |supp(c_b)| and
-    any m, so each support proof is a dense G^{-1} stack.  ``submit``
-    queues a request's trials by |S|.  All live rows together hold at most
-    ``_LIVE_ENTRIES`` entries (``_ROW_VECTORS`` N-vectors per row), or one
-    trial's rows; trials that do not fit wait in order.  So the pool's
-    memory does not grow with the number of requests submitted.
+    any m, so each support proof is a dense G^{-1} stack.  A chunk's trials
+    queue by |S|.  All live rows together hold at most ``_LIVE_ENTRIES``
+    entries (``_ROW_VECTORS`` N-vectors per row), or one trial's rows;
+    trials that do not fit wait in order.  The open chunks' trials, counted
+    as live rows, are held to the same budget, or one chunk.  So the pool's
+    memory does not grow with the number of requests.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
-    of ``solve_trials``: the rank rule at ``submit``, the
+    of ``solve_trials``: the rank rule when its chunk is submitted, the
     least-squares certificate when it joins (the trials it certifies are
     never measured), then the dual and descent stops.
     """
@@ -499,13 +498,69 @@ class TrialPool:
         self.op = _MaskedRows(e.apply, e.adjoint)
         self.blocks: dict = {}  # |S| -> _Block
         self.queue: deque = deque()  # (block key, _Rows of waiting trials)
-        self.decided: list = []
+        self.decided: list = []  # (tag, j, result, route) not yet returned
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.blocks or self.queue or self.decided)
+    def run(self, requests: list) -> list:
+        """Run request generators in this pool and return what each returns.
 
-    def submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
+        A request yields None to wait for room in the pool, then one chunk of
+        trials, (rows, coefficients), and receives their (results, routes)
+        once every trial of the chunk is decided; a trial decided at
+        iteration 0 has no result (None).  The pool admits that chunk at its
+        next admission tick, so the chunks of many requests run in one block,
+        and a trial's result does not depend on the requests beside it.
+        Waiting requests resume in turn, each once per tick, only while the
+        open chunks, counted as live rows, fit in ``_LIVE_ENTRIES``, or none
+        is open: the trials held stay within the budget and one chunk,
+        whatever the number of requests.  A request that draws its chunk
+        before it waits holds that chunk outside the bound.
+        """
+        out = [None] * len(requests)
+        chunks = {}  # request -> [results, routes, trials still open]
+        waiting = deque()
+        held = 0  # entries of the open chunks' trials
+
+        def send(i, value):
+            nonlocal held
+            try:
+                chunk = requests[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+                return
+            if chunk is None:
+                waiting.append(i)
+                return
+            omegas, coeffs = chunk
+            if not len(coeffs):
+                send(i, ([], []))
+                return
+            held += self._entries(len(coeffs))
+            chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs)]
+            self._submit(i, omegas, coeffs)
+
+        def resume():
+            for _ in range(len(waiting)):
+                if chunks and held >= _LIVE_ENTRIES:
+                    return
+                send(waiting.popleft(), None)
+
+        for i in range(len(requests)):
+            send(i, None)
+        resume()
+        while self.blocks or self.queue or self.decided or waiting:
+            for i, j, result, route in self._advance():
+                chunk = chunks[i]
+                chunk[0][j], chunk[1][j] = result, route
+                chunk[2] -= 1
+                if chunk[2] == 0:
+                    del chunks[i]
+                    held -= self._entries(len(chunk[0]))
+                    send(i, tuple(chunk[:2]))
+            resume()
+        return out
+
+    def _submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
+        """Queue a chunk's trials by |S|, after the rank rule (verdicts)."""
         omegas = np.asarray(omegas, dtype=np.int64)
         coeffs = np.asarray(coeffs)
         coeffs = coeffs.astype(np.result_type(self.e.dtype, coeffs, np.float64), copy=False)
@@ -521,7 +576,9 @@ class TrialPool:
             if len(t):
                 self.queue.append((k, t))
 
-    def advance(self) -> list:
+    def _advance(self) -> list:
+        """One admission tick and, when it decides no trial, one run of every
+        block; returns the trials decided as (tag, j, result, route)."""
         self._admit()
         if not self.decided:
             for key, block in list(self.blocks.items()):
@@ -531,12 +588,7 @@ class TrialPool:
         decided, self.decided = self.decided, []
         return decided
 
-    @property
-    def capacity(self) -> int:
-        """The entries all live rows may hold, ``_LIVE_ENTRIES``."""
-        return _LIVE_ENTRIES
-
-    def entries(self, rows: int) -> int:
+    def _entries(self, rows: int) -> int:
         """Entries that ``rows`` live rows hold: ``_ROW_VECTORS`` N-vectors
         each."""
         return rows * self.e.n * _ROW_VECTORS
@@ -544,8 +596,8 @@ class TrialPool:
     def _admit(self):
         while self.queue:
             key, head = self.queue[0]
-            live = self.entries(sum(len(block) for block in self.blocks.values()))
-            count = min(len(head), (_LIVE_ENTRIES - live) // self.entries(1))
+            live = self._entries(sum(len(block) for block in self.blocks.values()))
+            count = min(len(head), (_LIVE_ENTRIES - live) // self._entries(1))
             if count < 1:
                 if live:
                     return

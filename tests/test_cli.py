@@ -309,7 +309,11 @@ def test_threads_option_is_unknown(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "path, value",
-    [(("solver", "tol_obj"), 1e-6), (("structures", 1, "orientation"), "vertical")],
+    [
+        (("solver", "tol_obj"), 1e-6),
+        (("structures", 1, "orientation"), "vertical"),
+        (("sweep", "early_stop"), False),
+    ],
 )
 def test_removed_config_keys_exit_2(tmp_path, capsys, path, value):
     cfg = copy.deepcopy(_SWEEP_BASE)
@@ -317,6 +321,23 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, path, value):
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "old.json", cfg)], capsys)
     assert code == 2
     assert f"unknown key(s) [{path[-1]!r}]" in err and "Traceback" not in err
+
+
+def test_mode_exact_is_not_a_choice(tmp_path, capsys):
+    # "auto" takes the exact route wherever it exists
+    cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
+    with pytest.raises(SystemExit) as exit_:
+        main(["gamma", "--config", cfg, "--mode", "exact"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'exact'" in capsys.readouterr().err
+
+
+def test_sweep_step_must_divide_the_grid(tmp_path, capsys):
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    cfg["sweep"]["m_grid"] = [8, 12]
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "step.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "sweep.step must divide every grid value, got step=8" in err
 
 
 def test_python_m_groupcs_writes_same_bytes(tmp_path):
@@ -359,7 +380,6 @@ def _set_path(cfg, path, value):
         (("solver", "tol_feas"), float("nan"), "solver.tol_feas"),
         (("sweep", "success_nre"), float("nan"), "sweep.success_nre"),
         (("sweep", "fresh_coefficients"), "false", "sweep.fresh_coefficients"),
-        (("sweep", "early_stop"), "no", "sweep.early_stop"),
         (("structures", 1, "cyclic"), "false", "structure.cyclic"),
         (("ensemble", "measurement"), {"kind": "custom", "path": 5}, "ensemble.measurement.path"),
         (("ensemble", "sparsity"), {"kind": "custom", "path": 5}, "ensemble.sparsity.path"),
@@ -397,7 +417,6 @@ _FUZZ_PATHS = [
     ("sweep", "m_grid"),
     ("sweep", "success_quota"),
     ("sweep", "success_nre"),
-    ("sweep", "early_stop"),
     ("sweep", "fresh_coefficients"),
     ("solver", "max_iters"),
     ("solver", "tol_feas"),
@@ -597,13 +616,35 @@ def test_recover_dump_reconstruction(tmp_path, capsys):
     assert code == 0, err
     rec = read_pgm(dump)
     # full sampling: the dump is the k-term compressed image
-    t_img, c0 = __import__("groupcs.harness", fromlist=["image_to_sparse"]).image_to_sparse(
-        read_pgm(src), 12
-    )
-    from groupcs.operators import haar2d_synthesis
+    from groupcs.harness import image_to_sparse
+    from groupcs.operators import make_basis
 
-    expect = haar2d_synthesis(c0.reshape(8, 8))
+    haar = make_basis("haar2d", rows=8, cols=8)
+    t_img, c0 = image_to_sparse(read_pgm(src), 12, haar)
+    expect = haar.synthesize(c0).reshape(8, 8)
     assert np.max(np.abs(rec - np.clip(np.rint(expect * 255), 0, 255) / 255)) <= 1e-12
+
+
+@pytest.mark.parametrize("sparsity", [
+    {"kind": "haar2d", "levels": 2}, {"kind": "haar2d"}, {"kind": "dft2d"}, {"kind": "identity"},
+])
+def test_recover_dumps_the_image_at_k_n(tmp_path, capsys, sparsity):
+    # an image support holds the image's coefficients in the ensemble's own
+    # sparsity basis, so at k = N and m = N the dump is the input image
+    from groupcs.harness import synthetic_image
+
+    src, dump = tmp_path / "src.pgm", tmp_path / "rec.pgm"
+    write_pgm(src, synthetic_image(16, 16, np.random.default_rng(4)))
+    cfg = {
+        "ensemble": {"rows": 16, "cols": 16, "measurement": {"kind": "identity"}, "sparsity": sparsity},
+        "structure": {"kind": "rect2d", "g": 4},
+        "support": {"image": str(src), "k": 256},
+        "recover": {"m": 256, "dump_reconstruction": str(dump)},
+    }
+    code, out, err = run_cli(["recover", "--config", write_config(tmp_path, "k256.json", cfg)], capsys)
+    assert code == 0, err
+    assert float(next(csv.DictReader(io.StringIO(out)))["nre"]) <= 1e-12
+    assert np.array_equal(read_pgm(dump), read_pgm(src))
 
 
 def test_pgm_round_trip(tmp_path):
@@ -635,18 +676,18 @@ def _bench_workloads(monkeypatch):
 
 
 def _record_per_m(monkeypatch):
-    # the scatter runs every sweep through one harness._drive call
-    from groupcs import harness
+    # the scatter runs every sweep through one TrialPool.run call
+    from groupcs.recovery import TrialPool
 
     per_m = []
-    drive = harness._drive
+    run = TrialPool.run
 
     def recording(*args, **kwargs):
-        results = drive(*args, **kwargs)
+        results = run(*args, **kwargs)
         per_m.extend(s for res in results for s in res.per_m)
         return results
 
-    monkeypatch.setattr(harness, "_drive", recording)
+    monkeypatch.setattr(TrialPool, "run", recording)
     return per_m
 
 

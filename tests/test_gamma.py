@@ -180,13 +180,6 @@ def test_penalty_gamma_hadamard_exact_range():
         assert math.sqrt(g) - 1e-9 <= est.exact <= g + 1e-9
 
 
-def test_penalty_gamma_exact_mode_rejects_complex():
-    e = _dft_ensemble(16)
-    t = SupportSet(np.arange(4))
-    with pytest.raises(ValueError):
-        penalty_gamma(e, t, contiguous_1d(16, 4), "exact")
-
-
 def test_penalty_gamma_scale_invariance():
     # scaling A's rows by positive constants is absorbed by normalization
     rng = np.random.default_rng(13)
@@ -372,7 +365,9 @@ def test_sandwich_lower_floor_survives_an_inflated_dual(monkeypatch):
     e = make_ensemble(make_basis("identity", 12), make_basis("custom", entries=basis))
     t = SupportSet(np.arange(4))
     gs = contiguous_1d(12, 12)
-    exact = penalty_gamma(e, t, gs, "exact").exact
+    est = penalty_gamma(e, t, gs, "auto")
+    assert est.method == "exact_sign_enum"
+    exact = est.exact
     original = gamma._dual_diag_value
 
     def inflated(q):
@@ -403,7 +398,9 @@ def test_sandwich_brackets_exact_on_real_orthogonal(seed, g, n_groups, k):
     e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
     t = SupportSet(np.sort(rng.permutation(n)[: min(k, n)]))
     gs = random_groups(n, g, seed % 1000)
-    exact = penalty_gamma(e, t, gs, "exact").exact
+    est = penalty_gamma(e, t, gs, "auto")
+    assert est.method == "exact_sign_enum"
+    exact = est.exact
     est = penalty_gamma(e, t, gs, "sandwich")
     tol = 1e-9 * max(1.0, exact)
     assert est.lower - tol <= exact <= est.upper + tol
@@ -484,7 +481,7 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
     # the E2 image workload: 32x32 identity/haar2d, k=51 largest coefficients
     e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
     img = harness.synthetic_image(32, 32, np.random.default_rng(7))
-    t, _ = harness.image_to_sparse(img, 51)
+    t, _ = harness.image_to_sparse(img, 51, e.u)
     msubs = gamma._group_rows(e, t, structure)
     values, signs = gamma._sign_enumeration(msubs)
     for i in range(structure.n_groups):
@@ -494,7 +491,8 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
         ref_value, ref_s = norm_2to1_exact_real_loop(msub)
         assert values[i] == value == ref_value
         assert np.array_equal(signs[i], s) and np.array_equal(s, ref_s)
-    est = penalty_gamma(e, t, structure, "exact")
+    est = penalty_gamma(e, t, structure, "auto")
+    assert est.method == "exact_sign_enum"
     assert est.exact == np.max(values)
     assert est.argmax_group == gamma._first_max(values)
 

@@ -36,7 +36,7 @@ from groupcs.harness import (
     trial_rng,
     trial_verdicts,
 )
-from groupcs.operators import SupportSet, haar2d_synthesis, make_basis, make_ensemble
+from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import basis_pursuit, nre, solve_trials
 
 from oracles import support_factor_qr
@@ -76,34 +76,39 @@ def test_draw_support_channel_union_too_small():
         draw_support(spec, np.random.default_rng(0))
 
 
+def _haar(rows, cols, levels=None):
+    return make_basis("haar2d", rows=rows, cols=cols, levels=levels)
+
+
 def test_image_to_sparse_constant_image():
     img = np.full((8, 8), 0.7)
-    t, c0 = image_to_sparse(img, 1)
+    t, c0 = image_to_sparse(img, 1, _haar(8, 8))
     assert np.array_equal(t.indices, [0])  # all energy in the mean coefficient
     assert c0[0] == pytest.approx(0.7 * 8, rel=1e-12)
 
 
-def test_image_to_sparse_keep_all():
-    rng = np.random.default_rng(2)
-    img = rng.standard_normal((4, 4))
-    t, c0 = image_to_sparse(img, 16)
-    assert len(t) == 16
-    back = haar2d_synthesis(c0.reshape(4, 4))
-    assert np.allclose(back, img, atol=1e-12)
+@pytest.mark.parametrize("basis", [
+    _haar(16, 16), _haar(16, 16, 2), _haar(16, 16, 1), make_basis("dft2d", rows=16, cols=16),
+    make_basis("identity", 256),
+])
+def test_image_to_sparse_keep_all(basis):
+    # at k = N the support's coefficients are the image's in the ensemble's
+    # own basis, whatever its levels: U c0 is the image
+    img = synthetic_image(16, 16, np.random.default_rng(2))
+    t, c0 = image_to_sparse(img, 256, basis)
+    assert len(t) == 256
+    assert np.max(np.abs(basis.synthesize(c0) - img.reshape(-1))) <= 1e-12
 
 
 def test_image_to_sparse_best_k():
     rng = np.random.default_rng(3)
     img = synthetic_image(32, 32, rng)
-    k = 51
-    t, c0 = image_to_sparse(img, k)
+    k, b = 51, _haar(32, 32)
+    t, c0 = image_to_sparse(img, k, b)
     assert len(t) == k
-    ref = haar2d_synthesis(c0.reshape(32, 32))
-    err_best = np.linalg.norm(ref - img)
+    err_best = np.linalg.norm(b.synthesize(c0) - img.reshape(-1))
     # orthonormal thresholding beats any competitor subset of the same size
-    from groupcs.operators import haar2d_analysis
-
-    coeffs = haar2d_analysis(img).reshape(-1)
+    coeffs = b.analyze(img.reshape(-1))
     for seed in range(20):
         r = np.random.default_rng(100 + seed)
         comp = np.sort(r.permutation(img.size)[:k])
@@ -111,14 +116,14 @@ def test_image_to_sparse_best_k():
             continue
         c_alt = np.zeros(img.size)
         c_alt[comp] = coeffs[comp]
-        err_alt = np.linalg.norm(haar2d_synthesis(c_alt.reshape(32, 32)) - img)
+        err_alt = np.linalg.norm(b.synthesize(c_alt) - img.reshape(-1))
         assert err_best <= err_alt + 1e-12
 
 
 def test_image_to_sparse_tie_break_low_index():
     img = np.zeros((2, 2))
     img[0, 0] = 1.0  # transform has several equal-magnitude coefficients
-    t, c0 = image_to_sparse(img, 2)
+    t, c0 = image_to_sparse(img, 2, _haar(2, 2))
     assert np.array_equal(t.indices, [0, 1])
 
 
@@ -129,9 +134,7 @@ def test_sweep_config_validation():
         SweepConfig(m_grid=(8, 8))
     with pytest.raises(ValueError):
         SweepConfig(m_grid=(8, 16), success_quota=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(m_grid=(8, 12), step=8)
-    cfg = SweepConfig(m_grid=default_m_grid(64, 4), step=16)
+    cfg = SweepConfig(m_grid=default_m_grid(64, 4))
     assert cfg.m_grid == (16, 32, 48, 64)
 
 
@@ -149,37 +152,32 @@ def test_find_min_m_full_sampling_always_succeeds():
 
 
 def test_find_min_m_trial_count_audit():
+    # a grid value's counts are those of its first ``executed`` trials, which
+    # end at the first chunk (2, 4, 6 trials) after which the quota of 9
+    # successes in 12 is decided
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
     rng = np.random.default_rng(5)
     t = SupportSet(np.sort(rng.permutation(32)[:3]))
     c0 = np.zeros(32, dtype=complex)
     c0[t.indices] = rng.uniform(-1, 1, 3)
-    cfg = SweepConfig(
-        m_grid=(8, 16, 32), trials_per_m=12, success_quota=0.75,
-        master_seed=2, early_stop=False,
-    )
+    cfg = SweepConfig(m_grid=(8, 16, 32), trials_per_m=12, success_quota=0.75, master_seed=2)
     res = find_min_m(e, gs, t, c0, cfg)
     for stats in res.per_m:
-        assert stats.executed == 12  # indicator computed from exactly this many
-        assert sum(getattr(stats, route) for route in VERDICT_ROUTES) == stats.executed
+        verdicts = trial_verdicts(e, gs, t, c0, stats.m, range(12), master_seed=2)
+        ends = [r.stop for r in _trial_chunks(12)]
+        successes = [sum(ok for ok, _ in verdicts[:n]) for n in ends]
+        decided = [n for n, ok in zip(ends, successes) if n - ok > 3 or ok >= 9]
+        assert stats.executed == decided[0]
+        ran = verdicts[: stats.executed]
+        assert stats.successes == sum(ok for ok, _ in ran)
+        assert [getattr(stats, route) for route in VERDICT_ROUTES] == [
+            sum(r == route for _, r in ran) for route in VERDICT_ROUTES
+        ]
+        assert stats.success == (stats.successes >= 9)
+    assert any(s.executed < 12 for s in res.per_m)
     assert sum(s.descent for s in res.per_m) > 0
     assert res.m_min is not None
-
-
-def test_find_min_m_early_stop_same_decision():
-    e = _dft_ensemble(32)
-    gs = contiguous_1d(32, 4)
-    rng = np.random.default_rng(6)
-    t = SupportSet(np.sort(rng.permutation(32)[:3]))
-    c0 = np.zeros(32, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, 3)
-    kw = dict(m_grid=(8, 16, 32), trials_per_m=10, success_quota=0.9, master_seed=3)
-    full = find_min_m(e, gs, t, c0, SweepConfig(early_stop=False, **kw))
-    fast = find_min_m(e, gs, t, c0, SweepConfig(early_stop=True, **kw))
-    assert full.m_min == fast.m_min
-    for a, b in zip(full.per_m, fast.per_m):
-        assert a.success == b.success
 
 
 def test_find_min_m_grid_bounds():
@@ -418,32 +416,68 @@ def test_pooled_sweeps_match_one_at_a_time(kind):
     # their chunks run beside each other (rows of any m share a block)
     e, gs, t, cfg, solver = _sweep_case(kind)
     other = contiguous_1d(64, 4) if kind == "dft" else lines_2d(8, 8, 4, "vertical")
-    pooled = harness._drive(e, [harness._sweep(e, s, t, None, cfg) for s in (gs, other)], solver)
+    pool = recovery.TrialPool(e, solver, verdicts=True)
+    pooled = pool.run([harness._sweep(e, s, t, None, cfg) for s in (gs, other)])
     alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in (gs, other)]
     assert pooled == alone
     assert all(len(res.per_m) > 1 for res in alone)
 
 
+@pytest.mark.parametrize("budget", [1, 0])
 @pytest.mark.parametrize("kind", ["dft", "haar"])
-def test_full_pool_starts_requests_in_turn(kind, monkeypatch):
-    # with room for one trial at a time, a chunk is drawn only once no other
-    # chunk is open, and the requests take turns; each sweep ends as alone
+def test_full_pool_starts_requests_in_turn(kind, budget, monkeypatch):
+    # with room for one trial at a time, or none, a chunk is drawn only once
+    # no other chunk is open, and the requests take turns; each sweep ends
+    # as alone
     e, gs, t, cfg, solver = _sweep_case(kind)
     others = [contiguous_1d(64, 4), singletons(64)] if kind == "dft" else [
         lines_2d(8, 8, 4, "vertical"), lines_2d(8, 8, 4, "horizontal")]
     alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in [gs, *others]]
-    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", 1)
-    tags, submit = [], recovery.TrialPool.submit
+    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", budget)
+    tags, submit = [], recovery.TrialPool._submit
 
     def recorded(self, tag, omegas, coeffs):
-        assert not self.busy
+        assert not (self.blocks or self.queue or self.decided)
         tags.append(tag)
         submit(self, tag, omegas, coeffs)
 
-    monkeypatch.setattr(recovery.TrialPool, "submit", recorded)
-    pooled = harness._drive(e, [harness._sweep(e, s, t, None, cfg) for s in [gs, *others]], solver)
+    monkeypatch.setattr(recovery.TrialPool, "_submit", recorded)
+    pool = recovery.TrialPool(e, solver, verdicts=True)
+    pooled = pool.run([harness._sweep(e, s, t, None, cfg) for s in [gs, *others]])
     assert pooled == alone
     assert tags[:3] == [0, 1, 2]
+
+
+def test_open_trials_do_not_grow_with_the_number_of_sweeps(monkeypatch):
+    # a request draws its next chunk only once the open chunks fit in the
+    # pool's budget: with room for one trial, the trials drawn and not yet
+    # returned are one chunk at most, for the 2 sweeps of one support as for
+    # the 8 of four
+    e = _dft_ensemble(16)
+    cfg = SweepConfig(m_grid=(8, 16), trials_per_m=4, success_quota=0.5, master_seed=1)
+    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", 1)
+    held, peaks = [0], []
+    draw, verdicts = harness._draw_trials, harness._verdicts
+
+    def drawn(*args):
+        omegas, coeffs = draw(*args)
+        held[0] += len(coeffs)
+        peaks[-1] = max(peaks[-1], held[0])
+        return omegas, coeffs
+
+    def returned(*args):
+        out = yield from verdicts(*args)
+        held[0] -= len(out)
+        return out
+
+    monkeypatch.setattr(harness, "_draw_trials", drawn)
+    monkeypatch.setattr(harness, "_verdicts", returned)
+    for draws in (1, 4):
+        supports = [SupportCase(SupportSet(np.array([d, d + 5])), None, f"d{d}") for d in range(draws)]
+        peaks.append(0)
+        records = scatter_gamma_vs_m(e, [strided_1d(16, 4)], supports, cfg)
+        assert len(records) == draws and held == [0]
+    assert peaks == [2, 2]  # one chunk of 2 trials
 
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])
@@ -507,7 +541,7 @@ def test_zero_column_refutation_matches_qr_path(monkeypatch):
     # of its image, rect2d and cyclic spiral2d with g=8; most of its trials
     # have an all-zero column in A_S and are refuted without a QR
     e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
-    t, c0 = image_to_sparse(synthetic_image(32, 32, np.random.default_rng(7)), 51)
+    t, c0 = image_to_sparse(synthetic_image(32, 32, np.random.default_rng(7)), 51, e.u)
     structures = [rect_2d(32, 32, 8), spiral_2d(32, 32, 8, cyclic=True)]
     cfg = SweepConfig(m_grid=(64, 256, 1024), trials_per_m=3, success_quota=0.66, master_seed=1)
     kw = dict(master_seed=1, solver=SolverOptions())

@@ -11,8 +11,6 @@ from groupcs.operators import (
     SupportSet,
     _columns,
     _transform,
-    haar2d_analysis,
-    haar2d_synthesis,
     make_basis,
     make_ensemble,
     normalize_rows,
@@ -64,6 +62,16 @@ def test_unitarity(kind, kwargs):
     b = make_basis(kind, **kwargs)
     assert unitarity_residual_dense(b.entries) <= 1e-13
     assert unitarity_residual(partial(_columns, b), b.n, _transform(b, adjoint=True))[0] <= 1e-13
+
+
+@pytest.mark.parametrize("kind,kwargs", NAMED)
+def test_analyze_is_the_adjoint_of_synthesize(kind, kwargs):
+    b = make_basis(kind, **kwargs)
+    rng = np.random.default_rng(b.n)
+    x = rng.standard_normal(b.n)
+    c = b.analyze(x)
+    assert np.allclose(c, b.entries.conj().T @ x, atol=1e-12)
+    assert np.allclose(b.synthesize(c), x, atol=1e-12)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -144,15 +152,21 @@ def test_ensemble_of_named_bases_fast_residual(v, u):
 
 @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 16, 4), (5, 4, 32), (2, 3, 2, 2), (32, 32)])
 def test_haar_matches_copying_reference_bit_for_bit(shape):
+    # the basis's transforms of a batch of images, as columns (axis 0) and
+    # as rows (axis 1)
     rng = np.random.default_rng(sum(shape))
     x = rng.standard_normal(shape)
     z = x + 1j * rng.standard_normal(shape)
+    rows, cols = shape[-2:]
     for levels in range(1, int(math.log2(min(shape[-2:]))) + 1):
+        b = make_basis("haar2d", rows=rows, cols=cols, levels=levels)
         for img in (x, z):
-            got = haar2d_analysis(img, levels)
-            assert got.tobytes() == haar2d_analysis_reference(img, levels).tobytes()
-            got = haar2d_synthesis(img, levels)
-            assert got.tobytes() == haar2d_synthesis_reference(img, levels).tobytes()
+            flat = img.reshape(-1, rows * cols)
+            for adjoint, reference in ((True, haar2d_analysis_reference), (False, haar2d_synthesis_reference)):
+                ref = reference(img, levels).reshape(flat.shape)
+                assert _transform(b, adjoint, axis=1)(flat).tobytes() == ref.tobytes()
+                got = _transform(b, adjoint, axis=0)(np.ascontiguousarray(flat.T))
+                assert np.ascontiguousarray(got.T).tobytes() == ref.tobytes()
 
 
 def test_haar_requires_power_of_two():
@@ -166,11 +180,12 @@ def test_haar_default_levels_maximal():
 
 
 def test_haar_roundtrip_and_parseval():
+    b = make_basis("haar2d", rows=8, cols=16)
     rng = np.random.default_rng(0)
-    img = rng.standard_normal((8, 16))
-    coeffs = haar2d_analysis(img)
+    img = rng.standard_normal(b.n)
+    coeffs = b.analyze(img)
     assert math.isclose(np.linalg.norm(coeffs), np.linalg.norm(img), rel_tol=1e-12)
-    back = haar2d_synthesis(coeffs)
+    back = b.synthesize(coeffs)
     assert np.allclose(back, img, atol=1e-12)
 
 
@@ -178,9 +193,10 @@ def test_haar_matrix_matches_transform():
     b = make_basis("haar2d", rows=4, cols=4)
     rng = np.random.default_rng(1)
     img = rng.standard_normal((4, 4))
-    coeffs = haar2d_analysis(img).reshape(-1)
+    coeffs = haar2d_analysis_reference(img, b.levels).reshape(-1)
     # entries is the synthesis matrix, so analysis is its transpose
     assert np.allclose(b.entries.T @ img.reshape(-1), coeffs, atol=1e-12)
+    assert b.analyze(img.reshape(-1)).tobytes() == coeffs.tobytes()
 
 
 @pytest.mark.parametrize("kind,kwargs", [("dft1d", dict(n=32)), ("haar2d", dict(rows=8, cols=4))])
@@ -287,6 +303,18 @@ def test_non_unitary_ensemble_rejected(monkeypatch):
     monkeypatch.setattr(operators, "_columns", _bent("haar2d", lambda out, idx: np.where(idx == 0, np.nan, out)))
     with pytest.raises(ValueError, match="does not match its factors V\\^H U: residual nan"):
         make_ensemble(eye, h)
+
+
+def test_bases_and_ensembles_compare_by_value():
+    h = hadamard_matrix(8) / math.sqrt(8)
+    assert make_basis("custom", entries=h) == make_basis("custom", entries=h)
+    assert make_basis("custom", entries=h) != make_basis("custom", entries=-h)
+    assert make_basis("custom", entries=np.eye(8)) != make_basis("identity", 8)
+    assert make_basis("haar2d", rows=4, cols=2) == make_basis("haar2d", rows=4, cols=2, levels=1)
+    assert make_basis("haar2d", rows=4, cols=4, levels=1) != make_basis("haar2d", rows=4, cols=4)
+    eye = make_basis("identity", 8)
+    assert make_ensemble(eye, make_basis("custom", entries=h)) == make_ensemble(eye, make_basis("custom", entries=h))
+    assert make_ensemble(eye, make_basis("custom", entries=h)) != make_ensemble(eye, make_basis("dft1d", 8))
 
 
 def test_custom_entries_are_copied():

@@ -288,6 +288,13 @@ def test_trial_engine_result_independent_of_chunk(ensemble, m, k, real):
         assert alone.converged == chunk[i].converged
 
 
+@pytest.mark.parametrize("verdicts", [False, True])
+def test_no_trials_give_no_results(verdicts):
+    e = _dft_ensemble(16)
+    results, routes = solve_trials(e, np.zeros((0, 8), dtype=np.int64), np.zeros((0, 16)), verdicts=verdicts)
+    assert results == [] and routes.shape == (0,)
+
+
 @pytest.mark.parametrize(
     "ensemble, m, k, real, cap",
     [
@@ -582,21 +589,18 @@ def test_pool_row_does_not_depend_on_companions(seed, haar, verdicts, companions
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
         return omega[None], c[None]
 
+    def request(chunk, waits=0):
+        for _ in range(waits):  # a waiting request resumes once per admission tick
+            yield
+        return (yield chunk)
+
     m = int(rng.choice(sizes))
     omega, c = draw(m)
     solver = SolverOptions(max_iters=400)
-    pool = TrialPool(e, solver, verdicts=verdicts)
-    for tag in range(1, companions + 1):
-        pool.submit(tag, *draw(m if rng.random() < 0.5 else int(rng.choice(sizes))))
-    decided = []
-    for _ in range(join_after):
-        decided += pool.advance() if pool.busy else []
-    pool.submit(0, omega, c)
-    while pool.busy:
-        decided += pool.advance()
-    ((_, j, result, route),) = [d for d in decided if d[0] == 0]
-    assert j == 0
-    assert sorted(d[0] for d in decided) == list(range(companions + 1))
+    companion_chunks = [draw(m if rng.random() < 0.5 else int(rng.choice(sizes))) for _ in range(companions)]
+    requests = [request((omega, c), join_after + 1)] + [request(chunk) for chunk in companion_chunks]
+    ((result,), (route,)), *others = TrialPool(e, solver, verdicts=verdicts).run(requests)
+    assert all(len(results) == len(routes) == 1 for results, routes in others)
     (alone,), (alone_route,) = solve_trials(e, omega, c, solver, verdicts=verdicts)
     assert route == alone_route
     if alone is None:
