@@ -101,6 +101,14 @@ def _flag(section: dict, key: str, where: str, default: bool) -> bool:
     return value
 
 
+def _seed(value, name: str) -> int:
+    """A seed: a non-negative JSON integer, as numpy's generators take."""
+    seed = _number(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _optional_int(section: dict, key: str, where: str):
     value = section.get(key)
     return None if value is None else _number(value, f"{where}.{key}")
@@ -203,14 +211,14 @@ def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> G
     if kind == "max_manhattan2d":
         return max_manhattan_2d(rows, cols, g)
     if kind == "random":
-        return random_groups(n, g, _number(spec.get("seed", 0), "structure.seed"))
+        return random_groups(n, g, _seed(spec.get("seed", 0), "structure.seed"))
     raise ConfigError(f"unknown structure kind {kind!r}")
 
 
 def build_structures(cfg: dict, n: int, rows, cols) -> list[GroupStructure]:
     if "structures" in cfg:
-        if not isinstance(cfg["structures"], list):
-            raise ConfigError("structures must be a JSON list of objects")
+        if not isinstance(cfg["structures"], list) or not cfg["structures"]:
+            raise ConfigError("structures must be a nonempty JSON list of objects")
         return [build_structure(s, n, rows, cols) for s in cfg["structures"]]
     if "structure" in cfg:
         return [build_structure(cfg["structure"], n, rows, cols)]
@@ -282,7 +290,8 @@ def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConf
     if step is not None and step < 1:
         raise ConfigError(f"sweep.step must be positive, got {step}")
     grid = section.get("m_grid")
-    grid = tuple(_int_list(grid, "sweep.m_grid") if grid else default_m_grid(n, g, step))
+    # an empty grid is SweepConfig's to reject, not a request for the default
+    grid = tuple(default_m_grid(n, g, step) if grid is None else _int_list(grid, "sweep.m_grid"))
     if step is not None and any(m % step for m in grid):
         raise ConfigError(f"sweep.step must divide every grid value, got step={step}")
     fields = dict(
@@ -317,10 +326,10 @@ def _checked(cls, fields: dict, where: str):
 
 def master_seed_of(cfg: dict, override: int | None) -> int:
     if override is not None:
-        return override
+        return _seed(override, "--seed")
     section = cfg.get("seeds", {})
     _check_keys(section, {"master"}, "seeds")
-    return _number(section.get("master", 0), "seeds.master")
+    return _seed(section.get("master", 0), "seeds.master")
 
 
 def _emit(text: str, out_path: str | None):

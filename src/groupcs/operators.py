@@ -115,6 +115,10 @@ class OrthonormalBasis:
             other.n, other.kind, other.shape2d, other.levels
         ) and np.array_equal(self.matrix, other.matrix)
 
+    def __hash__(self) -> int:
+        # over the fields ``__eq__`` compares exactly, so equal bases hash equal
+        return hash((self.n, self.kind, self.shape2d, self.levels))
+
 
 def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0, own: bool = False):
     """Map the vectors along ``axis`` of a 2-D array (columns: 0, rows: 1) to
@@ -182,7 +186,14 @@ def _columns(b: OrthonormalBasis, idx: np.ndarray, adjoint: bool = False) -> np.
 
 
 def _dft_columns(n: int, idx: np.ndarray) -> np.ndarray:
-    return np.exp(-2j * np.pi * np.outer(np.arange(n), idx) / n) / math.sqrt(n)
+    """Columns ``idx`` of the n-point DFT matrix: entry (j, k) is the root
+    e^(-2 pi i r/n)/sqrt n at r = jk mod n, gathered from one table of the
+    n roots, so that no phase exceeds 2 pi and every entry is exact to
+    rounding level."""
+    roots = np.exp(-2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+    jk = np.outer(np.arange(n), idx)
+    jk %= n
+    return roots.take(jk)
 
 
 def _is_pow2(n: int) -> bool:

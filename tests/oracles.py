@@ -158,7 +158,9 @@ def basis_reference(b):
 
 
 def _dft_reference(n):
-    jk = np.outer(np.arange(n), np.arange(n))
+    # the exponent reduced mod n: e^(-2 pi i jk/n) = e^(-2 pi i (jk mod n)/n)
+    # exactly, and the reduced phase stays within 2 pi
+    jk = np.outer(np.arange(n), np.arange(n)) % n
     return np.exp(-2j * np.pi * jk / n) / math.sqrt(n)
 
 

@@ -245,6 +245,7 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
     [
         ({"structures": [1]}, "structure must be"),
         ({"structures": {"kind": "singletons"}}, "structures must be"),
+        ({"structures": []}, "structures must be a nonempty JSON list of objects"),
         ({"structure": "singletons"}, "structure must be"),
         ({"ensemble": [8]}, "ensemble must be"),
         ({"ensemble": {"n": 8, "measurement": "identity", "sparsity": {"kind": "dft1d"}}},
@@ -340,6 +341,23 @@ def test_sweep_step_must_divide_the_grid(tmp_path, capsys):
     assert "sweep.step must divide every grid value, got step=8" in err
 
 
+@pytest.mark.parametrize(
+    "path, value, flag, name",
+    [
+        (("seeds", "master"), -1, [], "seeds.master"),
+        (None, None, ["--seed", "-1"], "--seed"),
+        (("structures", 1), {"kind": "random", "g": 4, "seed": -1}, [], "structure.seed"),
+    ],
+)
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, path, value, flag, name):
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    if path:
+        _set_path(cfg, path, value)
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "seed.json", cfg), *flag], capsys)
+    assert code == 2 and out == ""
+    assert f"{name} must be a non-negative integer, got -1" in err and "Traceback" not in err
+
+
 def test_python_m_groupcs_writes_same_bytes(tmp_path):
     # the package runs as `python -m groupcs` from a source tree, without installation
     cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
@@ -370,6 +388,8 @@ def _set_path(cfg, path, value):
         (("structures", 1, "g"), [11], "structure.g"),
         (("sweep", "trials_per_m"), None, "sweep.trials_per_m"),
         (("sweep", "step"), "11", "sweep.step"),
+        # an empty grid is an error, not a request for the default grid
+        (("sweep", "m_grid"), [], "sweep.m_grid"),
         (("sweep", "success_quota"), None, "sweep.success_quota"),
         (("solver", "max_iters"), None, "solver.max_iters"),
         (("seeds", "master"), None, "seeds.master"),

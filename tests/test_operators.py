@@ -106,6 +106,25 @@ def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwarg
         assert e.mu == float(np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("n", [220, 1760])
+def test_dft_columns_match_fft_of_unit_vectors(n):
+    # each phase is reduced mod n before the exponential, so every column,
+    # the last ones (k near n - 1) too, is the FFT's to rounding level
+    b = make_basis("dft1d", n)
+    idx = np.r_[0:8, n // 2 - 4 : n // 2 + 4, n - 16 : n]
+    cols = _columns(b, idx)
+    units = np.zeros((n, len(idx)))
+    units[idx, np.arange(len(idx))] = 1.0
+    assert np.max(np.abs(cols - np.fft.fft(units, axis=0, norm="ortho"))) <= 1e-14 / math.sqrt(n)
+    conj = np.fft.ifft(units, axis=0, norm="ortho")
+    assert np.max(np.abs(_columns(b, idx, adjoint=True) - conj)) <= 1e-14 / math.sqrt(n)
+
+
+def test_dft_unitarity_residual_is_rounding_level():
+    b = make_basis("dft1d", 1760)
+    assert unitarity_residual(partial(_columns, b), b.n, _transform(b, adjoint=True))[0] <= 1e-14
+
+
 @pytest.mark.parametrize("rows,cols", [(32, 32), (8, 8), (16, 8), (4, 16), (2, 8), (2, 2)])
 def test_haar_closed_form_is_bitwise_the_transformed_unit_images(rows, cols):
     # every level, and the transposed scatter that forms V^H for U = I
@@ -315,6 +334,17 @@ def test_bases_and_ensembles_compare_by_value():
     eye = make_basis("identity", 8)
     assert make_ensemble(eye, make_basis("custom", entries=h)) == make_ensemble(eye, make_basis("custom", entries=h))
     assert make_ensemble(eye, make_basis("custom", entries=h)) != make_ensemble(eye, make_basis("dft1d", 8))
+
+
+def test_equal_custom_bases_hash_equal():
+    # one dict key for equal bases, and for ensembles with equal custom factors
+    h = hadamard_matrix(8) / math.sqrt(8)
+    a, b = make_basis("custom", entries=h), make_basis("custom", entries=h.copy())
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first", b: "second"} == {a: "second"}
+    eye = make_basis("identity", 8)
+    ea, eb = make_ensemble(eye, a), make_ensemble(eye, b)
+    assert hash(ea) == hash(eb) and len({ea, eb}) == 1
 
 
 def test_custom_entries_are_copied():
