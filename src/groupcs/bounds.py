@@ -56,6 +56,11 @@ def bound_gram(q: BoundQuery) -> float:
 # (sums of roots of unity give them) fails however it rounds
 _TIE_MARGIN = 1e-12
 
+# a Gram trial whose largest |H_ii| is within this share of the eigenvalue
+# ceiling max(c, 1) takes |H_ii| as its deviation: the spectral radius lies
+# between the two, far inside the rounding of a dense ``eigvalsh``
+_CEILING_MARGIN = 1e-13
+
 
 @dataclass(frozen=True)
 class ConcentrationStats:
@@ -93,49 +98,56 @@ def _group_products(a_l: np.ndarray, a_r: np.ndarray, rows: np.ndarray) -> np.nd
     return np.matmul(g_l.conj().transpose(0, 2, 1), g_r).reshape(len(rows), -1)
 
 
-def _selected_sums(e, t, gs, m, trials, rng, left, entries=None):
+def _selected_sums(a_l, a_t, gs, m, trials, rng, entries=None):
     """Per chunk of trials, in trial order: for each trial, the sum over its
-    Bernoulli-selected groups j of A[j, left]^H A[j, T], flattened to one row
-    and restricted to the flat positions ``entries`` when they are given.
+    Bernoulli-selected groups j of A[j, L]^H A[j, T], from the columns
+    a_l = A[:, L] and a_t = A[:, T], flattened to one row and restricted to
+    the flat positions ``entries`` when they are given.
 
     The selections are drawn one chunk at a time by ``bernoulli_selections``,
     which gives the draws, and the generator state, of ``trials`` successive
     ``draw_bernoulli`` calls.  The per-group products are formed a span of
-    groups at a time and weighted by the 0/1 selections in one real GEMM per
-    span; when every group fits in one span they are formed once.  Each
-    chunk is written to the same buffers, so a yielded array is valid only
-    until the next one is requested.
+    groups at a time.  When the table of every group's kept terms fits in
+    ``_CHUNK_ENTRIES`` it is formed once, and each chunk weights it by the 0/1
+    selections in one real GEMM; otherwise each chunk forms the spans again,
+    one GEMM per span.  Each chunk is written to the same buffers, so a
+    yielded array is valid only until the next one is requested.
     """
-    k = len(t)
-    width = len(left) * k
-    per_span = max(1, _CHUNK_ENTRIES // max(1, gs.g * (len(left) + k) + width))
-    spans = [gs.groups[s : s + per_span] for s in range(0, gs.n_groups, per_span)]
+    k = a_t.shape[1]
+    width = a_l.shape[1] * k
+    formed = width if entries is None else len(entries)
+    # a table of kept terms that fits the bound is formed once, in spans
+    # whose products are no larger than the table
+    fits = gs.n_groups * formed <= _CHUNK_ENTRIES
+    span_entries = gs.n_groups * formed if fits else _CHUNK_ENTRIES
+    per_span = max(1, span_entries // max(1, gs.g * (a_l.shape[1] + k) + width))
+    starts = range(0, gs.n_groups, per_span)
+    dtype = np.result_type(a_l.dtype, a_t.dtype, np.float64)
 
-    a_t = e.columns(t.indices)
-    a_l = a_t if left is t.indices else e.columns(left)
-
-    def products(rows):
-        p = _group_products(a_l, a_t, rows)
+    def products(start):
+        p = _group_products(a_l, a_t, gs.groups[start : start + per_span])
         return p if entries is None else np.take(p, entries, axis=1)
 
-    fixed = products(spans[0]) if len(spans) == 1 else None
+    fixed = None
+    if fits or len(starts) == 1:
+        fixed = np.empty((gs.n_groups, formed), dtype=dtype)
+        for start in starts:
+            fixed[start : start + per_span] = products(start)
     # chunks are sized by the full product, as the caller may unpack to it
     per_chunk = min(trials, max(1, _CHUNK_ENTRIES // max(gs.n_groups, width)))
-    formed = width if entries is None else len(entries)
-    sums = np.empty((per_chunk, formed), dtype=np.result_type(e.dtype, np.float64))
+    sums = np.empty((per_chunk, formed), dtype=dtype)
     part = np.empty_like(sums) if fixed is None else None
     for start in range(0, trials, per_chunk):
         sel = bernoulli_selections(gs, m, min(per_chunk, trials - start), rng)
         sel = sel.astype(np.float64)
-        out, col = sums[: len(sel)], 0
-        for rows in spans:
-            p = fixed if fixed is not None else products(rows)
+        out = sums[: len(sel)]
+        terms = [(0, fixed)] if fixed is not None else ((col, products(col)) for col in starts)
+        for col, p in terms:
             target = out if col == 0 else part[: len(sel)]
             # complex terms as (re, im) pairs: the 0/1 weights stay real
-            np.matmul(sel[:, col : col + len(rows)], _as_real(p), out=_as_real(target))
+            np.matmul(sel[:, col : col + len(p)], _as_real(p), out=_as_real(target))
             if col:
                 out += target
-            col += len(rows)
         yield out
 
 
@@ -187,23 +199,46 @@ def validate_gram_concentration(
     less ``_TIE_MARGIN``, and one within that margin of 1/2 is a tie.
 
     A trial's support Gram is the sum of the fixed per-group Grams of its
-    selected groups, so a chunk of trials takes one GEMM and a batched
-    ``eigvalsh`` on each trial's coupled atoms (``_spectral_radii``); the
-    draws are those of successive ``draw_bernoulli`` calls.  Only the
-    k(k+1)/2 entries of the lower triangle are summed, scaled and shifted.
+    selected groups, so a chunk of trials takes one GEMM; the draws are those
+    of successive ``draw_bernoulli`` calls.  Only the entries (i, j) of the
+    lower triangle whose columns i and j of A_T share a nonzero row can be
+    nonzero in any per-group Gram, so only those are summed.
+
+    The groups partition the rows, so 0 <= G_omega <= A_T^H A_T and every
+    eigenvalue of H = (N/M) G_omega - I lies in [-1, c], with
+    c = (N/M) lambda_max(A_T^H A_T) - 1.  Each |H_ii| is a lower bound on the
+    spectral radius, so a trial whose largest |H_ii| reaches max(c, 1) (less
+    ``_CEILING_MARGIN``) has that deviation; only the others go to a batched
+    ``eigvalsh`` on their coupled atoms (``_spectral_radii``).
     """
     _check_trials(trials)
     if not 0 < m <= e.n:
         raise ValueError(f"m={m} out of range (0, {e.n}]")
     k = len(t)
+    if k == 0:
+        raise ValueError("support set is empty")
     lower = np.tril_indices(k)
-    diagonal = np.flatnonzero(lower[0] == lower[1])
+    on_diagonal = lower[0] == lower[1]
+    a_t = e.columns(t.indices)
+    support = (a_t != 0).astype(np.float32)
+    live = np.flatnonzero(((support.T @ support) > 0)[lower] | on_diagonal)
+    diagonal = np.searchsorted(live, np.flatnonzero(on_diagonal))
+    ceiling = max(e.n / m * np.linalg.eigvalsh(a_t.conj().T @ a_t)[-1] - 1.0, 1.0)
     deviations = np.empty(trials)
     done = 0
-    for sums in _selected_sums(e, t, gs, m, trials, rng, t.indices, lower[0] * k + lower[1]):
+    for sums in _selected_sums(a_t, a_t, gs, m, trials, rng, (lower[0] * k + lower[1])[live]):
         sums *= e.n / m
         sums[:, diagonal] -= 1.0
-        _spectral_radii(sums, k, deviations[done : done + len(sums)])
+        out = deviations[done : done + len(sums)]
+        # ``eigvalsh`` reads only the real part of a diagonal entry
+        np.max(np.abs(sums[:, diagonal].real), axis=1, out=out)
+        rest = np.flatnonzero(out < ceiling * (1.0 - _CEILING_MARGIN))
+        if len(rest):
+            h = np.zeros((len(rest), len(on_diagonal)), dtype=sums.dtype)
+            h[:, live] = sums[rest]
+            radii = np.empty(len(rest))
+            _spectral_radii(h, k, radii)
+            out[rest] = radii
         done += len(sums)
     fail_rate = float(np.mean(deviations >= 0.5 - _TIE_MARGIN))
     ties = int(np.count_nonzero(np.abs(deviations - 0.5) <= _TIE_MARGIN))
@@ -241,9 +276,10 @@ def validate_cross_row_energy(
         gamma_value = penalty_gamma(e, t, gs, "auto").value
     # mean of the row over the Bernoulli draw: (m/n) times the full-A row,
     # which is zero for exactly orthogonal columns but kept for honesty
-    mean_row = (m / e.n) * (e.columns([t0])[:, 0].conj() @ e.columns(t.indices))
+    a_t0, a_t = e.columns([t0]), e.columns(t.indices)
+    mean_row = (m / e.n) * (a_t0[:, 0].conj() @ a_t)
     acc = 0.0
-    for rows in _selected_sums(e, t, gs, m, trials, rng, np.array([t0])):
+    for rows in _selected_sums(a_t0, a_t, gs, m, trials, rng):
         rows = rows - mean_row
         for energy in np.real(np.sum(rows.conj() * rows, axis=1)).tolist():
             acc += energy

@@ -433,9 +433,16 @@ def cmd_validate(args) -> int:
     trials = _number(section.get("trials", 500), "validate.trials")
     rng = trial_rng(seed, f"validate-{args.target}", 0, 0)
     if args.target == "gram":
-        grid = section.get("m_grid") or [_require(section, "m", "validate")]
+        grid = section.get("m_grid")
+        if grid is None:
+            grid = [_number(_require(section, "m", "validate"), "validate.m")]
+        else:
+            grid = _int_list(grid, "validate.m_grid")
+        # an empty grid is an error, not a request for validate.m
+        if not grid:
+            raise ConfigError("validate.m_grid must be a nonempty list of integers, got []")
         out_rows = []
-        for m in _int_list(grid, "validate.m_grid"):
+        for m in grid:
             stats = bounds_mod.validate_gram_concentration(e, t, gs, m, trials, rng)
             out_rows.append(
                 [

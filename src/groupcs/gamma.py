@@ -61,7 +61,7 @@ _TIE = 1e-12
 # sign enumeration takes this many candidate sign vectors at a time, and
 # keeps at most this many entries of their products with the matrices live
 _SIGN_CHUNK = 1 << 16
-_ENUM_ENTRIES = 1 << 20
+_ENUM_ENTRIES = 1 << 18
 # the phase fixed-point certificate of a group tries the all-ones witness,
 # then this many random restarts, then all _LOWER_RESTARTS of them; a witness
 # takes at most this many further phase steps before its certificate is formed

@@ -15,8 +15,10 @@ from groupcs.bounds import (
     validate_cross_row_energy,
     validate_gram_concentration,
 )
-from groupcs.grouping import contiguous_1d, draw_bernoulli, rect_2d, strided_1d
+from groupcs.grouping import contiguous_1d, draw_bernoulli, random_groups, rect_2d, strided_1d
+from groupcs.harness import image_to_sparse, synthetic_image, trial_rng
 from groupcs.operators import SupportSet, make_basis, make_ensemble
+from groupcs.pgm import read_pgm, write_pgm
 
 from oracles import cross_gram, cross_row_energy_loop, gram_deviations_loop
 
@@ -179,8 +181,9 @@ def _validator_case(kind):
 
 
 # _CHUNK_ENTRIES: the default takes these cases in one chunk of trials and
-# one span of groups; 160 splits both the trials and the groups; 1 takes one
-# trial and one group at a time
+# forms the per-group terms once; 160 splits the trials and forms the terms
+# in spans, once for the dft case and per chunk for the haar case; 1 takes
+# one trial and one group at a time
 _CHUNKS = [bounds._CHUNK_ENTRIES, 160, 1]
 
 
@@ -211,7 +214,8 @@ def _gram_deviations_dense_lower(e, t, gs, m, trials, rng):
     k = len(t)
     lower = np.tril_indices(k)
     out = []
-    for sums in bounds._selected_sums(e, t, gs, m, trials, rng, t.indices, lower[0] * k + lower[1]):
+    a_t = e.columns(t.indices)
+    for sums in bounds._selected_sums(a_t, a_t, gs, m, trials, rng, lower[0] * k + lower[1]):
         y = np.zeros((len(sums), k, k), dtype=sums.dtype)
         y[:, lower[0], lower[1]] = sums * (e.n / m)
         y[:, np.arange(k), np.arange(k)] -= 1.0
@@ -255,6 +259,110 @@ def test_gram_ties_fail_whatever_the_rounding():
     assert np.all(np.abs(stats.deviations[tie] - 0.5) <= 1e-14)
     assert stats.ties == np.count_nonzero(tie) > 0
     assert stats.fail_rate == np.mean(j != 2)
+
+
+def _spy_spectral_radii(monkeypatch):
+    """Record the number of trials each ``_spectral_radii`` call receives."""
+    rows = []
+    original = bounds._spectral_radii
+
+    def spy(h, k, out):
+        rows.append(len(h))
+        original(h, k, out)
+
+    monkeypatch.setattr(bounds, "_spectral_radii", spy)
+    return rows
+
+
+def _diagonal_witness(e, t, gs, m, trials, rng):
+    """Per trial, max |H_ii| and the sign of that H_ii, one ``draw_bernoulli``
+    trial at a time; and the ceiling max((N/m) lambda_max(A_T^H A_T) - 1, 1)."""
+    a_t = e.columns(t.indices)
+    ceiling = max(e.n / m * np.linalg.eigvalsh(a_t.conj().T @ a_t)[-1] - 1.0, 1.0)
+    diag = np.array([
+        (e.n / m) * np.sum(np.abs(a_t[draw_bernoulli(gs, m, rng).omega]) ** 2, axis=0) - 1.0
+        for _ in range(trials)
+    ])
+    top = np.argmax(np.abs(diag), axis=1)
+    witness = diag[np.arange(trials), top]
+    return np.abs(witness), np.sign(witness), ceiling
+
+
+def _block_unitary(n, cuts, complex_, rng):
+    """A direct sum of QR-of-Gaussian blocks split at ``cuts``, rows and
+    columns permuted: columns of different blocks share no nonzero row."""
+    q = np.zeros((n, n), dtype=np.complex128 if complex_ else np.float64)
+    edges = [0, *sorted(set(cuts)), n]
+    for lo, hi in zip(edges, edges[1:]):
+        z = rng.standard_normal((hi - lo, hi - lo))
+        if complex_:
+            z = z + 1j * rng.standard_normal((hi - lo, hi - lo))
+        q[lo:hi, lo:hi] = np.linalg.qr(z)[0]
+    return q[rng.permutation(n)][:, rng.permutation(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gram_ceiling_witness_matches_trial_loop(data, complex_, seed):
+    # random partitions, supports and m on sparse and dense custom unitaries:
+    # a trial decided by its diagonal witness, or by eigvalsh on the live
+    # entries, has the deviation the dense loop finds
+    n = data.draw(st.sampled_from([4, 6, 8, 12, 16]), label="n")
+    g = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="g")
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=n), label="cuts")
+    k = data.draw(st.integers(1, n), label="k")
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(seed)
+    entries = _block_unitary(n, cuts, complex_, rng)
+    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=entries))
+    gs = random_groups(n, g, seed)
+    t = SupportSet(np.sort(rng.permutation(n)[:k]))
+    stats = validate_gram_concentration(e, t, gs, m, 30, np.random.default_rng(seed))
+    ref = gram_deviations_loop(e, t, gs, m, 30, np.random.default_rng(seed))
+    assert np.all(np.abs(stats.deviations - ref) <= 1e-12 * np.maximum(ref, 1.0))
+    assert stats.fail_rate == np.mean(ref >= 0.5 - bounds._TIE_MARGIN)
+    assert stats.ties == np.count_nonzero(np.abs(ref - 0.5) <= bounds._TIE_MARGIN)
+
+
+def test_gram_ceiling_decides_on_both_sides(monkeypatch):
+    # 8x8 Haar, 2x2 squares: a finest-scale atom lies in one square, so at
+    # m = N/2 (ceiling 1) it has H_ii = +1 when its square is drawn and -1
+    # when it is not; atom 2 spans four squares and atoms 0, 1 and 9 all 16,
+    # so without a finest one most trials go to eigvalsh, as they do at m = N/4
+    # (ceiling 3) unless the finest atom's square is drawn
+    e = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
+    gs = rect_2d(8, 8, 4)
+    a = e.columns(np.arange(64))
+    finest = int(np.flatnonzero(np.count_nonzero(a, axis=0) == 4)[0])
+    rows = _spy_spectral_radii(monkeypatch)
+    for support, m in (([0, 1, 2, finest], 32), ([0, 1, 2, 9], 32), ([0, 1, 2, finest], 16)):
+        t = SupportSet(np.array(sorted(set(support))))
+        rows.clear()
+        stats = validate_gram_concentration(e, t, gs, m, 200, np.random.default_rng(m))
+        ref = gram_deviations_loop(e, t, gs, m, 200, np.random.default_rng(m))
+        witness, side, ceiling = _diagonal_witness(e, t, gs, m, 200, np.random.default_rng(m))
+        decided = witness >= ceiling * (1.0 - bounds._CEILING_MARGIN)
+        assert np.all(np.abs(stats.deviations - ref) <= 1e-12 * np.maximum(ref, 1.0))
+        assert sum(rows) == np.count_nonzero(~decided)
+        if finest in support and m == 32:
+            assert decided.all() and (side > 0).any() and (side < 0).any()
+        else:
+            assert 0 < np.count_nonzero(decided) < 200
+
+
+def test_e2_gram_trials_mostly_decided_by_the_ceiling(tmp_path, monkeypatch):
+    # the E2 validator setting: 32x32 identity/haar2d, rect2d g=8, the
+    # synthetic image's k=51 support, the CLI's stream at master seed 7
+    e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
+    gs = rect_2d(32, 32, 8)
+    write_pgm(tmp_path / "e2.pgm", synthetic_image(32, 32, np.random.default_rng(7)))
+    t = image_to_sparse(read_pgm(tmp_path / "e2.pgm"), 51, e.u)[0]
+    rng = trial_rng(7, "validate-gram", 0, 0)
+    rows = _spy_spectral_radii(monkeypatch)
+    for m, share in ((128, 0.80), (256, 0.95)):
+        rows.clear()
+        validate_gram_concentration(e, t, gs, m, 500, rng)
+        assert 1 - sum(rows) / 500 >= share
 
 
 @settings(max_examples=60, deadline=None)

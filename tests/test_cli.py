@@ -407,15 +407,19 @@ def _set_path(cfg, path, value):
         (("recover", "dump_reconstruction"), 1, "recover.dump_reconstruction"),
         (("support", "draws"), 0, "support.draws"),
         (("support", "indices"), [3, 15, 16], "support.indices"),
+        # as for the sweep, an empty grid is not a request for validate.m
+        (("validate", "m_grid"), [], "validate.m_grid"),
     ],
 )
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     cfg = copy.deepcopy(_SWEEP_BASE)
-    command = "sweep"
+    command = ["sweep"]
     if path[0] == "recover":  # recover takes one structure
-        command, cfg["structures"], cfg["recover"] = "recover", cfg["structures"][:1], {"m": 8}
+        command, cfg["structures"], cfg["recover"] = ["recover"], cfg["structures"][:1], {"m": 8}
+    if path[0] == "validate":  # so does validate
+        command, cfg["structures"], cfg["validate"] = ["validate", "gram"], cfg["structures"][:1], {"m": 8}
     _set_path(cfg, path, value)
-    code, out, err = run_cli([command, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    code, out, err = run_cli([*command, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
     assert code == 2
     assert f"{name} must be" in err and "Traceback" not in err
 
