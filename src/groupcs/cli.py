@@ -33,6 +33,7 @@ from .grouping import (
     strided_1d,
 )
 from .harness import (
+    GAMMA_COLUMNS,
     SignalSpec,
     SolverOptions,
     SupportCase,
@@ -135,7 +136,14 @@ _TOP_KEYS = {
 
 _BASIS_KEYS = {"kind", "levels", "path"}
 _STRUCT_KEYS = {"kind", "g", "seed", "cyclic"}
-_SUPPORT_KEYS = {"model", "k", "channels", "width_frac", "indices", "image", "tile_rows", "tile_cols", "draws"}
+# the keys each source of supports reads: given indices, an image's largest
+# coefficients, or draws from a signal model
+_SUPPORT_SOURCES = {
+    "indices": {"indices"},
+    "image": {"image", "k", "tile_rows", "tile_cols"},
+    "model": {"model", "k", "channels", "width_frac", "draws"},
+}
+_SUPPORT_KEYS = set().union(*_SUPPORT_SOURCES.values())
 _SWEEP_KEYS = {
     "m_grid",
     "step",
@@ -225,6 +233,14 @@ def build_structures(cfg: dict, n: int, rows, cols) -> list[GroupStructure]:
     raise ConfigError("config needs a structure or structures section")
 
 
+def _check_source_keys(section: dict, source: str):
+    """A support key that its source does not read is an error, not ignored."""
+    stray = set(section) - _SUPPORT_SOURCES[source]
+    if stray:
+        origin = "a signal model" if source == "model" else f"support.{source}"
+        raise ConfigError(f"support key(s) {sorted(stray)} do not apply to supports from {origin}")
+
+
 def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCase]:
     section = _require(cfg, "support", "config")
     _check_keys(section, _SUPPORT_KEYS, "support")
@@ -232,12 +248,15 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
         indices = _int_list(section["indices"], "support.indices")
         if any(not 0 <= i < e.n for i in indices):
             raise ConfigError(f"support.indices must be in [0, {e.n}), got {indices}")
+        _check_source_keys(section, "indices")
         t = SupportSet.from_indices(indices)
         c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     if "image" in section:
+        path = _string(section["image"], "support.image")
+        _check_source_keys(section, "image")
         k = _number(_require(section, "k", "support"), "support.k")
-        img = read_pgm(_string(section["image"], "support.image"))
+        img = read_pgm(path)
         tiles = [img]
         names = ["image"]
         tr, tc = (_optional_int(section, key, "support") for key in ("tile_rows", "tile_cols"))
@@ -262,6 +281,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
             t, c0 = image_to_sparse(tile, k, e.u)
             cases.append(SupportCase(t, c0, f"{name}-k{k}"))
         return cases
+    _check_source_keys(section, "model")
     model = section.get("model", "unrestricted")
     k = _number(_require(section, "k", "support"), "support.k")
     draws = _number(section.get("draws", 1), "support.draws")
@@ -367,19 +387,7 @@ def cmd_gamma(args) -> int:
         for sup in supports:
             est = penalty_gamma(e, sup.t, gs, args.mode, seed=seed)
             out_rows.append([gs.label, sup.descriptor, gs.g, e.n, len(sup.t), *gamma_cells(est)])
-    header = [
-        "structure",
-        "support",
-        "g",
-        "n",
-        "k",
-        "gamma_lower",
-        "gamma_upper",
-        "gamma_exact",
-        "gamma_method",
-        "gamma_argmax_group",
-        "gamma_degraded",
-    ]
+    header = ["structure", "support", "g", "n", "k", *GAMMA_COLUMNS]
     _emit(_csv_text(header, out_rows), args.out)
     return 0
 
@@ -460,7 +468,10 @@ def cmd_validate(args) -> int:
         m = _number(_require(section, "m", "validate"), "validate.m")
         t0 = _optional_int(section, "t0", "validate")
         if t0 is None:
-            t0 = int(t.complement(e.n)[0])
+            off = t.complement(e.n)
+            if off.size == 0:
+                raise ConfigError("support covers every index, so no off-support validate.t0 exists")
+            t0 = int(off[0])
         empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
         _emit(
             _csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]),

@@ -435,20 +435,9 @@ def scatter_gamma_vs_m(
     return records
 
 
-_CSV_COLUMNS = (
-    "structure",
-    "support",
-    "gamma_lower",
-    "gamma_upper",
-    "gamma_exact",
-    "gamma_method",
-    "gamma_argmax_group",
-    "gamma_degraded",
-    "m_min",
-    "m0",
-    "trials",
-    "seed",
-)
+# the CSV columns of a penalty factor, in the order gamma_cells writes them
+GAMMA_COLUMNS = ("gamma_lower", "gamma_upper", "gamma_exact", "gamma_method", "gamma_argmax_group")
+_CSV_COLUMNS = ("structure", "support", *GAMMA_COLUMNS, "m_min", "m0", "trials", "seed")
 
 
 def format_float(x: float) -> str:
@@ -456,10 +445,10 @@ def format_float(x: float) -> str:
 
 
 def gamma_cells(est: GammaEstimate) -> list:
-    """A penalty factor's CSV cells: lower, upper, exact ("" when unknown),
-    method, argmax group and degraded (0/1)."""
+    """A penalty factor's CSV cells under GAMMA_COLUMNS: lower, upper, exact
+    ("" when unknown), method and argmax group."""
     exact = "" if est.exact is None else format_float(est.exact)
-    return [format_float(est.lower), format_float(est.upper), exact, est.method, est.argmax_group, int(est.degraded)]
+    return [format_float(est.lower), format_float(est.upper), exact, est.method, est.argmax_group]
 
 
 def records_to_csv(records: list[SweepRecord], fh) -> None:
@@ -493,7 +482,6 @@ def records_from_csv(fh) -> list[SweepRecord]:
             exact=None if vals["gamma_exact"] == "" else float(vals["gamma_exact"]),
             method=vals["gamma_method"],
             argmax_group=int(vals["gamma_argmax_group"]),
-            degraded=bool(int(vals["gamma_degraded"])),
         )
         out.append(
             SweepRecord(

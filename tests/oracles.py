@@ -247,29 +247,6 @@ def norm_2to1_exact_real_loop(m):
     return math.sqrt(best), best_s
 
 
-def bm_primal_loop(q, rank, rng, sweeps=500):
-    """Row-normalized rank-``rank`` coordinate ascent on max tr(q R R^H) from
-    one random start, until the objective stops rising."""
-    g = q.shape[0]
-    r = rng.standard_normal((g, rank))
-    if np.iscomplexobj(q):
-        r = r + 1j * rng.standard_normal((g, rank))
-    r /= np.linalg.norm(r, axis=1, keepdims=True)
-    q_off = q - np.diag(np.diag(q))
-    obj_prev = -np.inf
-    for _ in range(sweeps):
-        for i in range(g):
-            v = q_off[i] @ r
-            nv = np.linalg.norm(v)
-            if nv > 0:
-                r[i] = v / nv
-        obj = float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
-        if obj - obj_prev <= 1e-14 * max(1.0, abs(obj)):
-            break
-        obj_prev = obj
-    return float(np.real(np.einsum("ij,jk,ik->", q, r, r.conj())))
-
-
 @dataclass
 class CertificateReport:
     invertible: bool

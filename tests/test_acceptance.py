@@ -77,7 +77,7 @@ def test_c02_pietsch_sandwich():
         m = normalize_rows(rng.standard_normal((g, k)))
         exact = norm_2to1_exact_real(m)
         lower = norm_2to1_lower(m, restarts=2 ** (g - 1), rng=i)
-        upper = norm_2to1_upper_sdp(m, seed=i)
+        upper = norm_2to1_upper_sdp(m)
         assert lower <= exact + 1e-9
         assert exact <= upper + 1e-9
         assert upper / exact <= KP_REAL + 1e-9

@@ -542,6 +542,38 @@ def test_support_indices_mode(tmp_path, capsys):
     assert "indices-k3" in out
 
 
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ({"indices": [1, 3], "k": 5, "draws": 4, "model": "subband"}, "['draws', 'k', 'model']"),
+        ({"indices": [1, 3], "channels": 3, "width_frac": 0.1}, "['channels', 'width_frac']"),
+        ({"indices": [1, 3], "image": "img.pgm"}, "['image'] do not apply to supports from support.indices"),
+        ({"image": "img.pgm", "k": 5, "draws": 2, "model": "subband"}, "['draws', 'model']"),
+        ({"model": "unrestricted", "k": 3, "tile_rows": 4, "tile_cols": 4}, "['tile_cols', 'tile_rows']"),
+    ],
+)
+def test_support_keys_of_another_source_exit_2(tmp_path, capsys, support, message):
+    # a key the support's source does not read is an error, not ignored
+    cfg = {
+        "ensemble": {"n": 16, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+        "structure": {"kind": "contiguous1d", "g": 4},
+        "support": support,
+    }
+    code, out, err = run_cli(["gamma", "--config", write_config(tmp_path, "s.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "support" in err and message in err and "Traceback" not in err
+
+
+def test_validate_crossrow_on_a_full_support_exits_2(tmp_path, capsys):
+    cfg = copy.deepcopy(_VALIDATE_BASE)
+    cfg["support"] = {"indices": list(range(16))}
+    code, out, err = run_cli(
+        ["validate", "crossrow", "--config", write_config(tmp_path, "full.json", cfg)], capsys
+    )
+    assert code == 2 and out == ""
+    assert "support covers every index" in err and "t0" in err and "Traceback" not in err
+
+
 def test_image_support_via_pgm(tmp_path, capsys):
     from groupcs.harness import synthetic_image
 
