@@ -54,7 +54,6 @@ from .harness import (
     random_coefficients,
     records_from_csv,
     records_to_csv,
-    run_trials,
     scatter_gamma_vs_m,
     synthetic_image,
     trial_verdicts,

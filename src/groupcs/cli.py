@@ -38,6 +38,7 @@ from .harness import (
     SolverOptions,
     SupportCase,
     SweepConfig,
+    _draw_trials,
     default_m_grid,
     draw_support,
     format_float,
@@ -45,13 +46,12 @@ from .harness import (
     image_to_sparse,
     random_coefficients,
     records_to_csv_text,
-    run_trials,
     scatter_gamma_vs_m,
     trial_rng,
 )
 from .operators import SupportSet, make_basis, make_ensemble
-from .pgm import read_pgm
-from .recovery import nre
+from .pgm import read_pgm, write_pgm
+from .recovery import nre, solve_trials
 
 
 class ConfigError(ValueError):
@@ -150,7 +150,6 @@ _SWEEP_KEYS = {
     "trials_per_m",
     "success_nre",
     "success_quota",
-    "fresh_coefficients",
 }
 _SOLVER_KEYS = {"tol_feas", "max_iters"}
 _BOUNDS_KEYS = {"n", "t_size", "mu", "gamma", "delta", "const"}
@@ -287,13 +286,13 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     draws = _number(section.get("draws", 1), "support.draws")
     if draws < 1:
         raise ConfigError(f"support.draws must be at least 1, got {draws}")
-    spec = SignalSpec(
-        n=e.n,
-        k=k,
-        support_model=model,
-        channel_count=_number(section.get("channels", 2), "support.channels"),
-        channel_width_frac=_number(section.get("width_frac", 0.05), "support.width_frac", float),
-    )
+    channels = _number(section.get("channels", 2), "support.channels")
+    if channels < 1:
+        raise ConfigError(f"support.channels must be at least 1, got {channels}")
+    width_frac = _number(section.get("width_frac", 0.05), "support.width_frac", float)
+    if not 0 < width_frac <= 1:
+        raise ConfigError(f"support.width_frac must be in (0, 1], got {width_frac!r}")
+    spec = SignalSpec(n=e.n, k=k, support_model=model, channel_count=channels, channel_width_frac=width_frac)
     cases = []
     for d in range(draws):
         rng = trial_rng(master_seed, "support-draw", 0, d)
@@ -320,7 +319,6 @@ def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConf
         success_nre=_number(section.get("success_nre", 1e-3), "sweep.success_nre", float),
         success_quota=_number(section.get("success_quota", 0.99), "sweep.success_quota", float),
         master_seed=master_seed,
-        fresh_coefficients=_flag(section, "fresh_coefficients", "sweep", True),
     )
     return _checked(SweepConfig, fields, "sweep")
 
@@ -495,7 +493,8 @@ def cmd_gen_groups(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    """Solve trial 0 of the sweep's stream at m for each support with ADMM.
+    """Solve each support's own c0, measured on the rows of trial 0 of the
+    sweep's stream at m, with ADMM.
 
     Unlike a sweep trial it is never decided by proof, because its output is
     the reconstruction itself: error, feasibility, objective and iterations.
@@ -512,21 +511,11 @@ def cmd_recover(args) -> int:
     solver = build_solver(cfg)
     out_rows = []
     for idx, sup in enumerate(supports):
-        # trial 0 of the sweep's stream at m, measuring the support's own c0
-        _, (res,) = run_trials(
-            e,
-            gs,
-            sup.t,
-            sup.c0,
-            m,
-            range(1),
-            master_seed=seed,
-            fresh_coefficients=False,
-            solver=solver,
-        )
+        # the rows of trial 0 of the sweep's stream at m, measuring the
+        # support's own c0
+        omegas, _ = _draw_trials(e, gs, sup.t, m, range(1), seed)
+        (res,), _ = solve_trials(e, omegas, sup.c0[None], solver, verdicts=False)
         if dump is not None:
-            from .pgm import write_pgm
-
             img = np.real(e.u.synthesize(res.c_hat)).reshape(rows, cols)
             path = dump if len(supports) == 1 else f"{dump}.{idx}.pgm"
             write_pgm(path, img)
@@ -603,18 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError, IndexError) as exc:
         print(f"groupcs: error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return run_cli(argv)
 
 
 if __name__ == "__main__":

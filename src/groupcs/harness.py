@@ -20,14 +20,7 @@ import numpy as np
 from .gamma import GammaEstimate, penalty_gamma
 from .grouping import GroupStructure, draw_uniform, singletons
 from .operators import MeasurementEnsemble, OrthonormalBasis, SupportSet
-from .recovery import (  # harness.SolverOptions stays public
-    VERDICT_ROUTES,
-    RecoveryResult,
-    SolverOptions,
-    TrialPool,
-    nre,
-    solve_trials,
-)
+from .recovery import VERDICT_ROUTES, SolverOptions, TrialPool, nre  # harness.SolverOptions stays public
 
 SUPPORT_MODELS = ("unrestricted", "subband")
 
@@ -124,7 +117,6 @@ class SweepConfig:
     success_nre: float = 1e-3
     success_quota: float = 0.99
     master_seed: int = 0
-    fresh_coefficients: bool = True
 
     def __post_init__(self):
         grid = tuple(int(m) for m in self.m_grid)
@@ -185,18 +177,16 @@ def _draw_trials(
     e: MeasurementEnsemble,
     structure: GroupStructure | None,
     t: SupportSet,
-    c0: np.ndarray,
     m: int,
     trials: range,
     master_seed: int,
-    fresh_coefficients: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (one row of indices per trial) and true coefficients of the trials.
 
-    Trial j draws its rows and then, when ``fresh_coefficients`` is set, its
-    coefficients from ``trial_rng(master_seed, label, m, j)``; otherwise it
-    measures ``c0``.  ``structure=None`` samples m rows uniformly at random
-    (label ``direct_index``), else whole groups are drawn.
+    Trial j draws its rows and then its coefficients from
+    ``trial_rng(master_seed, label, m, j)``.  ``structure=None`` samples m
+    rows uniformly at random (label ``direct_index``), else whole groups are
+    drawn.
     """
     label = "direct_index" if structure is None else structure.label
     omegas, coeffs = [], []
@@ -206,53 +196,25 @@ def _draw_trials(
             omegas.append(np.sort(rng.permutation(e.n)[:m]))
         else:
             omegas.append(draw_uniform(structure, m, rng).omega)
-        coeffs.append(random_coefficients(e, t, rng) if fresh_coefficients else c0)
+        coeffs.append(random_coefficients(e, t, rng))
     return np.array(omegas), np.array(coeffs)
-
-
-def run_trials(
-    e: MeasurementEnsemble,
-    structure: GroupStructure | None,
-    t: SupportSet,
-    c0: np.ndarray,
-    m: int,
-    trials: range,
-    *,
-    master_seed: int = 0,
-    fresh_coefficients: bool = True,
-    solver: SolverOptions | None = None,
-) -> tuple[np.ndarray, list[RecoveryResult]]:
-    """Draw the given trials at m (as ``trial_verdicts`` does) and solve every
-    one of them in one block.
-
-    Returns the true coefficients (one row per trial) and the recovery
-    results.  This is the path of the ``recover`` command, which reports the
-    reconstruction, its iterations and its objective: every trial runs
-    ``solve_trials`` without verdicts, to convergence or to ``max_iters``,
-    and never stops on a proof.  Sweeps take their verdicts from
-    ``trial_verdicts`` instead.
-    """
-    omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
-    return coeffs, solve_trials(e, omegas, coeffs, solver, verdicts=False)[0]
 
 
 def trial_verdicts(
     e: MeasurementEnsemble,
     structure: GroupStructure | None,
     t: SupportSet,
-    c0: np.ndarray,
     m: int,
     trials: range,
     *,
     master_seed: int = 0,
-    fresh_coefficients: bool = True,
     success_nre: float = 1e-3,
     solver: SolverOptions | None = None,
 ) -> list[tuple[bool, str]]:
     """Success of each trial and the route that decided it, one of
     ``VERDICT_ROUTES``.
 
-    Trials are drawn as in ``run_trials`` and decided together in a
+    Trials are drawn by ``_draw_trials`` and decided together in a
     ``recovery.TrialPool``, which stops each trial at the first proof, as
     ``recovery.solve_trials`` with verdicts does: "rank_deficient" (a failure:
     the true coefficients are not an l1 minimizer), "certified" (a success:
@@ -260,22 +222,20 @@ def trial_verdicts(
     with no iteration), "dual" (a success: a certificate built from the ADMM
     dual iterate proves it), or "descent" (a failure: an iterate proves a
     feasible point of smaller l1 norm).  A proved verdict holds even where
-    ``run_trials`` would exhaust its iteration budget.  The other trials are
-    "solved" and succeed when the normalized error is at most
+    a solve without verdicts would exhaust its iteration budget.  The other
+    trials are "solved" and succeed when the normalized error is at most
     ``success_nre``.
     """
-    request = _verdicts(
-        e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre
-    )
+    request = _verdicts(e, structure, t, m, trials, master_seed, success_nre)
     return TrialPool(e, solver, verdicts=True).run([request])[0]
 
 
-def _verdicts(e, structure, t, c0, m, trials, master_seed, fresh_coefficients, success_nre):
+def _verdicts(e, structure, t, m, trials, master_seed, success_nre):
     """Request of ``trial_verdicts`` for ``TrialPool.run``: once there is
     room, yields the drawn rows and coefficients of the trials, receives
     their results and routes, and returns the verdicts."""
     yield  # wait for room in the pool before drawing
-    omegas, coeffs = _draw_trials(e, structure, t, c0, m, trials, master_seed, fresh_coefficients)
+    omegas, coeffs = _draw_trials(e, structure, t, m, trials, master_seed)
     results, routes = yield omegas, coeffs
     # by unitarity of the sparsity basis this equals the signal-domain error
     return [
@@ -302,7 +262,6 @@ def find_min_m(
     e: MeasurementEnsemble,
     gs: GroupStructure,
     t: SupportSet,
-    c0: np.ndarray,
     cfg: SweepConfig,
     *,
     solver: SolverOptions | None = None,
@@ -318,7 +277,7 @@ def find_min_m(
     chunk.
     """
     _check_grid(gs, cfg)
-    return TrialPool(e, solver, verdicts=True).run([_sweep(e, gs, t, c0, cfg)])[0]
+    return TrialPool(e, solver, verdicts=True).run([_sweep(e, gs, t, cfg)])[0]
 
 
 def _check_grid(gs: GroupStructure, cfg: SweepConfig):
@@ -329,7 +288,7 @@ def _check_grid(gs: GroupStructure, cfg: SweepConfig):
                              f"of the group size {gs.g} in [{gs.g}, {gs.n}]")
 
 
-def _sweep(e, gs, t, c0, cfg: SweepConfig):
+def _sweep(e, gs, t, cfg: SweepConfig):
     """Request of ``find_min_m`` for ``TrialPool.run``; returns the
     MinMResult."""
     if len(t) == 0:
@@ -341,10 +300,7 @@ def _sweep(e, gs, t, c0, cfg: SweepConfig):
         successes = executed = 0
         routes = dict.fromkeys(VERDICT_ROUTES, 0)
         for chunk in _trial_chunks(cfg.trials_per_m):
-            verdicts = yield from _verdicts(
-                e, gs, t, c0, m, chunk,
-                cfg.master_seed, cfg.fresh_coefficients, cfg.success_nre,
-            )
+            verdicts = yield from _verdicts(e, gs, t, m, chunk, cfg.master_seed, cfg.success_nre)
             for ok, route in verdicts:
                 successes += ok
                 routes[route] += 1
@@ -363,6 +319,9 @@ def _sweep(e, gs, t, c0, cfg: SweepConfig):
 
 @dataclass(frozen=True)
 class SupportCase:
+    """A support, its own coefficients c0 (the signal ``recover`` measures;
+    sweep trials draw their own) and its name in the CSV rows."""
+
     t: SupportSet
     c0: np.ndarray
     descriptor: str
@@ -416,7 +375,7 @@ def scatter_gamma_vs_m(
     jobs = [(base, sup) for sup in baseline.values()]
     jobs += [(gs, sup) for sup in supports for gs in structures if gs.label != base.label]
     pool = TrialPool(e, solver, verdicts=True)
-    results = iter(pool.run([_sweep(e, gs, sup.t, sup.c0, cfg) for gs, sup in jobs]))
+    results = iter(pool.run([_sweep(e, gs, sup.t, cfg) for gs, sup in jobs]))
     m0 = {descriptor: next(results).m_min for descriptor in baseline}
     records = []
     for sup, row in zip(supports, gammas):

@@ -191,14 +191,12 @@ def test_c08_qualitative_replication_desk_scale():
     for d in range(10):
         rng = trial_rng(11, "accept8-support", 0, d)
         t = draw_support(spec, rng)
-        c0 = np.zeros(n, dtype=complex)
-        c0[t.indices] = rng.uniform(-1, 1, k)
         gamma_wins += (
             penalty_gamma(e, t, contig, seed=d).upper
             > penalty_gamma(e, t, strided, seed=d).upper
         )
-        mc = find_min_m(e, contig, t, c0, cfg, solver=solver).m_min
-        ms = find_min_m(e, strided, t, c0, cfg, solver=solver).m_min
+        mc = find_min_m(e, contig, t, cfg, solver=solver).m_min
+        ms = find_min_m(e, strided, t, cfg, solver=solver).m_min
         m_wins += (math.inf if mc is None else mc) >= (math.inf if ms is None else ms)
     assert gamma_wins >= 8, gamma_wins
     assert m_wins >= 7, m_wins
@@ -215,11 +213,9 @@ def test_c09_singleton_equivalence():
     assert est.exact == 1.0  # each normalized row is a unit scalar
     rng = trial_rng(9, "accept9-support", 0, 0)
     t = SupportSet(np.sort(rng.permutation(n)[:k]))
-    c0 = np.zeros(n, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, k)
     # every trial draws from its own stream: one call decides each as a sweep would
     s_direct, s_single = (
-        sum(ok for ok, _ in trial_verdicts(e, gs, t, c0, m, range(trials), master_seed=seed))
+        sum(ok for ok, _ in trial_verdicts(e, gs, t, m, range(trials), master_seed=seed))
         for gs, seed in ((None, 112), (base, 212))
     )
     p = two_proportion_fisher_pvalue(s_direct, trials, s_single, trials)

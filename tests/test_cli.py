@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcs import cli
 from groupcs.cli import main
 from groupcs.harness import records_from_csv
 from groupcs.pgm import read_pgm, write_pgm
@@ -213,6 +215,42 @@ def test_recover_command(tmp_path, capsys):
     assert cells["converged"] == "1"
 
 
+def test_recover_solves_the_support_c0_on_trial_0_rows(tmp_path, capsys):
+    # each row is the support's own c0, measured on the rows of trial 0 of
+    # the sweep's stream at m and solved without verdicts
+    from groupcs.grouping import draw_uniform
+    from groupcs.harness import format_float, trial_rng
+    from groupcs.recovery import nre, solve_trials
+
+    m, seed = 16, 5
+    path = write_config(tmp_path, "r.json", {
+        "ensemble": {"n": 32, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+        "structure": {"kind": "contiguous1d", "g": 4},
+        "support": {"model": "unrestricted", "k": 5, "draws": 3},
+        "recover": {"m": m},
+        "solver": {"max_iters": 3000},
+        "seeds": {"master": seed},
+    })
+    code, out, err = run_cli(["recover", "--config", path], capsys)
+    assert code == 0, err
+    cfg = cli.load_config(path)
+    e, rows, cols, _ = cli.build_ensemble(cfg)
+    (gs,) = cli.build_structures(cfg, e.n, rows, cols)
+    omega = draw_uniform(gs, m, trial_rng(seed, gs.label, m, 0)).omega
+    supports, solver = cli.build_supports(cfg, e, rows, cols, seed), cli.build_solver(cfg)
+    got = list(csv.DictReader(io.StringIO(out)))
+    assert len(got) == len(supports) == 3
+    for row, sup in zip(got, supports):
+        (res,), _ = solve_trials(e, omega[None], sup.c0[None], solver, verdicts=False)
+        assert row["support"] == sup.descriptor
+        assert (row["iterations"], row["objective"], row["nre"], row["feas_residual"]) == (
+            str(res.iterations),
+            format_float(res.objective),
+            format_float(nre(sup.c0, res.c_hat)),
+            format_float(res.feas_residual),
+        )
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"bogus": 1})
     code, out, err = run_cli(["bounds", "--config", cfg], capsys)
@@ -314,6 +352,7 @@ def test_threads_option_is_unknown(tmp_path, capsys):
         (("solver", "tol_obj"), 1e-6),
         (("structures", 1, "orientation"), "vertical"),
         (("sweep", "early_stop"), False),
+        (("sweep", "fresh_coefficients"), False),
     ],
 )
 def test_removed_config_keys_exit_2(tmp_path, capsys, path, value):
@@ -399,7 +438,6 @@ def _set_path(cfg, path, value):
         (("solver", "tol_feas"), -1, "solver.tol_feas"),
         (("solver", "tol_feas"), float("nan"), "solver.tol_feas"),
         (("sweep", "success_nre"), float("nan"), "sweep.success_nre"),
-        (("sweep", "fresh_coefficients"), "false", "sweep.fresh_coefficients"),
         (("structures", 1, "cyclic"), "false", "structure.cyclic"),
         (("ensemble", "measurement"), {"kind": "custom", "path": 5}, "ensemble.measurement.path"),
         (("ensemble", "sparsity"), {"kind": "custom", "path": 5}, "ensemble.sparsity.path"),
@@ -407,6 +445,9 @@ def _set_path(cfg, path, value):
         (("recover", "dump_reconstruction"), 1, "recover.dump_reconstruction"),
         (("support", "draws"), 0, "support.draws"),
         (("support", "indices"), [3, 15, 16], "support.indices"),
+        (("support", "channels"), 0, "support.channels"),
+        (("support", "width_frac"), 0, "support.width_frac"),
+        (("support", "width_frac"), 1.5, "support.width_frac"),
         # as for the sweep, an empty grid is not a request for validate.m
         (("validate", "m_grid"), [], "validate.m_grid"),
     ],
@@ -441,7 +482,6 @@ _FUZZ_PATHS = [
     ("sweep", "m_grid"),
     ("sweep", "success_quota"),
     ("sweep", "success_nre"),
-    ("sweep", "fresh_coefficients"),
     ("solver", "max_iters"),
     ("solver", "tol_feas"),
     ("seeds", "master"),
@@ -768,7 +808,7 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
     # the E2 sweep (32x32 Haar image, k=51, rect2d and cyclic spiral2d with
     # g=8, grid 64/256/1024, seed 7): every verdict is proved at iteration 0,
     # and no ADMM iteration runs
-    from groupcs import harness, recovery
+    from groupcs import recovery
 
     workloads = _bench_workloads(monkeypatch)
     cfg = workloads.e2_sweep_config(7, tmp_path)
@@ -777,7 +817,6 @@ def test_sweep_pins_e2_verdicts(tmp_path, capsys, monkeypatch):
     def admm_ran(*args, **kwargs):
         pytest.fail("ADMM ran")
 
-    monkeypatch.setattr(harness, "solve_trials", admm_ran)
     monkeypatch.setattr(recovery._Block, "step", admm_ran)
     code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "e2.json", cfg)], capsys)
     assert code == 0, err
@@ -855,3 +894,26 @@ def test_no_command_reads_the_dense_a(tmp_path, capsys, monkeypatch):
                 outputs.append(dump.read_bytes() if dump.exists() else b"")
                 runs.append(outputs)
         assert runs[0] == runs[1]
+
+
+def _readme_configs():
+    """The README's configuration block, its // comments stripped, and its
+    narrowband sweep example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", text, re.S)
+    (example,) = re.findall(r"cat > fig\.json <<'EOF'\n(.*?)\nEOF\n", text, re.S)
+    return {"jsonc": re.sub(r"//.*", "", block), "narrowband": example}
+
+
+@pytest.mark.parametrize("name", ["jsonc", "narrowband"])
+def test_readme_configs_load(tmp_path, name):
+    # a key removed from the program and left in the README fails here
+    path = tmp_path / f"{name}.json"
+    path.write_text(_readme_configs()[name])
+    cfg = cli.load_config(path)
+    seed = cli.master_seed_of(cfg, None)
+    e, rows, cols, _ = cli.build_ensemble(cfg)
+    structures = cli.build_structures(cfg, e.n, rows, cols)
+    assert cli.build_supports(cfg, e, rows, cols, seed)
+    cli.build_sweep_config(cfg, e.n, max(gs.g for gs in structures), seed)
+    cli.build_solver(cfg)

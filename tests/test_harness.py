@@ -30,7 +30,6 @@ from groupcs.harness import (
     random_coefficients,
     records_from_csv,
     records_to_csv_text,
-    run_trials,
     scatter_gamma_vs_m,
     synthetic_image,
     trial_rng,
@@ -143,10 +142,8 @@ def test_find_min_m_full_sampling_always_succeeds():
     gs = strided_1d(32, 4)
     rng = np.random.default_rng(4)
     t = SupportSet(np.sort(rng.permutation(32)[:3]))
-    c0 = np.zeros(32, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, 3)
     cfg = SweepConfig(m_grid=(32,), trials_per_m=5, success_quota=1.0, master_seed=1)
-    res = find_min_m(e, gs, t, c0, cfg)
+    res = find_min_m(e, gs, t, cfg)
     assert res.m_min == 32
     assert res.per_m[0].successes == 5
 
@@ -159,12 +156,10 @@ def test_find_min_m_trial_count_audit():
     gs = strided_1d(32, 4)
     rng = np.random.default_rng(5)
     t = SupportSet(np.sort(rng.permutation(32)[:3]))
-    c0 = np.zeros(32, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, 3)
     cfg = SweepConfig(m_grid=(8, 16, 32), trials_per_m=12, success_quota=0.75, master_seed=2)
-    res = find_min_m(e, gs, t, c0, cfg)
+    res = find_min_m(e, gs, t, cfg)
     for stats in res.per_m:
-        verdicts = trial_verdicts(e, gs, t, c0, stats.m, range(12), master_seed=2)
+        verdicts = trial_verdicts(e, gs, t, stats.m, range(12), master_seed=2)
         ends = [r.stop for r in _trial_chunks(12)]
         successes = [sum(ok for ok, _ in verdicts[:n]) for n in ends]
         decided = [n for n, ok in zip(ends, successes) if n - ok > 3 or ok >= 9]
@@ -184,10 +179,8 @@ def test_find_min_m_grid_bounds():
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
     t = SupportSet(np.array([1]))
-    c0 = np.zeros(32, dtype=complex)
-    c0[1] = 1.0
     with pytest.raises(ValueError):
-        find_min_m(e, gs, t, c0, SweepConfig(m_grid=(2, 32), master_seed=0))
+        find_min_m(e, gs, t, SweepConfig(m_grid=(2, 32), master_seed=0))
 
 
 def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
@@ -207,7 +200,7 @@ def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
     with pytest.raises(ValueError, match=message):
         scatter_gamma_vs_m(e, structures, [SupportCase(t, c0, "d0")], cfg)
     with pytest.raises(ValueError, match=message):
-        find_min_m(e, structures[1], t, c0, cfg)
+        find_min_m(e, structures[1], t, cfg)
 
 
 def test_sweep_pins_dft2d_verdicts():
@@ -218,9 +211,8 @@ def test_sweep_pins_dft2d_verdicts():
     for seed, m_mins in pinned.items():
         rng = np.random.default_rng(seed)
         t = SupportSet(np.sort(rng.permutation(256)[:8]))
-        c0 = random_coefficients(e, t, rng)
         cfg = SweepConfig(m_grid=default_m_grid(256, 16, 16), master_seed=seed)
-        assert [find_min_m(e, gs, t, c0, cfg).m_min for gs in structures] == m_mins
+        assert [find_min_m(e, gs, t, cfg).m_min for gs in structures] == m_mins
 
 
 def test_pipeline_grouping_hurts_narrowband():
@@ -243,10 +235,8 @@ def test_pipeline_grouping_hurts_narrowband():
     for d in range(10):
         rng = trial_rng(5, "pipeline-support", 0, d)
         t = draw_support(spec, rng)
-        c0 = np.zeros(n, dtype=complex)
-        c0[t.indices] = rng.uniform(-1, 1, len(t))
-        m_grouped = find_min_m(e, gs_contig, t, c0, cfg, solver=solver).m_min
-        m_base = find_min_m(e, base, t, c0, cfg, solver=solver).m_min
+        m_grouped = find_min_m(e, gs_contig, t, cfg, solver=solver).m_min
+        m_base = find_min_m(e, base, t, cfg, solver=solver).m_min
         mg = math.inf if m_grouped is None else m_grouped
         mb = math.inf if m_base is None else m_base
         if mg > mb:
@@ -306,19 +296,17 @@ def test_success_rate_direct_vs_singleton_same_law():
     e = _dft_ensemble(n)
     rng = np.random.default_rng(9)
     t = SupportSet(np.sort(rng.permutation(n)[:4]))
-    c0 = np.zeros(n, dtype=complex)
-    c0[t.indices] = rng.uniform(-1, 1, 4)
-    s_direct = _successes(e, None, t, c0, m, 60, master_seed=10)
-    s_single = _successes(e, singletons(n), t, c0, m, 60, master_seed=11)
+    s_direct = _successes(e, None, t, m, 60, master_seed=10)
+    s_single = _successes(e, singletons(n), t, m, 60, master_seed=11)
     from oracles import two_proportion_fisher_pvalue
 
     assert two_proportion_fisher_pvalue(s_direct, 60, s_single, 60) >= 0.05
 
 
-def _successes(e, structure, t, c0, m, trials, **kw):
+def _successes(e, structure, t, m, trials, **kw):
     # every trial draws from its own stream, so one call decides each
     # trial as a sweep's chunks would
-    return sum(ok for ok, _ in trial_verdicts(e, structure, t, c0, m, range(trials), **kw))
+    return sum(ok for ok, _ in trial_verdicts(e, structure, t, m, range(trials), **kw))
 
 
 def test_trial_rng_stable_streams():
@@ -359,7 +347,7 @@ def test_trial_chunk_schedule():
     assert [i for r in _trial_chunks(70) for i in r] == list(range(70))
 
 
-def _find_min_m_trial_by_trial(e, gs, t, c0, cfg):
+def _find_min_m_trial_by_trial(e, gs, t, cfg):
     # one basis_pursuit solve per trial, run to convergence (a proved sweep
     # verdict does not depend on the sweep's iteration budget), stopping at
     # the deciding trial
@@ -403,8 +391,8 @@ def _sweep_case(kind):
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_find_min_m_matches_trial_by_trial_loop(kind):
     e, gs, t, cfg, solver = _sweep_case(kind)
-    res = find_min_m(e, gs, t, None, cfg, solver=solver)
-    ref = _find_min_m_trial_by_trial(e, gs, t, None, cfg)
+    res = find_min_m(e, gs, t, cfg, solver=solver)
+    ref = _find_min_m_trial_by_trial(e, gs, t, cfg)
     assert [(s.m, s.success) for s in res.per_m] == ref
     assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
     assert len(ref) > 1  # the sweep crosses at least one failing grid value
@@ -417,8 +405,8 @@ def test_pooled_sweeps_match_one_at_a_time(kind):
     e, gs, t, cfg, solver = _sweep_case(kind)
     other = contiguous_1d(64, 4) if kind == "dft" else lines_2d(8, 8, 4, "vertical")
     pool = recovery.TrialPool(e, solver, verdicts=True)
-    pooled = pool.run([harness._sweep(e, s, t, None, cfg) for s in (gs, other)])
-    alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in (gs, other)]
+    pooled = pool.run([harness._sweep(e, s, t, cfg) for s in (gs, other)])
+    alone = [find_min_m(e, s, t, cfg, solver=solver) for s in (gs, other)]
     assert pooled == alone
     assert all(len(res.per_m) > 1 for res in alone)
 
@@ -432,7 +420,7 @@ def test_full_pool_starts_requests_in_turn(kind, budget, monkeypatch):
     e, gs, t, cfg, solver = _sweep_case(kind)
     others = [contiguous_1d(64, 4), singletons(64)] if kind == "dft" else [
         lines_2d(8, 8, 4, "vertical"), lines_2d(8, 8, 4, "horizontal")]
-    alone = [find_min_m(e, s, t, None, cfg, solver=solver) for s in [gs, *others]]
+    alone = [find_min_m(e, s, t, cfg, solver=solver) for s in [gs, *others]]
     monkeypatch.setattr(recovery, "_LIVE_ENTRIES", budget)
     tags, submit = [], recovery.TrialPool._submit
 
@@ -443,7 +431,7 @@ def test_full_pool_starts_requests_in_turn(kind, budget, monkeypatch):
 
     monkeypatch.setattr(recovery.TrialPool, "_submit", recorded)
     pool = recovery.TrialPool(e, solver, verdicts=True)
-    pooled = pool.run([harness._sweep(e, s, t, None, cfg) for s in [gs, *others]])
+    pooled = pool.run([harness._sweep(e, s, t, cfg) for s in [gs, *others]])
     assert pooled == alone
     assert tags[:3] == [0, 1, 2]
 
@@ -489,9 +477,7 @@ def test_proved_verdicts_agree_with_solver(kind):
     routes = dict.fromkeys(VERDICT_ROUTES, 0)
     for m in cfg.m_grid:
         trials = range(cfg.trials_per_m)
-        verdicts = trial_verdicts(
-            e, gs, t, None, m, trials, master_seed=cfg.master_seed, solver=solver
-        )
+        verdicts = trial_verdicts(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
         for j, (ok, route) in zip(trials, verdicts):
             routes[route] += 1
             if route == "solved":
@@ -513,27 +499,25 @@ def test_recover_path_never_stops_on_descent():
     # rule decides some verdict
     e, gs, t, cfg, solver = _sweep_case("dft")
     m, trials = 16, range(20)
-    kw = dict(master_seed=cfg.master_seed, solver=solver)
-    verdicts = trial_verdicts(e, gs, t, None, m, trials, **kw)
+    verdicts = trial_verdicts(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
     assert {"certified", "dual", "descent", "solved"} <= {route for _, route in verdicts}
-    coeffs, results = run_trials(e, gs, t, None, m, trials, **kw)
-    omegas = np.array([draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
-                       for j in trials])
+    # the recover path: the sweep's draws, solved without verdicts
+    omegas, coeffs = harness._draw_trials(e, gs, t, m, trials, cfg.master_seed)
+    assert np.array_equal(omegas, [draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
+                                   for j in trials])
     full, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     stopped, routes = solve_trials(e, omegas, coeffs, solver, verdicts=True)
     assert [route for _, route in verdicts] == list(routes)
-    for r, ref, early, route in zip(results, full, stopped, routes):
-        assert np.array_equal(r.c_hat, ref.c_hat)
-        assert (r.iterations, r.converged, r.objective) == (
-            ref.iterations, ref.converged, ref.objective
-        )
+    for r, early, route in zip(full, stopped, routes):
         if route in ("certified", "rank_deficient"):  # decided before any iteration
             assert early is None and r.iterations > 0
         elif route in ("dual", "descent"):
             assert r.iterations > early.iterations
         else:  # the verdict path solves an undecided trial exactly as recover does
-            assert np.array_equal(early.c_hat, ref.c_hat)
-            assert early.iterations == ref.iterations
+            assert np.array_equal(early.c_hat, r.c_hat)
+            assert (early.iterations, early.converged, early.objective) == (
+                r.iterations, r.converged, r.objective
+            )
 
 
 def test_zero_column_refutation_matches_qr_path(monkeypatch):
@@ -547,8 +531,8 @@ def test_zero_column_refutation_matches_qr_path(monkeypatch):
     kw = dict(master_seed=1, solver=SolverOptions())
 
     def run():
-        sweeps = [find_min_m(e, gs, t, c0, cfg) for gs in structures]
-        verdicts = [trial_verdicts(e, gs, t, c0, m, range(24), **kw) for gs in structures for m in (64, 256)]
+        sweeps = [find_min_m(e, gs, t, cfg) for gs in structures]
+        verdicts = [trial_verdicts(e, gs, t, m, range(24), **kw) for gs in structures for m in (64, 256)]
         return sweeps, verdicts
 
     sweeps, verdicts = run()
