@@ -273,7 +273,7 @@ def validate_cross_row_energy(
     if not 0 <= m <= e.n:
         raise ValueError(f"m={m} out of range [0, {e.n}]")
     if gamma_value is None:
-        gamma_value = penalty_gamma(e, t, gs, "auto").value
+        gamma_value = penalty_gamma(e, t, gs).value
     # mean of the row over the Bernoulli draw: (m/n) times the full-A row,
     # which is zero for exactly orthogonal columns but kept for honesty
     a_t0, a_t = e.columns([t0]), e.columns(t.indices)

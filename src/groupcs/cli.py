@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .gamma import GAMMA_MODES, penalty_gamma
+from .gamma import penalty_gamma
 from .grouping import (
     GroupStructure,
     contiguous_1d,
@@ -108,6 +108,12 @@ def _seed(value, name: str) -> int:
     if seed < 0:
         raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
     return seed
+
+
+def _bounded(value: int, name: str, lo: int, hi: int) -> int:
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def _optional_int(section: dict, key: str, where: str):
@@ -383,7 +389,7 @@ def cmd_gamma(args) -> int:
     out_rows = []
     for gs in structures:
         for sup in supports:
-            est = penalty_gamma(e, sup.t, gs, args.mode, seed=seed)
+            est = penalty_gamma(e, sup.t, gs, seed=seed)
             out_rows.append([gs.label, sup.descriptor, gs.g, e.n, len(sup.t), *gamma_cells(est)])
     header = ["structure", "support", "g", "n", "k", *GAMMA_COLUMNS]
     _emit(_csv_text(header, out_rows), args.out)
@@ -395,15 +401,7 @@ def cmd_sweep(args) -> int:
     g = max(gs.g for gs in structures)
     sweep_cfg = build_sweep_config(cfg, e.n, g, seed)
     solver = build_solver(cfg)
-    records = scatter_gamma_vs_m(
-        e,
-        structures,
-        supports,
-        sweep_cfg,
-        mode=args.mode,
-        solver=solver,
-        gamma_seed=seed,
-    )
+    records = scatter_gamma_vs_m(e, structures, supports, sweep_cfg, solver=solver, gamma_seed=seed)
     _emit(records_to_csv_text(records), args.out)
     return 0
 
@@ -437,13 +435,16 @@ def cmd_validate(args) -> int:
     section = _require(cfg, "validate", "config")
     _check_keys(section, _VALIDATE_KEYS, "validate")
     trials = _number(section.get("trials", 500), "validate.trials")
+    if trials < 1:
+        raise ConfigError(f"validate.trials must be at least 1, got {trials}")
     rng = trial_rng(seed, f"validate-{args.target}", 0, 0)
     if args.target == "gram":
         grid = section.get("m_grid")
         if grid is None:
-            grid = [_number(_require(section, "m", "validate"), "validate.m")]
+            grid = [_bounded(_number(_require(section, "m", "validate"), "validate.m"), "validate.m", 1, e.n)]
         else:
-            grid = _int_list(grid, "validate.m_grid")
+            grid = [_bounded(m, f"validate.m_grid[{i}]", 1, e.n)
+                    for i, m in enumerate(_int_list(grid, "validate.m_grid"))]
         # an empty grid is an error, not a request for validate.m
         if not grid:
             raise ConfigError("validate.m_grid must be a nonempty list of integers, got []")
@@ -463,7 +464,7 @@ def cmd_validate(args) -> int:
         _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev", "ties"], out_rows), args.out)
         return 0
     if args.target == "crossrow":
-        m = _number(_require(section, "m", "validate"), "validate.m")
+        m = _bounded(_number(_require(section, "m", "validate"), "validate.m"), "validate.m", 0, e.n)
         t0 = _optional_int(section, "t0", "validate")
         if t0 is None:
             off = t.complement(e.n)
@@ -503,6 +504,8 @@ def cmd_recover(args) -> int:
     section = cfg.get("recover", {})
     _check_keys(section, _RECOVER_KEYS, "recover")
     m = _number(_require(section, "m", "recover"), "recover.m")
+    if not (0 <= m <= e.n and m % gs.g == 0):
+        raise ConfigError(f"recover.m must be a multiple of the group size {gs.g} in [0, {e.n}], got {m}")
     dump = section.get("dump_reconstruction")
     if dump is not None:
         _string(dump, "recover.dump_reconstruction")
@@ -557,19 +560,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=False):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seeds.master")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        if mode:
-            p.add_argument("--mode", choices=GAMMA_MODES, default="auto")
 
     p = sub.add_parser("gamma", help="penalty factor for structure/support pairs")
-    common(p, mode=True)
+    common(p)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("sweep", help="penalty vs minimal measurement records")
-    common(p, mode=True)
+    common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="closed-form sample-count bounds")

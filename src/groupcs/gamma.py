@@ -15,8 +15,8 @@ enumeration.  In general the norm is bracketed by
     narrow, and the tests and CI check it.
 
 Every upper bound is certified from the dual side: any diagonal D with
-D >= m m^H gives the valid bound sqrt(trace D).  The sandwich route of
-``penalty_gamma`` certifies a group in this order:
+D >= m m^H gives the valid bound sqrt(trace D).  The sandwich route
+(``_sandwich``) certifies a group in this order:
 
   1. The phase fixed point.  At u = phase(Q u), Q = m m^H, the diagonal
      d = |Q u| satisfies (diag(d) - Q) u = 0 and trace(d) = ||m^H u||^2, so
@@ -53,7 +53,6 @@ KP_REAL = math.sqrt(math.pi / 2)
 KP_COMPLEX = math.sqrt(4 / math.pi)
 ENUM_LIMIT_DEFAULT = 20
 
-GAMMA_MODES = ("auto", "sandwich")
 _METHODS = ("exact_sign_enum", "sandwich")
 # relative slack within which two bounds count as equal: a group whose cheap
 # upper bound is this close to the running lower bound is not evaluated, and
@@ -407,28 +406,16 @@ def penalty_gamma(
     e: MeasurementEnsemble,
     t: SupportSet,
     gs: GroupStructure,
-    mode: str = "auto",
     *,
     seed: int = 0,
 ) -> GammaEstimate:
     """Penalty factor: max over groups of the 2->1 norm of the row-normalized
     submatrix A_{G_i, T}.
 
-    ``mode``: "auto" picks exact evaluation when rows are real and g is small
-    enough to enumerate (always when g == 1), else the sandwich; "sandwich"
-    forces the sandwich.
-
-    The submatrices, their Gram matrices, the cheap bounds and the exact
-    route's enumeration are formed for all groups at once.  The sandwich
-    route evaluates a group in full only while its cheap certified upper
-    bound exceeds the best lower bound found so far: first by the phase
-    fixed point, whose certificate usually closes the group's bracket, and
-    by the SDP only when that bracket stays open.  Every other group is
-    bracketed by certificates carried over from the evaluated ones, which
-    moves neither end of the reported bracket by more than a relative 1e-12.
+    Exact by sign enumeration when the rows are real and g is small enough
+    to enumerate (always when g == 1), else bracketed by ``_sandwich``.  The
+    submatrices and the enumeration are formed for all groups at once.
     """
-    if mode not in GAMMA_MODES:
-        raise ValueError(f"mode must be one of {GAMMA_MODES}, got {mode!r}")
     if gs.n != e.n:
         raise ValueError(f"structure over {gs.n} rows but ensemble has {e.n}")
     if len(t) == 0:
@@ -436,25 +423,34 @@ def penalty_gamma(
     if t.indices.max() >= e.n:
         raise IndexError("support index out of range")
 
-    g = gs.g
-    is_real_a = e.dtype == np.float64
-    enum_ok = g == 1 or (is_real_a and g <= ENUM_LIMIT_DEFAULT)
     msubs = _group_rows(e, t, gs)
-    if mode == "auto" and enum_ok:
-        if g == 1:
-            exacts = np.linalg.norm(msubs[:, 0], axis=1)
-        else:
-            exacts = _sign_enumeration(msubs)[0]
-        exact = float(np.max(exacts))
-        return GammaEstimate(exact, exact, exact, "exact_sign_enum", _first_max(exacts))
+    if gs.g > 1 and (e.dtype != np.float64 or gs.g > ENUM_LIMIT_DEFAULT):
+        return _sandwich(msubs, seed)
+    exacts = np.linalg.norm(msubs[:, 0], axis=1) if gs.g == 1 else _sign_enumeration(msubs)[0]
+    exact = float(np.max(exacts))
+    return GammaEstimate(exact, exact, exact, "exact_sign_enum", _first_max(exacts))
 
-    group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(gs.n_groups)
+
+def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
+    """The bracket [lower, upper] of the largest 2->1 norm of the groups'
+    row-normalized submatrices ``msubs`` (n_groups x g x |T|).
+
+    Their Gram matrices and cheap bounds are formed for all groups at once.
+    A group is evaluated in full only while its cheap certified upper bound
+    exceeds the best lower bound found so far: first by the phase fixed
+    point, whose certificate usually closes the group's bracket, and by the
+    SDP only when that bracket stays open.  Every other group is bracketed
+    by certificates carried over from the evaluated ones, which moves
+    neither end of the reported bracket by more than a relative 1e-12.
+    """
+    n_groups = len(msubs)
+    group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(n_groups)
     grams = _gram(msubs)
     # cheap bounds: the row energy and carried-over witnesses from below, the
     # trivial certificates and carried-over diagonals from above
     lowers = np.sqrt(np.sum(np.abs(msubs) ** 2, axis=(1, 2)))
     uppers = np.sqrt(np.min([np.sum(d, axis=1) for d in _trivial_diags(grams)], axis=0))
-    pending = np.ones(gs.n_groups, dtype=bool)
+    pending = np.ones(n_groups, dtype=bool)
     best_lower = 0.0
     while pending.any():
         # highest cheap upper bound first, so the running lower bound rises early

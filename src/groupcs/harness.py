@@ -357,9 +357,11 @@ def scatter_gamma_vs_m(
     support and the sweep of each other (structure, support) run together
     in one ``TrialPool``, so one sweep's slow trials iterate beside the
     next chunks of the others; each sweep's result is the one it gets alone.
-    ``threads`` is ignored; it stays accepted because ``bench/workloads.py``
-    passes ``threads=1``.  Two structures with one label are rejected: their
+    ``threads`` is ignored and ``mode`` takes only "auto"; both stay
+    accepted because ``bench/workloads.py`` passes them.  Two structures with one label are rejected: their
     rows could not be told apart, and they would draw the same trials."""
+    if mode != "auto":
+        raise ValueError(f"mode must be 'auto', got {mode!r}")
     labels = [gs.label for gs in structures]
     if len(set(labels)) < len(labels):
         twice = sorted({label for label in labels if labels.count(label) > 1})
@@ -367,7 +369,7 @@ def scatter_gamma_vs_m(
     base = singletons(e.n)
     for gs in [base, *structures]:
         _check_grid(gs, cfg)
-    gammas = [[penalty_gamma(e, sup.t, gs, mode, seed=gamma_seed) for gs in structures]
+    gammas = [[penalty_gamma(e, sup.t, gs, seed=gamma_seed) for gs in structures]
               for sup in supports]
     baseline = {}  # one baseline sweep per support descriptor
     for sup in supports:

@@ -2,14 +2,14 @@
 
 A named basis (identity, dft1d, dft2d, haar2d) is its kind, shape and fast
 transform; it stores no matrix, and ``_columns`` forms any of its columns,
-or its adjoint's, from a closed form.  A ``MeasurementEnsemble`` is its
-factors V and U: ``columns`` forms columns of A = V^H U (an identity
+or its adjoint's, from a closed form; a ``custom`` basis's transform is
+one product of its stored matrix per vector.  A ``MeasurementEnsemble`` is
+its factors V and U: ``columns`` forms columns of A = V^H U (an identity
 factor's partner's closed form, or V^H's transform of U's), which every
-reader of A takes, and ``apply``/``adjoint`` run the factors' fast
-transforms, one table (``_transform``) for every use.  No N x N array is
-formed for named bases: one pass over A's column spans checks U^H V A = I
-through the same transforms in O(N^2 log N), takes max |A| and decides
-whether A is real.  Only a ``custom`` factor is stored, and A with it.
+reader of A takes, and ``apply``/``adjoint`` run the factors' transforms,
+one table (``_transform``) for every use.  No ensemble stores A: one pass
+over A's column spans checks U^H V A = I through the same transforms
+(O(N^2 log N) for named bases), takes max |A| and decides whether A is real.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ class OrthonormalBasis:
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """x = entries @ c for one coefficient vector, into a new array, by
-        the kind's fast transform (the stored matrix for ``custom``)."""
-        return self.matrix @ c if self.kind == "custom" else _transform(self, False)(c[:, None])[:, 0]
+        the kind's transform."""
+        return _transform(self, False)(c[:, None])[:, 0]
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """c = entries^H x, the inverse of ``synthesize``, likewise."""
-        return self.matrix.conj().T @ x if self.kind == "custom" else _transform(self, True)(x[:, None])[:, 0]
+        return _transform(self, True)(x[:, None])[:, 0]
 
     def __eq__(self, other) -> bool:
         # a custom basis's matrix compares by value
@@ -122,9 +122,9 @@ class OrthonormalBasis:
 
 def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0, own: bool = False):
     """Map the vectors along ``axis`` of a 2-D array (columns: 0, rows: 1) to
-    a new array holding E, or E^H, times each by the kind's fast transform;
-    None for ``custom``, whose only path is the dense product.  With ``own``
-    the array is the transform's to overwrite, and the Haar passes run in it."""
+    a new array holding E, or E^H, times each by the kind's fast transform
+    (``matvec_rows`` for ``custom``).  With ``own`` the array is the
+    transform's to overwrite, and the Haar passes run in it."""
     if b.kind == "identity":
         return np.array
     if b.kind == "dft1d":
@@ -138,11 +138,12 @@ def _transform(b: OrthonormalBasis, adjoint: bool, axis: int = 0, own: bool = Fa
     if b.kind == "haar2d":
         return partial(_haar2d_vectors, shape2d=b.shape2d, levels=b.levels, inverse=not adjoint, axis=axis,
                        copy=not own)
-    return None
+    matvec = partial(matvec_rows, b.matrix, adjoint=adjoint)
+    return (lambda x: matvec(x.T).T) if axis == 0 else matvec
 
 
 def _chain(steps, axis: int, own: bool = False) -> list:
-    """The fast transforms along ``axis`` of named bases' (basis, adjoint)
+    """The transforms along ``axis`` of the bases' (basis, adjoint)
     ``steps`` in the order they apply, identity factors skipped; each but
     the first (with ``own``, each) owns its input."""
     steps = [(b, adjoint) for b, adjoint in steps if b.kind != "identity"]
@@ -343,43 +344,29 @@ class MeasurementEnsemble:
     ``mu`` is the coherence max |A(i,j)|, which for an N x N orthogonal A
     lies in [1/sqrt(N), 1]; ``dtype`` is float64 where A's imaginary part
     is at most 1e-13, else complex128.  The check that A is V^H U takes
-    both: it applies A^H = U^H V to A's columns through the factors' fast
-    transforms, an identity factor skipped.  A ``custom`` factor is stored,
-    so A is too, formed and checked by dense products.  Either way an A
-    that is not unitary, or not V^H U, is rejected.
+    both: it applies A^H = U^H V to A's columns through the factors'
+    transforms, an identity factor skipped, and rejects an A that is not
+    V^H U.
     """
 
     v: OrthonormalBasis
     u: OrthonormalBasis
     mu: float = field(init=False)
     dtype: np.dtype = field(init=False)
-    # the dense A, held only with a ``custom`` factor
-    _dense: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # the fast transforms of A x and of A^H x on rows, in order
-    _maps: tuple | None = field(init=False, repr=False, compare=False)
+    # the transforms of A x and of A^H x on rows, in order
+    _maps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v, u = self.v, self.u
         steps = ((u, False), (v, True)), ((v, False), (u, True))
-        if "custom" in (v.kind, u.kind):
-            dense = self._factor_columns(np.arange(self.n))
-            columns, check = partial(np.take, dense, axis=1), partial(np.matmul, dense.conj().T)
-            failure = "is not unitary"
-        else:
-            # U^H V A = I exactly when A = V^H U
-            dense, columns, check = None, self._factor_columns, partial(_run, _chain(steps[1], axis=0, own=True))
-            failure = "A does not match its factors V^H U"
-        resid, mu, imag = unitarity_residual(columns, self.n, check)
-        _check_unitary(resid, "ensemble", failure)
+        # U^H V A = I exactly when A = V^H U
+        check = partial(_run, _chain(steps[1], axis=0, own=True))
+        resid, mu, imag = unitarity_residual(self._factor_columns, self.n, check)
+        _check_unitary(resid, "ensemble", "A does not match its factors V^H U")
         # |x + iy| rounds to |x| for |y| <= 1e-13, so mu is that of the real A too
-        dtype = np.dtype(np.complex128 if imag > 1e-13 else np.float64)
-        if dense is not None:
-            dense = np.ascontiguousarray(dense.real if dtype == np.float64 else dense)
-            dense.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "dtype", dtype)
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_maps", None if dense is not None else tuple(_chain(s, axis=1) for s in steps))
+        object.__setattr__(self, "dtype", np.dtype(np.complex128 if imag > 1e-13 else np.float64))
+        object.__setattr__(self, "_maps", tuple(_chain(s, axis=1) for s in steps))
 
     @property
     def n(self) -> int:
@@ -391,31 +378,25 @@ class MeasurementEnsemble:
         return self.columns(np.arange(self.n))
 
     def columns(self, idx) -> np.ndarray:
-        """A[:, idx] as a new N x |idx| array of ``dtype``: from the factors'
-        closed forms, bit for bit the columns of the dense A, or gathered from
-        the stored A with a ``custom`` factor."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = self._factor_columns(idx) if self._dense is None else self._dense[:, idx]
+        """A[:, idx] as a new N x |idx| array of ``dtype``, from the factors'
+        closed forms and transforms, bit for bit the columns of the dense A."""
+        out = self._factor_columns(np.asarray(idx, dtype=np.int64))
         return np.ascontiguousarray(out.real) if np.iscomplexobj(out) and self.dtype == np.float64 else out
 
     def _factor_columns(self, idx: np.ndarray) -> np.ndarray:
         """V^H U[:, idx]: the partner's closed form when a factor is the
-        identity, V^H's transform of U's closed-form columns for two named
-        bases, the dense product with a ``custom`` factor."""
+        identity, else V^H's transform of U's closed-form columns."""
         v, u = self.v, self.u
         if v.kind == "identity":
             return _columns(u, idx)
         if u.kind == "identity":
             return _columns(v, idx, adjoint=True)
-        if "custom" in (v.kind, u.kind):
-            return v.entries.conj().T @ _columns(u, idx)
         return _run(_chain(((v, True),), axis=0, own=True), _columns(u, idx))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for each row x of ``x`` (B x N), into a new array: V^H (U x)
-        by the factors' fast transforms, an identity factor skipped, or the
-        stored A per row with a ``custom`` factor.  A real A maps real rows
-        to real rows."""
+        by the factors' transforms, an identity factor skipped.  A real A
+        maps real rows to real rows."""
         return self._map(x, adjoint=False)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
@@ -423,8 +404,6 @@ class MeasurementEnsemble:
         return self._map(x, adjoint=True)
 
     def _map(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
-        if self._dense is not None:
-            return matvec_rows(self._dense, x, adjoint=adjoint)
         out = _run(self._maps[adjoint], x)
         real = self.dtype == np.float64 and not np.iscomplexobj(x)
         return np.ascontiguousarray(out.real) if real else out
@@ -432,10 +411,26 @@ class MeasurementEnsemble:
 
 def matvec_rows(a: np.ndarray, x: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     """a x, or a^H x, for each row x of ``x``, into a new array: one
-    matrix-vector product per row, so no row depends on the others."""
-    if adjoint:
-        return np.matmul(x[:, None, :].conj(), a)[:, 0, :].conj()
-    return np.matmul(a, x[:, :, None])[:, :, 0]
+    matrix-vector product per row, so no row depends on the others.
+
+    A real a takes the real and imaginary parts of complex rows in turn, so
+    every product runs in BLAS and a is never cast.  a x takes a's rows in
+    spans of about 2^17 entries, which every row reuses from cache (a^H x,
+    whose spans would be strided, takes all of a): a multiple of 8 rows, so
+    that BLAS's gemv splits a span's rows as it splits all of a's."""
+    out = np.empty((len(x), a.shape[1] if adjoint else a.shape[0]), dtype=np.result_type(a, x))
+    if np.iscomplexobj(x) and not np.iscomplexobj(a):
+        parts = (out.real, x.real), (out.imag, x.imag)
+    else:
+        parts = ((out, x.astype(out.dtype, copy=False)),)
+    width = max(8, (1 << 17) // a.shape[1] // 8 * 8)
+    for part, rows in parts:
+        if adjoint:
+            part[:] = np.matmul(rows[:, None, :].conj(), a)[:, 0, :].conj()
+        else:
+            for j in range(0, len(a), width):
+                part[:, j : j + width] = np.matmul(a[j : j + width], rows[:, :, None])[:, :, 0]
+    return out
 
 
 def make_ensemble(v: OrthonormalBasis, u: OrthonormalBasis) -> MeasurementEnsemble:

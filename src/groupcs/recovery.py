@@ -11,17 +11,17 @@ are, so the projection needs no Gram solve and ||A_omega|| = 1.  One step
 over the live rows of a block serves every entry point.  ``TrialPool`` is a
 continuously refilled set of blocks of trials, one per support size, that
 carry every per-trial quantity as a column of one row table (``_Rows``).
-One operator serves every ensemble: a trial's rows are a 0/1 mask over the
-ensemble's own transform (``MeasurementEnsemble.apply``/``adjoint``), so no
-rows of A are copied.  Trials join it between runs of ``_CHECK_EVERY``
+The ensemble is the operator: a trial's rows are a 0/1 mask over its
+``apply``, and ``adjoint`` takes the masked residual back (``_forward``),
+so no rows of A are copied.  Trials join it between runs of ``_CHECK_EVERY``
 iterations and leave when they stop.  With verdicts it stops
 a trial as soon as a proof decides it: the least-squares certificate or one
 built from the ADMM dual iterate (a success), or the rank rule or a feasible
 iterate with a smaller l1 norm than the true coefficients (a failure).
 ``TrialPool.run`` drives requests that yield chunks of trials and receive
 their results; ``solve_trials`` runs one such request; ``basis_pursuit``
-solves one user-supplied problem as a block of one row, its own rows taking
-the ensemble's place.
+solves one user-supplied problem as a block of one row, the maps of its
+own rows taking the ensemble's place.
 ``SolverOptions`` holds the settings of all of them.  Every result is a
 deterministic function of its own trial's inputs.
 """
@@ -32,6 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,36 +104,22 @@ class _Rows:
                         for name, v in vars(self).items()})
 
 
-class _MaskedRows:
-    """Rows omega_b of a transform T (N' x N), held per trial as a 0/1 row
-    mask a (B x N').
-
-    T is given by its maps ``apply`` (T v) and ``adjoint`` (T^H w) of a batch
-    of rows: an ensemble's own ``apply``/``adjoint``, or a user problem's
-    rows.  Measurements y are held zero-padded to length N', so A_omega v is
-    the masked T v and A_omega^H r is T^H r.  The mask has the rows' dtype;
-    its ones multiply finite values exactly.
-    """
-
-    def __init__(self, apply, adjoint):
-        self.t, self.t_h = apply, adjoint  # T and T^H
-
-    def forward(self, a: np.ndarray, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """A_omega v, or with y the residual A_omega v - y."""
-        w = self.t(v)
-        if y is not None:
-            w -= y
-        w *= a
-        return w
-
-    def adjoint(self, a: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return self.t_h(r)
+def _forward(op, a: np.ndarray, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """A_omega v, or with y the residual A_omega v - y: T v = ``op.apply(v)``
+    (T is N' x N) under the 0/1 row masks a (B x N').  Measurements y are
+    held zero-padded to length N', so A_omega^H r is ``op.adjoint(r)``.  The
+    mask has the rows' dtype; its ones multiply finite values exactly."""
+    w = op.apply(v)
+    if y is not None:
+        w -= y
+    w *= a
+    return w
 
 
 def _project(op, a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise affine projection v - A^H (A v - y) onto {c : A c = y}, for
     orthonormal rows A."""
-    d = op.adjoint(a, op.forward(a, v, y))
+    d = op.adjoint(_forward(op, a, v, y))
     np.subtract(v, d, out=d)
     return d
 
@@ -221,14 +208,14 @@ class _SupportProof:
         row = np.arange(len(t))[:, None]
         step = t.sign
         if pi is not None:
-            r = op.forward(t.a, pi)
-            step = step - op.adjoint(t.a, r)[row, t.idx]
+            r = _forward(op, t.a, pi)
+            step = step - op.adjoint(r)[row, t.idx]
         v = np.zeros((len(t), t.a.shape[-1]), dtype=np.result_type(step, t.ginv))
         v[row, t.idx] = np.matmul(t.ginv, step[:, :, None])[:, :, 0]
-        w = op.forward(t.a, v)
+        w = _forward(op, t.a, v)
         if pi is not None:
             w += r
-        p = op.adjoint(t.a, w)
+        p = op.adjoint(w)
         on = np.max(np.abs(p[row, t.idx] - t.sign), axis=1)
         p[row, t.idx] = 0.0
         off = np.max(np.abs(p), axis=1)
@@ -236,9 +223,10 @@ class _SupportProof:
 
 
 class _Block:
-    """Live ADMM rows that share one operator and one |S|.
+    """Live ADMM rows that share one |S| and one operator ``op``: the
+    ensemble, or any object with its row maps ``apply`` and ``adjoint``.
 
-    Its ``rows`` table holds per row the operator's row mask ``a``, the
+    Its ``rows`` table holds per row the mask ``a`` over ``op.apply``, the
     measurements y and their norm ``y_norm`` (both given), the iterate z,
     the scaled dual u, the threshold kappa and the block tick at which the
     row joined (``born``), so its iteration count is ``ticks - born``; the
@@ -259,7 +247,7 @@ class _Block:
         self._resized()
 
     def _started(self, t: _Rows) -> _Rows:
-        backprojection = self.op.adjoint(t.a, t.y)
+        backprojection = self.op.adjoint(t.y)
         coeff_scale = np.max(np.abs(backprojection), axis=1)
         rho = _RHO0 / np.maximum(coeff_scale, 1e-300)  # ||A_omega|| = 1
         # kappa > 0 keeps the soft-threshold quotient defined
@@ -286,7 +274,7 @@ class _Block:
         gone = self.rows[stop]
         c_hat = _project(self.op, gone.a, gone.y, z[stop])
         feas = np.divide(
-            _row_norm(self.op.forward(gone.a, c_hat, gone.y)), gone.y_norm,
+            _row_norm(_forward(self.op, gone.a, c_hat, gone.y)), gone.y_norm,
             out=np.zeros_like(gone.y_norm), where=gone.y_norm > 0,
         )
         objective = np.sum(np.abs(c_hat), axis=1)
@@ -354,7 +342,7 @@ class _Block:
             l1 = np.add.reduce(np.abs(c), axis=1)
             below = (l1 < t.floor) & ~done
             if below.any():
-                r_norm = _row_norm(op.forward(t.a[below], c[below], t.y[below]))
+                r_norm = _row_norm(_forward(op, t.a[below], c[below], t.y[below]))
                 fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < t.floor[below]
         stop = done | fell
         proved = None
@@ -377,8 +365,8 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
 
     The rows of ``a_omega`` (m x N, m <= N) must be orthonormal to 1e-12, as
     any rows of a unitary matrix are; other rows raise ValueError.  The
-    problem runs as a block of one row whose transform is ``a_omega`` itself
-    under a mask of m ones, with the step size, stop test and final
+    problem runs as a block of one row whose maps are ``a_omega`` and its
+    adjoint, under a mask of m ones, with the step size, stop test and final
     projection of every trial of ``solve_trials``.
     """
     a, y = np.asarray(a_omega), np.asarray(y)
@@ -395,7 +383,7 @@ def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryRe
         raise ValueError("the rows of a_omega are not orthonormal (to 1e-12)")
     if float(np.linalg.norm(y)) == 0.0:
         return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
-    op = _MaskedRows(partial(matvec_rows, a), partial(matvec_rows, a, adjoint=True))
+    op = SimpleNamespace(apply=partial(matvec_rows, a), adjoint=partial(matvec_rows, a, adjoint=True))
     rows = _Rows(a=np.ones((1, m), dtype), y=y[None], y_norm=_row_norm(y[None]), tag=np.zeros(1), j=np.zeros(1))
     block = _Block(op, rows, verdicts=False)
     while not (stopped := block.run(solver or SolverOptions())):
@@ -495,7 +483,6 @@ class TrialPool:
     def __init__(self, e: MeasurementEnsemble, solver: SolverOptions | None = None, *,
                  verdicts: bool):
         self.e, self.solver, self.verdicts = e, solver or SolverOptions(), verdicts
-        self.op = _MaskedRows(e.apply, e.adjoint)
         self.blocks: dict = {}  # |S| -> _Block
         self.queue: deque = deque()  # (block key, _Rows of waiting trials)
         self.decided: list = []  # (tag, j, result, route) not yet returned
@@ -614,7 +601,7 @@ class TrialPool:
         t.a[np.arange(len(t))[:, None], t.omegas] = 1.0
         if self.verdicts:
             # iteration 0: with u = 0 the check is the least-squares certificate
-            certified = _SupportProof.holds(self.op, t)
+            certified = _SupportProof.holds(self.e, t)
             self.decided += [
                 (tag, j, None, "certified") for tag, j in zip(t.tag[certified], t.j[certified])
             ]
@@ -622,7 +609,7 @@ class TrialPool:
             if not len(t):
                 return
         # measured only now: a trial certified at iteration 0 needs no y
-        t.y = self.op.forward(t.a, t.coeffs)
+        t.y = _forward(self.e, t.a, t.coeffs)
         t.y_norm = _row_norm(t.y)
         # a zero measurement vector has the zero solution: no iterations
         zero = t.y_norm == 0.0
@@ -638,7 +625,7 @@ class TrialPool:
         if key in self.blocks:
             self.blocks[key].add(t)
         else:
-            self.blocks[key] = _Block(self.op, t, self.verdicts)
+            self.blocks[key] = _Block(self.e, t, self.verdicts)
 
 
 def nre(s_true: np.ndarray, s_hat: np.ndarray) -> float:

@@ -364,12 +364,12 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, path, value):
 
 
 def test_mode_exact_is_not_a_choice(tmp_path, capsys):
-    # "auto" takes the exact route wherever it exists
+    # the penalty factor has one route choice, made from the rows: no --mode
     cfg = write_config(tmp_path, "base.json", _SWEEP_BASE)
     with pytest.raises(SystemExit) as exit_:
-        main(["gamma", "--config", cfg, "--mode", "exact"])
+        main(["gamma", "--config", cfg, "--mode", "auto"])
     assert exit_.value.code == 2
-    assert "invalid choice: 'exact'" in capsys.readouterr().err
+    assert "unrecognized arguments: --mode auto" in capsys.readouterr().err
 
 
 def test_sweep_step_must_divide_the_grid(tmp_path, capsys):
@@ -450,15 +450,22 @@ def _set_path(cfg, path, value):
         (("support", "width_frac"), 1.5, "support.width_frac"),
         # as for the sweep, an empty grid is not a request for validate.m
         (("validate", "m_grid"), [], "validate.m_grid"),
+        # range errors name the key, not the library's argument
+        (("recover", "m"), -4, "recover.m"),
+        (("recover", "m"), 5, "recover.m"),
+        (("recover", "m"), 32, "recover.m"),
+        (("validate", "m"), 0, "validate.m"),
+        (("validate", "m_grid"), [8, 0], "validate.m_grid[1]"),
+        (("validate", "trials"), 0, "validate.trials"),
     ],
 )
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     cfg = copy.deepcopy(_SWEEP_BASE)
     command = ["sweep"]
-    if path[0] == "recover":  # recover takes one structure
-        command, cfg["structures"], cfg["recover"] = ["recover"], cfg["structures"][:1], {"m": 8}
+    if path[0] == "recover":  # recover takes one structure, here with g=4
+        command, cfg["structures"], cfg["recover"] = ["recover"], cfg["structures"][1:], {"m": 8}
     if path[0] == "validate":  # so does validate
-        command, cfg["structures"], cfg["validate"] = ["validate", "gram"], cfg["structures"][:1], {"m": 8}
+        command, cfg["structures"], cfg["validate"] = ["validate", "gram"], cfg["structures"][1:], {"m": 8}
     _set_path(cfg, path, value)
     code, out, err = run_cli([*command, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
     assert code == 2
@@ -545,10 +552,10 @@ def test_validate_config_fuzz_exits_0_or_2(target, mutations):
 @pytest.mark.parametrize(
     "target, key, value, message",
     [
-        ("gram", "trials", 0, "trials=0"),
-        ("gram", "trials", -3, "trials=-3"),
-        ("crossrow", "trials", 0, "trials=0"),
-        ("crossrow", "trials", -3, "trials=-3"),
+        ("gram", "trials", 0, "validate.trials must be at least 1, got 0"),
+        ("gram", "trials", -3, "validate.trials must be at least 1, got -3"),
+        ("crossrow", "trials", 0, "validate.trials must be at least 1, got 0"),
+        ("crossrow", "trials", -3, "validate.trials must be at least 1, got -3"),
         ("crossrow", "t0", -1, "t0=-1"),
         ("crossrow", "t0", 16, "t0=16"),
     ],

@@ -294,6 +294,12 @@ def test_sdp_info_diag_certifies_the_dual():
         assert np.linalg.eigvalsh(slack)[0] >= -1e-12
 
 
+def _sandwich(e, t, gs):
+    """The sandwich route of penalty_gamma, which it takes only where sign
+    enumeration does not apply, forced on any ensemble."""
+    return gamma._sandwich(gamma._group_rows(e, t, gs))
+
+
 def _penalty_gamma_loop(e, t, gs, lower_restarts=64, seed=0):
     """Reference sandwich route: every group evaluated in full."""
     group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(gs.n_groups)
@@ -339,7 +345,7 @@ def test_penalty_gamma_matches_full_loop(monkeypatch):
         lower, upper = _penalty_gamma_loop(e, t, gs)
         sdp_calls.clear()
         full.clear()
-        est = penalty_gamma(e, t, gs, "sandwich")
+        est = _sandwich(e, t, gs)
         assert est.lower == pytest.approx(lower, rel=1e-12)
         assert est.upper == pytest.approx(upper, rel=1e-12)
         assert 1 <= len(full) <= gs.n_groups
@@ -361,7 +367,7 @@ def test_sandwich_lower_floor_survives_an_inflated_dual(monkeypatch):
     e = make_ensemble(make_basis("identity", 12), make_basis("custom", entries=basis))
     t = SupportSet(np.arange(4))
     gs = contiguous_1d(12, 12)
-    est = penalty_gamma(e, t, gs, "auto")
+    est = penalty_gamma(e, t, gs)
     assert est.method == "exact_sign_enum"
     exact = est.exact
     original = gamma._dual_diag_value
@@ -373,7 +379,7 @@ def test_sandwich_lower_floor_survives_an_inflated_dual(monkeypatch):
         return d * (0.999 * trivial / np.sum(d))
 
     monkeypatch.setattr(gamma, "_dual_diag_value", inflated)
-    est = penalty_gamma(e, t, gs, "sandwich")
+    est = _sandwich(e, t, gs)
     assert est.upper > KP_REAL * exact  # the inflated dual is looser than K_p
     assert est.lower <= exact * (1 + 1e-12)
 
@@ -392,10 +398,10 @@ def test_sandwich_brackets_exact_on_real_orthogonal(seed, g, n_groups, k):
     e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
     t = SupportSet(np.sort(rng.permutation(n)[: min(k, n)]))
     gs = random_groups(n, g, seed % 1000)
-    est = penalty_gamma(e, t, gs, "auto")
+    est = penalty_gamma(e, t, gs)
     assert est.method == "exact_sign_enum"
     exact = est.exact
-    est = penalty_gamma(e, t, gs, "sandwich")
+    est = _sandwich(e, t, gs)
     tol = 1e-9 * max(1.0, exact)
     assert est.lower - tol <= exact <= est.upper + tol
 
@@ -483,7 +489,7 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
         ref_value, ref_s = norm_2to1_exact_real_loop(msub)
         assert values[i] == value == ref_value
         assert np.array_equal(signs[i], s) and np.array_equal(s, ref_s)
-    est = penalty_gamma(e, t, structure, "auto")
+    est = penalty_gamma(e, t, structure)
     assert est.method == "exact_sign_enum"
     assert est.exact == np.max(values)
     assert est.argmax_group == gamma._first_max(values)
@@ -495,7 +501,7 @@ def test_open_bracket_runs_the_sdp_and_stays_within_kp(monkeypatch):
     t = SupportSet(np.sort(np.random.default_rng(0).permutation(32)[:10]))
     gs = contiguous_1d(32, 8)
     sdp_calls = _counted(monkeypatch, "norm_2to1_upper_sdp")
-    est = penalty_gamma(e, t, gs, "sandwich")
+    est = _sandwich(e, t, gs)
     assert sdp_calls
     assert est.lower == pytest.approx(3.6427179037168567, abs=1e-12)
     assert est.upper == pytest.approx(3.6505580914571993, abs=1e-12)
@@ -508,14 +514,14 @@ def test_failed_dual_rebalancing_falls_back_to_the_trivial_certificate(monkeypat
     e = make_ensemble(make_basis("identity", 8), make_basis("custom", entries=q1))
     t = SupportSet(np.arange(4))
     gs = contiguous_1d(8, 8)
-    exact = penalty_gamma(e, t, gs, "auto").exact
+    exact = penalty_gamma(e, t, gs).exact
 
     def fail(q):
         raise np.linalg.LinAlgError("no rebalancing")
 
     monkeypatch.setattr(gamma, "_dual_diag_value", fail)
     with pytest.warns(UserWarning, match="dual rebalancing failed"):
-        est = penalty_gamma(e, t, gs, "sandwich")
+        est = _sandwich(e, t, gs)
     q = gamma._gram(normalize_rows(q1[:, :4]))
     trivial = math.sqrt(min(8 * np.linalg.eigvalsh(q)[-1], np.sum(np.abs(q))))
     assert est.upper == pytest.approx(trivial, rel=1e-12)

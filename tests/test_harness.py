@@ -201,6 +201,9 @@ def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
         scatter_gamma_vs_m(e, structures, [SupportCase(t, c0, "d0")], cfg)
     with pytest.raises(ValueError, match=message):
         find_min_m(e, structures[1], t, cfg)
+    # "auto", the one route choice, is the only mode the scatter takes
+    with pytest.raises(ValueError, match="mode must be 'auto', got 'sandwich'"):
+        scatter_gamma_vs_m(e, structures[:1], [SupportCase(t, c0, "d0")], cfg, mode="sandwich")
 
 
 def test_sweep_pins_dft2d_verdicts():

@@ -562,30 +562,40 @@ def test_verdicts_independent_of_block_with_mixed_support_sizes(ensemble, seen):
             assert alone.iterations == results[b].iterations
 
 
+_Q64 = make_basis("custom", entries=random_orthogonal(64, np.random.default_rng(11)))
+_POOL_ENSEMBLES = {
+    "identity-dft1d": (make_basis("identity", 64), make_basis("dft1d", 64)),
+    "identity-haar2d": (make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8)),
+    "identity-custom": (make_basis("identity", 64), _Q64),
+    # a real matrix applied to complex rows
+    "custom-dft1d": (_Q64, make_basis("dft1d", 64)),
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    haar=st.booleans(),
+    pair=st.sampled_from(sorted(_POOL_ENSEMBLES)),
     verdicts=st.booleans(),
     companions=st.integers(0, 6),
     join_after=st.integers(0, 6),
 )
-def test_pool_row_does_not_depend_on_companions(seed, haar, verdicts, companions, join_after):
+def test_pool_row_does_not_depend_on_companions(seed, pair, verdicts, companions, join_after):
     # a trial that joins a running pool after join_after admission ticks,
     # beside companions of other support sizes and m, ends exactly as alone:
-    # masked DFT or Haar rows of any m share a block
+    # masked rows of any m share a block, whatever the factors' transforms
     rng = np.random.default_rng(seed)
-    sparsity = make_basis("haar2d", rows=8, cols=8) if haar else make_basis("dft1d", 64)
-    e = make_ensemble(make_basis("identity", 64), sparsity)
+    e = make_ensemble(*_POOL_ENSEMBLES[pair])
+    real = e.dtype == np.float64
     sizes = [16, 24, 32]
 
     def draw(m):
         omega = np.sort(rng.permutation(64)[:m])
         size = rng.integers(1, 9)
         s = rng.permutation(64)[:size]
-        c = np.zeros(64, dtype=np.float64 if haar else np.complex128)
+        c = np.zeros(64, dtype=np.float64 if real else np.complex128)
         c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
-        if not haar:
+        if not real:
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
         return omega[None], c[None]
 
