@@ -471,6 +471,9 @@ def cmd_validate(args) -> int:
             if off.size == 0:
                 raise ConfigError("support covers every index, so no off-support validate.t0 exists")
             t0 = int(off[0])
+        _bounded(t0, "validate.t0", 0, e.n - 1)
+        if t0 in t.indices:
+            raise ConfigError(f"validate.t0 must lie off the support, got {t0}")
         empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
         _emit(
             _csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]),

@@ -218,8 +218,9 @@ def trial_verdicts(
     ``recovery.TrialPool``, which stops each trial at the first proof, as
     ``recovery.solve_trials`` with verdicts does: "rank_deficient" (a failure:
     the true coefficients are not an l1 minimizer), "certified" (a success:
-    the least-squares dual certificate proves they are the unique minimizer,
-    with no iteration), "dual" (a success: a certificate built from the ADMM
+    with no iteration, A's invertibility when the trial measures all N rows,
+    else the least-squares dual certificate, proves they are the unique
+    minimizer), "dual" (a success: a certificate built from the ADMM
     dual iterate proves it), or "descent" (a failure: an iterate proves a
     feasible point of smaller l1 norm).  A proved verdict holds even where
     a solve without verdicts would exhaust its iteration budget.  The other

@@ -15,9 +15,10 @@ The ensemble is the operator: a trial's rows are a 0/1 mask over its
 ``apply``, and ``adjoint`` takes the masked residual back (``_forward``),
 so no rows of A are copied.  Trials join it between runs of ``_CHECK_EVERY``
 iterations and leave when they stop.  With verdicts it stops
-a trial as soon as a proof decides it: the least-squares certificate or one
-built from the ADMM dual iterate (a success), or the rank rule or a feasible
-iterate with a smaller l1 norm than the true coefficients (a failure).
+a trial as soon as a proof decides it: A's unitarity for a nonzero trial
+that measures all N rows, the least-squares certificate or one built from
+the ADMM dual iterate (a success), or the rank rule or a feasible iterate
+with a smaller l1 norm than the true coefficients (a failure).
 ``TrialPool.run`` drives requests that yield chunks of trials and receive
 their results; ``solve_trials`` runs one such request; ``basis_pursuit``
 solves one user-supplied problem as a block of one row, the maps of its
@@ -422,6 +423,9 @@ def solve_trials(
     With S = supp(c_b) and z = sign(c_b on S), the routes are checked in
     this order:
 
+    - "certified", a success at submission, for a trial with |S| >= 1 that
+      measures all N rows: A[omega_b] = A is invertible, so c_b is the only
+      feasible point (the least-squares certificate below holds trivially).
     - "rank_deficient", a failure, before any solve: A[omega_b, S] is
       numerically rank-deficient (the tolerance of ``matrix_rank``) and z has
       a component in its null space, so no minimizer equals c_b.
@@ -439,12 +443,13 @@ def solve_trials(
       cannot forge the proof.
     - "solved": the solve ran to convergence or ``max_iters``.
 
-    One factorization of A[omega_b, S] per trial (a QR and the singular
-    values of its R) serves the rank rule and every certificate test, which
-    keeps only (A_S^H A_S)^{-1} per trial.  A trial decided at iteration 0
-    has no result (None); a "dual" or "descent" trial reports the iterate and
-    iteration of its proof (the corrected point for descent); a "solved"
-    trial's result is bit-identical to the one it gets without verdicts.
+    One factorization of A[omega_b, S] per other trial (a QR and the
+    singular values of its R) serves the rank rule and every certificate
+    test, which keeps only (A_S^H A_S)^{-1} per trial.  A trial decided at
+    iteration 0 has no result (None); a "dual" or "descent" trial reports the
+    iterate and iteration of its proof (the corrected point for descent); a
+    "solved" trial's result is bit-identical to the one it gets without
+    verdicts.
     """
     def request():
         return (yield omegas, coeffs)
@@ -475,9 +480,9 @@ class TrialPool:
     memory does not grow with the number of requests.
 
     With ``verdicts``, a trial is decided by the first proof, in the order
-    of ``solve_trials``: the rank rule when its chunk is submitted, the
-    least-squares certificate when it joins (the trials it certifies are
-    never measured), then the dual and descent stops.
+    of ``solve_trials``: full sampling and the rank rule when its chunk is
+    submitted, the least-squares certificate when it joins (the trials
+    these certify are never measured), then the dual and descent stops.
     """
 
     def __init__(self, e: MeasurementEnsemble, solver: SolverOptions | None = None, *,
@@ -547,7 +552,8 @@ class TrialPool:
         return out
 
     def _submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):
-        """Queue a chunk's trials by |S|, after the rank rule (verdicts)."""
+        """Queue a chunk's trials by |S|, after full sampling and the rank
+        rule (verdicts)."""
         omegas = np.asarray(omegas, dtype=np.int64)
         coeffs = np.asarray(coeffs)
         coeffs = coeffs.astype(np.result_type(self.e.dtype, coeffs, np.float64), copy=False)
@@ -555,6 +561,11 @@ class TrialPool:
         for k in np.unique(sizes).tolist():
             j = np.flatnonzero(sizes == k)
             t = _Rows(tag=np.full(len(j), tag), j=j, omegas=omegas[j], coeffs=coeffs[j])
+            if self.verdicts and k and omegas.shape[1] == self.e.n:
+                # all N distinct rows: A_omega = A is unitary, so G = I and the
+                # least-squares certificate A^H A_S z is z on S and 0 off S
+                self.decided += [(tag, j, None, "certified") for j in t.j]
+                continue
             if self.verdicts:
                 t.floor = (1.0 - 1e-9) * np.sum(np.abs(t.coeffs), axis=1)
                 refuted = _SupportProof.factor(self.e, t, k)

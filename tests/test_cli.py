@@ -556,8 +556,10 @@ def test_validate_config_fuzz_exits_0_or_2(target, mutations):
         ("gram", "trials", -3, "validate.trials must be at least 1, got -3"),
         ("crossrow", "trials", 0, "validate.trials must be at least 1, got 0"),
         ("crossrow", "trials", -3, "validate.trials must be at least 1, got -3"),
-        ("crossrow", "t0", -1, "t0=-1"),
-        ("crossrow", "t0", 16, "t0=16"),
+        pytest.param("crossrow", "t0", -1, "validate.t0 must be in [0, 15], got -1", id="crossrow-t0--1-range"),
+        pytest.param("crossrow", "t0", 16, "validate.t0 must be in [0, 15], got 16", id="crossrow-t0-16-range"),
+        # the base config's support is {1, 5}
+        pytest.param("crossrow", "t0", 5, "validate.t0 must lie off the support, got 5", id="crossrow-t0-5-support"),
     ],
 )
 def test_validate_rejects_trials_and_t0(tmp_path, capsys, target, key, value, message):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcs import recovery
+from groupcs.harness import trial_verdicts
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     SolverOptions,
@@ -354,16 +355,66 @@ def test_trial_engine_matches_basis_pursuit(ensemble, m, k):
 @pytest.mark.parametrize("verdicts", [False, True])
 def test_trial_engine_zero_trial_needs_no_iterations(verdicts):
     # a zero trial (|S| = 0) beside nonzero ones: no proof applies to it, and
-    # it is solved with no iteration
+    # it is solved with no iteration, also when it measures every row
     e = _dft_ensemble(32)
-    omegas, coeffs = _trial_block(e, 16, 3, 2, seed=47)
-    coeffs[1] = 0.0
-    res, routes = solve_trials(e, omegas, coeffs, verdicts=verdicts)
-    assert routes[1] == "solved"
-    assert res[1].iterations == 0 and res[1].converged
-    assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
-    if routes[0] == "solved":
-        assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
+    for m in (16, 32):
+        omegas, coeffs = _trial_block(e, m, 3, 2, seed=47)
+        coeffs[1] = 0.0
+        res, routes = solve_trials(e, omegas, coeffs, verdicts=verdicts)
+        assert routes[1] == "solved"
+        assert res[1].iterations == 0 and res[1].converged
+        assert np.all(res[1].c_hat == 0) and res[1].feas_residual == 0.0
+        if routes[0] == "solved":
+            assert res[0].iterations > 0 and nre(coeffs[0], res[0].c_hat) <= 1e-6
+
+
+_FULL_SAMPLING_ENSEMBLES = {
+    "identity-dft1d": lambda: _dft_ensemble(32),
+    "dft2d-identity": lambda: make_ensemble(make_basis("dft2d", rows=4, cols=8), make_basis("identity", 32)),
+    "identity-haar2d": lambda: _haar_ensemble(4, 8),
+    "dft2d-haar2d": lambda: make_ensemble(make_basis("dft2d", rows=4, cols=8), make_basis("haar2d", rows=4, cols=8)),
+    "identity-custom": lambda: make_ensemble(
+        make_basis("identity", 32), make_basis("custom", entries=random_orthogonal(32, np.random.default_rng(5)))
+    ),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(_FULL_SAMPLING_ENSEMBLES))
+def test_full_sampling_is_certified_with_no_result(ensemble):
+    # all N rows: A_omega = A is unitary, so every nonzero trial is certified
+    # at submission, from |S| = 1 to |S| = N; a zero trial is still solved
+    e = _FULL_SAMPLING_ENSEMBLES[ensemble]()
+    rng = np.random.default_rng(59)
+    sizes = [1, 2, 5, 16, 32, 0]
+    coeffs = np.zeros((len(sizes), e.n), dtype=e.dtype)
+    for c, size in zip(coeffs, sizes):
+        s = rng.permutation(e.n)[:size]
+        c[s] = rng.uniform(0.1, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        if e.dtype == np.complex128:
+            c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
+    omegas = np.stack([rng.permutation(e.n) for _ in sizes])
+    results, routes = solve_trials(e, omegas, coeffs, verdicts=True)
+    for omega, c, res, route in zip(omegas, coeffs[:-1], results, routes):
+        assert route == "certified" and res is None
+        t = SupportSet(np.flatnonzero(c))
+        assert dual_certificate(e, omega, t, c[t.indices] / np.abs(c[t.indices])).holds
+    assert routes[-1] == "solved" and results[-1].iterations == 0
+
+
+def test_full_sampling_verdicts_form_no_columns_and_measure_nothing(monkeypatch):
+    # trials that measure every row are decided with no factorization of
+    # A_S, no column of A and no measurement y
+    e = _haar_ensemble(8, 8)
+    t = SupportSet(np.array([0, 3, 9, 40, 63]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full sampling needs no factorization, column or measurement")
+
+    monkeypatch.setattr(recovery._SupportProof, "factor", forbidden)
+    monkeypatch.setattr(type(e), "columns", forbidden)
+    monkeypatch.setattr(type(e), "apply", forbidden)
+    verdicts = trial_verdicts(e, None, t, e.n, range(6), master_seed=3)
+    assert verdicts == [(True, "certified")] * 6
 
 
 def _block_orthogonal(n, split, rng):
