@@ -35,7 +35,11 @@ Both certificates carry over between groups: a unimodular u is a feasible
 dual vector for every group, and a diagonal D certified for one Gram matrix
 certifies another after one eigenvalue shift.  ``penalty_gamma`` uses them to
 evaluate in full only the groups whose cheap bounds could still move the
-reported bracket.
+reported bracket, and settles a group whose carried bracket is as tight as
+the evaluated group's own, whether or not that bracket closed.  On the exact
+route the absolute row sums of each Gram matrix bound every group, and only
+the groups whose bound reaches the top group's value are enumerated, once per
+class of bitwise-equal submatrices.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def _sign_enumeration(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n_mats, g, k = ms.shape
     best, best_s = np.zeros(n_mats), np.ones((n_mats, g))
-    if g == 0 or k == 0:
+    if n_mats == 0 or g == 0 or k == 0:
         return best, best_s
     total = 1 << (g - 1)
     chunk = min(total, _SIGN_CHUNK)
@@ -193,14 +197,24 @@ def norm_2to1_lower(
         return norm_2to1_exact_real(m, g, return_info=return_info)
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(0 if rng is None else rng)
-    starts = [np.ones(g)]
-    for _ in range(restarts):
-        if is_real:
-            starts.append(rng.choice([-1.0, 1.0], size=g))
-        else:
-            starts.append(np.exp(2j * np.pi * rng.random(g)))
     q = m @ m.conj().T
-    u = np.array(starts, dtype=q.dtype).T
+    u = np.array([np.ones(g), *_phase_starts(g, restarts, is_real, rng)], dtype=q.dtype).T
+    return _best_witness(m, _phase_iteration(q, u), return_info)
+
+
+def _phase_starts(g: int, count: int, is_real: bool, rng: np.random.Generator) -> list:
+    """``count`` random unimodular starts of length g, signs when real and
+    phases when complex, drawn one at a time (so two calls on one ``rng``
+    draw what one call for both counts would)."""
+    if is_real:
+        return [rng.choice([-1.0, 1.0], size=g) for _ in range(count)]
+    return [np.exp(2j * np.pi * rng.random(g)) for _ in range(count)]
+
+
+def _phase_iteration(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The fixed point u <- phase(q u) of each column of u, iterated in place
+    and all at once, a column stopping once its step is below 1e-10 (at
+    most 200 steps)."""
     active = np.arange(u.shape[1])
     for _ in range(200):
         cur = u[:, active]
@@ -210,6 +224,12 @@ def norm_2to1_lower(
         active = active[moved]
         if active.size == 0:
             break
+    return u
+
+
+def _best_witness(m: np.ndarray, u: np.ndarray, return_info: bool = True):
+    """The largest ||m^H u||_2 over the columns of u and, with
+    ``return_info``, the first column attaining it."""
     vals = np.linalg.norm(m.conj().T @ u, axis=0)
     best = int(np.argmax(vals))
     value = float(vals[best])
@@ -381,18 +401,31 @@ def _certify_group(
     bracket, its certified diagonal, for one group m with Gram matrix q.
 
     The witness is grown from the all-ones start to ``_WITNESS_STAGES``
-    random restarts and then to ``restarts``, each stage drawing its starts
-    from ``seeds`` afresh, until the certified upper bound lies within a
-    relative ``_TIE`` of the lower bound.  The closing certificate is the
-    shifted diagonal; None means the bracket stayed open.
+    random restarts and then to ``restarts``, until the certified upper
+    bound lies within a relative ``_TIE`` of the lower bound.  Each stage
+    iterates only the starts it adds, drawn from ``seeds`` after the earlier
+    stages' ones, and takes the best of all columns so far: the bound of the
+    phase iteration ``norm_2to1_lower`` with as many restarts, which a real
+    group with few enough rows replaces by sign enumeration.  The closing
+    certificate is the shifted diagonal; None means the bracket stayed open.
     """
+    rng = np.random.default_rng(seeds)
+    g, is_real = m.shape[0], not np.iscomplexobj(m)
+    q_iter = m @ m.conj().T
+    u, starts = np.empty((g, 0), q_iter.dtype), [np.ones(g)]
     for stage in sorted({min(r, restarts) for r in (*_WITNESS_STAGES, restarts)}):
-        lo, u = norm_2to1_lower(m, stage, np.random.default_rng(seeds), return_info=True)
-        witnessed, u, diag = _phase_certificate(m, q, u)
+        if is_real and g - 1 <= 24 and (1 << (g - 1)) <= stage:
+            lo, w = norm_2to1_exact_real(m, g, return_info=True)
+        else:
+            starts += _phase_starts(g, stage + 1 - u.shape[1] - len(starts), is_real, rng)
+            fresh = _phase_iteration(q_iter, np.array(starts, dtype=u.dtype).T)
+            u, starts = np.hstack([u, fresh]), []
+            lo, w = _best_witness(m, u)
+        witnessed, w, diag = _phase_certificate(m, q, w)
         lo = max(lo, witnessed)
         if math.sqrt(max(float(np.sum(diag)), 0.0)) <= lo * (1 + _TIE):
-            return lo, u, diag
-    return lo, u, None
+            return lo, w, diag
+    return lo, w, None
 
 
 def _group_rows(e: MeasurementEnsemble, t: SupportSet, gs: GroupStructure) -> np.ndarray:
@@ -414,7 +447,8 @@ def penalty_gamma(
 
     Exact by sign enumeration when the rows are real and g is small enough
     to enumerate (always when g == 1), else bracketed by ``_sandwich``.  The
-    submatrices and the enumeration are formed for all groups at once.
+    submatrices are formed for all groups at once, and only the groups that
+    can reach the maximum are enumerated (``_pruned_enumeration``).
     """
     if gs.n != e.n:
         raise ValueError(f"structure over {gs.n} rows but ensemble has {e.n}")
@@ -426,9 +460,39 @@ def penalty_gamma(
     msubs = _group_rows(e, t, gs)
     if gs.g > 1 and (e.dtype != np.float64 or gs.g > ENUM_LIMIT_DEFAULT):
         return _sandwich(msubs, seed)
-    exacts = np.linalg.norm(msubs[:, 0], axis=1) if gs.g == 1 else _sign_enumeration(msubs)[0]
-    exact = float(np.max(exacts))
-    return GammaEstimate(exact, exact, exact, "exact_sign_enum", _first_max(exacts))
+    values = np.linalg.norm(msubs[:, 0], axis=1) if gs.g == 1 else _pruned_enumeration(msubs)
+    exact = float(np.max(values))
+    return GammaEstimate(exact, exact, exact, "exact_sign_enum", _first_max(values))
+
+
+def _pruned_enumeration(msubs: np.ndarray) -> np.ndarray:
+    """Per group of ``msubs`` (n_groups x g x |T|, real): the exact 2->1 norm
+    of every group that can reach the largest, and the certified upper bound
+    sqrt(sum |q_ij|), q = m m^T, of every other group.
+
+    The group of the highest bound is enumerated first.  Then every group
+    whose bound reaches that value within a relative 2 ``_TIE`` (``_TIE`` for
+    the tie rule of ``_first_max``, and as much again for rounding) is
+    enumerated in one batch, once per class of bitwise-equal submatrices, and
+    each member takes its class's value.  The bound is the trace of the
+    absolute-row-sum certificate, so it needs no eigenvalues.  The
+    enumerated values are bit for bit those of ``_sign_enumeration`` over
+    all groups, and every other group lies below the maximum by more than
+    ``_TIE``, so the maximum and its first index are the same.
+    """
+    bounds = np.sqrt(np.sum(np.abs(_gram(msubs)), axis=(1, 2)))
+    values = bounds.copy()
+    top = int(np.argmax(bounds))
+    values[top] = _sign_enumeration(msubs[top : top + 1])[0][0]
+    near = np.flatnonzero(bounds >= values[top] * (1 - 2 * _TIE))
+    # each group's class representative: the top group, else the first group
+    # with a bitwise-equal submatrix
+    first = {msubs[top].tobytes(): top}
+    reps = np.array([first.setdefault(msubs[j].tobytes(), j) for j in near])
+    todo = np.unique(reps[reps != top])
+    values[todo] = _sign_enumeration(msubs[todo])[0]
+    values[near] = values[reps]
+    return values
 
 
 def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
@@ -441,7 +505,11 @@ def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
     point, whose certificate usually closes the group's bracket, and by the
     SDP only when that bracket stays open.  Every other group is bracketed
     by certificates carried over from the evaluated ones, which moves
-    neither end of the reported bracket by more than a relative 1e-12.
+    neither end of the reported bracket by more than a relative 1e-12.  That
+    includes a group whose carried bracket lies within ``_TIE`` of an
+    evaluated group's own at both ends, open or closed: it is settled
+    without its own evaluation (a translate sharing the evaluated group's
+    Gram matrix is settled so).
     """
     n_groups = len(msubs)
     group_seeds = np.random.SeedSequence((seed, 0x6A11)).spawn(n_groups)
@@ -469,5 +537,9 @@ def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
         uppers[rest] = np.minimum(uppers[rest], _recertified_upper(diag, grams[rest]))
         witnessed = np.linalg.norm(u.conj() @ msubs[rest], axis=1)
         lowers[rest] = np.maximum(lowers[rest], witnessed)
+        # a group the carried certificates bracket as tightly as this one's
+        # own (its translates, say) is settled without its own evaluation
+        settled = (uppers[rest] <= up * (1 + _TIE)) & (lowers[rest] >= lowers[i] * (1 - _TIE))
+        pending[rest[settled]] = False
     lower = float(np.max(np.minimum(lowers, uppers)))
     return GammaEstimate(lower, float(np.max(uppers)), None, "sandwich", _first_max(uppers))

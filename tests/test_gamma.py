@@ -338,6 +338,9 @@ def test_penalty_gamma_matches_full_loop(monkeypatch):
         (_dft_ensemble(n), SupportSet(np.arange(5, 11)), strided_1d(n, 8)),
         (_dft_ensemble(n), SupportSet(np.arange(5, 11)), contiguous_1d(n, 8)),
         (_dft_ensemble(n), SupportSet(np.array([3, 9, 30, 41, 50])), random_groups(n, 8, 2)),
+        # carried brackets here come within 10% of an evaluated group's own
+        # but not within 1e-12; settling at 10% raises the upper end by 1.1%
+        (_dft_ensemble(n), SupportSet(np.array([6, 9, 27, 35, 37, 55, 59, 60])), random_groups(n, 8, 29)),
         (unitary, SupportSet(np.sort(rng.permutation(n)[:6])), contiguous_1d(n, 8)),
     ]
     sdp_calls, full = _counted(monkeypatch, "norm_2to1_upper_sdp"), _counted(monkeypatch, "_certify_group")
@@ -495,6 +498,64 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
     assert est.argmax_group == gamma._first_max(values)
 
 
+def _e2_image_support():
+    """The E2 image workload's ensemble and support: 32x32 identity/haar2d,
+    the k=51 largest coefficients of the seed-7 synthetic image."""
+    e = make_ensemble(make_basis("identity", 1024), make_basis("haar2d", rows=32, cols=32))
+    img = harness.synthetic_image(32, 32, np.random.default_rng(7))
+    return e, harness.image_to_sparse(img, 51, e.u)[0]
+
+
+@pytest.mark.parametrize(
+    "structure, most", [(rect_2d(32, 32, 8), 25), (spiral_2d(32, 32, 8, cyclic=True), 4)]
+)
+def test_exact_route_enumerates_only_groups_that_can_reach_the_maximum(monkeypatch, structure, most):
+    # rect2d: 110 of 128 groups tie at the maximum 8 = g, in 25 classes of
+    # equal submatrices; cyclic spiral2d: 3 groups can reach it
+    e, t = _e2_image_support()
+    original, enumerated = gamma._sign_enumeration, []
+
+    def counted(ms):
+        enumerated.append(len(ms))
+        return original(ms)
+
+    monkeypatch.setattr(gamma, "_sign_enumeration", counted)
+    est = penalty_gamma(e, t, structure)
+    values = original(gamma._group_rows(e, t, structure))[0]
+    assert est.method == "exact_sign_enum"
+    assert 1 <= sum(enumerated) <= most
+    assert est.exact == np.max(values)
+    assert est.argmax_group == gamma._first_max(values)
+
+
+_HAAR_8X8 = make_ensemble(make_basis("identity", 64), make_basis("haar2d", rows=8, cols=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structure=st.sampled_from(
+        [
+            rect_2d(8, 8, 2),
+            rect_2d(8, 8, 4),
+            rect_2d(8, 8, 8),
+            lines_2d(8, 8, 4, "vertical"),
+            lines_2d(8, 8, 8, "vertical"),
+            lines_2d(8, 8, 8, "horizontal"),
+        ]
+    ),
+    indices=st.sets(st.integers(0, 63), min_size=1, max_size=16),
+)
+def test_pruned_exact_route_matches_enumerating_every_group(structure, indices):
+    # Haar rows repeat across groups (equal classes) and tie at the maximum,
+    # so pruning, class sharing and the first-index tie rule all act
+    t = SupportSet(np.array(sorted(indices)))
+    values = gamma._sign_enumeration(gamma._group_rows(_HAAR_8X8, t, structure))[0]
+    est = penalty_gamma(_HAAR_8X8, t, structure)
+    assert est.method == "exact_sign_enum"
+    assert est.exact == np.max(values)
+    assert est.argmax_group == gamma._first_max(values)
+
+
 def test_open_bracket_runs_the_sdp_and_stays_within_kp(monkeypatch):
     # contiguous groups on this support leave the phase bracket open
     e = _dft_ensemble(32)
@@ -506,6 +567,44 @@ def test_open_bracket_runs_the_sdp_and_stays_within_kp(monkeypatch):
     assert est.lower == pytest.approx(3.6427179037168567, abs=1e-12)
     assert est.upper == pytest.approx(3.6505580914571993, abs=1e-12)
     assert est.upper <= KP_COMPLEX * est.lower
+
+
+@pytest.mark.parametrize(
+    "seed, lower, upper",
+    [(0, 5.135888390571361, 5.136292470784227), (1, 5.691240650371733, 5.692950329790769)],
+)
+def test_translates_with_an_open_bracket_take_one_evaluation(monkeypatch, seed, lower, upper):
+    # contiguous DFT groups are translates sharing one Gram matrix; on these
+    # supports the phase bracket stays open, and the certificates carried
+    # from the first group evaluated settle the other seven
+    e = _dft_ensemble(128)
+    t = SupportSet(np.sort(np.random.default_rng(seed).permutation(128)[:40]))
+    full = _counted(monkeypatch, "_certify_group")
+    est = penalty_gamma(e, t, contiguous_1d(128, 16))
+    assert est.method == "sandwich" and len(full) == 1
+    assert est.upper > est.lower * (1 + 1e-6)
+    # the bracket of evaluating all eight groups in full
+    assert est.lower == pytest.approx(lower, rel=1e-12)
+    assert est.upper == pytest.approx(upper, rel=1e-12)
+
+
+def test_witness_stages_continue_one_column_block(monkeypatch):
+    # an open group runs the all-ones start and each random start once, and
+    # its last stage is the phase lower bound with as many restarts
+    e = _dft_ensemble(32)
+    t = SupportSet(np.sort(np.random.default_rng(0).permutation(32)[:10]))
+    m = gamma._group_rows(e, t, contiguous_1d(32, 8))[0]
+    seeds = np.random.SeedSequence(5)
+    original, columns = gamma._phase_iteration, []
+
+    def counted(q, u):
+        columns.append(u.shape[1])
+        return original(q, u)
+
+    monkeypatch.setattr(gamma, "_phase_iteration", counted)
+    lo, _, diag = gamma._certify_group(m, gamma._gram(m), 64, seeds)
+    assert diag is None and columns == [1, 8, 56]
+    assert lo >= norm_2to1_lower(m, 64, np.random.default_rng(seeds)) * (1 - 1e-15)
 
 
 def test_failed_dual_rebalancing_falls_back_to_the_trivial_certificate(monkeypatch):
