@@ -7,6 +7,10 @@ energy), ``gen-groups`` (emit a group structure), ``recover`` (single
 recovery).  All output is CSV on stdout or ``--out``; floats carry 12
 significant digits; identical configuration and seed give byte-identical
 output.
+
+``load_config`` checks every section of a config, whatever the command,
+against one table of its keys, ``CONFIG``; builders and commands read the
+checked values and check only what depends on N, g or the command.
 """
 
 from __future__ import annotations
@@ -15,25 +19,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import grouping
 from .gamma import penalty_gamma
-from .grouping import (
-    GroupStructure,
-    contiguous_1d,
-    lines_2d,
-    max_manhattan_2d,
-    random_groups,
-    rect_2d,
-    singletons,
-    spiral_2d,
-    strided_1d,
-)
 from .harness import (
     GAMMA_COLUMNS,
+    SUPPORT_MODELS,
     SignalSpec,
     SolverOptions,
     SupportCase,
@@ -49,7 +46,7 @@ from .harness import (
     scatter_gamma_vs_m,
     trial_rng,
 )
-from .operators import SupportSet, make_basis, make_ensemble
+from .operators import BASIS_KINDS, SupportSet, make_basis, make_ensemble
 from .pgm import read_pgm, write_pgm
 from .recovery import nre, solve_trials
 
@@ -58,12 +55,261 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: dict, allowed: set[str], where: str):
+# Defaults of keys without a value: a REQUIRED key must be given wherever a
+# reader takes it; a COMMAND key (a command's section, validate.m, recover.m)
+# is required by the command that reads it.
+REQUIRED, COMMAND = object(), object()
+
+
+class Key(NamedTuple):
+    """One config key.  ``type`` is int, float, str, bool, a tuple of
+    choices (matched in any case, as ``make_basis`` matches basis kinds), a
+    table (a dict of Keys: a JSON object), or a one-item list of int or of a
+    table (a nonempty JSON list).  An int, or each int of a list, is at least
+    ``lo``; a list of ints may be ``order``-ed "distinct" or "ascending"; a
+    float lies in (0, ``hi``] and is finite.  Null is an absent key only
+    where the default is None; a table whose default is {} is checked as {}
+    when absent.  ``reads`` maps a sibling key (or ``source``, that of a
+    support) to the values for which a reader takes this key; elsewhere it
+    is an error."""
+
+    type: object
+    default: object = REQUIRED
+    lo: int | None = None
+    hi: float = math.inf
+    order: str | None = None
+    reads: dict = {}
+
+
+# each structure kind's constructor, from n, rows, cols and its section
+_STRUCTURES = {
+    "singletons": lambda n, rows, cols, s: grouping.singletons(n),
+    "strided1d": lambda n, rows, cols, s: grouping.strided_1d(n, s["g"]),
+    "contiguous1d": lambda n, rows, cols, s: grouping.contiguous_1d(n, s["g"]),
+    "random": lambda n, rows, cols, s: grouping.random_groups(n, s["g"], s["seed"]),
+    "vlines2d": lambda n, rows, cols, s: grouping.lines_2d(rows, cols, s["g"], "vertical"),
+    "hlines2d": lambda n, rows, cols, s: grouping.lines_2d(rows, cols, s["g"], "horizontal"),
+    "rect2d": lambda n, rows, cols, s: grouping.rect_2d(rows, cols, s["g"]),
+    "spiral2d": lambda n, rows, cols, s: grouping.spiral_2d(rows, cols, s["g"], cyclic=s["cyclic"]),
+    "max_manhattan2d": lambda n, rows, cols, s: grouping.max_manhattan_2d(rows, cols, s["g"]),
+}
+_KINDS = tuple(_STRUCTURES)
+
+_BASIS = {
+    "kind": Key(BASIS_KINDS),
+    "levels": Key(int, None, lo=1, reads={"kind": {"haar2d"}}),
+    "path": Key(str, reads={"kind": {"custom"}}),
+}
+_STRUCTURE = {
+    "kind": Key(_KINDS),
+    "g": Key(int, lo=1, reads={"kind": set(_KINDS) - {"singletons"}}),
+    "seed": Key(int, 0, lo=0, reads={"kind": {"random"}}),
+    "cyclic": Key(bool, False, reads={"kind": {"spiral2d"}}),
+}
+# a support's source: given indices, an image's largest coefficients, or a
+# signal model's draws
+_MODEL, _SUBBAND = {"source": {"model"}}, {"source": {"model"}, "model": {"subband"}}
+_SUPPORT = {
+    "indices": Key([int], lo=0, order="distinct", reads={"source": {"indices"}}),
+    "image": Key(str, reads={"source": {"image"}}),
+    "k": Key(int, lo=0, reads={"source": {"image", "model"}}),
+    "tile_rows": Key(int, None, reads={"source": {"image"}}),
+    "tile_cols": Key(int, None, reads={"source": {"image"}}),
+    "model": Key(SUPPORT_MODELS, "unrestricted", reads=_MODEL),
+    "channels": Key(int, 2, lo=1, reads=_SUBBAND),
+    "width_frac": Key(float, 0.05, hi=1, reads=_SUBBAND),
+    "draws": Key(int, 1, lo=1, reads=_MODEL),
+}
+_ENSEMBLE = {
+    "n": Key(int, None, lo=1),
+    "rows": Key(int, None, lo=1),
+    "cols": Key(int, None, lo=1),
+    "measurement": Key(_BASIS),
+    "sparsity": Key(_BASIS),
+}
+_SWEEP = {
+    "m_grid": Key([int], None, order="ascending"),
+    "step": Key(int, None, lo=1),
+    "trials_per_m": Key(int, 100, lo=1),
+    "success_nre": Key(float, 1e-3),
+    "success_quota": Key(float, 0.99, hi=1),
+}
+_BOUNDS = {
+    "n": Key(int, lo=1),
+    "t_size": Key(int, lo=1),
+    "mu": Key(float),
+    "gamma": Key(float),
+    "delta": Key(float, hi=1),
+    "const": Key(float, 1.0),
+}
+# the command bounds validate.m, m_grid and t0 by N
+_VALIDATE = {
+    "m": Key(int, COMMAND, lo=0),
+    "m_grid": Key([int], None, lo=1),
+    "trials": Key(int, 500, lo=1),
+    "t0": Key(int, None),
+}
+CONFIG = {
+    "ensemble": Key(_ENSEMBLE, COMMAND),
+    "structure": Key(_STRUCTURE, COMMAND),
+    "structures": Key([_STRUCTURE], COMMAND),
+    "support": Key(_SUPPORT, COMMAND),
+    "sweep": Key(_SWEEP, {}),
+    "solver": Key({"tol_feas": Key(float, 1e-8), "max_iters": Key(int, 20000, lo=1)}, {}),
+    "seeds": Key({"master": Key(int, 0, lo=0)}, {}),
+    "bounds": Key(_BOUNDS, COMMAND),
+    "validate": Key(_VALIDATE, {}),
+    "recover": Key({"m": Key(int, COMMAND, lo=0), "dump_reconstruction": Key(str, None)}, {}),
+}
+
+
+def _integer(value, name: str, lo: int | None = None) -> int:
+    """A JSON integer (an integral float passes) of at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo:
+        least = "a non-negative integer" if lo == 0 else f"at least {lo}"
+        raise ConfigError(f"{name} must be {least}, got {value}")
+    return value
+
+
+def _check(key: Key, value, name: str):
+    """The checked value of a given key; a ConfigError names the key."""
+    kind = key.type
+    if isinstance(kind, dict):
+        return _walk(value, kind, name)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            noun = "objects" if kind != [int] else "integers"
+            raise ConfigError(f"{name} must be a nonempty JSON list of {noun}, got {value!r}")
+        if kind != [int]:  # each of the "structures" is a "structure"
+            return [_walk(v, kind[0], name.removesuffix("s")) for v in value]
+        value = [_integer(v, f"{name}[{i}]", key.lo) for i, v in enumerate(value)]
+        if key.order == "distinct" and len(set(value)) < len(value):
+            raise ConfigError(f"{name} must be distinct, got {value}")
+        if key.order == "ascending" and any(b <= a for a, b in zip(value, value[1:])):
+            raise ConfigError(f"{name} must be strictly ascending, got {value}")
+        return value
+    if isinstance(kind, tuple):
+        choice = value.lower() if isinstance(value, str) else value
+        if choice not in kind:
+            raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
+        return choice
+    if kind is int:
+        return _integer(value, name, key.lo)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        # a JSON integer may exceed every float
+        value = float(value) if abs(value) <= sys.float_info.max else (math.inf if value > 0 else -math.inf)
+        if not 0 < value <= key.hi or value == math.inf:
+            span = "positive and finite" if key.hi == math.inf else f"in (0, {key.hi}]"
+            raise ConfigError(f"{name} must be {span}, got {value!r}")
+        return value
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
+    return value
+
+
+def _selected(out: dict, selector: str):
+    if selector == "source":  # a support's: given indices, an image, or a model
+        return next((s for s in ("indices", "image") if s in out), "model")
+    return out[selector]
+
+
+def _read(table: dict, out: dict, name: str, selectors) -> bool:
+    """Whether a reader takes key ``name`` of the checked section ``out``."""
+    return all(_selected(out, s) in table[name].reads[s] for s in selectors)
+
+
+def _walk(section, table: dict, where: str) -> dict:
+    """Check a JSON object's values against its table, then the keys that
+    must be given.  Returns the checked values with defaults filled in."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(table)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    out = {}
+    for name, key in table.items():
+        path = name if where == "config" else f"{where}.{name}"
+        if name in section and (section[name] is not None or key.default is not None):
+            out[name] = _check(key, section[name], path)
+        elif key.default == {}:
+            out[name] = _walk({}, key.type, path)
+        elif key.default is not REQUIRED and key.default is not COMMAND:
+            out[name] = key.default
+    for name, key in table.items():
+        if key.default is REQUIRED and name not in out and _read(table, out, name, key.reads):
+            raise ConfigError(f"missing key {name!r} in {where}")
+    return out
+
+
+def _unread(section: dict, out: dict, table: dict, where: str):
+    """Reject a given key that no reader takes, beneath a walked JSON object
+    ``section`` (checked as ``out``) and then in it."""
+    for name, key in table.items():
+        if isinstance(key.type, (dict, list)) and key.type != [int] and section.get(name) is not None:
+            path = name if where == "config" else f"{where}.{name}"
+            if isinstance(key.type, dict):
+                _unread(section[name], out[name], key.type, path)
+            else:  # each of the "structures" is a "structure"
+                for item, checked in zip(section[name], out[name]):
+                    _unread(item, checked, key.type[0], path.removesuffix("s"))
+    for selector in dict.fromkeys(s for key in table.values() for s in key.reads):
+        stray = sorted(
+            k for k, v in section.items()
+            if v is not None and selector in table[k].reads and not _read(table, out, k, [selector])
+        )
+        if stray:
+            value = _selected(out, selector)
+            reader = f"{where}.{selector} {value!r}"
+            if selector == "source":
+                reader = "supports from " + ("a signal model" if value == "model" else f"support.{value}")
+            raise ConfigError(f"{where} key(s) {stray} do not apply to {reader}")
+
+
+def _together(s: dict, where: str, a: str, b: str):
+    if (s[a] is None) != (s[b] is None):
+        raise ConfigError(f"{where}.{a} and {where}.{b} go together")
+
+
+def _indices_below(s: dict, n: int):
+    if "indices" in s and any(i >= n for i in s["indices"]):
+        raise ConfigError(f"support.indices must be in [0, {n}), got {s['indices']}")
+
+
+def load_config(path) -> dict:
+    """The config at ``path``, checked against ``CONFIG`` whatever the
+    command, with defaults filled in; builders and commands only read it.
+    Every value is checked before the rules across keys, and those before
+    the keys that no reader takes."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = _walk(raw, CONFIG, "config")
+    if "structure" in cfg and "structures" in cfg:
+        raise ConfigError("config takes a structure or a structures section, not both")
+    e, s = cfg.get("ensemble"), cfg.get("support")
+    if e:  # rows and cols go together and fix n
+        _together(e, "ensemble", "rows", "cols")
+        if e["rows"] is not None:
+            if e["n"] not in (None, e["rows"] * e["cols"]):
+                raise ConfigError(f"ensemble.n must be rows*cols = {e['rows'] * e['cols']}, got {e['n']}")
+            e["n"] = e["rows"] * e["cols"]
+    if s:
+        _together(s, "support", "tile_rows", "tile_cols")
+        if s["tile_rows"] is not None and min(s["tile_rows"], s["tile_cols"]) < 1:
+            raise ConfigError(f"support tiles must be at least 1x1, got {s['tile_rows']}x{s['tile_cols']}")
+        if e and e["n"] is not None:  # custom factors give N only when built
+            _indices_below(s, e["n"])
+    _unread(raw, cfg, CONFIG, "config")
+    return cfg
 
 
 def _require(section: dict, key: str, where: str):
@@ -72,204 +318,62 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _kind(spec: dict, where: str) -> str:
-    return _string(_require(spec, "kind", where), f"{where}.kind")
-
-
-def _number(value, name: str, kind=int):
-    """A JSON integer (an integral float passes) or, with kind float, any
-    JSON number; anything else is a ConfigError naming the key."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
-
-
-def _flag(section: dict, key: str, where: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _seed(value, name: str) -> int:
-    """A seed: a non-negative JSON integer, as numpy's generators take."""
-    seed = _number(value, name)
-    if seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _bounded(value: int, name: str, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value}")
     return value
 
 
-def _optional_int(section: dict, key: str, where: str):
-    value = section.get(key)
-    return None if value is None else _number(value, f"{where}.{key}")
-
-
-def _int_list(values, name: str) -> list[int]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
-    return [_number(v, f"{name}[{i}]") for i, v in enumerate(values)]
-
-
-_TOP_KEYS = {
-    "ensemble",
-    "structure",
-    "structures",
-    "support",
-    "sweep",
-    "solver",
-    "seeds",
-    "bounds",
-    "validate",
-    "recover",
-}
-
-_BASIS_KEYS = {"kind", "levels", "path"}
-_STRUCT_KEYS = {"kind", "g", "seed", "cyclic"}
-# the keys each source of supports reads: given indices, an image's largest
-# coefficients, or draws from a signal model
-_SUPPORT_SOURCES = {
-    "indices": {"indices"},
-    "image": {"image", "k", "tile_rows", "tile_cols"},
-    "model": {"model", "k", "channels", "width_frac", "draws"},
-}
-_SUPPORT_KEYS = set().union(*_SUPPORT_SOURCES.values())
-_SWEEP_KEYS = {
-    "m_grid",
-    "step",
-    "trials_per_m",
-    "success_nre",
-    "success_quota",
-}
-_SOLVER_KEYS = {"tol_feas", "max_iters"}
-_BOUNDS_KEYS = {"n", "t_size", "mu", "gamma", "delta", "const"}
-_VALIDATE_KEYS = {"m", "m_grid", "trials", "t0"}
-_RECOVER_KEYS = {"m", "dump_reconstruction"}
-
-
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "config")
-    return cfg
-
-
 def _build_basis(spec: dict, n: int | None, rows: int | None, cols: int | None, where: str):
-    _check_keys(spec, _BASIS_KEYS, where)
-    kind = _kind(spec, where)
-    if kind == "custom":
-        path = _string(_require(spec, "path", where), f"{where}.path")
-        return make_basis("custom", entries=np.load(path))
-    if kind in ("dft2d", "haar2d"):
-        if rows is None or cols is None:
-            raise ConfigError(f"{where}: {kind} needs ensemble rows/cols")
-        return make_basis(kind, rows=rows, cols=cols, levels=_optional_int(spec, "levels", where))
-    if n is None:
-        raise ConfigError(f"{where}: {kind} needs ensemble n")
-    return make_basis(kind, n)
+    try:
+        if spec["kind"] == "custom":
+            return make_basis("custom", n, entries=np.load(spec["path"]))
+        return make_basis(spec["kind"], n, rows=rows, cols=cols, levels=spec["levels"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def build_ensemble(cfg: dict):
-    section = _require(cfg, "ensemble", "config")
-    _check_keys(section, {"n", "rows", "cols", "measurement", "sparsity"}, "ensemble")
-    rows, cols, n = (_optional_int(section, key, "ensemble") for key in ("rows", "cols", "n"))
-    if n is None and rows is not None and cols is not None:
-        n = rows * cols
-    v = _build_basis(_require(section, "measurement", "ensemble"), n, rows, cols, "ensemble.measurement")
-    u = _build_basis(_require(section, "sparsity", "ensemble"), n, rows, cols, "ensemble.sparsity")
+    s = _require(cfg, "ensemble", "config")
+    n, rows, cols = s["n"], s["rows"], s["cols"]
+    v = _build_basis(s["measurement"], n, rows, cols, "ensemble.measurement")
+    u = _build_basis(s["sparsity"], n, rows, cols, "ensemble.sparsity")
     return make_ensemble(v, u), rows, cols, u
 
 
-def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> GroupStructure:
-    _check_keys(spec, _STRUCT_KEYS, "structure")
-    kind = _kind(spec, "structure")
-    g = _number(_require(spec, "g", "structure"), "structure.g") if kind != "singletons" else 1
-    cyclic = _flag(spec, "cyclic", "structure", False)
-    need_2d = kind in ("vlines2d", "hlines2d", "rect2d", "spiral2d", "max_manhattan2d")
-    if need_2d and (rows is None or cols is None):
+def build_structure(spec: dict, n: int, rows: int | None, cols: int | None) -> grouping.GroupStructure:
+    kind = spec["kind"]
+    if kind.endswith("2d") and rows is None:
         raise ConfigError(f"structure {kind} needs ensemble rows/cols")
-    if kind == "singletons":
-        return singletons(n)
-    if kind == "strided1d":
-        return strided_1d(n, g)
-    if kind == "contiguous1d":
-        return contiguous_1d(n, g)
-    if kind == "vlines2d":
-        return lines_2d(rows, cols, g, "vertical")
-    if kind == "hlines2d":
-        return lines_2d(rows, cols, g, "horizontal")
-    if kind == "rect2d":
-        return rect_2d(rows, cols, g)
-    if kind == "spiral2d":
-        return spiral_2d(rows, cols, g, cyclic=cyclic)
-    if kind == "max_manhattan2d":
-        return max_manhattan_2d(rows, cols, g)
-    if kind == "random":
-        return random_groups(n, g, _seed(spec.get("seed", 0), "structure.seed"))
-    raise ConfigError(f"unknown structure kind {kind!r}")
+    try:
+        return _STRUCTURES[kind](n, rows, cols, spec)
+    except ValueError as exc:
+        raise ConfigError(f"structure.g does not fit {kind}: {exc}") from None
 
 
-def build_structures(cfg: dict, n: int, rows, cols) -> list[GroupStructure]:
+def build_structures(cfg: dict, n: int, rows, cols) -> list[grouping.GroupStructure]:
     if "structures" in cfg:
-        if not isinstance(cfg["structures"], list) or not cfg["structures"]:
-            raise ConfigError("structures must be a nonempty JSON list of objects")
-        return [build_structure(s, n, rows, cols) for s in cfg["structures"]]
-    if "structure" in cfg:
-        return [build_structure(cfg["structure"], n, rows, cols)]
-    raise ConfigError("config needs a structure or structures section")
-
-
-def _check_source_keys(section: dict, source: str):
-    """A support key that its source does not read is an error, not ignored."""
-    stray = set(section) - _SUPPORT_SOURCES[source]
-    if stray:
-        origin = "a signal model" if source == "model" else f"support.{source}"
-        raise ConfigError(f"support key(s) {sorted(stray)} do not apply to supports from {origin}")
+        specs = cfg["structures"]
+    elif "structure" in cfg:
+        specs = [cfg["structure"]]
+    else:
+        raise ConfigError("config needs a structure or structures section")
+    return [build_structure(s, n, rows, cols) for s in specs]
 
 
 def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCase]:
-    section = _require(cfg, "support", "config")
-    _check_keys(section, _SUPPORT_KEYS, "support")
-    if "indices" in section:
-        indices = _int_list(section["indices"], "support.indices")
-        if any(not 0 <= i < e.n for i in indices):
-            raise ConfigError(f"support.indices must be in [0, {e.n}), got {indices}")
-        _check_source_keys(section, "indices")
-        t = SupportSet.from_indices(indices)
+    s = _require(cfg, "support", "config")
+    if "indices" in s:
+        _indices_below(s, e.n)
+        t = SupportSet.from_indices(s["indices"])
         c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
-    if "image" in section:
-        path = _string(section["image"], "support.image")
-        _check_source_keys(section, "image")
-        k = _number(_require(section, "k", "support"), "support.k")
-        img = read_pgm(path)
-        tiles = [img]
-        names = ["image"]
-        tr, tc = (_optional_int(section, key, "support") for key in ("tile_rows", "tile_cols"))
-        if (tr is None) != (tc is None):
-            raise ConfigError("support.tile_rows and support.tile_cols go together")
+    k = _bounded(s["k"], "support.k", 0, e.n)
+    if "image" in s:
+        img = read_pgm(s["image"])
+        tiles, names = [img], ["image"]
+        tr, tc = s["tile_rows"], s["tile_cols"]
         if tr is not None:
-            if min(tr, tc) < 1:
-                raise ConfigError(f"support tiles must be at least 1x1, got {tr}x{tc}")
             tiles, names = [], []
             for i0 in range(0, img.shape[0] - tr + 1, tr):
                 for j0 in range(0, img.shape[1] - tc + 1, tc):
@@ -280,27 +384,14 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
         cases = []
         for tile, name in zip(tiles, names):
             if rows is not None and tile.shape != (rows, cols):
-                raise ConfigError(
-                    f"image tile {tile.shape} does not match ensemble {rows}x{cols}"
-                )
+                raise ConfigError(f"image tile {tile.shape} does not match ensemble {rows}x{cols}")
             t, c0 = image_to_sparse(tile, k, e.u)
             cases.append(SupportCase(t, c0, f"{name}-k{k}"))
         return cases
-    _check_source_keys(section, "model")
-    model = section.get("model", "unrestricted")
-    k = _number(_require(section, "k", "support"), "support.k")
-    draws = _number(section.get("draws", 1), "support.draws")
-    if draws < 1:
-        raise ConfigError(f"support.draws must be at least 1, got {draws}")
-    channels = _number(section.get("channels", 2), "support.channels")
-    if channels < 1:
-        raise ConfigError(f"support.channels must be at least 1, got {channels}")
-    width_frac = _number(section.get("width_frac", 0.05), "support.width_frac", float)
-    if not 0 < width_frac <= 1:
-        raise ConfigError(f"support.width_frac must be in (0, 1], got {width_frac!r}")
-    spec = SignalSpec(n=e.n, k=k, support_model=model, channel_count=channels, channel_width_frac=width_frac)
+    model = s["model"]
+    spec = SignalSpec(n=e.n, k=k, support_model=model, channel_count=s["channels"], channel_width_frac=s["width_frac"])
     cases = []
-    for d in range(draws):
+    for d in range(s["draws"]):
         rng = trial_rng(master_seed, "support-draw", 0, d)
         t = draw_support(spec, rng)
         c0 = random_coefficients(e, t, rng)
@@ -309,51 +400,23 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
 
 
 def build_sweep_config(cfg: dict, n: int, g: int, master_seed: int) -> SweepConfig:
-    section = cfg.get("sweep", {})
-    _check_keys(section, _SWEEP_KEYS, "sweep")
-    step = _optional_int(section, "step", "sweep")
-    if step is not None and step < 1:
-        raise ConfigError(f"sweep.step must be positive, got {step}")
-    grid = section.get("m_grid")
-    # an empty grid is SweepConfig's to reject, not a request for the default
-    grid = tuple(default_m_grid(n, g, step) if grid is None else _int_list(grid, "sweep.m_grid"))
+    s = cfg["sweep"]
+    step = s["step"]
+    grid = tuple(default_m_grid(n, g, step) if s["m_grid"] is None else s["m_grid"])
+    if not grid:
+        raise ConfigError(f"sweep.m_grid is absent and no multiple of {step or 4 * g} lies in [1, {n}]")
     if step is not None and any(m % step for m in grid):
         raise ConfigError(f"sweep.step must divide every grid value, got step={step}")
-    fields = dict(
-        m_grid=grid,
-        trials_per_m=_number(section.get("trials_per_m", 100), "sweep.trials_per_m"),
-        success_nre=_number(section.get("success_nre", 1e-3), "sweep.success_nre", float),
-        success_quota=_number(section.get("success_quota", 0.99), "sweep.success_quota", float),
-        master_seed=master_seed,
-    )
-    return _checked(SweepConfig, fields, "sweep")
+    fields = {key: s[key] for key in ("trials_per_m", "success_nre", "success_quota")}
+    return SweepConfig(m_grid=grid, master_seed=master_seed, **fields)
 
 
 def build_solver(cfg: dict) -> SolverOptions:
-    section = cfg.get("solver", {})
-    _check_keys(section, _SOLVER_KEYS, "solver")
-    fields = dict(
-        tol_feas=_number(section.get("tol_feas", 1e-8), "solver.tol_feas", float),
-        max_iters=_number(section.get("max_iters", 20000), "solver.max_iters"),
-    )
-    return _checked(SolverOptions, fields, "solver")
-
-
-def _checked(cls, fields: dict, where: str):
-    """cls(**fields); its ValueError, which starts with the field name,
-    becomes a ConfigError naming the key."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
+    return SolverOptions(**cfg["solver"])
 
 
 def master_seed_of(cfg: dict, override: int | None) -> int:
-    if override is not None:
-        return _seed(override, "--seed")
-    section = cfg.get("seeds", {})
-    _check_keys(section, {"master"}, "seeds")
-    return _seed(section.get("master", 0), "seeds.master")
+    return cfg["seeds"]["master"] if override is None else _integer(override, "--seed", 0)
 
 
 def _emit(text: str, out_path: str | None):
@@ -407,17 +470,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
-    section = _require(cfg, "bounds", "config")
-    _check_keys(section, _BOUNDS_KEYS, "bounds")
-    q = bounds_mod.BoundQuery(
-        n=_number(_require(section, "n", "bounds"), "bounds.n"),
-        t_size=_number(_require(section, "t_size", "bounds"), "bounds.t_size"),
-        mu=_number(_require(section, "mu", "bounds"), "bounds.mu", float),
-        gamma=_number(_require(section, "gamma", "bounds"), "bounds.gamma", float),
-        delta=_number(_require(section, "delta", "bounds"), "bounds.delta", float),
-        const=_number(section.get("const", 1.0), "bounds.const", float),
-    )
+    section = _require(load_config(args.config), "bounds", "config")
+    try:
+        q = bounds_mod.BoundQuery(**section)
+    except ValueError as exc:  # delta = 1: the table's float ranges are closed above
+        raise ConfigError(f"bounds.{exc}") from None
     rows = [
         ["unstructured", format_float(bounds_mod.bound_unstructured(q))],
         ["grouped", format_float(bounds_mod.bound_grouped(q))],
@@ -432,55 +489,35 @@ def cmd_validate(args) -> int:
     if len(supports) != 1:
         raise ConfigError("validate expects a single support")
     t = supports[0].t
-    section = _require(cfg, "validate", "config")
-    _check_keys(section, _VALIDATE_KEYS, "validate")
-    trials = _number(section.get("trials", 500), "validate.trials")
-    if trials < 1:
-        raise ConfigError(f"validate.trials must be at least 1, got {trials}")
+    section = cfg["validate"]
+    trials = section["trials"]
     rng = trial_rng(seed, f"validate-{args.target}", 0, 0)
     if args.target == "gram":
-        grid = section.get("m_grid")
-        if grid is None:
-            grid = [_bounded(_number(_require(section, "m", "validate"), "validate.m"), "validate.m", 1, e.n)]
+        if section["m_grid"] is None:
+            grid = [_bounded(_require(section, "m", "validate"), "validate.m", 1, e.n)]
         else:
-            grid = [_bounded(m, f"validate.m_grid[{i}]", 1, e.n)
-                    for i, m in enumerate(_int_list(grid, "validate.m_grid"))]
-        # an empty grid is an error, not a request for validate.m
-        if not grid:
-            raise ConfigError("validate.m_grid must be a nonempty list of integers, got []")
+            grid = [_bounded(m, f"validate.m_grid[{i}]", 1, e.n) for i, m in enumerate(section["m_grid"])]
         out_rows = []
         for m in grid:
             stats = bounds_mod.validate_gram_concentration(e, t, gs, m, trials, rng)
-            out_rows.append(
-                [
-                    m,
-                    trials,
-                    format_float(stats.fail_rate),
-                    format_float(float(np.mean(stats.deviations))),
-                    format_float(float(np.max(stats.deviations))),
-                    stats.ties,
-                ]
-            )
+            mean_dev, max_dev = float(np.mean(stats.deviations)), float(np.max(stats.deviations))
+            out_rows.append([m, trials, *map(format_float, (stats.fail_rate, mean_dev, max_dev)), stats.ties])
         _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev", "ties"], out_rows), args.out)
         return 0
-    if args.target == "crossrow":
-        m = _bounded(_number(_require(section, "m", "validate"), "validate.m"), "validate.m", 0, e.n)
-        t0 = _optional_int(section, "t0", "validate")
-        if t0 is None:
-            off = t.complement(e.n)
-            if off.size == 0:
-                raise ConfigError("support covers every index, so no off-support validate.t0 exists")
-            t0 = int(off[0])
-        _bounded(t0, "validate.t0", 0, e.n - 1)
-        if t0 in t.indices:
-            raise ConfigError(f"validate.t0 must lie off the support, got {t0}")
-        empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
-        _emit(
-            _csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]),
-            args.out,
-        )
-        return 0
-    raise ConfigError(f"unknown validation target {args.target!r}")
+    # crossrow
+    m = _bounded(_require(section, "m", "validate"), "validate.m", 0, e.n)
+    t0 = section["t0"]
+    if t0 is None:
+        off = t.complement(e.n)
+        if off.size == 0:
+            raise ConfigError("support covers every index, so no off-support validate.t0 exists")
+        t0 = int(off[0])
+    _bounded(t0, "validate.t0", 0, e.n - 1)
+    if t0 in t.indices:
+        raise ConfigError(f"validate.t0 must lie off the support, got {t0}")
+    empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
+    _emit(_csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]), args.out)
+    return 0
 
 
 def cmd_gen_groups(args) -> int:
@@ -504,16 +541,12 @@ def cmd_recover(args) -> int:
     the reconstruction itself: error, feasibility, objective and iterations.
     """
     cfg, seed, e, rows, cols, (gs,), supports = _inputs(args, "recover")
-    section = cfg.get("recover", {})
-    _check_keys(section, _RECOVER_KEYS, "recover")
-    m = _number(_require(section, "m", "recover"), "recover.m")
-    if not (0 <= m <= e.n and m % gs.g == 0):
+    m = _require(cfg["recover"], "m", "recover")
+    if m > e.n or m % gs.g:  # m >= 0 by load_config
         raise ConfigError(f"recover.m must be a multiple of the group size {gs.g} in [0, {e.n}], got {m}")
-    dump = section.get("dump_reconstruction")
-    if dump is not None:
-        _string(dump, "recover.dump_reconstruction")
-        if rows is None or cols is None:
-            raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")
+    dump = cfg["recover"]["dump_reconstruction"]
+    if dump is not None and rows is None:
+        raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")
     solver = build_solver(cfg)
     out_rows = []
     for idx, sup in enumerate(supports):
@@ -525,32 +558,9 @@ def cmd_recover(args) -> int:
             img = np.real(e.u.synthesize(res.c_hat)).reshape(rows, cols)
             path = dump if len(supports) == 1 else f"{dump}.{idx}.pgm"
             write_pgm(path, img)
-        out_rows.append(
-            [
-                sup.descriptor,
-                gs.label,
-                e.n,
-                m,
-                gs.g,
-                format_float(nre(sup.c0, res.c_hat)),
-                format_float(res.feas_residual),
-                format_float(res.objective),
-                res.iterations,
-                int(res.converged),
-            ]
-        )
-    header = [
-        "support",
-        "structure",
-        "n",
-        "m",
-        "g",
-        "nre",
-        "feas_residual",
-        "objective",
-        "iterations",
-        "converged",
-    ]
+        floats = map(format_float, (nre(sup.c0, res.c_hat), res.feas_residual, res.objective))
+        out_rows.append([sup.descriptor, gs.label, e.n, m, gs.g, *floats, res.iterations, int(res.converged)])
+    header = ["support", "structure", "n", "m", "g", "nre", "feas_residual", "objective", "iterations", "converged"]
     _emit(_csv_text(header, out_rows), args.out)
     return 0
 
@@ -563,36 +573,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, text in (
+        ("gamma", cmd_gamma, "penalty factor for structure/support pairs"),
+        ("sweep", cmd_sweep, "penalty vs minimal measurement records"),
+        ("bounds", cmd_bounds, "closed-form sample-count bounds"),
+        ("validate", cmd_validate, "Monte-Carlo bound validation"),
+        ("gen-groups", cmd_gen_groups, "emit group structures as CSV"),
+        ("recover", cmd_recover, "single grouped recovery"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if name == "validate":
+            p.add_argument("target", choices=["gram", "crossrow"])
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override seeds.master")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    p = sub.add_parser("gamma", help="penalty factor for structure/support pairs")
-    common(p)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("sweep", help="penalty vs minimal measurement records")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bounds", help="closed-form sample-count bounds")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("validate", help="Monte-Carlo bound validation")
-    p.add_argument("target", choices=["gram", "crossrow"])
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("gen-groups", help="emit group structures as CSV")
-    common(p)
-    p.set_defaults(func=cmd_gen_groups)
-
-    p = sub.add_parser("recover", help="single grouped recovery")
-    common(p)
-    p.set_defaults(func=cmd_recover)
-
+        p.set_defaults(func=func)
     return parser
 
 

@@ -472,26 +472,37 @@ def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     assert f"{name} must be" in err and "Traceback" not in err
 
 
-_FUZZ_PATHS = [
-    ("ensemble", "n"),
-    ("ensemble", "measurement", "kind"),
-    ("ensemble", "sparsity"),
-    ("structures", 1, "g"),
-    ("structures", 1, "kind"),
-    ("structures", 0),
-    ("support", "k"),
-    ("support", "model"),
-    ("support", "draws"),
-    ("support", "channels"),
-    ("support", "width_frac"),
-    ("sweep", "trials_per_m"),
-    ("sweep", "step"),
-    ("sweep", "m_grid"),
-    ("sweep", "success_quota"),
-    ("sweep", "success_nre"),
-    ("solver", "max_iters"),
-    ("solver", "tol_feas"),
-    ("seeds", "master"),
+def _table_paths(table=cli.CONFIG, path=(), name=""):
+    """(config path, the name messages give it, Key) of every key of a
+    table; a list of tables stands for its last item."""
+    for key_name, key in table.items():
+        key_path, key_name = (*path, key_name), f"{name}.{key_name}" if name else key_name
+        yield key_path, key_name, key
+        if isinstance(key.type, dict):
+            yield from _table_paths(key.type, key_path, key_name)
+        elif isinstance(key.type, list) and key.type != [int]:
+            # an item of "structures" is a "structure"
+            yield (*key_path, -1), key_name[:-1], cli.Key(key.type[0])
+            yield from _table_paths(key.type[0], (*key_path, -1), key_name[:-1])
+
+
+def _has_parent(cfg, path):
+    for key in path[:-1]:
+        if not isinstance(cfg, (dict, list)) or (isinstance(cfg, dict) and key not in cfg):
+            return False
+        cfg = cfg[key]
+    return True
+
+
+# one structure and one factor are fuzzed whole; every other key of the
+# table in a section of the sweep config is fuzzed on its own, so that no
+# mutation lands beneath an object that another one replaced
+_FUZZ_OBJECTS = [("structures", 0), ("ensemble", "sparsity")]
+_FUZZ_PATHS = _FUZZ_OBJECTS + [
+    path
+    for path, _, key in _table_paths()
+    if len(path) > 1 and not isinstance(key.type, dict) and _has_parent(_SWEEP_BASE, path)
+    and path[:2] not in _FUZZ_OBJECTS
 ]
 # small values only: a valid mutation still runs a sweep
 _FUZZ_VALUES = st.one_of(
@@ -926,3 +937,148 @@ def test_readme_configs_load(tmp_path, name):
     assert cli.build_supports(cfg, e, rows, cols, seed)
     cli.build_sweep_config(cfg, e.n, max(gs.g for gs in structures), seed)
     cli.build_solver(cfg)
+
+
+def test_readme_jsonc_lists_the_table_keys():
+    # every key of the table is named in the README's configuration block,
+    # its comments included, and the block names no other key
+    (block,) = re.findall(r"```jsonc\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == {name.rsplit(".", 1)[-1] for _, name, _ in _table_paths()}
+
+
+# every section present, so that every key of the table is checked
+_FULL_BASE = {
+    "ensemble": {"n": 16, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+    "structure": {"kind": "strided1d", "g": 4},
+    "support": {"model": "unrestricted", "k": 2},
+    "sweep": {},
+    "solver": {},
+    "seeds": {},
+    "bounds": {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05},
+    "validate": {"m": 8},
+    "recover": {"m": 8},
+}
+
+
+def _bad_values(key):
+    """Values the table rejects for a key: of a wrong type, null where the
+    default is not None, and out of its range."""
+    lo = [] if key.lo is None else [key.lo - 1]
+    if isinstance(key.type, dict):
+        bad = [5, "x", []]
+    elif key.type == [int]:
+        bad = ["x", [], [1.5], {}, *([v] for v in lo)]
+    elif isinstance(key.type, list):
+        bad = ["x", [], {}]
+    elif isinstance(key.type, tuple):
+        bad = ["bogus", 5]
+    elif key.type is int:
+        bad = ["x", 1.5, True, [1], *lo]
+    elif key.type is float:
+        bad = ["x", True, 0, -1.0, float("nan"), -(10**400), 2 * key.hi]
+    else:  # str or bool
+        bad = [5, "false" if key.type is bool else True]
+    return bad + ([None] if key.default is not None else [])
+
+
+_TABLE_PATHS = list(_table_paths())
+
+
+@pytest.mark.parametrize("path, name, key", _TABLE_PATHS, ids=["/".join(map(str, p)) for p, _, _ in _TABLE_PATHS])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_table_rejects_bad_values_naming_the_key(path, name, key, data):
+    # a value of the wrong type or out of range, or an unknown key beside it,
+    # exits 2 naming the key (or, for the unknown key, its section)
+    cfg = copy.deepcopy(_FULL_BASE)
+    if path[0] == "structures":
+        cfg["structures"] = [cfg.pop("structure")]
+    if path[-1] != -1 and data.draw(st.booleans()):
+        _set_path(cfg, (*path[:-1], "zzz"), 1)
+        parent = name.rsplit(".", 1)[0] if len(path) > 1 else "config"
+        expected = f"unknown key(s) ['zzz'] in {parent}"
+    else:
+        _set_path(cfg, path, data.draw(st.sampled_from(_bad_values(key))))
+        expected = name
+    code, err = _fuzz_exit_code(["gen-groups"], cfg, [])
+    assert code == 2 and expected in err and "Traceback" not in err, err
+
+
+def _pgm_8x8(tmp_path):
+    from groupcs.harness import synthetic_image
+
+    write_pgm(tmp_path / "img8.pgm", synthetic_image(8, 8, np.random.default_rng(0)))
+    return str(tmp_path / "img8.pgm")
+
+
+_N64 = {
+    "ensemble": {"n": 64, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
+    "structure": {"kind": "strided1d", "g": 4},
+    "support": {"model": "unrestricted", "k": 4},
+}
+_HAAR8 = {
+    "ensemble": {"rows": 8, "cols": 8, "measurement": {"kind": "identity"}, "sparsity": {"kind": "haar2d"}},
+    "structure": {"kind": "rect2d", "g": 4},
+    "support": {"model": "unrestricted", "k": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "base, edits, command, message",
+    [
+        # keys that no reader takes
+        (_N64, {("structure", "cyclic"): True}, "gen-groups",
+         "structure key(s) ['cyclic'] do not apply to structure.kind 'strided1d'"),
+        (_N64, {("structure", "seed"): 3}, "gen-groups",
+         "structure key(s) ['seed'] do not apply to structure.kind 'strided1d'"),
+        (_N64, {("structure",): {"kind": "singletons", "g": 4}}, "gen-groups",
+         "structure key(s) ['g'] do not apply to structure.kind 'singletons'"),
+        (_N64, {("ensemble", "sparsity", "levels"): 2}, "gen-groups",
+         "ensemble.sparsity key(s) ['levels'] do not apply to ensemble.sparsity.kind 'dft1d'"),
+        (_N64, {("ensemble", "measurement", "path"): "u.npy"}, "gen-groups",
+         "ensemble.measurement key(s) ['path'] do not apply to ensemble.measurement.kind 'identity'"),
+        (_N64, {("support", "channels"): 3}, "gamma",
+         "support key(s) ['channels'] do not apply to support.model 'unrestricted'"),
+        (_N64, {("ensemble", "rows"): 3}, "gen-groups", "ensemble.rows and ensemble.cols go together"),
+        (_N64, {("structures",): [{"kind": "singletons"}], ("structure",): {"kind": "bogus"}}, "gen-groups",
+         "structure.kind must be one of"),
+        (_N64, {("structures",): [{"kind": "singletons"}]}, "gen-groups",
+         "config takes a structure or a structures section, not both"),
+        (_N64, {("recover",): {"m": -1, "zzz": 1}}, "gen-groups", "unknown key(s) ['zzz'] in recover"),
+        (_N64, {("bounds",): {"n": "x"}}, "gamma", "bounds.n must be an integer, got 'x'"),
+        (_N64, {("support",): {"indices": [1, 1, 2]}}, "gamma", "support.indices must be distinct, got [1, 1, 2]"),
+        # range errors name the key
+        (_N64, {("support", "k"): 100}, "gamma", "support.k must be in [0, 64], got 100"),
+        (_HAAR8, {("support",): {"image": "IMAGE", "k": 100}}, "gamma", "support.k must be in [0, 64], got 100"),
+        (_N64, {("support", "model"): "foo"}, "gamma",
+         "support.model must be one of ['unrestricted', 'subband'], got 'foo'"),
+        (_N64, {("structure", "g"): 7}, "gen-groups",
+         "structure.g does not fit strided1d: group size 7 must divide n=64"),
+        (_N64, {("ensemble", "n"): 0}, "gen-groups", "ensemble.n must be at least 1, got 0"),
+        (_N64, {("ensemble", "sparsity", "kind"): "foo"}, "gen-groups", "ensemble.sparsity.kind must be one of"),
+        (_HAAR8, {("ensemble", "sparsity", "levels"): -1}, "gen-groups",
+         "ensemble.sparsity.levels must be at least 1, got -1"),
+        (_HAAR8, {("ensemble", "n"): 10}, "gen-groups", "ensemble.n must be rows*cols = 64, got 10"),
+        ({"bounds": {"n": -5, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05}}, {}, "bounds",
+         "bounds.n must be at least 1, got -5"),
+        ({"bounds": {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 1}}, {}, "bounds",
+         "bounds.delta must lie in (0, 1)"),
+    ],
+)
+def test_config_the_table_rejects_exits_2(tmp_path, capsys, base, edits, command, message):
+    cfg = copy.deepcopy(base)
+    for path, value in edits.items():
+        _set_path(cfg, path, value)
+    cfg = json.loads(json.dumps(cfg).replace('"IMAGE"', json.dumps(_pgm_8x8(tmp_path))))
+    code, out, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_basis_kinds_match_in_any_case(tmp_path, capsys):
+    # make_basis takes a kind in any case, and so does the table
+    upper = copy.deepcopy(_N64)
+    upper["ensemble"]["measurement"]["kind"], upper["ensemble"]["sparsity"]["kind"] = "IDENTITY", "DFT1D"
+    runs = [run_cli(["gamma", "--config", write_config(tmp_path, f"{i}.json", c)], capsys)
+            for i, c in enumerate((_N64, upper))]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
