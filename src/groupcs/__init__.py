@@ -23,7 +23,6 @@ from .gamma import (
     KP_REAL,
     GammaEstimate,
     norm_2to1_exact_real,
-    norm_2to1_lower,
     norm_2to1_upper_sdp,
     penalty_gamma,
 )
@@ -71,7 +70,6 @@ from .pgm import read_pgm, write_pgm
 from .recovery import (
     RecoveryResult,
     SolverOptions,
-    basis_pursuit,
     nre,
     solve_trials,
 )

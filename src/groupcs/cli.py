@@ -463,6 +463,12 @@ def cmd_sweep(args) -> int:
     cfg, seed, e, rows, cols, structures, supports = _inputs(args)
     g = max(gs.g for gs in structures)
     sweep_cfg = build_sweep_config(cfg, e.n, g, seed)
+    # the size-1 baseline draws any m in [1, N]; every structure, multiples of its g
+    for i, m in enumerate(sweep_cfg.m_grid):
+        _bounded(m, f"sweep.m_grid[{i}]", 1, e.n)
+        if uneven := [f"{gs.label} (g={gs.g})" for gs in structures if m % gs.g]:
+            raise ConfigError(f"sweep.m_grid[{i}] must be a multiple of every group size, got {m} "
+                              f"for {', '.join(uneven)}")
     solver = build_solver(cfg)
     records = scatter_gamma_vs_m(e, structures, supports, sweep_cfg, solver=solver, gamma_seed=seed)
     _emit(records_to_csv_text(records), args.out)

@@ -2,8 +2,9 @@
 
 The 2->1 operator norm ||M||_{2->1} = max_{||f||_2 = 1} ||Mf||_1 equals, by
 duality, max over unimodular u of ||M^H u||_2.  For real matrices the dual
-maximum is attained on sign vectors, so small row counts admit exact
-enumeration.  In general the norm is bracketed by
+maximum is attained on sign vectors, so ``penalty_gamma`` enumerates real
+groups of at most ``ENUM_LIMIT_DEFAULT`` rows exactly.  Every other group's
+norm is bracketed by
 
   * a lower bound from phase fixed-point iteration over unimodular vectors
     (plus the mean-over-random-signs floor sqrt(sum of squared row norms)),
@@ -105,38 +106,33 @@ class GammaEstimate:
         return self.exact if self.exact is not None else self.upper
 
 
-def norm_2to1_exact_real(
-    m: np.ndarray, enum_limit: int = ENUM_LIMIT_DEFAULT, *, return_info: bool = False
-):
-    """Exact 2->1 norm of a real matrix by sign enumeration.
+def norm_2to1_exact_real(m: np.ndarray) -> float:
+    """Exact 2->1 norm of a real matrix of at most ``ENUM_LIMIT_DEFAULT``
+    rows by sign enumeration.
 
     Uses the dual form max_{s in {-1,1}^g} ||m^T s||_2 with s_0 fixed to +1
-    by symmetry, so 2^(g-1) candidates.  With ``return_info`` the maximizing
-    sign vector is returned as well.
+    by symmetry, so 2^(g-1) candidates.
     """
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ValueError("sign enumeration is exact only for real matrices")
-    if m.shape[0] > enum_limit:
-        raise ValueError(f"{m.shape[0]} rows exceeds enumeration limit {enum_limit}")
-    values, signs = _sign_enumeration(m[None])
-    value = float(values[0])
-    return (value, signs[0]) if return_info else value
+    if m.shape[0] > ENUM_LIMIT_DEFAULT:
+        raise ValueError(f"{m.shape[0]} rows exceeds enumeration limit {ENUM_LIMIT_DEFAULT}")
+    return float(_sign_enumeration(m[None])[0])
 
 
-def _sign_enumeration(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 2->1 norms of a stack of real g x k matrices, and for each the
-    first maximizing sign vector, by enumerating the 2^(g-1) sign vectors
-    with s_0 = +1.
+def _sign_enumeration(ms: np.ndarray) -> np.ndarray:
+    """Exact 2->1 norms of a stack of real g x k matrices, by enumerating
+    the 2^(g-1) sign vectors with s_0 = +1.
 
     The candidates are taken a chunk of ``_SIGN_CHUNK`` at a time, and the
     stack enough matrices at a time that the products held stay within
     ``_ENUM_ENTRIES`` entries (or one chunk of one matrix).
     """
     n_mats, g, k = ms.shape
-    best, best_s = np.zeros(n_mats), np.ones((n_mats, g))
+    best = np.zeros(n_mats)
     if n_mats == 0 or g == 0 or k == 0:
-        return best, best_s
+        return best
     total = 1 << (g - 1)
     chunk = min(total, _SIGN_CHUNK)
     per = max(1, _ENUM_ENTRIES // (chunk * k))
@@ -149,13 +145,8 @@ def _sign_enumeration(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, n_mats, per):
             vals = np.matmul(signs, ms[lo : lo + per])
             energy = np.einsum("bij,bij->bi", vals, vals)
-            j = np.argmax(energy, axis=1)
-            top = energy[np.arange(j.size), j]
-            # strictly greater: an earlier chunk's maximum wins ties
-            better = np.flatnonzero(top > best[lo : lo + per])
-            best[lo + better] = top[better]
-            best_s[lo + better] = signs[j[better]]
-    return np.sqrt(best), best_s
+            np.maximum(best[lo : lo + per], np.max(energy, axis=1), out=best[lo : lo + per])
+    return np.sqrt(best)
 
 
 def _phase(w: np.ndarray) -> np.ndarray:
@@ -169,37 +160,6 @@ def _phase(w: np.ndarray) -> np.ndarray:
     else:
         out = np.where(a == 0.0, 1.0, out)
     return out
-
-
-def norm_2to1_lower(
-    m: np.ndarray,
-    restarts: int = 64,
-    rng: np.random.Generator | int | None = None,
-    *,
-    return_info: bool = False,
-):
-    """Lower bound on the 2->1 norm from unimodular phase iteration.
-
-    Runs the fixed point u <- phase(m m^H u) from an all-ones start plus
-    random starts, all at once as the columns of one g x (restarts + 1)
-    iteration in which a column stops once it has converged, and returns the
-    best ||m^H u||_2; every iterate is a feasible dual vector, so the result
-    is always a valid lower bound.  When m is real and restarts >= 2^(g-1),
-    the bound is computed exactly by sign enumeration instead.  With
-    ``return_info`` the best unimodular vector u is returned as well.
-    """
-    m = np.asarray(m)
-    g = m.shape[0]
-    if g == 0 or m.shape[1] == 0:
-        return (0.0, np.ones(g)) if return_info else 0.0
-    is_real = not np.iscomplexobj(m)
-    if is_real and g - 1 <= 24 and (1 << (g - 1)) <= restarts:
-        return norm_2to1_exact_real(m, g, return_info=return_info)
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else rng)
-    q = m @ m.conj().T
-    u = np.array([np.ones(g), *_phase_starts(g, restarts, is_real, rng)], dtype=q.dtype).T
-    return _best_witness(m, _phase_iteration(q, u), return_info)
 
 
 def _phase_starts(g: int, count: int, is_real: bool, rng: np.random.Generator) -> list:
@@ -227,13 +187,12 @@ def _phase_iteration(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _best_witness(m: np.ndarray, u: np.ndarray, return_info: bool = True):
-    """The largest ||m^H u||_2 over the columns of u and, with
-    ``return_info``, the first column attaining it."""
+def _best_witness(m: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest ||m^H u||_2 over the columns of u, and the first column
+    attaining it."""
     vals = np.linalg.norm(m.conj().T @ u, axis=0)
     best = int(np.argmax(vals))
-    value = float(vals[best])
-    return (value, u[:, best]) if return_info else value
+    return float(vals[best]), u[:, best]
 
 
 def _dual_diag_value(q: np.ndarray) -> np.ndarray:
@@ -333,14 +292,15 @@ def _recertified_upper(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(d) + d.size * _recertified_shift(d, q), 0.0))
 
 
-def norm_2to1_upper_sdp(m: np.ndarray, *, return_info: bool = False):
-    """Certified upper bound on the 2->1 norm via the diag-constrained SDP.
+def norm_2to1_upper_sdp(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Certified upper bound on the 2->1 norm via the diag-constrained SDP,
+    and its certified diagonal d.
 
     The value is sqrt(sum d) for the diagonal d of least trace among the
     log-barrier Newton dual and the two trivial certificates; every one
     satisfies diag(d) >= m m^H, so the value bounds the relaxation and hence
     the norm.  If dual rebalancing fails, the better trivial certificate is
-    used.  With ``return_info`` the certified diagonal d is returned as well.
+    used.
     """
     m = np.asarray(m)
     g = m.shape[0]
@@ -360,8 +320,7 @@ def norm_2to1_upper_sdp(m: np.ndarray, *, return_info: bool = False):
             except np.linalg.LinAlgError:
                 warnings.warn("dual rebalancing failed; falling back to the trivial certificate")
             d = min(candidates, key=np.sum)
-    value = math.sqrt(max(float(np.sum(d)), 0.0))
-    return (value, d) if return_info else value
+    return math.sqrt(max(float(np.sum(d)), 0.0)), d
 
 
 def _first_max(uppers: np.ndarray) -> int:
@@ -404,23 +363,20 @@ def _certify_group(
     random restarts and then to ``restarts``, until the certified upper
     bound lies within a relative ``_TIE`` of the lower bound.  Each stage
     iterates only the starts it adds, drawn from ``seeds`` after the earlier
-    stages' ones, and takes the best of all columns so far: the bound of the
-    phase iteration ``norm_2to1_lower`` with as many restarts, which a real
-    group with few enough rows replaces by sign enumeration.  The closing
-    certificate is the shifted diagonal; None means the bracket stayed open.
+    stages' ones, and takes the best of all columns so far: the bound of
+    phase iteration from the all-ones start and as many random restarts.
+    The closing certificate is the shifted diagonal; None means the bracket
+    stayed open.
     """
     rng = np.random.default_rng(seeds)
     g, is_real = m.shape[0], not np.iscomplexobj(m)
     q_iter = m @ m.conj().T
     u, starts = np.empty((g, 0), q_iter.dtype), [np.ones(g)]
     for stage in sorted({min(r, restarts) for r in (*_WITNESS_STAGES, restarts)}):
-        if is_real and g - 1 <= 24 and (1 << (g - 1)) <= stage:
-            lo, w = norm_2to1_exact_real(m, g, return_info=True)
-        else:
-            starts += _phase_starts(g, stage + 1 - u.shape[1] - len(starts), is_real, rng)
-            fresh = _phase_iteration(q_iter, np.array(starts, dtype=u.dtype).T)
-            u, starts = np.hstack([u, fresh]), []
-            lo, w = _best_witness(m, u)
+        starts += _phase_starts(g, stage + 1 - u.shape[1] - len(starts), is_real, rng)
+        fresh = _phase_iteration(q_iter, np.array(starts, dtype=u.dtype).T)
+        u, starts = np.hstack([u, fresh]), []
+        lo, w = _best_witness(m, u)
         witnessed, w, diag = _phase_certificate(m, q, w)
         lo = max(lo, witnessed)
         if math.sqrt(max(float(np.sum(diag)), 0.0)) <= lo * (1 + _TIE):
@@ -483,14 +439,14 @@ def _pruned_enumeration(msubs: np.ndarray) -> np.ndarray:
     bounds = np.sqrt(np.sum(np.abs(_gram(msubs)), axis=(1, 2)))
     values = bounds.copy()
     top = int(np.argmax(bounds))
-    values[top] = _sign_enumeration(msubs[top : top + 1])[0][0]
+    values[top] = _sign_enumeration(msubs[top : top + 1])[0]
     near = np.flatnonzero(bounds >= values[top] * (1 - 2 * _TIE))
     # each group's class representative: the top group, else the first group
     # with a bitwise-equal submatrix
     first = {msubs[top].tobytes(): top}
     reps = np.array([first.setdefault(msubs[j].tobytes(), j) for j in near])
     todo = np.unique(reps[reps != top])
-    values[todo] = _sign_enumeration(msubs[todo])[0]
+    values[todo] = _sign_enumeration(msubs[todo])
     values[near] = values[reps]
     return values
 
@@ -528,7 +484,7 @@ def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
         pending[i] = False
         lo, u, diag = _certify_group(msubs[i], grams[i], _LOWER_RESTARTS, group_seeds[i])
         if diag is None:
-            _, diag = norm_2to1_upper_sdp(msubs[i], return_info=True)
+            _, diag = norm_2to1_upper_sdp(msubs[i])
         up = math.sqrt(max(float(np.sum(diag)), 0.0))
         lowers[i] = min(max(lo, lowers[i]), up)
         uppers[i] = up

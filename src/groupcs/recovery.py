@@ -7,10 +7,10 @@ The solver is an alternating-direction splitting of
 
 into an affine projection step, a complex soft-threshold step, and a dual
 update.  Every problem measures orthonormal rows, as any rows of a unitary A
-are, so the projection needs no Gram solve and ||A_omega|| = 1.  One step
-over the live rows of a block serves every entry point.  ``TrialPool`` is a
-continuously refilled set of blocks of trials, one per support size, that
-carry every per-trial quantity as a column of one row table (``_Rows``).
+are, so the projection needs no Gram solve and ||A_omega|| = 1.
+``TrialPool`` is a continuously refilled set of blocks of trials, one per
+support size, that carry every per-trial quantity as a column of one row
+table (``_Rows``).
 The ensemble is the operator: a trial's rows are a 0/1 mask over its
 ``apply``, and ``adjoint`` takes the masked residual back (``_forward``),
 so no rows of A are copied.  Trials join it between runs of ``_CHECK_EVERY``
@@ -20,10 +20,9 @@ that measures all N rows, the least-squares certificate or one built from
 the ADMM dual iterate (a success), or the rank rule or a feasible iterate
 with a smaller l1 norm than the true coefficients (a failure).
 ``TrialPool.run`` drives requests that yield chunks of trials and receive
-their results; ``solve_trials`` runs one such request; ``basis_pursuit``
-solves one user-supplied problem as a block of one row, the maps of its
-own rows taking the ensemble's place.
-``SolverOptions`` holds the settings of all of them.  Every result is a
+their results; ``solve_trials`` runs one such request, and a single
+problem is a request of one trial.
+``SolverOptions`` holds the solver's settings.  Every result is a
 deterministic function of its own trial's inputs.
 """
 
@@ -32,12 +31,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
-from .operators import MeasurementEnsemble, matvec_rows
+from .operators import MeasurementEnsemble
 
 _RELAX = 1.8  # over-relaxation; fixed, keeps iterates deterministic
 _RHO0 = 10.0
@@ -105,22 +102,24 @@ class _Rows:
                         for name, v in vars(self).items()})
 
 
-def _forward(op, a: np.ndarray, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """A_omega v, or with y the residual A_omega v - y: T v = ``op.apply(v)``
-    (T is N' x N) under the 0/1 row masks a (B x N').  Measurements y are
-    held zero-padded to length N', so A_omega^H r is ``op.adjoint(r)``.  The
-    mask has the rows' dtype; its ones multiply finite values exactly."""
-    w = op.apply(v)
+def _forward(
+    e: MeasurementEnsemble, a: np.ndarray, v: np.ndarray, y: np.ndarray | None = None
+) -> np.ndarray:
+    """A_omega v, or with y the residual A_omega v - y: A v = ``e.apply(v)``
+    under the 0/1 row masks a (B x N).  Measurements y are held zero-padded
+    to length N, so A_omega^H r is ``e.adjoint(r)``.  The mask has the rows'
+    dtype; its ones multiply finite values exactly."""
+    w = e.apply(v)
     if y is not None:
         w -= y
     w *= a
     return w
 
 
-def _project(op, a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _project(e: MeasurementEnsemble, a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise affine projection v - A^H (A v - y) onto {c : A c = y}, for
     orthonormal rows A."""
-    d = op.adjoint(_forward(op, a, v, y))
+    d = e.adjoint(_forward(e, a, v, y))
     np.subtract(v, d, out=d)
     return d
 
@@ -192,9 +191,9 @@ class _SupportProof:
         return refuted
 
     @staticmethod
-    def holds(op, t: _Rows, pi: np.ndarray | None = None) -> np.ndarray:
+    def holds(e: MeasurementEnsemble, t: _Rows, pi: np.ndarray | None = None) -> np.ndarray:
         """Whether the dual candidate pi (None: zero) yields a certificate,
-        per row of t (operator rows ``a`` and the proof columns).
+        per row of t (row masks ``a`` and the proof columns).
 
         pi is moved into the row space, pi_1 = A^H A pi, and corrected on S,
         pi_2 = pi_1 + A^H A_S q = A^H (A pi + A_S q) with
@@ -209,14 +208,14 @@ class _SupportProof:
         row = np.arange(len(t))[:, None]
         step = t.sign
         if pi is not None:
-            r = _forward(op, t.a, pi)
-            step = step - op.adjoint(r)[row, t.idx]
+            r = _forward(e, t.a, pi)
+            step = step - e.adjoint(r)[row, t.idx]
         v = np.zeros((len(t), t.a.shape[-1]), dtype=np.result_type(step, t.ginv))
         v[row, t.idx] = np.matmul(t.ginv, step[:, :, None])[:, :, 0]
-        w = _forward(op, t.a, v)
+        w = _forward(e, t.a, v)
         if pi is not None:
             w += r
-        p = op.adjoint(w)
+        p = e.adjoint(w)
         on = np.max(np.abs(p[row, t.idx] - t.sign), axis=1)
         p[row, t.idx] = 0.0
         off = np.max(np.abs(p), axis=1)
@@ -224,10 +223,9 @@ class _SupportProof:
 
 
 class _Block:
-    """Live ADMM rows that share one |S| and one operator ``op``: the
-    ensemble, or any object with its row maps ``apply`` and ``adjoint``.
+    """Live ADMM rows of the ensemble ``e`` that share one |S|.
 
-    Its ``rows`` table holds per row the mask ``a`` over ``op.apply``, the
+    Its ``rows`` table holds per row the mask ``a`` over ``e.apply``, the
     measurements y and their norm ``y_norm`` (both given), the iterate z,
     the scaled dual u, the threshold kappa and the block tick at which the
     row joined (``born``), so its iteration count is ``ticks - born``; the
@@ -237,8 +235,8 @@ class _Block:
     changing each other's iterates.
     """
 
-    def __init__(self, op, rows: _Rows, verdicts: bool):
-        self.op, self.verdicts, self.ticks = op, verdicts, 0  # ticks: steps run
+    def __init__(self, e: MeasurementEnsemble, rows: _Rows, verdicts: bool):
+        self.e, self.verdicts, self.ticks = e, verdicts, 0  # ticks: steps run
         self.rows = self._started(rows)
         self._resized()
 
@@ -248,7 +246,7 @@ class _Block:
         self._resized()
 
     def _started(self, t: _Rows) -> _Rows:
-        backprojection = self.op.adjoint(t.y)
+        backprojection = self.e.adjoint(t.y)
         coeff_scale = np.max(np.abs(backprojection), axis=1)
         rho = _RHO0 / np.maximum(coeff_scale, 1e-300)  # ||A_omega|| = 1
         # kappa > 0 keeps the soft-threshold quotient defined
@@ -273,9 +271,9 @@ class _Block:
         z - A^H (A z - y), in an array of its own: results of one leave go to
         different requests, and a view would keep the others' rows alive."""
         gone = self.rows[stop]
-        c_hat = _project(self.op, gone.a, gone.y, z[stop])
+        c_hat = _project(self.e, gone.a, gone.y, z[stop])
         feas = np.divide(
-            _row_norm(_forward(self.op, gone.a, c_hat, gone.y)), gone.y_norm,
+            _row_norm(_forward(self.e, gone.a, c_hat, gone.y)), gone.y_norm,
             out=np.zeros_like(gone.y_norm), where=gone.y_norm > 0,
         )
         objective = np.sum(np.abs(c_hat), axis=1)
@@ -320,10 +318,10 @@ class _Block:
           lies in the unit ball, is tested as a certificate candidate; a row
           it certifies stops, whatever the other tests say.
         """
-        op, t = self.op, self.rows
+        e, t = self.e, self.rows
         z, u, kappa = t.z, t.u, t.kappa
         self.ticks += 1
-        c = _project(op, t.a, t.y, z - u)
+        c = _project(e, t.a, t.y, z - u)
         c_relaxed = _RELAX * c
         c_relaxed += (1.0 - _RELAX) * z
         z_new = _soft_threshold(c_relaxed + u, kappa)
@@ -343,12 +341,12 @@ class _Block:
             l1 = np.add.reduce(np.abs(c), axis=1)
             below = (l1 < t.floor) & ~done
             if below.any():
-                r_norm = _row_norm(_forward(op, t.a[below], c[below], t.y[below]))
+                r_norm = _row_norm(_forward(e, t.a[below], c[below], t.y[below]))
                 fell[below] = l1[below] + math.sqrt(z.shape[1]) * r_norm < t.floor[below]
         stop = done | fell
         proved = None
         if check and self.verdicts:
-            proved = _SupportProof.holds(op, t, u / kappa)
+            proved = _SupportProof.holds(e, t, u / kappa)
             fell &= ~proved
             stop |= proved
         if self.ticks - self.eldest >= solver.max_iters:  # a row has run its budget
@@ -359,37 +357,6 @@ class _Block:
         if proved is not None:
             routes[proved] = "dual"
         return self.leave(stop, np.where(fell[:, None], c, z), done, routes)
-
-
-def basis_pursuit(a_omega, y, solver: SolverOptions | None = None) -> RecoveryResult:
-    """Solve min ||c||_1 s.t. a_omega c = y for one problem.
-
-    The rows of ``a_omega`` (m x N, m <= N) must be orthonormal to 1e-12, as
-    any rows of a unitary matrix are; other rows raise ValueError.  The
-    problem runs as a block of one row whose maps are ``a_omega`` and its
-    adjoint, under a mask of m ones, with the step size, stop test and final
-    projection of every trial of ``solve_trials``.
-    """
-    a, y = np.asarray(a_omega), np.asarray(y)
-    m, n = a.shape
-    if y.shape != (m,):
-        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-    if m > n:
-        raise ValueError(f"more measurements ({m}) than unknowns ({n})")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite entries in the problem data")
-    dtype = np.result_type(a, y, np.float64)
-    a, y = a.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    if np.max(np.abs(a @ a.conj().T - np.eye(m)), initial=0.0) > 1e-12:
-        raise ValueError("the rows of a_omega are not orthonormal (to 1e-12)")
-    if float(np.linalg.norm(y)) == 0.0:
-        return RecoveryResult(np.zeros(n, dtype=dtype), 0.0, 0.0, 0, True)
-    op = SimpleNamespace(apply=partial(matvec_rows, a), adjoint=partial(matvec_rows, a, adjoint=True))
-    rows = _Rows(a=np.ones((1, m), dtype), y=y[None], y_norm=_row_norm(y[None]), tag=np.zeros(1), j=np.zeros(1))
-    block = _Block(op, rows, verdicts=False)
-    while not (stopped := block.run(solver or SolverOptions())):
-        pass
-    return stopped[0][2]
 
 
 # a pool's live rows, and its open chunks' trials, hold at most this many
@@ -412,9 +379,9 @@ def solve_trials(
     y_b = A[omega_b] c_b and solves min ||c||_1 s.t. A[omega_b] c = y_b.
 
     ``omegas`` (B x m) holds distinct row indices per trial and ``coeffs``
-    (B x N) the true coefficients.  Each trial gets the step size, stop test
-    and final projection of ``basis_pursuit``, and its result does not depend
-    on the other trials of the block.  Returns the results and the route per
+    (B x N) the true coefficients.  Each trial's result does not depend on
+    the other trials of the block, so a block of one trial solves a single
+    problem.  Returns the results and the route per
     trial, one of ``VERDICT_ROUTES``.
 
     Without ``verdicts`` every trial runs to convergence or ``max_iters``

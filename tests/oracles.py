@@ -229,9 +229,9 @@ def haar2d_matrix_reference(rows, cols, levels):
 
 def norm_2to1_exact_real_loop(m):
     """Sign enumeration of one real matrix, 2^16 candidates at a time:
-    (max ||m^T s||_2 over s in {-1,1}^g with s_0 = +1, the first maximizer)."""
+    max ||m^T s||_2 over s in {-1,1}^g with s_0 = +1."""
     g = m.shape[0]
-    best, best_s = 0.0, np.ones(g)
+    best = 0.0
     total = 1 << (g - 1)
     bits_of = np.arange(g - 1, dtype=np.int64)
     for start in range(0, total, 1 << 16):
@@ -241,10 +241,8 @@ def norm_2to1_exact_real_loop(m):
         signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> bits_of) & 1)
         vals = signs @ m
         energy = np.einsum("ij,ij->i", vals, vals)
-        j = int(np.argmax(energy))
-        if energy[j] > best:
-            best, best_s = float(energy[j]), signs[j].copy()
-    return math.sqrt(best), best_s
+        best = max(best, float(np.max(energy)))
+    return math.sqrt(best)
 
 
 @dataclass

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
+from groupcs import gamma
 from groupcs.bounds import validate_cross_row_energy, validate_gram_concentration
 from groupcs.cli import main as cli_main
 from groupcs.gamma import (
     KP_REAL,
     norm_2to1_exact_real,
-    norm_2to1_lower,
     norm_2to1_upper_sdp,
     penalty_gamma,
 )
@@ -33,7 +33,7 @@ from groupcs.harness import (
     trial_verdicts,
 )
 from groupcs.operators import SupportSet, make_basis, make_ensemble, normalize_rows
-from groupcs.recovery import basis_pursuit
+from groupcs.recovery import solve_trials
 
 from oracles import (
     dual_certificate,
@@ -76,8 +76,8 @@ def test_c02_pietsch_sandwich():
         k = int(rng.integers(2, 17))
         m = normalize_rows(rng.standard_normal((g, k)))
         exact = norm_2to1_exact_real(m)
-        lower = norm_2to1_lower(m, restarts=2 ** (g - 1), rng=i)
-        upper = norm_2to1_upper_sdp(m)
+        lower = gamma._sandwich(m[None], seed=i).lower
+        upper, _ = norm_2to1_upper_sdp(m)
         assert lower <= exact + 1e-9
         assert exact <= upper + 1e-9
         assert upper / exact <= KP_REAL + 1e-9
@@ -102,12 +102,12 @@ def test_c04_basis_pursuit_lp_oracle():
     for seed in range(25):
         rng = np.random.default_rng(4000 + seed)
         q = random_orthogonal(12, rng)
-        a = q[np.sort(rng.permutation(12)[:6])]
+        e = make_ensemble(make_basis("identity", 12), make_basis("custom", entries=q))
+        omega = np.sort(rng.permutation(12)[:6])
         c0 = np.zeros(12)
         c0[rng.permutation(12)[:2]] = rng.uniform(-1, 1, 2)
-        y = a @ c0
-        res = basis_pursuit(a, y)
-        oracle = l1_min_vertex_oracle(a, y)
+        (res,), _ = solve_trials(e, omega[None], c0[None], verdicts=False)
+        oracle = l1_min_vertex_oracle(q[omega], q[omega] @ c0)
         assert abs(res.objective - oracle) <= 1e-6
     assert time.time() - t0 < 60
     _report(4, "basis pursuit vs LP vertex oracle", t0)
@@ -130,8 +130,7 @@ def test_c05_certificate_sufficiency():
         held += 1
         c0 = np.zeros(64)
         c0[t.indices] = coeffs
-        a = e.a[omega]
-        res = basis_pursuit(a, a @ c0)
+        (res,), _ = solve_trials(e, omega[None], c0[None], verdicts=False)
         assert np.linalg.norm(res.c_hat - c0) / np.linalg.norm(c0) <= 1e-4
     assert held >= 200
     assert time.time() - t0 < 300

@@ -472,6 +472,19 @@ def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     assert f"{name} must be" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "grid, name", [([6, 8], "sweep.m_grid[0]"), ([8, 20], "sweep.m_grid[1]"), ([0, 8], "sweep.m_grid[0]")]
+)
+def test_sweep_grid_value_errors_name_the_key(tmp_path, capsys, grid, name):
+    # a value strided1d (g=4) cannot draw, or one outside the baseline's [1, N]
+    cfg = copy.deepcopy(_SWEEP_BASE)
+    del cfg["sweep"]["step"]
+    cfg["sweep"]["m_grid"] = grid
+    code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
+    assert code == 2
+    assert f"{name} must be" in err and "Traceback" not in err
+
+
 def _table_paths(table=cli.CONFIG, path=(), name=""):
     """(config path, the name messages give it, Key) of every key of a
     table; a list of tables stands for its last item."""

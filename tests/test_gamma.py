@@ -11,7 +11,6 @@ from groupcs.gamma import (
     KP_REAL,
     GammaEstimate,
     norm_2to1_exact_real,
-    norm_2to1_lower,
     norm_2to1_upper_sdp,
     penalty_gamma,
 )
@@ -61,34 +60,29 @@ def test_exact_against_sphere_oracle():
         assert oracle <= exact + 1e-9  # oracle evaluates feasible points only
 
 
-def test_lower_matches_exact_with_sign_cover():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        m = rng.standard_normal((4, 7))
-        exact = norm_2to1_exact_real(m)
-        lower = norm_2to1_lower(m, restarts=8, rng=0)
-        assert abs(lower - exact) <= 1e-9 * max(1.0, exact)
-
-
 def test_lower_rank_one_alignment():
     rng = np.random.default_rng(6)
     w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     m = 0.7 * np.outer(w, v.conj())
     target = 0.7 * np.sum(np.abs(w)) * np.linalg.norm(v)
-    assert norm_2to1_lower(m, restarts=1, rng=0) == pytest.approx(target, rel=1e-10)
+    lower, _, _ = gamma._certify_group(m, gamma._gram(m), 1, np.random.SeedSequence(0))
+    assert lower == pytest.approx(target, rel=1e-10)
 
 
 def test_lower_monotone_in_restarts():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    vals = [norm_2to1_lower(m, restarts=r, rng=1) for r in (1, 4, 16, 64)]
+    # a contiguous DFT group whose phase bracket stays open at every stage
+    e = _dft_ensemble(32)
+    t = SupportSet(np.sort(np.random.default_rng(0).permutation(32)[:10]))
+    m = gamma._group_rows(e, t, contiguous_1d(32, 8))[0]
+    vals = [gamma._certify_group(m, gamma._gram(m), r, np.random.SeedSequence(1))[0] for r in (1, 4, 16, 64)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    assert vals[-1] > vals[0] * (1 + 1e-3)
 
 
 def test_sdp_upper_orthonormal_rows():
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    up = norm_2to1_upper_sdp(m)
+    up, _ = norm_2to1_upper_sdp(m)
     assert math.sqrt(2) - 1e-12 <= up <= KP_REAL * math.sqrt(2) + 1e-9
     assert up == pytest.approx(math.sqrt(2), abs=1e-9)
 
@@ -98,7 +92,7 @@ def test_sdp_upper_equal_rows_tight():
     row = rng.standard_normal(6)
     row /= np.linalg.norm(row)
     m = np.tile(row, (5, 1))
-    assert norm_2to1_upper_sdp(m) == pytest.approx(5.0, abs=1e-8)
+    assert norm_2to1_upper_sdp(m)[0] == pytest.approx(5.0, abs=1e-8)
 
 
 def test_sdp_upper_contains_exact():
@@ -107,7 +101,7 @@ def test_sdp_upper_contains_exact():
         m = rng.standard_normal((8, 12))
         m = normalize_rows(m)
         exact = norm_2to1_exact_real(m)
-        up = norm_2to1_upper_sdp(m)
+        up, _ = norm_2to1_upper_sdp(m)
         assert exact - 1e-9 <= up
         assert up / exact <= 1.2533 + 1e-9
 
@@ -124,7 +118,7 @@ def test_sdp_matches_cvxpy_oracle():
             cp.Maximize(cp.sum(cp.multiply(q, w))), [cp.diag(w) == 1]
         )
         prob.solve(solver=cp.SCS, eps=1e-10)
-        ours = norm_2to1_upper_sdp(m) ** 2
+        ours = norm_2to1_upper_sdp(m)[0] ** 2
         assert ours == pytest.approx(prob.value, rel=1e-7)
 
 
@@ -135,8 +129,8 @@ def test_sandwich_on_random_instances():
         k = int(rng.integers(2, 17))
         m = normalize_rows(rng.standard_normal((g, k)))
         exact = norm_2to1_exact_real(m)
-        lower = norm_2to1_lower(m, restarts=2 ** (g - 1), rng=i)
-        upper = norm_2to1_upper_sdp(m)
+        lower = gamma._sandwich(m[None], seed=i).lower
+        upper, _ = norm_2to1_upper_sdp(m)
         assert lower <= exact + 1e-9
         assert exact <= upper + 1e-9
         assert upper / exact <= KP_REAL + 1e-9
@@ -239,7 +233,8 @@ def test_kp_sandwich_ratio_structural():
 
 
 def _lower_loop(m, restarts, rng):
-    """Reference phase iteration: one start at a time."""
+    """Reference phase iteration, one start at a time: the best ||m^H u||_2
+    and its witness u."""
     g = m.shape[0]
     starts = [np.ones(g)]
     for _ in range(restarts):
@@ -248,7 +243,7 @@ def _lower_loop(m, restarts, rng):
         else:
             starts.append(rng.choice([-1.0, 1.0], size=g))
     q = m @ m.conj().T
-    best = 0.0
+    best, witness = -1.0, None
     for u in starts:
         u = u.astype(q.dtype)
         for _ in range(200):
@@ -257,8 +252,10 @@ def _lower_loop(m, restarts, rng):
             u = u_new
             if done:
                 break
-        best = max(best, float(np.linalg.norm(m.conj().T @ u)))
-    return best
+        value = float(np.linalg.norm(m.conj().T @ u))
+        if value > best:
+            best, witness = value, u
+    return best, witness
 
 
 def test_lower_batched_matches_loop():
@@ -266,19 +263,13 @@ def test_lower_batched_matches_loop():
     for i in range(6):
         m = normalize_rows(rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5)))
         if i % 2:
-            m = m.real.copy()  # 2^8 sign vectors exceed 64 restarts: phase iteration
-        batched, u = norm_2to1_lower(m, 64, np.random.default_rng(i), return_info=True)
-        assert batched == pytest.approx(_lower_loop(m, 64, np.random.default_rng(i)), rel=1e-12)
+            m = m.real.copy()
+        is_real, rng = not np.iscomplexobj(m), np.random.default_rng(i)
+        starts = np.array([np.ones(9), *gamma._phase_starts(9, 64, is_real, rng)], dtype=m.dtype).T
+        batched, u = gamma._best_witness(m, gamma._phase_iteration(m @ m.conj().T, starts))
+        assert batched == pytest.approx(_lower_loop(m, 64, np.random.default_rng(i))[0], rel=1e-12)
         assert np.allclose(np.abs(u), 1.0)
         assert np.linalg.norm(m.conj().T @ u) == pytest.approx(batched, rel=1e-12)
-
-
-def test_lower_sign_cover_returns_maximizing_signs():
-    m = normalize_rows(np.random.default_rng(17).standard_normal((5, 3)))
-    value, s = norm_2to1_lower(m, restarts=16, return_info=True)
-    assert value == pytest.approx(norm_2to1_exact_real(m), rel=1e-12)
-    assert set(np.abs(s)) == {1.0}
-    assert np.linalg.norm(m.T @ s) == pytest.approx(value, rel=1e-12)
 
 
 def test_sdp_info_diag_certifies_the_dual():
@@ -288,7 +279,7 @@ def test_sdp_info_diag_certifies_the_dual():
         normalize_rows(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))),
         np.eye(3),  # diagonal Gram matrix
     ):
-        up, diag = norm_2to1_upper_sdp(m, return_info=True)
+        up, diag = norm_2to1_upper_sdp(m)
         assert up == math.sqrt(np.sum(diag))
         slack = np.diag(diag) - m @ m.conj().T
         assert np.linalg.eigvalsh(slack)[0] >= -1e-12
@@ -307,8 +298,8 @@ def _penalty_gamma_loop(e, t, gs, lower_restarts=64, seed=0):
     for i in range(gs.n_groups):
         msub = normalize_rows(submatrix(e, gs.group(i), t))
         row_energy = math.sqrt(float(np.sum(np.abs(msub) ** 2)))
-        up = norm_2to1_upper_sdp(msub)
-        lo = norm_2to1_lower(msub, lower_restarts, np.random.default_rng(group_seeds[i]))
+        up, _ = norm_2to1_upper_sdp(msub)
+        lo, _ = _lower_loop(msub, lower_restarts, np.random.default_rng(group_seeds[i]))
         lowers.append(min(max(lo, row_energy), up))
         uppers.append(up)
     return max(lowers), max(uppers)
@@ -431,7 +422,7 @@ def test_phase_certificate_bounds_the_norm(seed, g, k, is_complex, restarts, rep
         m[g // 2 :] = m[: g - g // 2]  # equal rows: a degenerate fixed point
     m = normalize_rows(m)
     q = gamma._gram(m)
-    lo, u = norm_2to1_lower(m, restarts, rng, return_info=True)
+    lo, u = _lower_loop(m, restarts, rng)
     lower, _, diag = gamma._phase_certificate(m, q, u)
     upper = math.sqrt(np.sum(diag))
     assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
@@ -472,7 +463,7 @@ def test_closed_groups_match_the_sdp_dual():
             closed += 1
             up = math.sqrt(np.sum(diag))
             assert lo <= up <= lo * (1 + 1e-12)
-            assert up == pytest.approx(norm_2to1_upper_sdp(msubs[i]), rel=1e-12)
+            assert up == pytest.approx(norm_2to1_upper_sdp(msubs[i])[0], rel=1e-12)
             assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
     assert closed >= 6
 
@@ -484,14 +475,11 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
     img = harness.synthetic_image(32, 32, np.random.default_rng(7))
     t, _ = harness.image_to_sparse(img, 51, e.u)
     msubs = gamma._group_rows(e, t, structure)
-    values, signs = gamma._sign_enumeration(msubs)
+    values = gamma._sign_enumeration(msubs)
     for i in range(structure.n_groups):
         msub = normalize_rows(submatrix(e, structure.group(i), t))
         assert np.array_equal(msubs[i], msub)
-        value, s = norm_2to1_exact_real(msub, return_info=True)
-        ref_value, ref_s = norm_2to1_exact_real_loop(msub)
-        assert values[i] == value == ref_value
-        assert np.array_equal(signs[i], s) and np.array_equal(s, ref_s)
+        assert values[i] == norm_2to1_exact_real(msub) == norm_2to1_exact_real_loop(msub)
     est = penalty_gamma(e, t, structure)
     assert est.method == "exact_sign_enum"
     assert est.exact == np.max(values)
@@ -521,7 +509,7 @@ def test_exact_route_enumerates_only_groups_that_can_reach_the_maximum(monkeypat
 
     monkeypatch.setattr(gamma, "_sign_enumeration", counted)
     est = penalty_gamma(e, t, structure)
-    values = original(gamma._group_rows(e, t, structure))[0]
+    values = original(gamma._group_rows(e, t, structure))
     assert est.method == "exact_sign_enum"
     assert 1 <= sum(enumerated) <= most
     assert est.exact == np.max(values)
@@ -549,7 +537,7 @@ def test_pruned_exact_route_matches_enumerating_every_group(structure, indices):
     # Haar rows repeat across groups (equal classes) and tie at the maximum,
     # so pruning, class sharing and the first-index tie rule all act
     t = SupportSet(np.array(sorted(indices)))
-    values = gamma._sign_enumeration(gamma._group_rows(_HAAR_8X8, t, structure))[0]
+    values = gamma._sign_enumeration(gamma._group_rows(_HAAR_8X8, t, structure))
     est = penalty_gamma(_HAAR_8X8, t, structure)
     assert est.method == "exact_sign_enum"
     assert est.exact == np.max(values)
@@ -604,7 +592,7 @@ def test_witness_stages_continue_one_column_block(monkeypatch):
     monkeypatch.setattr(gamma, "_phase_iteration", counted)
     lo, _, diag = gamma._certify_group(m, gamma._gram(m), 64, seeds)
     assert diag is None and columns == [1, 8, 56]
-    assert lo >= norm_2to1_lower(m, 64, np.random.default_rng(seeds)) * (1 - 1e-15)
+    assert lo >= _lower_loop(m, 64, np.random.default_rng(seeds))[0] * (1 - 1e-15)
 
 
 def test_failed_dual_rebalancing_falls_back_to_the_trivial_certificate(monkeypatch):

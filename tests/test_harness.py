@@ -36,7 +36,7 @@ from groupcs.harness import (
     trial_verdicts,
 )
 from groupcs.operators import SupportSet, make_basis, make_ensemble
-from groupcs.recovery import basis_pursuit, nre, solve_trials
+from groupcs.recovery import nre, solve_trials
 
 from oracles import support_factor_qr
 
@@ -351,7 +351,7 @@ def test_trial_chunk_schedule():
 
 
 def _find_min_m_trial_by_trial(e, gs, t, cfg):
-    # one basis_pursuit solve per trial, run to convergence (a proved sweep
+    # one solve per trial, run to convergence (a proved sweep
     # verdict does not depend on the sweep's iteration budget), stopping at
     # the deciding trial
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)
@@ -361,9 +361,9 @@ def _find_min_m_trial_by_trial(e, gs, t, cfg):
         successes = failures = 0
         for j in range(cfg.trials_per_m):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
-            a = e.a[draw_uniform(gs, m, rng).omega]
+            omega = draw_uniform(gs, m, rng).omega
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(a, a @ c)
+            (res,), _ = solve_trials(e, omega[None], c[None], verdicts=False)
             assert res.converged
             ok = nre(c, res.c_hat) <= cfg.success_nre
             successes += ok
@@ -473,8 +473,8 @@ def test_open_trials_do_not_grow_with_the_number_of_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_proved_verdicts_agree_with_solver(kind):
-    # every trial of the grid decided by proof, re-solved by basis_pursuit
-    # to convergence; a descent trial must fail there too, and a dual trial
+    # every trial of the grid decided by proof, re-solved alone to
+    # convergence; a descent trial must fail there too, and a dual trial
     # succeed
     e, gs, t, cfg, solver = _sweep_case(kind)
     routes = dict.fromkeys(VERDICT_ROUTES, 0)
@@ -486,9 +486,9 @@ def test_proved_verdicts_agree_with_solver(kind):
             if route == "solved":
                 continue
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
-            a = e.a[draw_uniform(gs, m, rng).omega]
+            omega = draw_uniform(gs, m, rng).omega
             c = random_coefficients(e, t, rng)
-            res = basis_pursuit(a, a @ c)
+            (res,), _ = solve_trials(e, omega[None], c[None], verdicts=False)
             assert res.converged
             assert (nre(c, res.c_hat) <= cfg.success_nre) == ok, (m, j, route)
     assert routes["certified"] > 0 and routes["certified"] + routes["rank_deficient"] >= 60, routes

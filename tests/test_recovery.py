@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupcs import recovery
@@ -12,7 +12,6 @@ from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     SolverOptions,
     TrialPool,
-    basis_pursuit,
     _soft_threshold,
     nre,
     solve_trials,
@@ -31,6 +30,17 @@ def _dft_ensemble(n):
     return make_ensemble(make_basis("identity", n), make_basis("dft1d", n))
 
 
+def _orthogonal_ensemble(q):
+    """The identity/custom ensemble whose A is the orthogonal matrix q."""
+    return make_ensemble(make_basis("identity", len(q)), make_basis("custom", entries=q))
+
+
+def _solve(e, omega, c, solver=None):
+    """One problem, measuring y = A[omega] c, solved as a block of one trial."""
+    (res,), _ = solve_trials(e, np.asarray(omega)[None], np.asarray(c)[None], solver, verdicts=False)
+    return res
+
+
 def test_nre_basics():
     s = np.array([1.0, 2.0, 2.0])
     assert nre(s, s) == 0.0
@@ -43,13 +53,6 @@ def test_nre_basics():
 
 
 def test_problem_validation():
-    a = np.eye(3)
-    with pytest.raises(ValueError):
-        basis_pursuit(a, np.ones(2))
-    with pytest.raises(ValueError):
-        basis_pursuit(a, np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        basis_pursuit(np.ones((4, 3)), np.ones(4))
     with pytest.raises(ValueError):
         SolverOptions(tol_feas=0.0)
 
@@ -59,7 +62,7 @@ def test_full_sampling_exact():
     rng = np.random.default_rng(0)
     c0 = np.zeros(32)
     c0[rng.permutation(32)[:7]] = rng.uniform(-1, 1, 7)
-    res = basis_pursuit(e.a, e.a @ c0)
+    res = _solve(e, np.arange(32), c0)
     assert res.converged
     assert nre(c0, res.c_hat) <= 1e-8
     assert res.feas_residual <= 1e-8
@@ -72,8 +75,7 @@ def test_one_sparse_dft_recovery():
         omega = np.sort(rng.permutation(32)[: rng.integers(8, 17)])
         c0 = np.zeros(32)
         c0[rng.integers(0, 32)] = rng.uniform(0.1, 1.0) * rng.choice([-1, 1])
-        a = e.a[omega]
-        res = basis_pursuit(a, a @ c0)
+        res = _solve(e, omega, c0)
         assert nre(c0, res.c_hat) <= 1e-6, seed
 
 
@@ -82,12 +84,11 @@ def test_objective_matches_lp_oracle():
     for seed in range(25):
         rng = np.random.default_rng(1000 + seed)
         q = random_orthogonal(12, rng)
-        a = q[np.sort(rng.permutation(12)[:6])]
+        omega = np.sort(rng.permutation(12)[:6])
         c0 = np.zeros(12)
         c0[rng.permutation(12)[:2]] = rng.uniform(-1, 1, 2)
-        y = a @ c0
-        res = basis_pursuit(a, y)
-        oracle = l1_min_vertex_oracle(a, y)
+        res = _solve(_orthogonal_ensemble(q), omega, c0)
+        oracle = l1_min_vertex_oracle(q[omega], q[omega] @ c0)
         worst = max(worst, abs(res.objective - oracle))
         assert res.objective == pytest.approx(oracle, abs=1e-6)
     assert worst <= 1e-6
@@ -99,8 +100,7 @@ def test_solver_sanity_objective_not_above_truth():
     omega = np.sort(rng.permutation(64)[:40])
     c0 = np.zeros(64)
     c0[rng.permutation(64)[:5]] = rng.uniform(-1, 1, 5)
-    a = e.a[omega]
-    res = basis_pursuit(a, a @ c0)
+    res = _solve(e, omega, c0)
     assert res.converged
     assert res.objective <= np.sum(np.abs(c0)) * (1 + 1e-6)
 
@@ -111,9 +111,8 @@ def test_determinism_bit_identical():
     omega = np.sort(rng.permutation(48)[:20])
     c0 = np.zeros(48)
     c0[rng.permutation(48)[:4]] = rng.uniform(-1, 1, 4)
-    a = e.a[omega]
-    r1 = basis_pursuit(a, a @ c0)
-    r2 = basis_pursuit(a, a @ c0)
+    r1 = _solve(e, omega, c0)
+    r2 = _solve(e, omega, c0)
     assert np.array_equal(r1.c_hat, r2.c_hat)
     assert r1.iterations == r2.iterations
 
@@ -124,28 +123,15 @@ def test_scaling_equivariance():
     omega = np.sort(rng.permutation(32)[:16])
     c0 = np.zeros(32)
     c0[rng.permutation(32)[:3]] = rng.uniform(-1, 1, 3)
-    a = e.a[omega]
-    y = a @ c0
-    base = basis_pursuit(a, y)
+    base = _solve(e, omega, c0)
     for alpha in (0.25, 3.0, 1e3):
-        scaled = basis_pursuit(a, alpha * y)
+        scaled = _solve(e, omega, alpha * c0)
         assert np.allclose(scaled.c_hat, alpha * base.c_hat, atol=1e-8 * alpha)
 
 
 def test_zero_measurements():
-    a = np.eye(4)[:2]
-    res = basis_pursuit(a, np.zeros(2))
+    res = _solve(_orthogonal_ensemble(np.eye(4)), np.arange(2), np.zeros(4))
     assert res.converged and res.objective == 0.0 and res.iterations == 0
-
-
-def test_non_orthonormal_rows_rejected():
-    rng = np.random.default_rng(21)
-    q = random_orthogonal(8, rng)
-    c0 = np.zeros(8)
-    c0[1] = 0.8
-    for a in (np.vstack([q[:3], q[2]]), 2.0 * q[:3]):  # a duplicated row; a scaled block
-        with pytest.raises(ValueError, match="not orthonormal"):
-            basis_pursuit(a, a @ c0)
 
 
 def test_max_iters_exhaustion_flags():
@@ -154,8 +140,7 @@ def test_max_iters_exhaustion_flags():
     omega = np.sort(rng.permutation(32)[:12])
     c0 = np.zeros(32)
     c0[rng.permutation(32)[:4]] = rng.uniform(-1, 1, 4)
-    a = e.a[omega]
-    res = basis_pursuit(a, a @ c0, SolverOptions(max_iters=3))
+    res = _solve(e, omega, c0, SolverOptions(max_iters=3))
     assert not res.converged
     assert res.iterations == 3
     assert np.all(np.isfinite(res.c_hat))
@@ -208,8 +193,7 @@ def test_certificate_predicts_recovery():
         held += 1
         c0 = np.zeros(64)
         c0[t.indices] = coeffs
-        a = e.a[omega]
-        res = basis_pursuit(a, a @ c0)
+        res = _solve(e, omega, c0)
         err = np.linalg.norm(res.c_hat - c0) / np.linalg.norm(c0)
         assert err <= 1e-4, (seed, err)
     assert held >= 200  # the sweep must actually exercise the implication
@@ -332,23 +316,20 @@ def test_pool_live_rows_stay_within_entry_bound(monkeypatch, ensemble, m, k, rea
     [
         (lambda: _dft_ensemble(64), 32, 4),
         (lambda: _haar_ensemble(32, 32), 640, 4),  # successes and failures
-        (lambda: make_ensemble(
-            make_basis("identity", 48),
-            make_basis("custom", entries=random_orthogonal(48, np.random.default_rng(3))),
-        ), 24, 3),
+        (lambda: _orthogonal_ensemble(random_orthogonal(48, np.random.default_rng(3))), 24, 3),
     ],
 )
-def test_trial_engine_matches_basis_pursuit(ensemble, m, k):
+def test_trial_engine_matches_each_trial_alone(ensemble, m, k):
+    # a batch of trials gives each trial what solving it alone gives, bit for
+    # bit; a dense custom factor, and successes and failures in one batch
     e = ensemble()
-    real = not np.iscomplexobj(e.a)
-    omegas, coeffs = _trial_block(e, m, k, 6, seed=43, real=real)
-    block, _ = solve_trials(e, omegas, coeffs, SolverOptions(max_iters=4000), verdicts=False)
+    omegas, coeffs = _trial_block(e, m, k, 6, seed=43, real=e.dtype == np.float64)
+    solver = SolverOptions(max_iters=4000)
+    block, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     for omega, c, res in zip(omegas, coeffs, block):
-        a = e.a[omega]
-        ref = basis_pursuit(a, a @ c, SolverOptions(max_iters=4000))
-        assert (nre(c, res.c_hat) <= 1e-3) == (nre(c, ref.c_hat) <= 1e-3)
-        assert np.max(np.abs(res.c_hat - ref.c_hat)) <= 1e-6
-        assert res.converged == ref.converged
+        alone = _solve(e, omega, c, solver)
+        assert np.array_equal(res.c_hat, alone.c_hat)
+        assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
         assert res.feas_residual <= 1e-8
 
 
@@ -434,10 +415,13 @@ def _block_orthogonal(n, split, rng):
     k=st.integers(1, 5),
     m=st.integers(1, 10),
 )
+# the certificate holds with a margin of 2.8e-5, and ADMM takes 439,267
+# iterations to converge: past the default budget
+@example(seed=2373912715, n=4, split_frac=0.3125, k=1, m=1)
 def test_proved_recovery_is_sound(seed, n, split_frac, k, m):
     rng = np.random.default_rng(seed)
     q = _block_orthogonal(n, max(1, round(split_frac * n)), rng)
-    e = make_ensemble(make_basis("identity", n), make_basis("custom", entries=q))
+    e = _orthogonal_ensemble(q)
     k, m = min(k, n), min(m, n)
     s = np.sort(rng.permutation(n)[:k])
     omega = np.sort(rng.permutation(n)[:m])
@@ -456,8 +440,12 @@ def test_proved_recovery_is_sound(seed, n, split_frac, k, m):
         step = 0.5 * np.min(np.abs(c[s])) / np.max(np.abs(h))
         assert np.sum(np.abs(c - step * h)) < np.sum(np.abs(c))
     elif proof is True:
-        res = basis_pursuit(a, a @ c)
-        assert nre(c, res.c_hat) <= 1e-3
+        res = _solve(e, omega, c)
+        if res.converged:
+            assert nre(c, res.c_hat) <= 1e-3
+        else:
+            # c is the unique minimizer: its l1 norm is the LP optimum
+            assert np.sum(np.abs(c)) == pytest.approx(l1_min_vertex_oracle(a, a @ c), abs=1e-9)
 
 
 def test_proved_recovery_routes():
@@ -565,9 +553,8 @@ def test_dual_stop_is_sound(seed, n, split_frac, k, m_frac, complex_):
         assert (res is None) == (route in ("certified", "rank_deficient"))
         if route == "dual":
             assert res.iterations >= 1
-            a = e.a[omega]
             # re-solved to convergence: some trials need more than the default budget
-            full = basis_pursuit(a, a @ c, SolverOptions(max_iters=200_000))
+            full = _solve(e, omega, c, SolverOptions(max_iters=200_000))
             assert full.converged
             assert nre(c, full.c_hat) <= 1e-3
 
