@@ -22,15 +22,11 @@ from .gamma import (
     KP_COMPLEX,
     KP_REAL,
     GammaEstimate,
-    norm_2to1_exact_real,
-    norm_2to1_upper_sdp,
     penalty_gamma,
 )
 from .grouping import (
     GroupStructure,
-    SampleSet,
     contiguous_1d,
-    draw_bernoulli,
     draw_uniform,
     lines_2d,
     max_manhattan_2d,
@@ -48,14 +44,12 @@ from .harness import (
     SweepConfig,
     SweepRecord,
     default_m_grid,
-    find_min_m,
     image_to_sparse,
     random_coefficients,
     records_from_csv,
     records_to_csv,
     scatter_gamma_vs_m,
     synthetic_image,
-    trial_verdicts,
 )
 from .operators import (
     MeasurementEnsemble,

@@ -106,7 +106,7 @@ def _selected_sums(a_l, a_t, gs, m, trials, rng, entries=None):
 
     The selections are drawn one chunk at a time by ``bernoulli_selections``,
     which gives the draws, and the generator state, of ``trials`` successive
-    ``draw_bernoulli`` calls.  The per-group products are formed a span of
+    one-trial draws.  The per-group products are formed a span of
     groups at a time.  When the table of every group's kept terms fits in
     ``_CHUNK_ENTRIES`` it is formed once, and each chunk weights it by the 0/1
     selections in one real GEMM; otherwise each chunk forms the spans again,
@@ -200,7 +200,7 @@ def validate_gram_concentration(
 
     A trial's support Gram is the sum of the fixed per-group Grams of its
     selected groups, so a chunk of trials takes one GEMM; the draws are those
-    of successive ``draw_bernoulli`` calls.  Only the entries (i, j) of the
+    of ``bernoulli_selections``.  Only the entries (i, j) of the
     lower triangle whose columns i and j of A_T share a nonzero row can be
     nonzero in any per-group Gram, so only those are summed.
 
@@ -253,17 +253,16 @@ def validate_cross_row_energy(
     t0: int,
     trials: int,
     rng: np.random.Generator,
-    gamma_value: float | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo check of E||v||^2 <= (M/sqrt(N)) mu^3 |T| gamma, where v is
     the t0-th off-support row of A_omega^H A_{omega,T} minus its mean.
 
-    Returns (empirical mean, bound).  When ``gamma_value`` is omitted the
-    penalty factor is computed here (exact value when available, else the
-    certified upper bound, which keeps the stated bound valid).  A trial's
-    row is the sum of the fixed per-group rows of its selected groups, so a
-    chunk of trials takes one GEMM; the draws are those of successive
-    ``draw_bernoulli`` calls, and the energies are summed in trial order.
+    Returns (empirical mean, bound).  gamma is ``penalty_gamma``'s value
+    (the exact value when available, else the certified upper bound, which
+    keeps the stated bound valid).  A trial's row is the sum of the fixed
+    per-group rows of its selected groups, so a chunk of trials takes one
+    GEMM; the draws are those of ``bernoulli_selections``, and the energies
+    are summed in trial order.
     """
     _check_trials(trials)
     if not 0 <= t0 < e.n:
@@ -272,8 +271,7 @@ def validate_cross_row_energy(
         raise ValueError(f"t0={t0} must lie outside the support")
     if not 0 <= m <= e.n:
         raise ValueError(f"m={m} out of range [0, {e.n}]")
-    if gamma_value is None:
-        gamma_value = penalty_gamma(e, t, gs).value
+    penalty = penalty_gamma(e, t, gs).value
     # mean of the row over the Bernoulli draw: (m/n) times the full-A row,
     # which is zero for exactly orthogonal columns but kept for honesty
     a_t0, a_t = e.columns([t0]), e.columns(t.indices)
@@ -284,5 +282,5 @@ def validate_cross_row_energy(
         for energy in np.real(np.sum(rows.conj() * rows, axis=1)).tolist():
             acc += energy
     empirical = acc / trials
-    bound = (m / math.sqrt(e.n)) * e.mu**3 * len(t) * gamma_value
+    bound = (m / math.sqrt(e.n)) * e.mu**3 * len(t) * penalty
     return empirical, bound

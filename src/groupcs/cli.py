@@ -365,7 +365,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     s = _require(cfg, "support", "config")
     if "indices" in s:
         _indices_below(s, e.n)
-        t = SupportSet.from_indices(s["indices"])
+        t = SupportSet(np.sort(s["indices"]))  # distinct: checked by the config table
         c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
         return [SupportCase(t, c0, f"indices-k{len(t)}")]
     k = _bounded(s["k"], "support.k", 0, e.n)

@@ -106,21 +106,6 @@ class GammaEstimate:
         return self.exact if self.exact is not None else self.upper
 
 
-def norm_2to1_exact_real(m: np.ndarray) -> float:
-    """Exact 2->1 norm of a real matrix of at most ``ENUM_LIMIT_DEFAULT``
-    rows by sign enumeration.
-
-    Uses the dual form max_{s in {-1,1}^g} ||m^T s||_2 with s_0 fixed to +1
-    by symmetry, so 2^(g-1) candidates.
-    """
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        raise ValueError("sign enumeration is exact only for real matrices")
-    if m.shape[0] > ENUM_LIMIT_DEFAULT:
-        raise ValueError(f"{m.shape[0]} rows exceeds enumeration limit {ENUM_LIMIT_DEFAULT}")
-    return float(_sign_enumeration(m[None])[0])
-
-
 def _sign_enumeration(ms: np.ndarray) -> np.ndarray:
     """Exact 2->1 norms of a stack of real g x k matrices, by enumerating
     the 2^(g-1) sign vectors with s_0 = +1.
@@ -292,35 +277,26 @@ def _recertified_upper(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(d) + d.size * _recertified_shift(d, q), 0.0))
 
 
-def norm_2to1_upper_sdp(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Certified upper bound on the 2->1 norm via the diag-constrained SDP,
-    and its certified diagonal d.
+def _sdp_diagonal(q: np.ndarray) -> np.ndarray:
+    """Certified diagonal d of the diag-constrained SDP for a group's Gram
+    matrix q = m m^H: the one of least trace among the log-barrier Newton
+    dual and the two trivial certificates.
 
-    The value is sqrt(sum d) for the diagonal d of least trace among the
-    log-barrier Newton dual and the two trivial certificates; every one
-    satisfies diag(d) >= m m^H, so the value bounds the relaxation and hence
-    the norm.  If dual rebalancing fails, the better trivial certificate is
-    used.
+    Every one satisfies diag(d) >= q, so sqrt(sum d) bounds the relaxation
+    and hence the 2->1 norm of m.  If dual rebalancing fails, the better
+    trivial certificate is used.
     """
-    m = np.asarray(m)
-    g = m.shape[0]
-    if g == 0 or m.shape[1] == 0:
-        d = np.zeros(g)
-    else:
-        q = _gram(m)
-        eig_diag, row_sums = _trivial_diags(q)
-        off_max = float(np.max(np.abs(q - np.diag(np.diag(q)))))
-        if g == 1 or off_max <= 1e-14 * max(1.0, eig_diag[0]):
-            # diagonal q: the relaxation value is exactly trace(q)
-            d = np.maximum(np.real(np.diag(q)), 0.0)
-        else:
-            candidates = [eig_diag, row_sums]
-            try:
-                candidates.append(_dual_diag_value(q))
-            except np.linalg.LinAlgError:
-                warnings.warn("dual rebalancing failed; falling back to the trivial certificate")
-            d = min(candidates, key=np.sum)
-    return math.sqrt(max(float(np.sum(d)), 0.0)), d
+    eig_diag, row_sums = _trivial_diags(q)
+    off_max = float(np.max(np.abs(q - np.diag(np.diag(q)))))
+    if len(q) == 1 or off_max <= 1e-14 * max(1.0, eig_diag[0]):
+        # diagonal q: the relaxation value is exactly trace(q)
+        return np.maximum(np.real(np.diag(q)), 0.0)
+    candidates = [eig_diag, row_sums]
+    try:
+        candidates.append(_dual_diag_value(q))
+    except np.linalg.LinAlgError:
+        warnings.warn("dual rebalancing failed; falling back to the trivial certificate")
+    return min(candidates, key=np.sum)
 
 
 def _first_max(uppers: np.ndarray) -> int:
@@ -410,8 +386,6 @@ def penalty_gamma(
         raise ValueError(f"structure over {gs.n} rows but ensemble has {e.n}")
     if len(t) == 0:
         raise ValueError("support set is empty")
-    if t.indices.max() >= e.n:
-        raise IndexError("support index out of range")
 
     msubs = _group_rows(e, t, gs)
     if gs.g > 1 and (e.dtype != np.float64 or gs.g > ENUM_LIMIT_DEFAULT):
@@ -484,7 +458,7 @@ def _sandwich(msubs: np.ndarray, seed: int = 0) -> GammaEstimate:
         pending[i] = False
         lo, u, diag = _certify_group(msubs[i], grams[i], _LOWER_RESTARTS, group_seeds[i])
         if diag is None:
-            _, diag = norm_2to1_upper_sdp(msubs[i])
+            diag = _sdp_diagonal(grams[i])
         up = math.sqrt(max(float(np.sum(diag)), 0.0))
         lowers[i] = min(max(lo, lowers[i]), up)
         uppers[i] = up

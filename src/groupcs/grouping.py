@@ -42,25 +42,6 @@ class GroupStructure:
         return self.groups[i]
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Union of selected groups, kept sorted."""
-
-    omega: np.ndarray
-    selected_groups: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=np.int64)
-        sel = np.asarray(self.selected_groups, dtype=np.int64)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "selected_groups", sel)
-        if omega.size != self.m:
-            raise ValueError("sample set size inconsistent with m")
-        omega.setflags(write=False)
-        sel.setflags(write=False)
-
-
 def _require_divides(g: int, n: int, what: str = "n"):
     if g < 1 or n % g != 0:
         raise ValueError(f"group size {g} must divide {what}={n}")
@@ -206,36 +187,28 @@ def random_groups(n: int, g: int, seed: int) -> GroupStructure:
     return _structure(n, g, perm.reshape(n // g, g), f"random_groups_s{seed}")
 
 
-def draw_uniform(gs: GroupStructure, m: int, rng: np.random.Generator) -> SampleSet:
-    """Select exactly m/g distinct groups uniformly without replacement."""
+def draw_uniform(gs: GroupStructure, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The sorted rows of exactly m/g distinct groups selected uniformly
+    without replacement."""
     if m % gs.g != 0:
         raise ValueError(f"m={m} must be a multiple of the group size {gs.g}")
     if not 0 <= m <= gs.n:
         raise ValueError(f"m={m} out of range [0, {gs.n}]")
-    k = m // gs.g
-    sel = np.sort(rng.permutation(gs.n_groups)[:k])
-    omega = np.sort(gs.groups[sel].ravel())
-    return SampleSet(omega=omega, selected_groups=sel, m=m)
+    return np.sort(gs.groups[rng.permutation(gs.n_groups)[: m // gs.g]].ravel())
 
 
 def bernoulli_selections(
     gs: GroupStructure, m: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Bernoulli group selections of ``trials`` draws, as a trials x n_groups
-    bool array: each group is included independently with probability m/n.
+    bool array: each group is included independently with probability m/n
+    (E|omega| = m).
 
     The generator fills the uniforms in row order, so the rows, and the
-    generator's final state, equal those of ``trials`` successive
-    ``draw_bernoulli`` calls; drawing the rows over several calls gives the
-    same rows as one call.
+    generator's final state, equal those of ``trials`` successive one-trial
+    draws ``rng.random(n_groups) < m/n``; drawing the rows over several
+    calls gives the same rows as one call.
     """
     if not 0 <= m <= gs.n:
         raise ValueError(f"m={m} out of range [0, {gs.n}]")
     return rng.random((trials, gs.n_groups)) < m / gs.n
-
-
-def draw_bernoulli(gs: GroupStructure, m: int, rng: np.random.Generator) -> SampleSet:
-    """Include each group independently with probability m/n (E|omega| = m)."""
-    sel = np.flatnonzero(bernoulli_selections(gs, m, 1, rng)[0])
-    omega = np.sort(gs.groups[sel].ravel())
-    return SampleSet(omega=omega, selected_groups=sel, m=int(omega.size))

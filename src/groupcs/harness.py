@@ -175,7 +175,7 @@ def trial_rng(master_seed: int, label: str, m: int, trial: int) -> np.random.Gen
 
 def _draw_trials(
     e: MeasurementEnsemble,
-    structure: GroupStructure | None,
+    gs: GroupStructure,
     t: SupportSet,
     m: int,
     trials: range,
@@ -183,36 +183,22 @@ def _draw_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (one row of indices per trial) and true coefficients of the trials.
 
-    Trial j draws its rows and then its coefficients from
-    ``trial_rng(master_seed, label, m, j)``.  ``structure=None`` samples m
-    rows uniformly at random (label ``direct_index``), else whole groups are
-    drawn.
+    Trial j draws m/g whole groups of ``gs`` and then its coefficients from
+    ``trial_rng(master_seed, gs.label, m, j)``.
     """
-    label = "direct_index" if structure is None else structure.label
     omegas, coeffs = [], []
     for j in trials:
-        rng = trial_rng(master_seed, label, m, j)
-        if structure is None:
-            omegas.append(np.sort(rng.permutation(e.n)[:m]))
-        else:
-            omegas.append(draw_uniform(structure, m, rng).omega)
+        rng = trial_rng(master_seed, gs.label, m, j)
+        omegas.append(draw_uniform(gs, m, rng))
         coeffs.append(random_coefficients(e, t, rng))
     return np.array(omegas), np.array(coeffs)
 
 
-def trial_verdicts(
-    e: MeasurementEnsemble,
-    structure: GroupStructure | None,
-    t: SupportSet,
-    m: int,
-    trials: range,
-    *,
-    master_seed: int = 0,
-    success_nre: float = 1e-3,
-    solver: SolverOptions | None = None,
-) -> list[tuple[bool, str]]:
-    """Success of each trial and the route that decided it, one of
-    ``VERDICT_ROUTES``.
+def _verdicts(e, gs, t, m, trials, master_seed, success_nre):
+    """Request for ``TrialPool.run``: once there is room, yields the drawn
+    rows and coefficients of the trials, receives their results and routes,
+    and returns the success of each trial and the route that decided it,
+    one of ``VERDICT_ROUTES``.
 
     Trials are drawn by ``_draw_trials`` and decided together in a
     ``recovery.TrialPool``, which stops each trial at the first proof, as
@@ -227,16 +213,8 @@ def trial_verdicts(
     trials are "solved" and succeed when the normalized error is at most
     ``success_nre``.
     """
-    request = _verdicts(e, structure, t, m, trials, master_seed, success_nre)
-    return TrialPool(e, solver, verdicts=True).run([request])[0]
-
-
-def _verdicts(e, structure, t, m, trials, master_seed, success_nre):
-    """Request of ``trial_verdicts`` for ``TrialPool.run``: once there is
-    room, yields the drawn rows and coefficients of the trials, receives
-    their results and routes, and returns the verdicts."""
     yield  # wait for room in the pool before drawing
-    omegas, coeffs = _draw_trials(e, structure, t, m, trials, master_seed)
+    omegas, coeffs = _draw_trials(e, gs, t, m, trials, master_seed)
     results, routes = yield omegas, coeffs
     # by unitarity of the sparsity basis this equals the signal-domain error
     return [
@@ -259,28 +237,6 @@ def _trial_chunks(trials: int):
         size = min(2 * size, _MAX_CHUNK)
 
 
-def find_min_m(
-    e: MeasurementEnsemble,
-    gs: GroupStructure,
-    t: SupportSet,
-    cfg: SweepConfig,
-    *,
-    solver: SolverOptions | None = None,
-) -> MinMResult:
-    """First grid value whose success quota is met; None when all saturate.
-
-    Trials at each m are decided as by ``trial_verdicts`` in chunks of 2, 4,
-    8, 16, 32, 32, ... trials, and a grid value is abandoned after the first
-    chunk at which the quota is arithmetically decided.  A trial's verdict
-    does not depend on its chunk, so the success indicator is exactly the
-    one of a trial-by-trial loop; ``executed`` (and ``successes`` and the
-    route counts) also count the trials after the deciding one in the same
-    chunk.
-    """
-    _check_grid(gs, cfg)
-    return TrialPool(e, solver, verdicts=True).run([_sweep(e, gs, t, cfg)])[0]
-
-
 def _check_grid(gs: GroupStructure, cfg: SweepConfig):
     """Reject a grid value that ``gs`` cannot draw."""
     for m in cfg.m_grid:
@@ -290,8 +246,18 @@ def _check_grid(gs: GroupStructure, cfg: SweepConfig):
 
 
 def _sweep(e, gs, t, cfg: SweepConfig):
-    """Request of ``find_min_m`` for ``TrialPool.run``; returns the
-    MinMResult."""
+    """Request for ``TrialPool.run`` (with verdicts) that locates the first
+    grid value whose success quota is met; returns the MinMResult, whose
+    ``m_min`` is None when all saturate.
+
+    Trials at each m are decided by ``_verdicts`` in chunks of 2, 4, 8, 16,
+    32, 32, ... trials, and a grid value is abandoned after the first chunk
+    at which the quota is arithmetically decided.  A trial's verdict does
+    not depend on its chunk, so the success indicator is exactly the one of
+    a trial-by-trial loop; ``executed`` (and ``successes`` and the route
+    counts) also count the trials after the deciding one in the same chunk.
+    The grid is not checked here (``_check_grid``).
+    """
     if len(t) == 0:
         raise ValueError("sweeps need a nonempty support")
     needed = math.ceil(cfg.success_quota * cfg.trials_per_m - 1e-9)

@@ -59,13 +59,13 @@ def _check_unitary(resid: float, what: str, failure: str = "is not unitary") -> 
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Square unitary matrix whose columns are the basis vectors.
+    """Square unitary matrix E whose columns are the basis vectors.
 
-    ``entries`` maps coefficients to samples: x = entries @ c.  For the 2-D
-    kinds, vectors are row-major flattenings of ``shape2d`` images.  A
-    ``custom`` basis holds its matrix in ``matrix``, checked unitary by the
-    dense Gram product; a named kind holds none, and ``entries`` forms its
-    matrix anew from the closed form on every call.
+    E maps coefficients to samples: x = E c.  For the 2-D kinds, vectors are
+    row-major flattenings of ``shape2d`` images.  A ``custom`` basis holds
+    its matrix in ``matrix``, checked unitary by the dense Gram product; a
+    named kind holds none, and its columns are formed from the closed form
+    (``_columns``).
     """
 
     n: int
@@ -94,17 +94,13 @@ class OrthonormalBasis:
             _check_unitary(resid, "basis")
             self.matrix.setflags(write=False)
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix if self.kind == "custom" else _columns(self, np.arange(self.n))
-
     def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """x = entries @ c for one coefficient vector, into a new array, by
-        the kind's transform."""
+        """x = E c for one coefficient vector, into a new array, by the
+        kind's transform."""
         return _transform(self, False)(c[:, None])[:, 0]
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        """c = entries^H x, the inverse of ``synthesize``, likewise."""
+        """c = E^H x, the inverse of ``synthesize``, likewise."""
         return _transform(self, True)(x[:, None])[:, 0]
 
     def __eq__(self, other) -> bool:
@@ -454,11 +450,6 @@ class SupportSet:
             raise ValueError("support indices must be strictly increasing and >= 0")
         object.__setattr__(self, "indices", ix)
         ix.setflags(write=False)
-
-    @classmethod
-    def from_indices(cls, indices) -> "SupportSet":
-        ix = np.unique(np.asarray(list(indices), dtype=np.int64))
-        return cls(ix)
 
     def __len__(self) -> int:
         return int(self.indices.size)

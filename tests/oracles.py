@@ -9,7 +9,9 @@ transform by concatenated copies, and the penalty-factor references
 enumerate the signs of one matrix at a time and run one Burer-Monteiro start
 at a time.  The one-trial certificate references (``dual_certificate``,
 ``proved_recovery``, ``cross_gram``) form each trial's support submatrix and
-solve with it directly, where the sweep batches one QR per trial.
+solve with it directly, where the sweep batches one QR per trial.  The
+sweep drivers (``sweep_alone``, ``verdicts_alone``) run one request of the
+library's own sweep path in a pool of its own, as a command would.
 """
 
 import itertools
@@ -18,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupcs.grouping import draw_bernoulli
-from groupcs.operators import MeasurementEnsemble, SupportSet
+from groupcs import harness
+from groupcs.harness import random_coefficients, trial_rng
+from groupcs.operators import MeasurementEnsemble, SupportSet, _columns
+from groupcs.recovery import TrialPool, nre, solve_trials
 
 
 def norm_2to1_sphere_oracle(m, rng, samples=200000, polish_iters=200, starts=50):
@@ -88,13 +92,19 @@ def spiral_order_reference(rows, cols):
     return np.asarray(out, dtype=np.int64)
 
 
+def bernoulli_rows(gs, m, rng):
+    """The sorted rows of one Bernoulli draw: each group of ``gs`` included
+    independently when its uniform is below m/n."""
+    return np.sort(gs.groups[rng.random(gs.n_groups) < m / gs.n].ravel())
+
+
 def gram_deviations_loop(e, t, gs, m, trials, rng):
     """Spectral deviation of (N/m) A_{omega,T}^H A_{omega,T} from I, one
-    ``draw_bernoulli`` trial at a time."""
+    ``bernoulli_rows`` trial at a time."""
     eye = np.eye(len(t))
     deviations = np.empty(trials)
     for i in range(trials):
-        at = e.a[np.ix_(draw_bernoulli(gs, m, rng).omega, t.indices)]
+        at = e.a[np.ix_(bernoulli_rows(gs, m, rng), t.indices)]
         y = (e.n / m) * (at.conj().T @ at) - eye
         deviations[i] = float(np.max(np.abs(np.linalg.eigvalsh(y))))
     return deviations
@@ -102,12 +112,12 @@ def gram_deviations_loop(e, t, gs, m, trials, rng):
 
 def cross_row_energy_loop(e, t, gs, m, t0, trials, rng):
     """Mean squared norm of the centred row t0 of A_omega^H A_{omega,T}, one
-    ``draw_bernoulli`` trial at a time."""
+    ``bernoulli_rows`` trial at a time."""
     a_t0, a_t = e.a[:, t0].conj(), e.a[:, t.indices]
     mean_row = (m / e.n) * (a_t0 @ a_t)
     acc = 0.0
     for _ in range(trials):
-        omega = draw_bernoulli(gs, m, rng).omega
+        omega = bernoulli_rows(gs, m, rng)
         row = a_t0[omega] @ a_t[omega] - mean_row
         acc += float(np.real(np.vdot(row, row)))
     return acc / trials
@@ -138,6 +148,12 @@ def unitarity_residual_dense(entries):
     """Max-abs entry of E^H E - I by the dense product."""
     n = entries.shape[0]
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(n))))
+
+
+def dense_basis(b):
+    """The dense matrix of basis b, formed by the library's closed forms
+    (all of its columns)."""
+    return _columns(b, np.arange(b.n))
 
 
 def basis_reference(b):
@@ -301,7 +317,7 @@ def dual_certificate(
     matches z on the support, and |pi| stays strictly below 1 elsewhere
     (implemented as <= 1 - 1e-9).
     """
-    rows = omega.omega if hasattr(omega, "omega") else np.asarray(omega, dtype=np.int64)
+    rows = np.asarray(omega, dtype=np.int64)
     z = np.asarray(z)
     if z.shape != (len(t),):
         raise ValueError("sign sequence length must equal the support size")
@@ -354,3 +370,33 @@ def proved_recovery(e: MeasurementEnsemble, omega, c: np.ndarray) -> bool | None
             return False
         return None
     return True if dual_certificate(e, rows, SupportSet(s), z).holds else None
+
+
+def sweep_alone(e, gs, t, cfg, solver=None):
+    """The MinMResult of one sweep (``harness._sweep``) run alone in a
+    ``TrialPool`` with verdicts; the grid is not checked."""
+    return TrialPool(e, solver, verdicts=True).run([harness._sweep(e, gs, t, cfg)])[0]
+
+
+def verdicts_alone(e, gs, t, m, trials, *, master_seed=0, success_nre=1e-3, solver=None):
+    """(success, route) of each trial of ``trials`` at m, decided by one
+    ``harness._verdicts`` request run alone in a ``TrialPool``."""
+    request = harness._verdicts(e, gs, t, m, trials, master_seed, success_nre)
+    return TrialPool(e, solver, verdicts=True).run([request])[0]
+
+
+def direct_successes(e, t, m, trials, master_seed, success_nre=1e-3):
+    """Successes among ``trials`` trials that sample m of the N rows
+    uniformly at random (no groups), each drawing its rows and then its
+    coefficients from ``trial_rng(master_seed, "direct_index", m, j)``,
+    decided as sweep trials are."""
+    omegas, coeffs = [], []
+    for j in range(trials):
+        rng = trial_rng(master_seed, "direct_index", m, j)
+        omegas.append(np.sort(rng.permutation(e.n)[:m]))
+        coeffs.append(random_coefficients(e, t, rng))
+    results, routes = solve_trials(e, np.array(omegas), np.array(coeffs), verdicts=True)
+    return sum(
+        route in ("certified", "dual") or (route == "solved" and nre(c, r.c_hat) <= success_nre)
+        for c, r, route in zip(coeffs, results, routes)
+    )

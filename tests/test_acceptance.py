@@ -15,12 +15,7 @@ import pytest
 from groupcs import gamma
 from groupcs.bounds import validate_cross_row_energy, validate_gram_concentration
 from groupcs.cli import main as cli_main
-from groupcs.gamma import (
-    KP_REAL,
-    norm_2to1_exact_real,
-    norm_2to1_upper_sdp,
-    penalty_gamma,
-)
+from groupcs.gamma import KP_REAL, penalty_gamma
 from groupcs.grouping import contiguous_1d, singletons, strided_1d
 from groupcs.harness import (
     SignalSpec,
@@ -28,20 +23,22 @@ from groupcs.harness import (
     SweepConfig,
     default_m_grid,
     draw_support,
-    find_min_m,
     trial_rng,
-    trial_verdicts,
 )
 from groupcs.operators import SupportSet, make_basis, make_ensemble, normalize_rows
 from groupcs.recovery import solve_trials
 
 from oracles import (
+    direct_successes,
     dual_certificate,
     hadamard_matrix,
     l1_min_vertex_oracle,
     norm_2to1_sphere_oracle,
+    norm_2to1_exact_real_loop,
     random_orthogonal,
+    sweep_alone,
     two_proportion_fisher_pvalue,
+    verdicts_alone,
 )
 
 
@@ -75,9 +72,9 @@ def test_c02_pietsch_sandwich():
         g = int(rng.integers(2, 9))
         k = int(rng.integers(2, 17))
         m = normalize_rows(rng.standard_normal((g, k)))
-        exact = norm_2to1_exact_real(m)
+        exact = norm_2to1_exact_real_loop(m)
         lower = gamma._sandwich(m[None], seed=i).lower
-        upper, _ = norm_2to1_upper_sdp(m)
+        upper = math.sqrt(np.sum(gamma._sdp_diagonal(gamma._gram(m))))
         assert lower <= exact + 1e-9
         assert exact <= upper + 1e-9
         assert upper / exact <= KP_REAL + 1e-9
@@ -90,7 +87,7 @@ def test_c03_exact_norm_oracle_agreement():
     rng = np.random.default_rng(303)
     for _ in range(20):
         m = rng.standard_normal((3, 5))
-        exact = norm_2to1_exact_real(m)
+        exact = float(gamma._sign_enumeration(m[None])[0])
         oracle = norm_2to1_sphere_oracle(m, rng, samples=80000, starts=25)
         assert abs(exact - oracle) <= 1e-3 * max(1.0, exact)
     assert time.time() - t0 < 10
@@ -194,8 +191,8 @@ def test_c08_qualitative_replication_desk_scale():
             penalty_gamma(e, t, contig, seed=d).upper
             > penalty_gamma(e, t, strided, seed=d).upper
         )
-        mc = find_min_m(e, contig, t, cfg, solver=solver).m_min
-        ms = find_min_m(e, strided, t, cfg, solver=solver).m_min
+        mc = sweep_alone(e, contig, t, cfg, solver=solver).m_min
+        ms = sweep_alone(e, strided, t, cfg, solver=solver).m_min
         m_wins += (math.inf if mc is None else mc) >= (math.inf if ms is None else ms)
     assert gamma_wins >= 8, gamma_wins
     assert m_wins >= 7, m_wins
@@ -213,10 +210,8 @@ def test_c09_singleton_equivalence():
     rng = trial_rng(9, "accept9-support", 0, 0)
     t = SupportSet(np.sort(rng.permutation(n)[:k]))
     # every trial draws from its own stream: one call decides each as a sweep would
-    s_direct, s_single = (
-        sum(ok for ok, _ in trial_verdicts(e, gs, t, m, range(trials), master_seed=seed))
-        for gs, seed in ((None, 112), (base, 212))
-    )
+    s_direct = direct_successes(e, t, m, trials, master_seed=112)
+    s_single = sum(ok for ok, _ in verdicts_alone(e, base, t, m, range(trials), master_seed=212))
     p = two_proportion_fisher_pvalue(s_direct, trials, s_single, trials)
     assert p >= 0.05, (s_direct, s_single, p)
     assert time.time() - t0 < 600

@@ -15,12 +15,13 @@ from groupcs.bounds import (
     validate_cross_row_energy,
     validate_gram_concentration,
 )
-from groupcs.grouping import contiguous_1d, draw_bernoulli, random_groups, rect_2d, strided_1d
+from groupcs.gamma import penalty_gamma
+from groupcs.grouping import contiguous_1d, random_groups, rect_2d, strided_1d
 from groupcs.harness import image_to_sparse, synthetic_image, trial_rng
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.pgm import read_pgm, write_pgm
 
-from oracles import cross_gram, cross_row_energy_loop, gram_deviations_loop
+from oracles import bernoulli_rows, cross_gram, cross_row_energy_loop, gram_deviations_loop
 
 
 def _dft_ensemble(n):
@@ -204,7 +205,7 @@ def test_gram_concentration_matches_trial_loop(kind, monkeypatch):
         assert stats.fail_rate == np.mean(ref >= 0.5 - bounds._TIE_MARGIN)
         assert stats.ties == np.count_nonzero(np.abs(ref - 0.5) <= bounds._TIE_MARGIN)
         rng_sizes = np.random.default_rng(9)
-        empty = np.array([draw_bernoulli(gs, m, rng_sizes).m == 0 for _ in range(trials)])
+        empty = np.array([bernoulli_rows(gs, m, rng_sizes).size == 0 for _ in range(trials)])
         assert empty.any() == (m == 4)
         assert np.all(stats.deviations[empty] == 1.0)
 
@@ -253,7 +254,7 @@ def test_gram_ties_fail_whatever_the_rounding():
     # of unity, zero up to rounding; so j = 1 and j = 3 are ties at 1/2
     e, gs, t = _validator_case("dft")
     rng_ref = np.random.default_rng(5)
-    j = np.array([draw_bernoulli(gs, 8, rng_ref).m // 4 for _ in range(400)])
+    j = np.array([bernoulli_rows(gs, 8, rng_ref).size // 4 for _ in range(400)])
     stats = validate_gram_concentration(e, t, gs, 8, 400, np.random.default_rng(5))
     tie = (j == 1) | (j == 3)
     assert np.all(np.abs(stats.deviations[tie] - 0.5) <= 1e-14)
@@ -275,12 +276,12 @@ def _spy_spectral_radii(monkeypatch):
 
 
 def _diagonal_witness(e, t, gs, m, trials, rng):
-    """Per trial, max |H_ii| and the sign of that H_ii, one ``draw_bernoulli``
+    """Per trial, max |H_ii| and the sign of that H_ii, one ``bernoulli_rows``
     trial at a time; and the ceiling max((N/m) lambda_max(A_T^H A_T) - 1, 1)."""
     a_t = e.columns(t.indices)
     ceiling = max(e.n / m * np.linalg.eigvalsh(a_t.conj().T @ a_t)[-1] - 1.0, 1.0)
     diag = np.array([
-        (e.n / m) * np.sum(np.abs(a_t[draw_bernoulli(gs, m, rng).omega]) ** 2, axis=0) - 1.0
+        (e.n / m) * np.sum(np.abs(a_t[bernoulli_rows(gs, m, rng)]) ** 2, axis=0) - 1.0
         for _ in range(trials)
     ])
     top = np.argmax(np.abs(diag), axis=1)
@@ -399,7 +400,7 @@ def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):
     mean_row = (m / e.n) * cross_gram(e.a, t)[t0]
     acc = 0.0
     for _ in range(trials):
-        row = cross_gram(e.a[draw_bernoulli(gs, m, rng).omega], t)[t0] - mean_row
+        row = cross_gram(e.a[bernoulli_rows(gs, m, rng)], t)[t0] - mean_row
         acc += float(np.real(np.vdot(row, row)))
     return acc / trials
 
@@ -408,13 +409,13 @@ def _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng):
 def test_cross_row_energy_matches_full_cross_gram(kind, monkeypatch):
     e, gs, t = _validator_case(kind)
     t0 = int(t.complement(e.n)[5])
+    gamma_value = penalty_gamma(e, t, gs).value
     # m=4 leaves about a third of the draws empty
     for chunk, (m, trials) in itertools.product(_CHUNKS, ((32, 200), (4, 37))):
         monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(8)
-        empirical, _ = validate_cross_row_energy(
-            e, t, gs, m, t0, trials, rng, gamma_value=1.0
-        )
+        empirical, bound = validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
+        assert bound == (m / math.sqrt(e.n)) * e.mu**3 * len(t) * gamma_value
         rng_ref = np.random.default_rng(8)
         ref = _cross_row_energy_full_gram(e, t, gs, m, t0, trials, rng_ref)
         loop = cross_row_energy_loop(e, t, gs, m, t0, trials, np.random.default_rng(8))

@@ -236,7 +236,7 @@ def test_recover_solves_the_support_c0_on_trial_0_rows(tmp_path, capsys):
     cfg = cli.load_config(path)
     e, rows, cols, _ = cli.build_ensemble(cfg)
     (gs,) = cli.build_structures(cfg, e.n, rows, cols)
-    omega = draw_uniform(gs, m, trial_rng(seed, gs.label, m, 0)).omega
+    omega = draw_uniform(gs, m, trial_rng(seed, gs.label, m, 0))
     supports, solver = cli.build_supports(cfg, e, rows, cols, seed), cli.build_solver(cfg)
     got = list(csv.DictReader(io.StringIO(out)))
     assert len(got) == len(supports) == 3
@@ -613,6 +613,10 @@ def test_support_indices_mode(tmp_path, capsys):
     code, out, err = run_cli(["gamma", "--config", cfg], capsys)
     assert code == 0
     assert "indices-k3" in out
+    # the indices are a set: their order in the config does not matter
+    unsorted = json.loads(open(cfg).read())
+    unsorted["support"]["indices"] = [9, 1, 5]
+    assert run_cli(["gamma", "--config", write_config(tmp_path, "ix9.json", unsorted)], capsys) == (0, out, err)
 
 
 @pytest.mark.parametrize(

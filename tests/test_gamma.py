@@ -10,8 +10,6 @@ from groupcs.gamma import (
     KP_COMPLEX,
     KP_REAL,
     GammaEstimate,
-    norm_2to1_exact_real,
-    norm_2to1_upper_sdp,
     penalty_gamma,
 )
 from groupcs.grouping import (
@@ -33,28 +31,32 @@ from oracles import (
 )
 
 
+def _exact(m):
+    """The exact route's 2->1 norm of one real matrix: sign enumeration."""
+    return float(gamma._sign_enumeration(m[None])[0])
+
+
+def _sdp_upper(m):
+    """The SDP route's certified upper bound on the 2->1 norm of one matrix:
+    sqrt(sum d) for its certified diagonal d."""
+    return math.sqrt(max(float(np.sum(gamma._sdp_diagonal(gamma._gram(m)))), 0.0))
+
+
 def test_exact_orthonormal_rows():
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    assert math.isclose(norm_2to1_exact_real(m), math.sqrt(2), rel_tol=1e-12)
+    assert math.isclose(_exact(m), math.sqrt(2), rel_tol=1e-12)
 
 
 def test_exact_equal_rows():
     m = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert norm_2to1_exact_real(m) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_exact_rejects_complex_and_large():
-    with pytest.raises(ValueError):
-        norm_2to1_exact_real(np.array([[1j, 0]]))
-    with pytest.raises(ValueError):
-        norm_2to1_exact_real(np.zeros((25, 3)))
+    assert _exact(m) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_exact_against_sphere_oracle():
     rng = np.random.default_rng(202)
     for _ in range(20):
         m = rng.standard_normal((3, 5))
-        exact = norm_2to1_exact_real(m)
+        exact = _exact(m)
         oracle = norm_2to1_sphere_oracle(m, rng, samples=100000, starts=30)
         assert abs(exact - oracle) <= 1e-3 * max(1.0, exact)
         assert oracle <= exact + 1e-9  # oracle evaluates feasible points only
@@ -82,7 +84,7 @@ def test_lower_monotone_in_restarts():
 
 def test_sdp_upper_orthonormal_rows():
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    up, _ = norm_2to1_upper_sdp(m)
+    up = _sdp_upper(m)
     assert math.sqrt(2) - 1e-12 <= up <= KP_REAL * math.sqrt(2) + 1e-9
     assert up == pytest.approx(math.sqrt(2), abs=1e-9)
 
@@ -92,7 +94,7 @@ def test_sdp_upper_equal_rows_tight():
     row = rng.standard_normal(6)
     row /= np.linalg.norm(row)
     m = np.tile(row, (5, 1))
-    assert norm_2to1_upper_sdp(m)[0] == pytest.approx(5.0, abs=1e-8)
+    assert _sdp_upper(m) == pytest.approx(5.0, abs=1e-8)
 
 
 def test_sdp_upper_contains_exact():
@@ -100,8 +102,8 @@ def test_sdp_upper_contains_exact():
     for _ in range(10):
         m = rng.standard_normal((8, 12))
         m = normalize_rows(m)
-        exact = norm_2to1_exact_real(m)
-        up, _ = norm_2to1_upper_sdp(m)
+        exact = norm_2to1_exact_real_loop(m)
+        up = _sdp_upper(m)
         assert exact - 1e-9 <= up
         assert up / exact <= 1.2533 + 1e-9
 
@@ -118,7 +120,7 @@ def test_sdp_matches_cvxpy_oracle():
             cp.Maximize(cp.sum(cp.multiply(q, w))), [cp.diag(w) == 1]
         )
         prob.solve(solver=cp.SCS, eps=1e-10)
-        ours = norm_2to1_upper_sdp(m)[0] ** 2
+        ours = _sdp_upper(m) ** 2
         assert ours == pytest.approx(prob.value, rel=1e-7)
 
 
@@ -128,9 +130,9 @@ def test_sandwich_on_random_instances():
         g = int(rng.integers(2, 9))
         k = int(rng.integers(2, 17))
         m = normalize_rows(rng.standard_normal((g, k)))
-        exact = norm_2to1_exact_real(m)
+        exact = norm_2to1_exact_real_loop(m)
         lower = gamma._sandwich(m[None], seed=i).lower
-        upper, _ = norm_2to1_upper_sdp(m)
+        upper = _sdp_upper(m)
         assert lower <= exact + 1e-9
         assert exact <= upper + 1e-9
         assert upper / exact <= KP_REAL + 1e-9
@@ -182,12 +184,10 @@ def test_penalty_gamma_scale_invariance():
     gs = contiguous_1d(n, g)
     est1 = penalty_gamma(e1, t, gs)
     # rescale rows via a manual submatrix check instead of a non-unitary A
-    from groupcs.gamma import norm_2to1_exact_real as exact
-
     sub = e1.a[np.ix_(gs.group(1), t.indices)]
     scaled = np.diag([0.5, 2.0, 7.0]) @ sub
-    assert exact(normalize_rows(sub)) == pytest.approx(
-        exact(normalize_rows(scaled)), rel=1e-12
+    assert _exact(normalize_rows(sub)) == pytest.approx(
+        _exact(normalize_rows(scaled)), rel=1e-12
     )
     assert est1.exact is not None
 
@@ -207,6 +207,16 @@ def test_penalty_gamma_group_permutation():
     b = penalty_gamma(e, t, gs_perm)
     assert a.exact == pytest.approx(b.exact, rel=1e-12)
     assert perm[b.argmax_group] == a.argmax_group
+
+
+def test_penalty_gamma_rejects_bad_inputs():
+    e, gs = _dft_ensemble(16), strided_1d(16, 4)
+    with pytest.raises(IndexError, match="support index out of range"):
+        penalty_gamma(e, SupportSet(np.array([3, 16])), gs)
+    with pytest.raises(ValueError, match="support set is empty"):
+        penalty_gamma(e, SupportSet(np.array([], dtype=np.int64)), gs)
+    with pytest.raises(ValueError, match="structure over 32 rows but ensemble has 16"):
+        penalty_gamma(e, SupportSet(np.array([3])), strided_1d(32, 4))
 
 
 def test_gamma_estimate_invariants():
@@ -272,6 +282,22 @@ def test_lower_batched_matches_loop():
         assert np.linalg.norm(m.conj().T @ u) == pytest.approx(batched, rel=1e-12)
 
 
+def test_stacked_gram_and_trivial_diagonals_match_one_matrix():
+    # the sandwich forms every group's Gram matrix and trivial certificates
+    # in one stack and hands the SDP its group's slice: bit for bit what one
+    # matrix at a time gives
+    rng = np.random.default_rng(20)
+    for g, k in [(2, 1), (3, 5), (8, 12), (11, 11), (32, 20)]:
+        msubs = normalize_rows(rng.standard_normal((6, g, k)) + 1j * rng.standard_normal((6, g, k)))
+        for ms in (msubs, msubs.real.copy()):
+            grams, stacked = gamma._gram(ms), gamma._trivial_diags(gamma._gram(ms))
+            for i, m in enumerate(ms):
+                q = gamma._gram(m)
+                assert q.tobytes() == grams[i].tobytes()
+                for one, many in zip(gamma._trivial_diags(q), stacked):
+                    assert one.tobytes() == many[i].tobytes()
+
+
 def test_sdp_info_diag_certifies_the_dual():
     rng = np.random.default_rng(18)
     for m in (
@@ -279,8 +305,7 @@ def test_sdp_info_diag_certifies_the_dual():
         normalize_rows(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))),
         np.eye(3),  # diagonal Gram matrix
     ):
-        up, diag = norm_2to1_upper_sdp(m)
-        assert up == math.sqrt(np.sum(diag))
+        diag = gamma._sdp_diagonal(gamma._gram(m))
         slack = np.diag(diag) - m @ m.conj().T
         assert np.linalg.eigvalsh(slack)[0] >= -1e-12
 
@@ -298,7 +323,7 @@ def _penalty_gamma_loop(e, t, gs, lower_restarts=64, seed=0):
     for i in range(gs.n_groups):
         msub = normalize_rows(submatrix(e, gs.group(i), t))
         row_energy = math.sqrt(float(np.sum(np.abs(msub) ** 2)))
-        up, _ = norm_2to1_upper_sdp(msub)
+        up = _sdp_upper(msub)
         lo, _ = _lower_loop(msub, lower_restarts, np.random.default_rng(group_seeds[i]))
         lowers.append(min(max(lo, row_energy), up))
         uppers.append(up)
@@ -334,7 +359,7 @@ def test_penalty_gamma_matches_full_loop(monkeypatch):
         (_dft_ensemble(n), SupportSet(np.array([6, 9, 27, 35, 37, 55, 59, 60])), random_groups(n, 8, 29)),
         (unitary, SupportSet(np.sort(rng.permutation(n)[:6])), contiguous_1d(n, 8)),
     ]
-    sdp_calls, full = _counted(monkeypatch, "norm_2to1_upper_sdp"), _counted(monkeypatch, "_certify_group")
+    sdp_calls, full = _counted(monkeypatch, "_sdp_diagonal"), _counted(monkeypatch, "_certify_group")
     for e, t, gs in cases:
         lower, upper = _penalty_gamma_loop(e, t, gs)
         sdp_calls.clear()
@@ -430,7 +455,7 @@ def test_phase_certificate_bounds_the_norm(seed, g, k, is_complex, restarts, rep
     if is_complex:
         assert upper >= lower
     else:
-        assert upper >= norm_2to1_exact_real(m)
+        assert upper >= norm_2to1_exact_real_loop(m)
 
 
 def test_phase_certificate_of_a_vanishing_witness():
@@ -440,7 +465,7 @@ def test_phase_certificate_of_a_vanishing_witness():
     q = gamma._gram(m)
     lower, _, diag = gamma._phase_certificate(m, q, np.ones(4))
     assert lower == 0.0
-    assert math.sqrt(np.sum(diag)) >= norm_2to1_exact_real(m) == 4.0
+    assert math.sqrt(np.sum(diag)) >= norm_2to1_exact_real_loop(m) == 4.0
     assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
 
 
@@ -463,7 +488,7 @@ def test_closed_groups_match_the_sdp_dual():
             closed += 1
             up = math.sqrt(np.sum(diag))
             assert lo <= up <= lo * (1 + 1e-12)
-            assert up == pytest.approx(norm_2to1_upper_sdp(msubs[i])[0], rel=1e-12)
+            assert up == pytest.approx(_sdp_upper(msubs[i]), rel=1e-12)
             assert np.linalg.eigvalsh(np.diag(diag) - q)[0] >= 0.0
     assert closed >= 6
 
@@ -479,7 +504,7 @@ def test_batched_exact_route_is_bit_identical_per_group(structure):
     for i in range(structure.n_groups):
         msub = normalize_rows(submatrix(e, structure.group(i), t))
         assert np.array_equal(msubs[i], msub)
-        assert values[i] == norm_2to1_exact_real(msub) == norm_2to1_exact_real_loop(msub)
+        assert values[i] == _exact(msub) == norm_2to1_exact_real_loop(msub)
     est = penalty_gamma(e, t, structure)
     assert est.method == "exact_sign_enum"
     assert est.exact == np.max(values)
@@ -549,7 +574,7 @@ def test_open_bracket_runs_the_sdp_and_stays_within_kp(monkeypatch):
     e = _dft_ensemble(32)
     t = SupportSet(np.sort(np.random.default_rng(0).permutation(32)[:10]))
     gs = contiguous_1d(32, 8)
-    sdp_calls = _counted(monkeypatch, "norm_2to1_upper_sdp")
+    sdp_calls = _counted(monkeypatch, "_sdp_diagonal")
     est = _sandwich(e, t, gs)
     assert sdp_calls
     assert est.lower == pytest.approx(3.6427179037168567, abs=1e-12)
@@ -657,7 +682,7 @@ def test_coset_structure_gamma_is_the_closed_form(case, data):
 def test_coset_structure_gram_is_block_diagonal_over_classes(case, data):
     e, gs, cls = case
     m = gs.g * data.draw(st.integers(1, gs.n_groups))
-    omega = draw_uniform(gs, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))).omega
+    omega = draw_uniform(gs, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     a_omega = e.columns(np.arange(e.n))[omega]
     gram = a_omega.conj().T @ a_omega
     assert np.max(np.abs(gram[cls[:, None] != cls]), initial=0.0) <= 1e-12

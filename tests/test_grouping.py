@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from groupcs.grouping import (
     bernoulli_selections,
     contiguous_1d,
-    draw_bernoulli,
     draw_uniform,
     lines_2d,
     max_manhattan_2d,
@@ -18,7 +17,7 @@ from groupcs.grouping import (
     strided_1d,
 )
 
-from oracles import spiral_order_reference
+from oracles import bernoulli_rows, spiral_order_reference
 
 
 def assert_partition(gs):
@@ -199,11 +198,9 @@ def test_random_groups_pair_probability():
 def test_draw_uniform():
     gs = strided_1d(16, 4)
     rng = np.random.default_rng(0)
-    full = draw_uniform(gs, 16, rng)
-    assert np.array_equal(full.omega, np.arange(16))
+    assert np.array_equal(draw_uniform(gs, 16, rng), np.arange(16))
     one = draw_uniform(gs, 4, rng)
-    assert one.m == 4 and one.selected_groups.size == 1
-    assert np.array_equal(np.sort(gs.group(one.selected_groups[0])), one.omega)
+    assert any(np.array_equal(np.sort(group), one) for group in gs.groups)
     with pytest.raises(ValueError):
         draw_uniform(gs, 6, rng)
     with pytest.raises(ValueError):
@@ -214,10 +211,11 @@ def test_draw_uniform_frequency():
     gs = strided_1d(16, 4)
     m, draws = 8, 10000
     rng = np.random.default_rng(123)
+    group_of = np.empty(gs.n, dtype=np.int64)
+    group_of[gs.groups] = np.arange(gs.n_groups)[:, None]
     counts = np.zeros(gs.n_groups)
     for _ in range(draws):
-        ss = draw_uniform(gs, m, rng)
-        counts[ss.selected_groups] += 1
+        counts[np.unique(group_of[draw_uniform(gs, m, rng)])] += 1
     p = (m // gs.g) / gs.n_groups
     sigma = (p * (1 - p) / draws) ** 0.5
     assert np.all(np.abs(counts / draws - p) <= 3 * sigma + 1e-12)
@@ -226,16 +224,16 @@ def test_draw_uniform_frequency():
 def test_draw_bernoulli():
     gs = contiguous_1d(16, 4)
     rng = np.random.default_rng(0)
-    assert draw_bernoulli(gs, 0, rng).omega.size == 0
-    assert np.array_equal(draw_bernoulli(gs, 16, rng).omega, np.arange(16))
+    assert not bernoulli_selections(gs, 0, 1, rng).any()
+    assert bernoulli_selections(gs, 16, 1, rng).all()
     draws = 10000
-    sizes = np.array([draw_bernoulli(gs, 8, rng).m for _ in range(draws)])
+    sizes = gs.g * np.count_nonzero(bernoulli_selections(gs, 8, draws, rng), axis=1)
     p = 0.5
     mean = gs.n_groups * p * gs.g
     var = gs.n_groups * p * (1 - p) * gs.g**2
     assert abs(sizes.mean() - mean) <= 3 * (var / draws) ** 0.5
     with pytest.raises(ValueError):
-        draw_bernoulli(gs, 17, rng)
+        bernoulli_selections(gs, 17, 1, rng)
 
 
 @settings(max_examples=100, deadline=None)
@@ -247,7 +245,7 @@ def test_draw_bernoulli():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_bernoulli_selections_are_successive_draws(gs, eighths, trials, cut, seed):
-    # row i is the selection of the i-th of `trials` draw_bernoulli calls, the
+    # row i selects the rows of the i-th of `trials` one-trial draws, the
     # generator ends in the same state, and drawing the rows in two chunks
     # (cut anywhere) gives the same rows and state again
     m = eighths * gs.n // 8
@@ -255,7 +253,7 @@ def test_bernoulli_selections_are_successive_draws(gs, eighths, trials, cut, see
     sel = bernoulli_selections(gs, m, trials, rng_rows)
     assert sel.shape == (trials, gs.n_groups) and sel.dtype == bool
     for row in sel:
-        assert np.array_equal(np.flatnonzero(row), draw_bernoulli(gs, m, rng_draws).selected_groups)
+        assert np.array_equal(np.sort(gs.groups[row].ravel()), bernoulli_rows(gs, m, rng_draws))
     assert rng_rows.bit_generator.state == rng_draws.bit_generator.state
     cut = min(cut, trials)
     chunks = [bernoulli_selections(gs, m, size, rng_chunks) for size in (cut, trials - cut)]

@@ -25,7 +25,6 @@ from groupcs.harness import (
     SweepConfig,
     default_m_grid,
     draw_support,
-    find_min_m,
     image_to_sparse,
     random_coefficients,
     records_from_csv,
@@ -33,12 +32,11 @@ from groupcs.harness import (
     scatter_gamma_vs_m,
     synthetic_image,
     trial_rng,
-    trial_verdicts,
 )
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import nre, solve_trials
 
-from oracles import support_factor_qr
+from oracles import support_factor_qr, sweep_alone, verdicts_alone
 
 
 def _dft_ensemble(n):
@@ -143,7 +141,7 @@ def test_find_min_m_full_sampling_always_succeeds():
     rng = np.random.default_rng(4)
     t = SupportSet(np.sort(rng.permutation(32)[:3]))
     cfg = SweepConfig(m_grid=(32,), trials_per_m=5, success_quota=1.0, master_seed=1)
-    res = find_min_m(e, gs, t, cfg)
+    res = sweep_alone(e, gs, t, cfg)
     assert res.m_min == 32
     assert res.per_m[0].successes == 5
 
@@ -157,9 +155,9 @@ def test_find_min_m_trial_count_audit():
     rng = np.random.default_rng(5)
     t = SupportSet(np.sort(rng.permutation(32)[:3]))
     cfg = SweepConfig(m_grid=(8, 16, 32), trials_per_m=12, success_quota=0.75, master_seed=2)
-    res = find_min_m(e, gs, t, cfg)
+    res = sweep_alone(e, gs, t, cfg)
     for stats in res.per_m:
-        verdicts = trial_verdicts(e, gs, t, stats.m, range(12), master_seed=2)
+        verdicts = verdicts_alone(e, gs, t, stats.m, range(12), master_seed=2)
         ends = [r.stop for r in _trial_chunks(12)]
         successes = [sum(ok for ok, _ in verdicts[:n]) for n in ends]
         decided = [n for n, ok in zip(ends, successes) if n - ok > 3 or ok >= 9]
@@ -179,8 +177,9 @@ def test_find_min_m_grid_bounds():
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
     t = SupportSet(np.array([1]))
-    with pytest.raises(ValueError):
-        find_min_m(e, gs, t, SweepConfig(m_grid=(2, 32), master_seed=0))
+    c0 = random_coefficients(e, t, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="strided1d cannot draw m=2"):
+        scatter_gamma_vs_m(e, [gs], [SupportCase(t, c0, "d0")], SweepConfig(m_grid=(2, 32), master_seed=0))
 
 
 def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
@@ -199,8 +198,6 @@ def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
     message = "contiguous1d cannot draw m=44: .* group size 5"
     with pytest.raises(ValueError, match=message):
         scatter_gamma_vs_m(e, structures, [SupportCase(t, c0, "d0")], cfg)
-    with pytest.raises(ValueError, match=message):
-        find_min_m(e, structures[1], t, cfg)
     # "auto", the one route choice, is the only mode the scatter takes
     with pytest.raises(ValueError, match="mode must be 'auto', got 'sandwich'"):
         scatter_gamma_vs_m(e, structures[:1], [SupportCase(t, c0, "d0")], cfg, mode="sandwich")
@@ -215,7 +212,7 @@ def test_sweep_pins_dft2d_verdicts():
         rng = np.random.default_rng(seed)
         t = SupportSet(np.sort(rng.permutation(256)[:8]))
         cfg = SweepConfig(m_grid=default_m_grid(256, 16, 16), master_seed=seed)
-        assert [find_min_m(e, gs, t, cfg).m_min for gs in structures] == m_mins
+        assert [sweep_alone(e, gs, t, cfg).m_min for gs in structures] == m_mins
 
 
 def test_pipeline_grouping_hurts_narrowband():
@@ -238,8 +235,8 @@ def test_pipeline_grouping_hurts_narrowband():
     for d in range(10):
         rng = trial_rng(5, "pipeline-support", 0, d)
         t = draw_support(spec, rng)
-        m_grouped = find_min_m(e, gs_contig, t, cfg, solver=solver).m_min
-        m_base = find_min_m(e, base, t, cfg, solver=solver).m_min
+        m_grouped = sweep_alone(e, gs_contig, t, cfg, solver=solver).m_min
+        m_base = sweep_alone(e, base, t, cfg, solver=solver).m_min
         mg = math.inf if m_grouped is None else m_grouped
         mb = math.inf if m_base is None else m_base
         if mg > mb:
@@ -294,24 +291,6 @@ def test_csv_round_trip():
     assert parsed[0].gamma.method == "sandwich"
 
 
-def test_success_rate_direct_vs_singleton_same_law():
-    n, m = 64, 24
-    e = _dft_ensemble(n)
-    rng = np.random.default_rng(9)
-    t = SupportSet(np.sort(rng.permutation(n)[:4]))
-    s_direct = _successes(e, None, t, m, 60, master_seed=10)
-    s_single = _successes(e, singletons(n), t, m, 60, master_seed=11)
-    from oracles import two_proportion_fisher_pvalue
-
-    assert two_proportion_fisher_pvalue(s_direct, 60, s_single, 60) >= 0.05
-
-
-def _successes(e, structure, t, m, trials, **kw):
-    # every trial draws from its own stream, so one call decides each
-    # trial as a sweep's chunks would
-    return sum(ok for ok, _ in trial_verdicts(e, structure, t, m, range(trials), **kw))
-
-
 def test_trial_rng_stable_streams():
     a = trial_rng(1, "strided1d", 16, 0).integers(0, 1 << 30, 4)
     b = trial_rng(1, "strided1d", 16, 0).integers(0, 1 << 30, 4)
@@ -361,7 +340,7 @@ def _find_min_m_trial_by_trial(e, gs, t, cfg):
         successes = failures = 0
         for j in range(cfg.trials_per_m):
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
-            omega = draw_uniform(gs, m, rng).omega
+            omega = draw_uniform(gs, m, rng)
             c = random_coefficients(e, t, rng)
             (res,), _ = solve_trials(e, omega[None], c[None], verdicts=False)
             assert res.converged
@@ -394,7 +373,7 @@ def _sweep_case(kind):
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_find_min_m_matches_trial_by_trial_loop(kind):
     e, gs, t, cfg, solver = _sweep_case(kind)
-    res = find_min_m(e, gs, t, cfg, solver=solver)
+    res = sweep_alone(e, gs, t, cfg, solver=solver)
     ref = _find_min_m_trial_by_trial(e, gs, t, cfg)
     assert [(s.m, s.success) for s in res.per_m] == ref
     assert res.m_min == (ref[-1][0] if ref[-1][1] else None)
@@ -403,13 +382,13 @@ def test_find_min_m_matches_trial_by_trial_loop(kind):
 
 @pytest.mark.parametrize("kind", ["dft", "haar"])
 def test_pooled_sweeps_match_one_at_a_time(kind):
-    # two sweeps in one pool: each ends exactly as find_min_m alone, though
+    # two sweeps in one pool: each ends exactly as it does alone, though
     # their chunks run beside each other (rows of any m share a block)
     e, gs, t, cfg, solver = _sweep_case(kind)
     other = contiguous_1d(64, 4) if kind == "dft" else lines_2d(8, 8, 4, "vertical")
     pool = recovery.TrialPool(e, solver, verdicts=True)
     pooled = pool.run([harness._sweep(e, s, t, cfg) for s in (gs, other)])
-    alone = [find_min_m(e, s, t, cfg, solver=solver) for s in (gs, other)]
+    alone = [sweep_alone(e, s, t, cfg, solver=solver) for s in (gs, other)]
     assert pooled == alone
     assert all(len(res.per_m) > 1 for res in alone)
 
@@ -423,7 +402,7 @@ def test_full_pool_starts_requests_in_turn(kind, budget, monkeypatch):
     e, gs, t, cfg, solver = _sweep_case(kind)
     others = [contiguous_1d(64, 4), singletons(64)] if kind == "dft" else [
         lines_2d(8, 8, 4, "vertical"), lines_2d(8, 8, 4, "horizontal")]
-    alone = [find_min_m(e, s, t, cfg, solver=solver) for s in [gs, *others]]
+    alone = [sweep_alone(e, s, t, cfg, solver=solver) for s in [gs, *others]]
     monkeypatch.setattr(recovery, "_LIVE_ENTRIES", budget)
     tags, submit = [], recovery.TrialPool._submit
 
@@ -480,13 +459,13 @@ def test_proved_verdicts_agree_with_solver(kind):
     routes = dict.fromkeys(VERDICT_ROUTES, 0)
     for m in cfg.m_grid:
         trials = range(cfg.trials_per_m)
-        verdicts = trial_verdicts(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
+        verdicts = verdicts_alone(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
         for j, (ok, route) in zip(trials, verdicts):
             routes[route] += 1
             if route == "solved":
                 continue
             rng = trial_rng(cfg.master_seed, gs.label, m, j)
-            omega = draw_uniform(gs, m, rng).omega
+            omega = draw_uniform(gs, m, rng)
             c = random_coefficients(e, t, rng)
             (res,), _ = solve_trials(e, omega[None], c[None], verdicts=False)
             assert res.converged
@@ -502,11 +481,11 @@ def test_recover_path_never_stops_on_descent():
     # rule decides some verdict
     e, gs, t, cfg, solver = _sweep_case("dft")
     m, trials = 16, range(20)
-    verdicts = trial_verdicts(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
+    verdicts = verdicts_alone(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
     assert {"certified", "dual", "descent", "solved"} <= {route for _, route in verdicts}
     # the recover path: the sweep's draws, solved without verdicts
     omegas, coeffs = harness._draw_trials(e, gs, t, m, trials, cfg.master_seed)
-    assert np.array_equal(omegas, [draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j)).omega
+    assert np.array_equal(omegas, [draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j))
                                    for j in trials])
     full, _ = solve_trials(e, omegas, coeffs, solver, verdicts=False)
     stopped, routes = solve_trials(e, omegas, coeffs, solver, verdicts=True)
@@ -534,8 +513,8 @@ def test_zero_column_refutation_matches_qr_path(monkeypatch):
     kw = dict(master_seed=1, solver=SolverOptions())
 
     def run():
-        sweeps = [find_min_m(e, gs, t, cfg) for gs in structures]
-        verdicts = [trial_verdicts(e, gs, t, m, range(24), **kw) for gs in structures for m in (64, 256)]
+        sweeps = [sweep_alone(e, gs, t, cfg) for gs in structures]
+        verdicts = [verdicts_alone(e, gs, t, m, range(24), **kw) for gs in structures for m in (64, 256)]
         return sweeps, verdicts
 
     sweeps, verdicts = run()

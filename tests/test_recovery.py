@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupcs import recovery
-from groupcs.harness import trial_verdicts
+from groupcs.grouping import singletons
 from groupcs.operators import SupportSet, make_basis, make_ensemble
 from groupcs.recovery import (
     SolverOptions,
@@ -23,6 +23,7 @@ from oracles import (
     l1_min_vertex_oracle,
     proved_recovery,
     random_orthogonal,
+    verdicts_alone,
 )
 
 
@@ -393,7 +394,7 @@ def test_full_sampling_verdicts_form_no_columns_and_measure_nothing(monkeypatch)
     monkeypatch.setattr(recovery._SupportProof, "factor", forbidden)
     monkeypatch.setattr(type(e), "columns", forbidden)
     monkeypatch.setattr(type(e), "apply", forbidden)
-    verdicts = trial_verdicts(e, None, t, e.n, range(6), master_seed=3)
+    verdicts = verdicts_alone(e, singletons(e.n), t, e.n, range(6), master_seed=3)
     assert verdicts == [(True, "certified")] * 6
 
 
