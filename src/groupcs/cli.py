@@ -1,12 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``gamma`` (penalty factor for a configuration), ``sweep``
-(penalty-vs-minimal-M records), ``bounds`` (closed-form sample-count bounds),
-``validate`` (Monte-Carlo checks: ``gram`` concentration, ``crossrow``
-energy), ``gen-groups`` (emit a group structure), ``recover`` (single
-recovery).  All output is CSV on stdout or ``--out``; floats carry 12
-significant digits; identical configuration and seed give byte-identical
-output.
+(penalty-vs-minimal-M records) and ``validate`` (Monte-Carlo checks:
+``gram`` concentration, ``crossrow`` energy).  All output is CSV on stdout
+or ``--out``; floats carry 12 significant digits; identical configuration
+and seed give byte-identical output.
 
 ``load_config`` checks every section of a config, whatever the command,
 against one table of its keys, ``CONFIG``; builders and commands read the
@@ -35,20 +33,17 @@ from .harness import (
     SolverOptions,
     SupportCase,
     SweepConfig,
-    _draw_trials,
     default_m_grid,
     draw_support,
     format_float,
     gamma_cells,
     image_to_sparse,
-    random_coefficients,
     records_to_csv_text,
     scatter_gamma_vs_m,
     trial_rng,
 )
 from .operators import BASIS_KINDS, SupportSet, make_basis, make_ensemble
-from .pgm import read_pgm, write_pgm
-from .recovery import nre, solve_trials
+from .pgm import read_pgm
 
 
 class ConfigError(ValueError):
@@ -56,8 +51,8 @@ class ConfigError(ValueError):
 
 
 # Defaults of keys without a value: a REQUIRED key must be given wherever a
-# reader takes it; a COMMAND key (a command's section, validate.m, recover.m)
-# is required by the command that reads it.
+# reader takes it; a COMMAND key (a command's section, validate.m) is
+# required by the command that reads it.
 REQUIRED, COMMAND = object(), object()
 
 
@@ -134,14 +129,6 @@ _SWEEP = {
     "success_nre": Key(float, 1e-3),
     "success_quota": Key(float, 0.99, hi=1),
 }
-_BOUNDS = {
-    "n": Key(int, lo=1),
-    "t_size": Key(int, lo=1),
-    "mu": Key(float),
-    "gamma": Key(float),
-    "delta": Key(float, hi=1),
-    "const": Key(float, 1.0),
-}
 # the command bounds validate.m, m_grid and t0 by N
 _VALIDATE = {
     "m": Key(int, COMMAND, lo=0),
@@ -157,9 +144,7 @@ CONFIG = {
     "sweep": Key(_SWEEP, {}),
     "solver": Key({"tol_feas": Key(float, 1e-8), "max_iters": Key(int, 20000, lo=1)}, {}),
     "seeds": Key({"master": Key(int, 0, lo=0)}, {}),
-    "bounds": Key(_BOUNDS, COMMAND),
     "validate": Key(_VALIDATE, {}),
-    "recover": Key({"m": Key(int, COMMAND, lo=0), "dump_reconstruction": Key(str, None)}, {}),
 }
 
 
@@ -366,8 +351,7 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
     if "indices" in s:
         _indices_below(s, e.n)
         t = SupportSet(np.sort(s["indices"]))  # distinct: checked by the config table
-        c0 = random_coefficients(e, t, trial_rng(master_seed, "support-indices", 0, 0))
-        return [SupportCase(t, c0, f"indices-k{len(t)}")]
+        return [SupportCase(t, f"indices-k{len(t)}")]
     k = _bounded(s["k"], "support.k", 0, e.n)
     if "image" in s:
         img = read_pgm(s["image"])
@@ -385,17 +369,14 @@ def build_supports(cfg: dict, e, rows, cols, master_seed: int) -> list[SupportCa
         for tile, name in zip(tiles, names):
             if rows is not None and tile.shape != (rows, cols):
                 raise ConfigError(f"image tile {tile.shape} does not match ensemble {rows}x{cols}")
-            t, c0 = image_to_sparse(tile, k, e.u)
-            cases.append(SupportCase(t, c0, f"{name}-k{k}"))
+            cases.append(SupportCase(image_to_sparse(tile, k, e.u)[0], f"{name}-k{k}"))
         return cases
     model = s["model"]
     spec = SignalSpec(n=e.n, k=k, support_model=model, channel_count=s["channels"], channel_width_frac=s["width_frac"])
     cases = []
     for d in range(s["draws"]):
-        rng = trial_rng(master_seed, "support-draw", 0, d)
-        t = draw_support(spec, rng)
-        c0 = random_coefficients(e, t, rng)
-        cases.append(SupportCase(t, c0, f"{model}-k{k}-d{d}"))
+        t = draw_support(spec, trial_rng(master_seed, "support-draw", 0, d))
+        cases.append(SupportCase(t, f"{model}-k{k}-d{d}"))
     return cases
 
 
@@ -475,21 +456,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    section = _require(load_config(args.config), "bounds", "config")
-    try:
-        q = bounds_mod.BoundQuery(**section)
-    except ValueError as exc:  # delta = 1: the table's float ranges are closed above
-        raise ConfigError(f"bounds.{exc}") from None
-    rows = [
-        ["unstructured", format_float(bounds_mod.bound_unstructured(q))],
-        ["grouped", format_float(bounds_mod.bound_grouped(q))],
-        ["gram", format_float(bounds_mod.bound_gram(q))],
-    ]
-    _emit(_csv_text(["bound", "value"], rows), args.out)
-    return 0
-
-
 def cmd_validate(args) -> int:
     cfg, seed, e, rows, cols, (gs,), supports = _inputs(args, "validate")
     if len(supports) != 1:
@@ -526,51 +492,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_gen_groups(args) -> int:
-    cfg = load_config(args.config)
-    e, rows, cols, _ = build_ensemble(cfg)
-    structures = build_structures(cfg, e.n, rows, cols)
-    out_rows = []
-    for gs in structures:
-        for gi in range(gs.n_groups):
-            for member in gs.group(gi):
-                out_rows.append([gs.label, gi, int(member)])
-    _emit(_csv_text(["structure", "group", "member"], out_rows), args.out)
-    return 0
-
-
-def cmd_recover(args) -> int:
-    """Solve each support's own c0, measured on the rows of trial 0 of the
-    sweep's stream at m, with ADMM.
-
-    Unlike a sweep trial it is never decided by proof, because its output is
-    the reconstruction itself: error, feasibility, objective and iterations.
-    """
-    cfg, seed, e, rows, cols, (gs,), supports = _inputs(args, "recover")
-    m = _require(cfg["recover"], "m", "recover")
-    if m > e.n or m % gs.g:  # m >= 0 by load_config
-        raise ConfigError(f"recover.m must be a multiple of the group size {gs.g} in [0, {e.n}], got {m}")
-    dump = cfg["recover"]["dump_reconstruction"]
-    if dump is not None and rows is None:
-        raise ConfigError("dump_reconstruction needs a 2-D ensemble (rows/cols)")
-    solver = build_solver(cfg)
-    out_rows = []
-    for idx, sup in enumerate(supports):
-        # the rows of trial 0 of the sweep's stream at m, measuring the
-        # support's own c0
-        omegas, _ = _draw_trials(e, gs, sup.t, m, range(1), seed)
-        (res,), _ = solve_trials(e, omegas, sup.c0[None], solver, verdicts=False)
-        if dump is not None:
-            img = np.real(e.u.synthesize(res.c_hat)).reshape(rows, cols)
-            path = dump if len(supports) == 1 else f"{dump}.{idx}.pgm"
-            write_pgm(path, img)
-        floats = map(format_float, (nre(sup.c0, res.c_hat), res.feas_residual, res.objective))
-        out_rows.append([sup.descriptor, gs.label, e.n, m, gs.g, *floats, res.iterations, int(res.converged)])
-    header = ["support", "structure", "n", "m", "g", "nre", "feas_residual", "objective", "iterations", "converged"]
-    _emit(_csv_text(header, out_rows), args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcs",
@@ -582,10 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, text in (
         ("gamma", cmd_gamma, "penalty factor for structure/support pairs"),
         ("sweep", cmd_sweep, "penalty vs minimal measurement records"),
-        ("bounds", cmd_bounds, "closed-form sample-count bounds"),
         ("validate", cmd_validate, "Monte-Carlo bound validation"),
-        ("gen-groups", cmd_gen_groups, "emit group structures as CSV"),
-        ("recover", cmd_recover, "single grouped recovery"),
     ):
         p = sub.add_parser(name, help=text)
         if name == "validate":

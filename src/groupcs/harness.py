@@ -238,11 +238,11 @@ def _trial_chunks(trials: int):
 
 
 def _check_grid(gs: GroupStructure, cfg: SweepConfig):
-    """Reject a grid value that ``gs`` cannot draw."""
-    for m in cfg.m_grid:
+    """Reject a grid value that ``gs`` cannot draw, naming its entry."""
+    for i, m in enumerate(cfg.m_grid):
         if not gs.g <= m <= gs.n or m % gs.g:
-            raise ValueError(f"{gs.label} cannot draw m={m}: the grid must hold multiples "
-                             f"of the group size {gs.g} in [{gs.g}, {gs.n}]")
+            raise ValueError(f"{gs.label} cannot draw m_grid[{i}]={m}: the grid must hold "
+                             f"multiples of the group size {gs.g} in [{gs.g}, {gs.n}]")
 
 
 def _sweep(e, gs, t, cfg: SweepConfig):
@@ -286,11 +286,10 @@ def _sweep(e, gs, t, cfg: SweepConfig):
 
 @dataclass(frozen=True)
 class SupportCase:
-    """A support, its own coefficients c0 (the signal ``recover`` measures;
-    sweep trials draw their own) and its name in the CSV rows."""
+    """A support and its name in the CSV rows; each sweep trial draws its
+    own coefficients on the support."""
 
     t: SupportSet
-    c0: np.ndarray
     descriptor: str
 
 

@@ -52,7 +52,10 @@ def dft_config(tmp_path):
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exit_:  # argparse rejects the command line
+        code = exit_.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -88,36 +91,6 @@ def test_sweep_seed_override_changes_output(dft_config, tmp_path, capsys):
     assert main(["sweep", "--config", dft_config, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", dft_config, "--seed", "8", "--out", str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
-
-
-def test_bounds_command(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "b.json",
-        {"bounds": {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05}},
-    )
-    code, out, err = run_cli(["bounds", "--config", cfg], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "bound,value"
-    names = [l.split(",")[0] for l in lines[1:]]
-    assert names == ["unstructured", "grouped", "gram"]
-    grouped = float(lines[2].split(",")[1])
-    unstructured = float(lines[1].split(",")[1])
-    assert grouped == pytest.approx(2.0 * unstructured, rel=1e-9)
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [{"mu": float("nan")}, {"gamma": float("inf"), "const": float("nan")}],
-)
-def test_bounds_non_finite_fields_exit_2(tmp_path, capsys, fields):
-    # json reads the literals NaN and Infinity; no bound is computed from them
-    query = {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05, **fields}
-    cfg = write_config(tmp_path, "b.json", {"bounds": query})
-    code, out, err = run_cli(["bounds", "--config", cfg], capsys)
-    assert code == 2 and out == ""
-    assert "positive and finite" in err and "Traceback" not in err
 
 
 def test_validate_crossrow_holds(tmp_path, capsys):
@@ -168,92 +141,9 @@ def test_validate_gram_grid(tmp_path, capsys):
     assert last[0] == "64" and float(last[2]) == 0.0 and last[5] == "0"
 
 
-def test_gen_groups_partition(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "g.json",
-        {
-            "ensemble": {
-                "rows": 4,
-                "cols": 4,
-                "measurement": {"kind": "identity"},
-                "sparsity": {"kind": "haar2d"},
-            },
-            "structure": {"kind": "spiral2d", "g": 4, "cyclic": True},
-        },
-    )
-    code, out, err = run_cli(["gen-groups", "--config", cfg], capsys)
-    assert code == 0
-    rows = [l.split(",") for l in out.strip().splitlines()[1:]]
-    members = sorted(int(r[2]) for r in rows)
-    assert members == list(range(16))
-    assert len({r[1] for r in rows}) == 4
-
-
-def test_recover_command(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "r.json",
-        {
-            "ensemble": {
-                "n": 32,
-                "measurement": {"kind": "identity"},
-                "sparsity": {"kind": "dft1d"},
-            },
-            "structure": {"kind": "strided1d", "g": 4},
-            "support": {"model": "unrestricted", "k": 3},
-            "recover": {"m": 20},
-            "seeds": {"master": 5},
-        },
-    )
-    code, out, err = run_cli(["recover", "--config", cfg], capsys)
-    assert code == 0
-    header, row = out.strip().splitlines()
-    assert header == "support,structure,n,m,g,nre,feas_residual,objective,iterations,converged"
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert float(cells["nre"]) <= 1e-6
-    assert cells["converged"] == "1"
-
-
-def test_recover_solves_the_support_c0_on_trial_0_rows(tmp_path, capsys):
-    # each row is the support's own c0, measured on the rows of trial 0 of
-    # the sweep's stream at m and solved without verdicts
-    from groupcs.grouping import draw_uniform
-    from groupcs.harness import format_float, trial_rng
-    from groupcs.recovery import nre, solve_trials
-
-    m, seed = 16, 5
-    path = write_config(tmp_path, "r.json", {
-        "ensemble": {"n": 32, "measurement": {"kind": "identity"}, "sparsity": {"kind": "dft1d"}},
-        "structure": {"kind": "contiguous1d", "g": 4},
-        "support": {"model": "unrestricted", "k": 5, "draws": 3},
-        "recover": {"m": m},
-        "solver": {"max_iters": 3000},
-        "seeds": {"master": seed},
-    })
-    code, out, err = run_cli(["recover", "--config", path], capsys)
-    assert code == 0, err
-    cfg = cli.load_config(path)
-    e, rows, cols, _ = cli.build_ensemble(cfg)
-    (gs,) = cli.build_structures(cfg, e.n, rows, cols)
-    omega = draw_uniform(gs, m, trial_rng(seed, gs.label, m, 0))
-    supports, solver = cli.build_supports(cfg, e, rows, cols, seed), cli.build_solver(cfg)
-    got = list(csv.DictReader(io.StringIO(out)))
-    assert len(got) == len(supports) == 3
-    for row, sup in zip(got, supports):
-        (res,), _ = solve_trials(e, omega[None], sup.c0[None], solver, verdicts=False)
-        assert row["support"] == sup.descriptor
-        assert (row["iterations"], row["objective"], row["nre"], row["feas_residual"]) == (
-            str(res.iterations),
-            format_float(res.objective),
-            format_float(nre(sup.c0, res.c_hat)),
-            format_float(res.feas_residual),
-        )
-
-
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"bogus": 1})
-    code, out, err = run_cli(["bounds", "--config", cfg], capsys)
+    code, out, err = run_cli(["gamma", "--config", cfg], capsys)
     assert code == 2
     assert "unknown key" in err
 
@@ -442,7 +332,7 @@ def _set_path(cfg, path, value):
         (("ensemble", "measurement"), {"kind": "custom", "path": 5}, "ensemble.measurement.path"),
         (("ensemble", "sparsity"), {"kind": "custom", "path": 5}, "ensemble.sparsity.path"),
         (("support", "image"), 5, "support.image"),
-        (("recover", "dump_reconstruction"), 1, "recover.dump_reconstruction"),
+        (("validate", "t0"), "3", "validate.t0"),
         (("support", "draws"), 0, "support.draws"),
         (("support", "indices"), [3, 15, 16], "support.indices"),
         (("support", "channels"), 0, "support.channels"),
@@ -451,9 +341,9 @@ def _set_path(cfg, path, value):
         # as for the sweep, an empty grid is not a request for validate.m
         (("validate", "m_grid"), [], "validate.m_grid"),
         # range errors name the key, not the library's argument
-        (("recover", "m"), -4, "recover.m"),
-        (("recover", "m"), 5, "recover.m"),
-        (("recover", "m"), 32, "recover.m"),
+        (("validate", "m"), -4, "validate.m"),
+        (("validate", "m"), 17, "validate.m"),
+        (("validate", "m_grid"), [8, 17], "validate.m_grid[1]"),
         (("validate", "m"), 0, "validate.m"),
         (("validate", "m_grid"), [8, 0], "validate.m_grid[1]"),
         (("validate", "trials"), 0, "validate.trials"),
@@ -462,9 +352,7 @@ def _set_path(cfg, path, value):
 def test_malformed_config_scalar_exits_2(tmp_path, capsys, path, value, name):
     cfg = copy.deepcopy(_SWEEP_BASE)
     command = ["sweep"]
-    if path[0] == "recover":  # recover takes one structure, here with g=4
-        command, cfg["structures"], cfg["recover"] = ["recover"], cfg["structures"][1:], {"m": 8}
-    if path[0] == "validate":  # so does validate
+    if path[0] == "validate":  # validate takes one structure, here with g=4
         command, cfg["structures"], cfg["validate"] = ["validate", "gram"], cfg["structures"][1:], {"m": 8}
     _set_path(cfg, path, value)
     code, out, err = run_cli([*command, "--config", write_config(tmp_path, "bad.json", cfg)], capsys)
@@ -723,63 +611,6 @@ def test_bad_image_tiling_exits_2(tmp_path, capsys, tiles, message):
         assert message in err and "Traceback" not in err
 
 
-def test_recover_dump_reconstruction(tmp_path, capsys):
-    from groupcs.harness import synthetic_image
-
-    img = synthetic_image(8, 8, np.random.default_rng(2))
-    src = tmp_path / "src.pgm"
-    write_pgm(src, img)
-    dump = tmp_path / "rec.pgm"
-    cfg = write_config(
-        tmp_path,
-        "rd.json",
-        {
-            "ensemble": {
-                "rows": 8,
-                "cols": 8,
-                "measurement": {"kind": "identity"},
-                "sparsity": {"kind": "haar2d"},
-            },
-            "structure": {"kind": "vlines2d", "g": 4},
-            "support": {"image": str(src), "k": 12},
-            "recover": {"m": 64, "dump_reconstruction": str(dump)},
-        },
-    )
-    code, out, err = run_cli(["recover", "--config", cfg], capsys)
-    assert code == 0, err
-    rec = read_pgm(dump)
-    # full sampling: the dump is the k-term compressed image
-    from groupcs.harness import image_to_sparse
-    from groupcs.operators import make_basis
-
-    haar = make_basis("haar2d", rows=8, cols=8)
-    t_img, c0 = image_to_sparse(read_pgm(src), 12, haar)
-    expect = haar.synthesize(c0).reshape(8, 8)
-    assert np.max(np.abs(rec - np.clip(np.rint(expect * 255), 0, 255) / 255)) <= 1e-12
-
-
-@pytest.mark.parametrize("sparsity", [
-    {"kind": "haar2d", "levels": 2}, {"kind": "haar2d"}, {"kind": "dft2d"}, {"kind": "identity"},
-])
-def test_recover_dumps_the_image_at_k_n(tmp_path, capsys, sparsity):
-    # an image support holds the image's coefficients in the ensemble's own
-    # sparsity basis, so at k = N and m = N the dump is the input image
-    from groupcs.harness import synthetic_image
-
-    src, dump = tmp_path / "src.pgm", tmp_path / "rec.pgm"
-    write_pgm(src, synthetic_image(16, 16, np.random.default_rng(4)))
-    cfg = {
-        "ensemble": {"rows": 16, "cols": 16, "measurement": {"kind": "identity"}, "sparsity": sparsity},
-        "structure": {"kind": "rect2d", "g": 4},
-        "support": {"image": str(src), "k": 256},
-        "recover": {"m": 256, "dump_reconstruction": str(dump)},
-    }
-    code, out, err = run_cli(["recover", "--config", write_config(tmp_path, "k256.json", cfg)], capsys)
-    assert code == 0, err
-    assert float(next(csv.DictReader(io.StringIO(out)))["nre"]) <= 1e-12
-    assert np.array_equal(read_pgm(dump), read_pgm(src))
-
-
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.random((8, 16))
@@ -894,12 +725,10 @@ def _dense_a_free_configs(tmp_path, monkeypatch):
         "support": {"k": 8},
         "sweep": {"step": 16, "trials_per_m": 4, "success_quota": 0.75},
         "validate": {"m": 64, "m_grid": [64, 128], "trials": 20},
-        "recover": {"m": 128},
         "seeds": {"master": 1},
     }
     e2 = _bench_workloads(monkeypatch).e2_sweep_config(7, tmp_path)
     e2["validate"]["trials"] = 20
-    e2["recover"] = {"m": 1024, "dump_reconstruction": str(tmp_path / "e2.pgm")}
     for name, cfg in (("d16", d16), ("e2", e2)):
         yield (write_config(tmp_path, f"{name}.json", cfg),
                write_config(tmp_path, f"{name}-one.json", dict(cfg, structures=cfg["structures"][:1])))
@@ -910,8 +739,7 @@ def test_no_command_reads_the_dense_a(tmp_path, capsys, monkeypatch):
     # asked for, so no command changes when asking for it fails
     from groupcs.operators import MeasurementEnsemble
 
-    commands = [(["gamma"], 0), (["sweep"], 0), (["gen-groups"], 0),
-                (["validate", "gram"], 1), (["validate", "crossrow"], 1), (["recover"], 1)]
+    commands = [(["gamma"], 0), (["sweep"], 0), (["validate", "gram"], 1), (["validate", "crossrow"], 1)]
     for configs in _dense_a_free_configs(tmp_path, monkeypatch):
         runs = []
         for patched in (False, True):
@@ -921,14 +749,11 @@ def test_no_command_reads_the_dense_a(tmp_path, capsys, monkeypatch):
                         raise AssertionError("the dense A was read")
 
                     patch.setattr(MeasurementEnsemble, "a", property(dense_a))
-                dump = tmp_path / "e2.pgm"
-                dump.unlink(missing_ok=True)
                 outputs = []
                 for command, one in commands:
                     code, out, err = run_cli([*command, "--config", configs[one]], capsys)
                     assert code == 0, err
                     outputs.append(out)
-                outputs.append(dump.read_bytes() if dump.exists() else b"")
                 runs.append(outputs)
         assert runs[0] == runs[1]
 
@@ -971,9 +796,7 @@ _FULL_BASE = {
     "sweep": {},
     "solver": {},
     "seeds": {},
-    "bounds": {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05},
     "validate": {"m": 8},
-    "recover": {"m": 8},
 }
 
 
@@ -1017,7 +840,7 @@ def test_table_rejects_bad_values_naming_the_key(path, name, key, data):
     else:
         _set_path(cfg, path, data.draw(st.sampled_from(_bad_values(key))))
         expected = name
-    code, err = _fuzz_exit_code(["gen-groups"], cfg, [])
+    code, err = _fuzz_exit_code(["gamma"], cfg, [])
     assert code == 2 and expected in err and "Traceback" not in err, err
 
 
@@ -1044,42 +867,44 @@ _HAAR8 = {
     "base, edits, command, message",
     [
         # keys that no reader takes
-        (_N64, {("structure", "cyclic"): True}, "gen-groups",
+        (_N64, {("structure", "cyclic"): True}, "gamma",
          "structure key(s) ['cyclic'] do not apply to structure.kind 'strided1d'"),
-        (_N64, {("structure", "seed"): 3}, "gen-groups",
+        (_N64, {("structure", "seed"): 3}, "gamma",
          "structure key(s) ['seed'] do not apply to structure.kind 'strided1d'"),
-        (_N64, {("structure",): {"kind": "singletons", "g": 4}}, "gen-groups",
+        (_N64, {("structure",): {"kind": "singletons", "g": 4}}, "gamma",
          "structure key(s) ['g'] do not apply to structure.kind 'singletons'"),
-        (_N64, {("ensemble", "sparsity", "levels"): 2}, "gen-groups",
+        (_N64, {("ensemble", "sparsity", "levels"): 2}, "gamma",
          "ensemble.sparsity key(s) ['levels'] do not apply to ensemble.sparsity.kind 'dft1d'"),
-        (_N64, {("ensemble", "measurement", "path"): "u.npy"}, "gen-groups",
+        (_N64, {("ensemble", "measurement", "path"): "u.npy"}, "gamma",
          "ensemble.measurement key(s) ['path'] do not apply to ensemble.measurement.kind 'identity'"),
         (_N64, {("support", "channels"): 3}, "gamma",
          "support key(s) ['channels'] do not apply to support.model 'unrestricted'"),
-        (_N64, {("ensemble", "rows"): 3}, "gen-groups", "ensemble.rows and ensemble.cols go together"),
-        (_N64, {("structures",): [{"kind": "singletons"}], ("structure",): {"kind": "bogus"}}, "gen-groups",
+        (_N64, {("ensemble", "rows"): 3}, "gamma", "ensemble.rows and ensemble.cols go together"),
+        (_N64, {("structures",): [{"kind": "singletons"}], ("structure",): {"kind": "bogus"}}, "gamma",
          "structure.kind must be one of"),
-        (_N64, {("structures",): [{"kind": "singletons"}]}, "gen-groups",
+        (_N64, {("structures",): [{"kind": "singletons"}]}, "gamma",
          "config takes a structure or a structures section, not both"),
-        (_N64, {("recover",): {"m": -1, "zzz": 1}}, "gen-groups", "unknown key(s) ['zzz'] in recover"),
-        (_N64, {("bounds",): {"n": "x"}}, "gamma", "bounds.n must be an integer, got 'x'"),
+        # the removed commands' sections are unknown keys
+        (_N64, {("recover",): {"m": 8}}, "gamma", "unknown key(s) ['recover'] in config"),
+        (_N64, {("bounds",): {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05}}, "gamma",
+         "unknown key(s) ['bounds'] in config"),
         (_N64, {("support",): {"indices": [1, 1, 2]}}, "gamma", "support.indices must be distinct, got [1, 1, 2]"),
         # range errors name the key
         (_N64, {("support", "k"): 100}, "gamma", "support.k must be in [0, 64], got 100"),
         (_HAAR8, {("support",): {"image": "IMAGE", "k": 100}}, "gamma", "support.k must be in [0, 64], got 100"),
         (_N64, {("support", "model"): "foo"}, "gamma",
          "support.model must be one of ['unrestricted', 'subband'], got 'foo'"),
-        (_N64, {("structure", "g"): 7}, "gen-groups",
+        (_N64, {("structure", "g"): 7}, "gamma",
          "structure.g does not fit strided1d: group size 7 must divide n=64"),
-        (_N64, {("ensemble", "n"): 0}, "gen-groups", "ensemble.n must be at least 1, got 0"),
-        (_N64, {("ensemble", "sparsity", "kind"): "foo"}, "gen-groups", "ensemble.sparsity.kind must be one of"),
-        (_HAAR8, {("ensemble", "sparsity", "levels"): -1}, "gen-groups",
+        (_N64, {("ensemble", "n"): 0}, "gamma", "ensemble.n must be at least 1, got 0"),
+        (_N64, {("ensemble", "sparsity", "kind"): "foo"}, "gamma", "ensemble.sparsity.kind must be one of"),
+        (_HAAR8, {("ensemble", "sparsity", "levels"): -1}, "gamma",
          "ensemble.sparsity.levels must be at least 1, got -1"),
-        (_HAAR8, {("ensemble", "n"): 10}, "gen-groups", "ensemble.n must be rows*cols = 64, got 10"),
-        ({"bounds": {"n": -5, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 0.05}}, {}, "bounds",
-         "bounds.n must be at least 1, got -5"),
-        ({"bounds": {"n": 64, "t_size": 4, "mu": 0.125, "gamma": 2.0, "delta": 1}}, {}, "bounds",
-         "bounds.delta must lie in (0, 1)"),
+        (_HAAR8, {("ensemble", "n"): 10}, "gamma", "ensemble.n must be rows*cols = 64, got 10"),
+        # and the removed commands are unknown commands
+        (_N64, {}, "recover", "invalid choice: 'recover'"),
+        (_N64, {}, "bounds", "invalid choice: 'bounds'"),
+        (_N64, {}, "gen-groups", "invalid choice: 'gen-groups'"),
     ],
 )
 def test_config_the_table_rejects_exits_2(tmp_path, capsys, base, edits, command, message):

@@ -173,21 +173,20 @@ def test_find_min_m_trial_count_audit():
     assert res.m_min is not None
 
 
-def test_find_min_m_grid_bounds():
+def test_scatter_names_the_grid_entry_it_cannot_draw():
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
-    t = SupportSet(np.array([1]))
-    c0 = random_coefficients(e, t, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="strided1d cannot draw m=2"):
-        scatter_gamma_vs_m(e, [gs], [SupportCase(t, c0, "d0")], SweepConfig(m_grid=(2, 32), master_seed=0))
+    sup = SupportCase(SupportSet(np.array([1])), "d0")
+    for grid, entry in (((2, 32), r"m_grid\[0\]=2"), ((4, 6), r"m_grid\[1\]=6")):
+        with pytest.raises(ValueError, match=f"strided1d cannot draw {entry}: .* group size 4 in \\[4, 32\\]"):
+            scatter_gamma_vs_m(e, [gs], [sup], SweepConfig(m_grid=grid, master_seed=0))
 
 
 def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
     # n=220 on the default grid of g=11 (step 44): contiguous g=5 cannot
     # draw m=44, and the scatter says so before its first penalty factor
     e = _dft_ensemble(220)
-    t = SupportSet(np.array([3, 50, 64]))
-    c0 = random_coefficients(e, t, np.random.default_rng(0))
+    sup = SupportCase(SupportSet(np.array([3, 50, 64])), "d0")
 
     def no_gamma(*args, **kwargs):
         raise AssertionError("penalty_gamma ran")
@@ -195,12 +194,12 @@ def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
     monkeypatch.setattr(harness, "penalty_gamma", no_gamma)
     cfg = SweepConfig(m_grid=default_m_grid(220, 11), master_seed=0)
     structures = [strided_1d(220, 11), contiguous_1d(220, 5)]
-    message = "contiguous1d cannot draw m=44: .* group size 5"
+    message = r"contiguous1d cannot draw m_grid\[0\]=44: .* group size 5"
     with pytest.raises(ValueError, match=message):
-        scatter_gamma_vs_m(e, structures, [SupportCase(t, c0, "d0")], cfg)
+        scatter_gamma_vs_m(e, structures, [sup], cfg)
     # "auto", the one route choice, is the only mode the scatter takes
     with pytest.raises(ValueError, match="mode must be 'auto', got 'sandwich'"):
-        scatter_gamma_vs_m(e, structures[:1], [SupportCase(t, c0, "d0")], cfg, mode="sandwich")
+        scatter_gamma_vs_m(e, structures[:1], [sup], cfg, mode="sandwich")
 
 
 def test_sweep_pins_dft2d_verdicts():
@@ -253,12 +252,7 @@ def test_scatter_records_shape_and_baseline():
     e = _dft_ensemble(n)
     structures = [singletons(n), strided_1d(n, g), contiguous_1d(n, g)]
     rng = np.random.default_rng(8)
-    supports = []
-    for d in range(2):
-        t = SupportSet(np.sort(rng.permutation(n)[:4]))
-        c0 = np.zeros(n, dtype=complex)
-        c0[t.indices] = rng.uniform(-1, 1, 4)
-        supports.append(SupportCase(t, c0, f"case{d}"))
+    supports = [SupportCase(SupportSet(np.sort(rng.permutation(n)[:4])), f"case{d}") for d in range(2)]
     cfg = SweepConfig(
         m_grid=default_m_grid(n, g), trials_per_m=6, success_quota=5 / 6, master_seed=6
     )
@@ -443,7 +437,7 @@ def test_open_trials_do_not_grow_with_the_number_of_sweeps(monkeypatch):
     monkeypatch.setattr(harness, "_draw_trials", drawn)
     monkeypatch.setattr(harness, "_verdicts", returned)
     for draws in (1, 4):
-        supports = [SupportCase(SupportSet(np.array([d, d + 5])), None, f"d{d}") for d in range(draws)]
+        supports = [SupportCase(SupportSet(np.array([d, d + 5])), f"d{d}") for d in range(draws)]
         peaks.append(0)
         records = scatter_gamma_vs_m(e, [strided_1d(16, 4)], supports, cfg)
         assert len(records) == draws and held == [0]
@@ -483,7 +477,7 @@ def test_recover_path_never_stops_on_descent():
     m, trials = 16, range(20)
     verdicts = verdicts_alone(e, gs, t, m, trials, master_seed=cfg.master_seed, solver=solver)
     assert {"certified", "dual", "descent", "solved"} <= {route for _, route in verdicts}
-    # the recover path: the sweep's draws, solved without verdicts
+    # the recovery path: the sweep's draws, solved without verdicts
     omegas, coeffs = harness._draw_trials(e, gs, t, m, trials, cfg.master_seed)
     assert np.array_equal(omegas, [draw_uniform(gs, m, trial_rng(cfg.master_seed, gs.label, m, j))
                                    for j in trials])
@@ -495,7 +489,7 @@ def test_recover_path_never_stops_on_descent():
             assert early is None and r.iterations > 0
         elif route in ("dual", "descent"):
             assert r.iterations > early.iterations
-        else:  # the verdict path solves an undecided trial exactly as recover does
+        else:  # the verdict path solves an undecided trial exactly as the recovery path does
             assert np.array_equal(early.c_hat, r.c_hat)
             assert (early.iterations, early.converged, early.objective) == (
                 r.iterations, r.converged, r.objective
