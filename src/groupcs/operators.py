@@ -8,8 +8,9 @@ its factors V and U: ``columns`` forms columns of A = V^H U (an identity
 factor's partner's closed form, or V^H's transform of U's), which every
 reader of A takes, and ``apply``/``adjoint`` run the factors' transforms,
 one table (``_transform``) for every use.  No ensemble stores A: one pass
-over A's column spans checks U^H V A = I through the same transforms
-(O(N^2 log N) for named bases), takes max |A| and decides whether A is real.
+over A's column spans takes max |A|, decides whether A is real and forms
+A X for 8 Gaussian probe columns X, and U^H V A X = X checks A = V^H U
+(Freivalds' test): O(N^2) entries formed, no check transform per column.
 """
 
 from __future__ import annotations
@@ -30,25 +31,26 @@ _SPAN_ENTRIES = 1 << 15
 
 
 def unitarity_residual(columns, n: int, adjoint) -> tuple[float, float, float]:
-    """(max-abs entry of E^H E - I, max-abs entry of E, max-abs imaginary
-    part of E) in one pass over E's column spans; the first is NaN when E is
-    not finite.  ``columns`` maps indices to a new N x w array of those
-    columns of E, and ``adjoint`` such a block, which it may overwrite, to
-    E^H times it, the block's columns of E^H E."""
+    """(max-abs entry of E^H (E X) - X for 8 fixed standard-Gaussian probe
+    columns X, max-abs entry of E, max-abs imaginary part of E) in one pass
+    over E's column spans: ``columns`` maps indices to a new N x w array of
+    those columns, ``adjoint`` an N x 8 block, which it may overwrite, to
+    E^H times it.  The first is NaN when E is not finite; an error e in
+    entry (r, c) moves it by |e| max_i |E_ri| max_k |X_ck| >= |e| max_k |X_ck|/sqrt N."""
     width = max(1, _SPAN_ENTRIES // n)
-    worst, peak, imag = [], [], [0.0]
+    probes = np.random.default_rng(0).standard_normal((n, 8))
+    ex, peak, imag = 0.0, [], [0.0]
     for j in range(0, n, width):
         span = columns(np.arange(j, min(n, j + width)))
         peak.append(np.max(np.abs(span)))
         if np.iscomplexobj(span):
             imag.append(np.max(np.abs(span.imag)))
-        block = adjoint(span)
-        block = block.astype(np.result_type(block, np.float64), copy=False)
-        cols = np.arange(block.shape[1])
-        block[j + cols, cols] -= 1.0
-        worst.append(np.max(np.abs(block)))
-        del span, block  # before the next span is formed
-    return float(np.max(worst)), float(np.max(peak)), float(np.max(imag))
+        if np.isfinite(peak[-1]):  # an Inf would warn in the product
+            ex += span @ probes[j : j + width]
+        del span  # before the next span is formed
+    mu = float(np.max(peak))
+    resid = float(np.max(np.abs(adjoint(ex) - probes))) if math.isfinite(mu) else math.nan
+    return resid, mu, float(np.max(imag))
 
 
 def _check_unitary(resid: float, what: str, failure: str = "is not unitary") -> None:
@@ -63,7 +65,7 @@ class OrthonormalBasis:
 
     E maps coefficients to samples: x = E c.  For the 2-D kinds, vectors are
     row-major flattenings of ``shape2d`` images.  A ``custom`` basis holds
-    its matrix in ``matrix``, checked unitary by the dense Gram product; a
+    its matrix in ``matrix``, checked unitary on 8 probe columns; a
     named kind holds none, and its columns are formed from the closed form
     (``_columns``).
     """
@@ -339,10 +341,8 @@ class MeasurementEnsemble:
 
     ``mu`` is the coherence max |A(i,j)|, which for an N x N orthogonal A
     lies in [1/sqrt(N), 1]; ``dtype`` is float64 where A's imaginary part
-    is at most 1e-13, else complex128.  The check that A is V^H U takes
-    both: it applies A^H = U^H V to A's columns through the factors'
-    transforms, an identity factor skipped, and rejects an A that is not
-    V^H U.
+    is at most 1e-13, else complex128: both come from the pass over A's
+    columns that checks A = V^H U on 8 probe columns (``unitarity_residual``).
     """
 
     v: OrthonormalBasis

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcs import operators
 from groupcs.operators import (
@@ -108,6 +110,8 @@ def test_named_basis_and_identity_ensembles_match_dense_construction(kind, kwarg
         assert e.a.flags.c_contiguous
         assert e.columns(idx).tobytes() == np.ascontiguousarray(ref[:, idx]).tobytes()
         assert e.mu == float(np.max(np.abs(ref)))
+        # set-up checks A on 8 probe columns; every column of A^H A here
+        assert unitarity_residual_dense(e.a) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [220, 1760])
@@ -326,6 +330,41 @@ def test_non_unitary_ensemble_rejected(monkeypatch):
     monkeypatch.setattr(operators, "_columns", _bent("haar2d", lambda out, idx: np.where(idx == 0, np.nan, out)))
     with pytest.raises(ValueError, match="does not match its factors V\\^H U: residual nan"):
         make_ensemble(eye, h)
+
+
+def _basis16(kind, seed):
+    if kind == "custom":
+        return make_basis("custom", entries=random_orthogonal(16, np.random.default_rng(seed)))
+    return make_basis(kind, 16) if kind == "identity" else make_basis(kind, rows=4, cols=4)
+
+
+# At N = 16 every row of A, and of a factor, has an entry of magnitude
+# >= 1/4 (a flat row, such as a DFT row or Haar's approximation image, has
+# nothing larger), and each of the probes' 16 rows one >= 1.0, so an entry
+# error e moves the probe residual by >= |e|/4 wherever it sits
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([("identity", "haar2d"), ("haar2d", "identity"), ("dft2d", "identity"), ("dft2d", "haar2d"),
+                     ("identity", "custom")]),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.one_of(st.floats(1e-9, 1e3), st.floats(-1e3, -1e-9), st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+def test_single_entry_error_rejected_wherever_it_sits(pair, row, col, error):
+    # the probe check reads every column of A: one wrong entry of the
+    # columns the ensemble forms from a closed form, at any (row, column),
+    # fails it, and a non-finite one fails it with a NaN residual
+    v, u = (_basis16(kind, row) for kind in pair)
+
+    def change(out, idx):
+        out[row, np.flatnonzero(idx == col)] += error
+        return out
+
+    message = "does not match its factors" + ("" if np.isfinite(error) else " V\\^H U: residual nan")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_columns", _bent(u.kind if u.kind != "identity" else v.kind, change))
+        with pytest.raises(ValueError, match=message):
+            make_ensemble(v, u)
 
 
 def test_bases_and_ensembles_compare_by_value():
