@@ -47,7 +47,6 @@ from .harness import (
     image_to_sparse,
     random_coefficients,
     records_from_csv,
-    records_to_csv,
     scatter_gamma_vs_m,
     synthetic_image,
 )

@@ -14,8 +14,6 @@ checked values and check only what depends on N, g or the command.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -33,6 +31,7 @@ from .harness import (
     SolverOptions,
     SupportCase,
     SweepConfig,
+    csv_text,
     default_m_grid,
     draw_support,
     format_float,
@@ -408,14 +407,6 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _inputs(args, single: str | None = None):
     """(config, master seed, ensemble, rows, cols, structures, supports) of a
     command's config; ``single`` names a command that takes one structure."""
@@ -436,7 +427,7 @@ def cmd_gamma(args) -> int:
             est = penalty_gamma(e, sup.t, gs, seed=seed)
             out_rows.append([gs.label, sup.descriptor, gs.g, e.n, len(sup.t), *gamma_cells(est)])
     header = ["structure", "support", "g", "n", "k", *GAMMA_COLUMNS]
-    _emit(_csv_text(header, out_rows), args.out)
+    _emit(csv_text(header, out_rows), args.out)
     return 0
 
 
@@ -444,12 +435,6 @@ def cmd_sweep(args) -> int:
     cfg, seed, e, rows, cols, structures, supports = _inputs(args)
     g = max(gs.g for gs in structures)
     sweep_cfg = build_sweep_config(cfg, e.n, g, seed)
-    # the size-1 baseline draws any m in [1, N]; every structure, multiples of its g
-    for i, m in enumerate(sweep_cfg.m_grid):
-        _bounded(m, f"sweep.m_grid[{i}]", 1, e.n)
-        if uneven := [f"{gs.label} (g={gs.g})" for gs in structures if m % gs.g]:
-            raise ConfigError(f"sweep.m_grid[{i}] must be a multiple of every group size, got {m} "
-                              f"for {', '.join(uneven)}")
     solver = build_solver(cfg)
     records = scatter_gamma_vs_m(e, structures, supports, sweep_cfg, solver=solver, gamma_seed=seed)
     _emit(records_to_csv_text(records), args.out)
@@ -474,7 +459,7 @@ def cmd_validate(args) -> int:
             stats = bounds_mod.validate_gram_concentration(e, t, gs, m, trials, rng)
             mean_dev, max_dev = float(np.mean(stats.deviations)), float(np.max(stats.deviations))
             out_rows.append([m, trials, *map(format_float, (stats.fail_rate, mean_dev, max_dev)), stats.ties])
-        _emit(_csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev", "ties"], out_rows), args.out)
+        _emit(csv_text(["m", "trials", "fail_rate", "mean_dev", "max_dev", "ties"], out_rows), args.out)
         return 0
     # crossrow
     m = _bounded(_require(section, "m", "validate"), "validate.m", 0, e.n)
@@ -488,7 +473,7 @@ def cmd_validate(args) -> int:
     if t0 in t.indices:
         raise ConfigError(f"validate.t0 must lie off the support, got {t0}")
     empirical, bound = bounds_mod.validate_cross_row_energy(e, t, gs, m, t0, trials, rng)
-    _emit(_csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]), args.out)
+    _emit(csv_text(["empirical", "bound"], [[format_float(empirical), format_float(bound)]]), args.out)
     return 0
 
 

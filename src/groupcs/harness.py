@@ -14,6 +14,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -195,10 +196,10 @@ def _draw_trials(
 
 
 def _verdicts(e, gs, t, m, trials, master_seed, success_nre):
-    """Request for ``TrialPool.run``: once there is room, yields the drawn
-    rows and coefficients of the trials, receives their results and routes,
-    and returns the success of each trial and the route that decided it,
-    one of ``VERDICT_ROUTES``.
+    """Request for ``TrialPool.run``: yields the draw of the trials' rows and
+    coefficients, receives them with their results and routes, and returns
+    the success of each trial and the route that decided it, one of
+    ``VERDICT_ROUTES``.
 
     Trials are drawn by ``_draw_trials`` and decided together in a
     ``recovery.TrialPool``, which stops each trial at the first proof, as
@@ -213,9 +214,7 @@ def _verdicts(e, gs, t, m, trials, master_seed, success_nre):
     trials are "solved" and succeed when the normalized error is at most
     ``success_nre``.
     """
-    yield  # wait for room in the pool before drawing
-    omegas, coeffs = _draw_trials(e, gs, t, m, trials, master_seed)
-    results, routes = yield omegas, coeffs
+    (_, coeffs), results, routes = yield partial(_draw_trials, e, gs, t, m, trials, master_seed)
     # by unitarity of the sparsity basis this equals the signal-domain error
     return [
         (route in ("certified", "dual") or (route == "solved" and nre(c, r.c_hat) <= success_nre),
@@ -241,8 +240,8 @@ def _check_grid(gs: GroupStructure, cfg: SweepConfig):
     """Reject a grid value that ``gs`` cannot draw, naming its entry."""
     for i, m in enumerate(cfg.m_grid):
         if not gs.g <= m <= gs.n or m % gs.g:
-            raise ValueError(f"{gs.label} cannot draw m_grid[{i}]={m}: the grid must hold "
-                             f"multiples of the group size {gs.g} in [{gs.g}, {gs.n}]")
+            raise ValueError(f"sweep.m_grid[{i}] must be a multiple of {gs.label}'s group size "
+                             f"{gs.g} in [{gs.g}, {gs.n}], got {m}")
 
 
 def _sweep(e, gs, t, cfg: SweepConfig):
@@ -378,21 +377,28 @@ def gamma_cells(est: GammaEstimate) -> list:
     return [format_float(est.lower), format_float(est.upper), exact, est.method, est.argmax_group]
 
 
-def records_to_csv(records: list[SweepRecord], fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.structure_label,
-                r.support_descriptor,
-                *gamma_cells(r.gamma),
-                "saturated" if r.m_min is None else r.m_min,
-                "saturated" if r.m0 is None else r.m0,
-                r.trials,
-                r.seed,
-            ]
-        )
+def csv_text(header, rows) -> str:
+    """The CSV text of a header and rows, each line ending in a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def records_to_csv_text(records: list[SweepRecord]) -> str:
+    return csv_text(_CSV_COLUMNS, (
+        [
+            r.structure_label,
+            r.support_descriptor,
+            *gamma_cells(r.gamma),
+            "saturated" if r.m_min is None else r.m_min,
+            "saturated" if r.m0 is None else r.m0,
+            r.trials,
+            r.seed,
+        ]
+        for r in records
+    ))
 
 
 def records_from_csv(fh) -> list[SweepRecord]:
@@ -422,9 +428,3 @@ def records_from_csv(fh) -> list[SweepRecord]:
             )
         )
     return out
-
-
-def records_to_csv_text(records: list[SweepRecord]) -> str:
-    buf = io.StringIO()
-    records_to_csv(records, buf)
-    return buf.getvalue()

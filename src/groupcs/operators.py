@@ -31,14 +31,16 @@ _SPAN_ENTRIES = 1 << 15
 
 
 def unitarity_residual(columns, n: int, adjoint) -> tuple[float, float, float]:
-    """(max-abs entry of E^H (E X) - X for 8 fixed standard-Gaussian probe
-    columns X, max-abs entry of E, max-abs imaginary part of E) in one pass
-    over E's column spans: ``columns`` maps indices to a new N x w array of
-    those columns, ``adjoint`` an N x 8 block, which it may overwrite, to
-    E^H times it.  The first is NaN when E is not finite; an error e in
-    entry (r, c) moves it by |e| max_i |E_ri| max_k |X_ck| >= |e| max_k |X_ck|/sqrt N."""
+    """(max-abs entry of E^H (E X) - X for 8 fixed Gaussian probe columns X,
+    max-abs entry of E, max-abs imaginary part of E) in one pass over E's
+    column spans: ``columns`` maps indices to a new N x w array of those
+    columns, ``adjoint`` an N x 8 block, which it may overwrite, to E^H
+    times it.  The first is NaN when E is not finite.  Each row of X is
+    scaled so that its largest |entry| is 1, so an error e in entry (r, c)
+    moves it by |e| max_i |E_ri| >= |e|/sqrt N, as checking every column would."""
     width = max(1, _SPAN_ENTRIES // n)
     probes = np.random.default_rng(0).standard_normal((n, 8))
+    probes /= np.max(np.abs(probes), axis=1, keepdims=True)
     ex, peak, imag = 0.0, [], [0.0]
     for j in range(0, n, width):
         span = columns(np.arange(j, min(n, j + width)))

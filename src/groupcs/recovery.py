@@ -19,9 +19,10 @@ a trial as soon as a proof decides it: A's unitarity for a nonzero trial
 that measures all N rows, the least-squares certificate or one built from
 the ADMM dual iterate (a success), or the rank rule or a feasible iterate
 with a smaller l1 norm than the true coefficients (a failure).
-``TrialPool.run`` drives requests that yield chunks of trials and receive
-their results; ``solve_trials`` runs one such request, and a single
-problem is a request of one trial.
+``TrialPool.run`` drives requests that yield draws of chunks of trials,
+which the pool calls when there is room, and receive their results;
+``solve_trials`` runs one such request, and a single problem is a request
+of one trial.
 ``SolverOptions`` holds the solver's settings.  Every result is a
 deterministic function of its own trial's inputs.
 """
@@ -419,7 +420,8 @@ def solve_trials(
     verdicts.
     """
     def request():
-        return (yield omegas, coeffs)
+        _, results, routes = yield lambda: (omegas, coeffs)
+        return results, routes
 
     ((results, routes),) = TrialPool(e, solver, verdicts=verdicts).run([request()])
     return results, np.array(routes)
@@ -428,9 +430,10 @@ def solve_trials(
 class TrialPool:
     """One ADMM that trials join and leave while it runs.
 
-    ``run`` drives requests: generators that yield chunks of trials (B x m
-    rows ``omegas`` of the unitary ensemble and B x N coefficients, each
-    trial measuring y_b = A[omega_b] c_b) and receive each chunk's results.
+    ``run`` drives requests: generators that yield draws of chunks of
+    trials (B x m rows ``omegas`` of the unitary ensemble and B x N
+    coefficients, each trial measuring y_b = A[omega_b] c_b) and receive
+    each chunk's results.
     Between runs of every block for ``_CHECK_EVERY`` iterations (fewer if it
     empties), an admission tick admits queued trials.
 
@@ -462,60 +465,49 @@ class TrialPool:
     def run(self, requests: list) -> list:
         """Run request generators in this pool and return what each returns.
 
-        A request yields None to wait for room in the pool, then one chunk of
-        trials, (rows, coefficients), and receives their (results, routes)
-        once every trial of the chunk is decided; a trial decided at
-        iteration 0 has no result (None).  The pool admits that chunk at its
-        next admission tick, so the chunks of many requests run in one block,
-        and a trial's result does not depend on the requests beside it.
-        Waiting requests resume in turn, each once per tick, only while the
-        open chunks, counted as live rows, fit in ``_LIVE_ENTRIES``, or none
-        is open: the trials held stay within the budget and one chunk,
-        whatever the number of requests.  A request that draws its chunk
-        before it waits holds that chunk outside the bound.
+        A request yields draws: functions of no argument that return a chunk
+        of trials, (rows, coefficients).  The pool calls the draws in the
+        order they were yielded, each only while the open chunks, counted as
+        live rows, fit in ``_LIVE_ENTRIES``, or none is open: the pool, not
+        the request, decides when it may draw, so the trials held stay
+        within the budget and one chunk, whatever the number of requests.
+        Once every trial of a chunk is decided, the pool sends the request
+        (chunk, results, routes); a trial decided at iteration 0 has no
+        result (None).  The pool admits a chunk at its next admission tick,
+        so the chunks of many requests run in one block, and a trial's
+        result does not depend on the requests beside it.
         """
         out = [None] * len(requests)
-        chunks = {}  # request -> [results, routes, trials still open]
-        waiting = deque()
+        chunks = {}  # request -> [chunk, results, routes, trials still open]
+        draws = deque()  # (request, draw), in the order yielded
         held = 0  # entries of the open chunks' trials
 
         def send(i, value):
-            nonlocal held
             try:
-                chunk = requests[i].send(value)
+                draws.append((i, requests[i].send(value)))
             except StopIteration as stop:
                 out[i] = stop.value
-                return
-            if chunk is None:
-                waiting.append(i)
-                return
-            omegas, coeffs = chunk
-            if not len(coeffs):
-                send(i, ([], []))
-                return
-            held += self._entries(len(coeffs))
-            chunks[i] = [[None] * len(coeffs), [None] * len(coeffs), len(coeffs)]
-            self._submit(i, omegas, coeffs)
-
-        def resume():
-            for _ in range(len(waiting)):
-                if chunks and held >= _LIVE_ENTRIES:
-                    return
-                send(waiting.popleft(), None)
 
         for i in range(len(requests)):
             send(i, None)
-        resume()
-        while self.blocks or self.queue or self.decided or waiting:
+        while draws or self.blocks or self.queue or self.decided:
+            while draws and not (chunks and held >= _LIVE_ENTRIES):
+                i, draw = draws.popleft()
+                omegas, coeffs = chunk = draw()
+                if not len(coeffs):
+                    send(i, (chunk, [], []))
+                    continue
+                held += self._entries(len(coeffs))
+                chunks[i] = [chunk, [None] * len(coeffs), [None] * len(coeffs), len(coeffs)]
+                self._submit(i, omegas, coeffs)
             for i, j, result, route in self._advance():
-                chunk = chunks[i]
-                chunk[0][j], chunk[1][j] = result, route
-                chunk[2] -= 1
-                if chunk[2] == 0:
+                record = chunks[i]
+                record[1][j], record[2][j] = result, route
+                record[3] -= 1
+                if record[3] == 0:
                     del chunks[i]
-                    held -= self._entries(len(chunk[0]))
-                    send(i, tuple(chunk[:2]))
-            resume()
+                    held -= self._entries(len(record[1]))
+                    send(i, tuple(record[:3]))
         return out
 
     def _submit(self, tag: int, omegas: np.ndarray, coeffs: np.ndarray):

@@ -177,8 +177,9 @@ def test_scatter_names_the_grid_entry_it_cannot_draw():
     e = _dft_ensemble(32)
     gs = strided_1d(32, 4)
     sup = SupportCase(SupportSet(np.array([1])), "d0")
-    for grid, entry in (((2, 32), r"m_grid\[0\]=2"), ((4, 6), r"m_grid\[1\]=6")):
-        with pytest.raises(ValueError, match=f"strided1d cannot draw {entry}: .* group size 4 in \\[4, 32\\]"):
+    for grid, i, m in (((2, 32), 0, 2), ((4, 6), 1, 6)):
+        message = rf"sweep\.m_grid\[{i}\] must be a multiple of strided1d's group size 4 in \[4, 32\], got {m}$"
+        with pytest.raises(ValueError, match=message):
             scatter_gamma_vs_m(e, [gs], [sup], SweepConfig(m_grid=grid, master_seed=0))
 
 
@@ -194,7 +195,7 @@ def test_grid_a_structure_cannot_draw_fails_before_any_gamma(monkeypatch):
     monkeypatch.setattr(harness, "penalty_gamma", no_gamma)
     cfg = SweepConfig(m_grid=default_m_grid(220, 11), master_seed=0)
     structures = [strided_1d(220, 11), contiguous_1d(220, 5)]
-    message = r"contiguous1d cannot draw m_grid\[0\]=44: .* group size 5"
+    message = r"sweep\.m_grid\[0\] must be a multiple of contiguous1d's group size 5 in \[5, 220\], got 44"
     with pytest.raises(ValueError, match=message):
         scatter_gamma_vs_m(e, structures, [sup], cfg)
     # "auto", the one route choice, is the only mode the scatter takes

@@ -340,8 +340,9 @@ def _basis16(kind, seed):
 
 # At N = 16 every row of A, and of a factor, has an entry of magnitude
 # >= 1/4 (a flat row, such as a DFT row or Haar's approximation image, has
-# nothing larger), and each of the probes' 16 rows one >= 1.0, so an entry
-# error e moves the probe residual by >= |e|/4 wherever it sits
+# nothing larger), and each probe row's largest |entry| is 1, so an entry
+# error e in row r moves the probe residual by >= |e| max_i |A_ri| >= |e|/4
+# wherever it sits
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([("identity", "haar2d"), ("haar2d", "identity"), ("dft2d", "identity"), ("dft2d", "haar2d"),
@@ -365,6 +366,21 @@ def test_single_entry_error_rejected_wherever_it_sits(pair, row, col, error):
         mp.setattr(operators, "_columns", _bent(u.kind if u.kind != "identity" else v.kind, change))
         with pytest.raises(ValueError, match=message):
             make_ensemble(v, u)
+
+
+def test_small_entry_error_rejected_where_the_probe_row_is_small():
+    # 8x8 dft2d/identity: 1e-9 added to entry (5, 38), where row 38 of the
+    # Gaussian probes peaks at 0.63.  Unscaled, the residual is 7.9e-11,
+    # below the tolerance; with that row scaled to a largest |entry| of 1
+    # it is 1.25e-10
+    def change(out, idx):
+        out[5, np.flatnonzero(idx == 38)] += 1e-9
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_columns", _bent("dft2d", change))
+        with pytest.raises(ValueError, match="does not match its factors"):
+            make_ensemble(make_basis("dft2d", rows=8, cols=8), make_basis("identity", 64))
 
 
 def test_bases_and_ensembles_compare_by_value():

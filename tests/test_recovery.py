@@ -619,9 +619,10 @@ _POOL_ENSEMBLES = {
     join_after=st.integers(0, 6),
 )
 def test_pool_row_does_not_depend_on_companions(seed, pair, verdicts, companions, join_after):
-    # a trial that joins a running pool after join_after admission ticks,
-    # beside companions of other support sizes and m, ends exactly as alone:
-    # masked rows of any m share a block, whatever the factors' transforms
+    # a trial that joins a running pool after join_after chunks of one
+    # trial each, beside companions of other support sizes and m, ends
+    # exactly as alone: masked rows of any m share a block, whatever the
+    # factors' transforms
     rng = np.random.default_rng(seed)
     e = make_ensemble(*_POOL_ENSEMBLES[pair])
     real = e.dtype == np.float64
@@ -637,16 +638,18 @@ def test_pool_row_does_not_depend_on_companions(seed, pair, verdicts, companions
             c[s] *= np.exp(2j * np.pi * rng.uniform(size=size))
         return omega[None], c[None]
 
-    def request(chunk, waits=0):
-        for _ in range(waits):  # a waiting request resumes once per admission tick
-            yield
-        return (yield chunk)
+    def request(*chunks):
+        # each chunk is drawn once the one before it is decided
+        for chunk in chunks:
+            _, results, routes = yield lambda chunk=chunk: chunk
+        return results, routes
 
     m = int(rng.choice(sizes))
     omega, c = draw(m)
     solver = SolverOptions(max_iters=400)
     companion_chunks = [draw(m if rng.random() < 0.5 else int(rng.choice(sizes))) for _ in range(companions)]
-    requests = [request((omega, c), join_after + 1)] + [request(chunk) for chunk in companion_chunks]
+    before = [draw(int(rng.choice(sizes))) for _ in range(join_after)]
+    requests = [request(*before, (omega, c))] + [request(chunk) for chunk in companion_chunks]
     ((result,), (route,)), *others = TrialPool(e, solver, verdicts=verdicts).run(requests)
     assert all(len(results) == len(routes) == 1 for results, routes in others)
     (alone,), (alone_route,) = solve_trials(e, omega, c, solver, verdicts=verdicts)
@@ -658,3 +661,47 @@ def test_pool_row_does_not_depend_on_companions(seed, pair, verdicts, companions
         assert (result.iterations, result.converged, result.objective, result.feas_residual) == (
             alone.iterations, alone.converged, alone.objective, alone.feas_residual
         )
+
+
+def test_requests_draw_only_when_the_pool_has_room(monkeypatch):
+    # with room for one trial, the pool calls a request's draw only once no
+    # other chunk is open, the requests take turns, and each chunk ends as
+    # it does alone; the trials drawn and not yet sent back are one chunk
+    e = _dft_ensemble(16)
+    rng = np.random.default_rng(5)
+    chunks = []
+    for _ in range(6):
+        omegas = np.array([np.sort(rng.permutation(16)[:8]) for _ in range(2)])
+        coeffs = np.zeros((2, 16), dtype=np.complex128)
+        for c in coeffs:
+            c[rng.permutation(16)[:2]] = rng.uniform(0.1, 1.0, 2)
+        chunks.append((omegas, coeffs))
+    solver = SolverOptions(max_iters=400)
+    alone = [solve_trials(e, omegas, coeffs, solver, verdicts=True) for omegas, coeffs in chunks]
+    monkeypatch.setattr(recovery, "_LIVE_ENTRIES", 1)
+    drawn, held, peak = [], [0], [0]
+
+    def request(tag, *chunks):
+        out = []
+        for chunk in chunks:
+
+            def draw(chunk=chunk):
+                drawn.append(tag)
+                held[0] += 1
+                peak[0] = max(peak[0], held[0])
+                return chunk
+
+            sent, results, routes = yield draw
+            held[0] -= 1
+            assert sent is chunk
+            out.append((results, routes))
+        return out
+
+    pooled = TrialPool(e, solver, verdicts=True).run([request(i, *chunks[i : i + 2]) for i in (0, 2, 4)])
+    assert drawn == [0, 2, 4, 0, 2, 4] and peak == [1] and held == [0]
+    for (results, routes), (alone_results, alone_routes) in zip(sum(pooled, []), alone):
+        assert list(routes) == list(alone_routes)
+        for r, a in zip(results, alone_results):
+            assert (r is None) == (a is None)
+            if r is not None:
+                assert np.array_equal(r.c_hat, a.c_hat) and r.iterations == a.iterations
